@@ -14,6 +14,9 @@ which removes the dominant truncation bias for free.  The charge is modeled
 as piecewise linear in time and every per-mode oscillatory integral is done
 in closed form per segment (product integration), so each time step costs one
 scalar linear solve plus an O(k_max) accumulator update.
+
+The bracket is i*lam_k times the causal mode integral h_k of the single
+kernel `kernels.mode_history`, from which U is evaluated off the march.
 """
 
 from __future__ import annotations
@@ -32,9 +35,10 @@ from .greens import SpectralShift, green_coefficients, green_origin
 from .kernels import (
     ODD_INVERSE_EIGENVALUE_SUM,
     discrete_h1_norm,
+    history_at_end,
+    mode_history,
     odd_eigenvalues,
     phi1,
-    slope_moments,
     tail_deficit,
 )
 from .spectral import (
@@ -158,13 +162,14 @@ class CouplingProfile:
 
 @dataclass(frozen=True)
 class ChargeTrajectory:
-    """Grid samples of the charge plus the per-mode slope-integrated accumulators
-    B_k = int_0^T q'(s) e^{i*lam_k*s} ds at the final node."""
+    """Grid samples of the charge plus its causal mode integrals at the final node,
+    end_history_k = int_0^T q(s) e^{-i*lam_k*(T-s)} ds over odd k: from the march,
+    or from kernels.mode_history for a trajectory built from samples."""
 
     grid: TimeGrid
     q: np.ndarray = field(repr=False)
     k_max: int = DEFAULT_K_MAX
-    mode_accumulators: np.ndarray | None = field(default=None, repr=False)
+    end_history: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         arr = np.ascontiguousarray(self.q, dtype=complex).copy()
@@ -174,32 +179,26 @@ class ChargeTrajectory:
             raise InputError("charge samples must be finite")
         arr.flags.writeable = False
         object.__setattr__(self, "q", arr)
+        if self.end_history is None:
+            object.__setattr__(self, "end_history", history_at_end(
+                arr, self.grid.dt, odd_eigenvalues(self.k_max)))
 
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.q)))
 
 
 def apply_U(traj: ChargeTrajectory, analytic_tail: bool = True) -> np.ndarray:
-    """(Uq)(t_n) on every grid node via the integrated form.
+    """(Uq)(t_n) = -i*tail*q(t_n) + sum_k h_k(t_n) on every grid node.
 
     analytic_tail swaps the truncated instantaneous coefficient
-    sum_{k<=k_max} 1/lam_k for the analytic pi^2/2.  (Uq)(t_0) = 0 always
-    (empty integral); the tail replacement only applies to marched nodes.
+    sum_{k<=k_max} 1/lam_k for the analytic pi^2/2 (tail = tail_deficit(k_max));
+    without it tail = 0.  (Uq)(t_0) = 0 always (empty integral); the tail
+    replacement only applies to marched nodes.
     """
-    grid, q, k_max = traj.grid, traj.q, traj.k_max
-    if grid.n_steps < 1:
-        raise InputError("empty grid")
-    dt = grid.dt
-    times = grid.times
-    lam = odd_eigenvalues(k_max)
-    s_tail = ODD_INVERSE_EIGENVALUE_SUM if analytic_tail else float(np.sum(1.0 / lam))
-    q0 = q[0]
-    acc = np.zeros(times.size, dtype=complex)
-    for lam_k in lam:
-        seg = slope_moments(q, dt, lam_k)
-        b_nodes = np.concatenate(([0.0], np.cumsum(seg)))
-        acc += np.exp(-1j * lam_k * times) * (q0 + b_nodes) / lam_k
-    out = -1j * s_tail * q + 1j * acc
+    q = traj.q
+    out = -1j * (tail_deficit(traj.k_max) if analytic_tail else 0.0) * q
+    for _, _, h in mode_history(q, traj.grid.dt, odd_eigenvalues(traj.k_max)):
+        out += h.sum(axis=0)
     out[0] = 0.0
     return out
 
@@ -227,7 +226,8 @@ def _march(f_nodes: np.ndarray, phi_nodes: np.ndarray, v0: complex, g_coeff: com
     g(t) is the truncated origin series of the freely evolved Green state,
     (1/pi) sum_k e^{-i*lam_k*t}/(lam_k + lam).  At step n the unknown v_n
     enters through the instantaneous part of U and the final-segment slope,
-    so the update is one scalar complex solve.
+    so the update is one scalar complex solve.  The modal accumulator b is
+    B_k(t_n); at the end it gives the trajectory's end_history.
     """
     n_steps = grid.n_steps
     dt = grid.dt
@@ -263,7 +263,7 @@ def _march(f_nodes: np.ndarray, phi_nodes: np.ndarray, v0: complex, g_coeff: com
         b += (q[n] - q[n - 1]) * exp_prev * p1
         exp_prev = np.conj(e_n)
 
-    return ChargeTrajectory(grid, q, k_max, b)
+    return ChargeTrajectory(grid, q, k_max, (q[-1] - e_n * (v0 + b)) / (1j * lam))
 
 
 def solve_charge_general(f, phi: CouplingProfile, shift: SpectralShift, grid: TimeGrid,
@@ -273,8 +273,6 @@ def solve_charge_general(f, phi: CouplingProfile, shift: SpectralShift, grid: Ti
     f may be a node-sample array or a callable of t.  When v0 is not supplied
     it comes from initial_charge with the closed-form Green value.
     """
-    if grid.n_steps < 1:
-        raise InputError("empty grid")
     times = grid.times
     f_nodes = np.asarray(f(times) if callable(f) else f, dtype=complex)
     if f_nodes.shape != times.shape:

@@ -1,9 +1,9 @@
 """Command-line front end: simulate, spectrum, green, control, verify, sweep.
 
 Exit codes: 0 success, 1 configuration/validation problem, 2 solver failure,
-3 file I/O failure.  DELTABOX_OUTDIR overrides the output directory;
-DELTABOX_THREADS is recorded in run manifests and exported to the BLAS thread
-environment for subprocesses.
+3 file I/O failure.  DELTABOX_OUTDIR overrides the output directory.  Every
+numeric field of user input goes through iofiles.parse_number, so a malformed
+value is a configuration error, never a traceback.
 """
 
 from __future__ import annotations
@@ -25,20 +25,22 @@ from .control import (
 )
 from .convergence import charge_dt_sweep, green_kmax_sweep
 from .errors import InputError, SolverError
-from .greens import default_window, green_closed, green_origin, green_series, static_eigenvalues
+from .greens import (SpectralShift, default_window, green_closed, green_origin, green_series,
+                     static_eigenvalues)
 from .iofiles import (
     atomic_write_text,
     config_hash,
     load_state,
     load_target_csv,
     parse_config_text,
+    parse_number,
     save_control_csv,
     save_spectrum_csv,
     save_state,
     save_trajectory_csv,
     write_manifest,
 )
-from .propagator import decompose, diagnostics, evolve
+from .propagator import DomainState, diagnostics, evolve
 from .spectral import DEFAULT_K_MAX, SpectralCoefficients, TimeGrid
 from .verify import run_checks
 
@@ -55,7 +57,7 @@ def _outdir(args_outdir: str) -> str:
 def _parse_psi0(descriptor: str, k_max: int):
     kind, _, rest = descriptor.partition(":")
     if kind == "eig":
-        return SpectralCoefficients.unit(int(rest), k_max)
+        return SpectralCoefficients.unit(parse_number(rest, int, "psi0 eig:K"), k_max)
     if kind == "file":
         state = load_state(rest)
         if state.k_max != k_max:
@@ -68,13 +70,8 @@ def _parse_psi0(descriptor: str, k_max: int):
         regular = load_state(parts[0])
         if regular.k_max != k_max:
             raise InputError(f"state file k_max {regular.k_max} != configured {k_max}")
-        q = float(parts[1]) + 1j * float(parts[2])
-        from .greens import SpectralShift
-
-        shift = SpectralShift(float(parts[3])) if len(parts) == 4 else SpectralShift()
-        from .propagator import DomainState
-
-        return DomainState(regular, q, shift)
+        re_q, im_q, *lam = (parse_number(v, float, "psi0 domain field") for v in parts[1:])
+        return DomainState(regular, complex(re_q, im_q), SpectralShift(*lam))
     raise InputError(f"unknown psi0 source {descriptor!r} (use eig:K | file:PATH | domain:...)")
 
 
@@ -83,14 +80,20 @@ def _parse_alpha(descriptor: str, t_end: float) -> CouplingProfile:
     if kind == "zero":
         return CouplingProfile.zero(t_end)
     if kind == "const":
-        return CouplingProfile.constant(float(rest), t_end)
+        return CouplingProfile.constant(parse_number(rest, float, "alpha const:A"), t_end)
     if kind == "bump":
-        return CouplingProfile.sine_bump(float(rest), t_end)
+        return CouplingProfile.sine_bump(parse_number(rest, float, "alpha bump:A"), t_end)
     if kind == "pl":
-        samples = np.loadtxt(rest, delimiter=",", comments="#")
-        if samples.ndim != 2 or samples.shape[1] < 2:
+        try:
+            samples = np.loadtxt(rest, delimiter=",", comments="#", ndmin=2)
+        except ValueError as exc:
+            raise InputError(f"{rest}: {exc}") from None
+        if samples.shape[1] < 2:
             raise InputError(f"{rest}: expected CSV rows t,alpha")
         grid = TimeGrid(t_end, samples.shape[0] - 1)
+        if not np.max(np.abs(samples[:, 0] - grid.times)) <= 1e-9 * t_end:  # NaN fails too
+            raise InputError(f"{rest}: the t column must be the uniform grid "
+                             f"t_n = n*T/N on [0, T={t_end!r}]")
         return CouplingProfile.piecewise_linear(grid, samples[:, 1] + 0j)
     raise InputError(f"unknown alpha descriptor {descriptor!r} "
                      "(use zero | const:A | bump:A | pl:FILE)")
@@ -110,9 +113,11 @@ def cmd_simulate(args) -> int:
     if args.config:
         file_cfg = _load_config(args.config, _SIMULATE_KEYS)
         cfg.update(file_cfg)
-    t_end = float(cfg["T"])
-    n_steps = int(cfg["n_steps"])
-    k_max = int(cfg["k_max"])
+    t_end, n_steps, k_max, store_every = (
+        parse_number(cfg[key], kind, key) for key, kind in
+        (("T", float), ("n_steps", int), ("k_max", int), ("store_every", int)))
+    tol_norm, tol_boundary = (parse_number(str(cfg.get(key, getattr(args, key))), float, key)
+                              for key in ("tol_norm_drift", "tol_boundary"))
     if not (t_end > 0 and np.isfinite(t_end)):
         raise InputError("T must be positive and finite")
     grid = TimeGrid(t_end, n_steps)
@@ -121,7 +126,7 @@ def cmd_simulate(args) -> int:
     outdir = _outdir(cfg.get("outdir", args.outdir))
     chash = config_hash(cfg)
 
-    result = evolve(psi0, alpha, grid, k_max, store_every=int(cfg["store_every"]))
+    result = evolve(psi0, alpha, grid, k_max, store_every=store_every)
     report = diagnostics(result, alpha)
 
     os.makedirs(outdir, exist_ok=True)
@@ -133,8 +138,7 @@ def cmd_simulate(args) -> int:
     save_state(state_path, result.final_state)
     manifest_path = os.path.join(outdir, "manifest.txt")
     write_manifest(manifest_path, {
-        "inputs": {**cfg, "config_hash": chash,
-                   "threads": os.environ.get("DELTABOX_THREADS", "default")},
+        "inputs": {**cfg, "config_hash": chash},
         "outputs": {"trajectory": traj_path, "final_state": state_path},
         "diagnostics": {
             "norm_drift": repr(report.norm_drift),
@@ -146,8 +150,6 @@ def cmd_simulate(args) -> int:
     print(report.to_text())
     print(f"artifacts in {outdir} (config {chash})")
 
-    tol_norm = float(cfg.get("tol_norm_drift", args.tol_norm_drift))
-    tol_boundary = float(cfg.get("tol_boundary", args.tol_boundary))
     if report.norm_drift > tol_norm or report.max_boundary_residual > tol_boundary:
         print("diagnostic tolerance exceeded", file=sys.stderr)
         return EXIT_SOLVER
@@ -157,8 +159,8 @@ def cmd_simulate(args) -> int:
 def cmd_spectrum(args) -> int:
     window = default_window(args.k_max)
     if args.window:
-        lo, _, hi = args.window.partition(":")
-        window = (float(lo), float(hi))
+        window = tuple(parse_number(v, float, "window LO:HI")
+                       for v in args.window.partition(":")[::2])
     eigs = static_eigenvalues(args.alpha, window, args.k_max)
     outdir = _outdir(args.outdir)
     os.makedirs(outdir, exist_ok=True)
@@ -235,12 +237,13 @@ def cmd_sweep(args) -> int:
     outdir = _outdir(args.outdir)
     os.makedirs(outdir, exist_ok=True)
     if args.what == "charge-dt":
-        levels = [float(x) for x in args.levels.split(",")] if args.levels else (4e-3, 2e-3, 1e-3)
+        levels = [parse_number(x, float, "levels") for x in args.levels.split(",")] \
+            if args.levels else (4e-3, 2e-3, 1e-3)
         rows, slope = charge_dt_sweep(levels)
         header, min_slope = "dt,sup_error", args.min_slope if args.min_slope else 1.9
     elif args.what == "green-kmax":
-        levels = [int(float(x)) for x in args.levels.split(",")] if args.levels \
-            else (1000, 10000, 100000)
+        levels = [int(parse_number(x, float, "levels")) for x in args.levels.split(",")] \
+            if args.levels else (1000, 10000, 100000)
         rows, slope = green_kmax_sweep(levels)
         header, min_slope = "k_max,abs_error", args.min_slope if args.min_slope else 0.9
     else:
@@ -321,8 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    if os.environ.get("DELTABOX_THREADS"):
-        os.environ.setdefault("OMP_NUM_THREADS", os.environ["DELTABOX_THREADS"])
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

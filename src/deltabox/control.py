@@ -31,8 +31,8 @@ import numpy as np
 from .charge import ChargeTrajectory, CouplingProfile, _march, apply_U, solve_charge
 from .errors import InputError, UnsupportedHorizonError
 from .greens import SpectralShift
-from .kernels import fit_loglog_slope, odd_eigenvalues, phi1, slope_moments
-from .propagator import assemble_F, evolve
+from .kernels import MODE_BLOCK, fit_loglog_slope, history_at_end, odd_eigenvalues, phi1
+from .propagator import assemble_F
 from .spectral import (
     DEFAULT_K_MAX,
     INV_SQRT_PI,
@@ -93,8 +93,10 @@ def _horizon_periods(t_end: float) -> int:
 
 def gamma(alpha: CouplingProfile, psi0, grid: TimeGrid, k_max: int = DEFAULT_K_MAX,
           shift: SpectralShift = SpectralShift()) -> SpectralCoefficients:
-    """End-time state of the nonlinear evolution."""
-    return evolve(psi0, alpha, grid, k_max, shift, store_every=None).final_state
+    """End-time state e^{iT*Lap} psi0 + F(q_alpha, T) of the nonlinear evolution."""
+    full = psi0 if isinstance(psi0, SpectralCoefficients) else psi0.full_coefficients()
+    charge = solve_charge(alpha, psi0, grid, k_max, shift)
+    return free_evolve(full, grid.t_end).add(assemble_F(charge))
 
 
 def apply_linearized(alpha: CouplingProfile, u, psi0: SpectralCoefficients,
@@ -128,7 +130,7 @@ def apply_linearized(alpha: CouplingProfile, u, psi0: SpectralCoefficients,
 
     f_nodes = -u_nodes * h
     qdot = _march(f_nodes, alpha_nodes.astype(complex), f_nodes[0], 0.0, shift, grid, k_max)
-    return assemble_F(qdot, grid.t_end, k_max)
+    return assemble_F(qdot)
 
 
 def alpha_is_zero(alpha: CouplingProfile) -> bool:
@@ -169,9 +171,10 @@ def solve_moment(target: ControlTarget, grid: TimeGrid | None = None) -> Synthes
         active = times <= BASE_HORIZON * (1 + 1e-12)
         t_act = times[active]
         acc = np.zeros(t_act.size, dtype=complex)
-        for lam_k, c_k in zip(lam, c_odd):
-            if c_k != 0:
-                acc += c_k * np.sin(lam_k * t_act)
+        modes = np.flatnonzero(c_odd)
+        for start in range(0, modes.size, MODE_BLOCK):
+            idx = modes[start:start + MODE_BLOCK]
+            acc += np.sin(np.outer(t_act, lam[idx])) @ c_odd[idx]
         rho[active] = scale * acc
     defect = float(np.max(np.abs(rho.imag)))
     return SynthesizedControl(grid, rho, defect)
@@ -184,20 +187,19 @@ def _pl_fourier_coefficients(samples: np.ndarray, grid: TimeGrid, lam: np.ndarra
     Uses integration by parts: C = (rho_T e^{i lam T} - rho_0 - B)/(i lam) with
     B = sum_m (rho_m - rho_{m-1}) e^{i lam t_{m-1}} phi1(i lam dt).  When every
     lam*dt is a rational multiple of 2*pi/n (uniform grid), the segment sums
-    are Fourier bins of the increment sequence, evaluated with one FFT.
+    are Fourier bins of the increment sequence, evaluated with one FFT;
+    otherwise C = e^{i lam T} h(T) with h from the modal-history kernel.
     """
     dt = grid.dt
-    n = grid.n_steps
     t_end = grid.t_end
-    inc = np.diff(samples)
     bins = lam * t_end / (2.0 * np.pi)
     bins_round = np.round(bins)
-    if np.all(np.abs(bins - bins_round) < 1e-9):
-        # every frequency is an exact DFT bin of the increment sequence
-        spectrum = np.fft.ifft(inc) * inc.size  # bin j: sum_m inc_m e^{+2*pi*i*j*m/n}
-        b = spectrum[bins_round.astype(int) % n] * phi1(1j * lam * dt)
-    else:
-        b = np.array([np.sum(slope_moments(samples, dt, l)) for l in lam])
+    if not np.all(np.abs(bins - bins_round) < 1e-9):
+        return np.exp(1j * lam * t_end) * history_at_end(samples, dt, lam)
+    # every frequency is an exact DFT bin of the increment sequence
+    inc = np.diff(samples)
+    spectrum = np.fft.ifft(inc) * inc.size  # bin j: sum_m inc_m e^{+2*pi*i*j*m/n}
+    b = spectrum[bins_round.astype(int) % grid.n_steps] * phi1(1j * lam * dt)
     return (samples[-1] * np.exp(1j * lam * t_end) - samples[0] - b) / (1j * lam)
 
 
@@ -293,6 +295,10 @@ def controllability_experiment(k_bar: int, epsilons, delta_direction: ControlTar
     free_final = free_evolve(psi0, grid.t_end)
     control_unit = synthesize_control(delta_direction, k_bar, grid=grid)
 
+    # at alpha = 0 the linearization is linear in u: one solve serves every eps
+    linear_unit = apply_linearized(CouplingProfile.zero(grid.t_end),
+                                   CouplingProfile.piecewise_linear(grid, control_unit.u.real),
+                                   psi0, grid, k_max, shift)
     remainders = []
     disp_errors = []
     defects = []
@@ -300,8 +306,7 @@ def controllability_experiment(k_bar: int, epsilons, delta_direction: ControlTar
         u_scaled = control_unit.u * eps
         alpha_re = CouplingProfile.piecewise_linear(grid, u_scaled.real)
         final = gamma(alpha_re, psi0, grid, k_max, shift)
-        linear = apply_linearized(CouplingProfile.zero(grid.t_end), alpha_re,
-                                  psi0, grid, k_max, shift)
+        linear = linear_unit.scaled(eps)
         predicted = free_final.add(linear)
         remainders.append(final.sub(predicted).norm())
         disp = final.sub(free_final)

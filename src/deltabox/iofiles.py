@@ -34,6 +34,33 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
+def parse_number(text: str, kind: type, what: str):
+    """int(text) or a finite float(text); anything else raises InputError naming `what`."""
+    try:
+        value = kind(text)
+    except ValueError:
+        value = None
+    if value is None or (kind is float and not np.isfinite(value)):
+        expected = "an integer" if kind is int else "a finite number"
+        raise InputError(f"{what}: expected {expected}, got {text!r}")
+    return value
+
+
+def _mode_coefficients(path: str, lines, k_max: int, what: str) -> SpectralCoefficients:
+    """Coefficient vector from 'k,re,im' lines, 1 <= k <= k_max; unlisted modes are 0."""
+    a = np.zeros(k_max, dtype=complex)
+    for ln in lines:
+        parts = ln.split(",")
+        if len(parts) != 3:
+            raise InputError(f"{path}: bad {what} line {ln!r}")
+        k = parse_number(parts[0], int, f"{path}: mode index")
+        if not 1 <= k <= k_max:
+            raise InputError(f"{path}: mode index {k} outside 1..{k_max}")
+        re_v, im_v = (parse_number(v, float, f"{path}: {what} line {ln!r}") for v in parts[1:])
+        a[k - 1] = complex(re_v, im_v)
+    return SpectralCoefficients(k_max, a)
+
+
 def save_state(path: str, c: SpectralCoefficients) -> None:
     """State file: '# k_max=<int>' header then one 'k,re_a,im_a' line per mode."""
     lines = [f"# k_max={c.k_max}"]
@@ -48,20 +75,10 @@ def load_state(path: str) -> SpectralCoefficients:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines or not lines[0].startswith("# k_max="):
         raise InputError(f"{path}: missing '# k_max=' header")
-    try:
-        k_max = int(lines[0].split("=", 1)[1])
-    except ValueError as exc:
-        raise InputError(f"{path}: bad k_max header") from exc
-    a = np.zeros(k_max, dtype=complex)
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != 3:
-            raise InputError(f"{path}: bad state line {ln!r}")
-        k = int(parts[0])
-        if not 1 <= k <= k_max:
-            raise InputError(f"{path}: mode index {k} outside 1..{k_max}")
-        a[k - 1] = float(parts[1]) + 1j * float(parts[2])
-    return SpectralCoefficients(k_max, a)
+    k_max = parse_number(lines[0].split("=", 1)[1], int, f"{path}: k_max header")
+    if k_max < 1:
+        raise InputError(f"{path}: k_max must be positive, got {k_max}")
+    return _mode_coefficients(path, lines[1:], k_max, "state")
 
 
 def _header_comments(fields: dict) -> list[str]:
@@ -94,20 +111,9 @@ def save_control_csv(path: str, times: np.ndarray, u: np.ndarray, fields: dict) 
 
 def load_target_csv(path: str, k_max: int) -> SpectralCoefficients:
     """Control-target file: 'k,re_c,im_c' rows (header and '#' comments skipped)."""
-    a = np.zeros(k_max, dtype=complex)
     with open(path) as fh:
-        for ln in fh:
-            ln = ln.strip()
-            if not ln or ln.startswith("#") or ln.startswith("k,"):
-                continue
-            parts = ln.split(",")
-            if len(parts) != 3:
-                raise InputError(f"{path}: bad target line {ln!r}")
-            k = int(parts[0])
-            if not 1 <= k <= k_max:
-                raise InputError(f"{path}: mode index {k} outside 1..{k_max}")
-            a[k - 1] = float(parts[1]) + 1j * float(parts[2])
-    return SpectralCoefficients(k_max, a)
+        rows = [ln for ln in map(str.strip, fh) if ln and not ln.startswith(("#", "k,"))]
+    return _mode_coefficients(path, rows, k_max, "target")
 
 
 def write_manifest(path: str, sections: dict) -> None:

@@ -14,6 +14,11 @@ integrates exactly:
 
 with u = i*lam*h.  No quadrature error is incurred beyond the piecewise-linear
 model of the data itself.
+
+States and U are built from one object, the causal mode integral of the charge
+h_k(t) = int_0^t q(s) e^{-i*lam_k*(t-s)} ds = (q(t) - e^{-i*lam_k*t}(q(0) + B_k(t)))/(i*lam_k),
+B_k the summed slope moments.  Only `mode_history` (every node, MODE_BLOCK modes
+at a time) and the charge march (step by step) compute it.
 """
 
 from __future__ import annotations
@@ -24,6 +29,9 @@ import numpy as np
 
 # sum over odd k of 1/lam_k = sum 4/k^2 = pi^2/2
 ODD_INVERSE_EIGENVALUE_SUM = np.pi**2 / 2.0
+
+# modes per block of every mode-by-node array, which keeps memory O(len(times))
+MODE_BLOCK = 64
 
 _PHI_SERIES_CUTOFF = 0.25
 _PHI_SERIES_TERMS = 18
@@ -87,13 +95,49 @@ def segment_moments(q: np.ndarray, dt: float, lam: float) -> np.ndarray:
 
 def slope_moments(q: np.ndarray, dt: float, lam: float) -> np.ndarray:
     """Per-segment exact integrals of the piecewise-constant derivative of q_PL
-    against e^{i*lam*s}: slope_m * (e^{i*lam*t_m} - e^{i*lam*t_{m-1}})/(i*lam)."""
+    against e^{i*lam*s}: slope_m * (e^{i*lam*t_m} - e^{i*lam*t_{m-1}})/(i*lam).
+
+    Single-frequency reference form of the B_k sums inside `mode_history`.
+    """
     q = np.asarray(q, dtype=complex)
     n = q.size - 1
     u = 1j * lam * dt
     p1 = complex(phi1(u))
     phase = np.exp(1j * lam * dt * np.arange(n))
     return (q[1:] - q[:-1]) * phase * p1
+
+
+def mode_history(q: np.ndarray, dt: float, lam: np.ndarray):
+    """Yield (slice, phase, h) for each block of MODE_BLOCK frequencies in lam.
+
+    phase[j, n] = e^{-i*lam_j*t_n} and h[j, n] = int_0^{t_n} q_PL(s)
+    e^{-i*lam_j*(t_n - s)} ds on every node t_n = n*dt of the samples q, with
+    h[:, 0] = 0.  Both arrays are fresh per block; the caller may overwrite them.
+    """
+    q = np.asarray(q, dtype=complex)
+    times = dt * np.arange(q.size)
+    dq = np.diff(q)
+    for start in range(0, lam.size, MODE_BLOCK):
+        block = slice(start, start + MODE_BLOCK)
+        lam_b = lam[block]
+        phase = -1j * np.outer(lam_b, times)
+        np.exp(phase, out=phase)
+        # B on the nodes: cumulative slope moments, e^{+i*lam*t} reused as conj(phase)
+        h = np.zeros_like(phase)
+        np.conjugate(phase[:, :-1], out=h[:, 1:])
+        h[:, 1:] *= dq
+        h[:, 1:] *= phi1(1j * lam_b * dt)[:, None]
+        np.cumsum(h[:, 1:], axis=1, out=h[:, 1:])
+        h += q[0]
+        h *= phase
+        np.subtract(q, h, out=h)
+        h /= 1j * lam_b[:, None]
+        yield block, phase, h
+
+
+def history_at_end(q: np.ndarray, dt: float, lam: np.ndarray) -> np.ndarray:
+    """h_k at the last node of q for every frequency in lam (see mode_history)."""
+    return np.concatenate([h[:, -1] for _, _, h in mode_history(q, dt, lam)])
 
 
 def discrete_h1_norm(values: np.ndarray, dt: float) -> float:

@@ -5,15 +5,17 @@ The evolved state is the mild solution
     psi(t) = e^{it*Lap} psi0 + F(q, t),
     F(q, t) = (i/sqrt(pi)) sum_{k odd} ( int_0^t q(s) e^{-i*lam_k*(t-s)} ds ) psi_k,
 
-with the per-mode integrals done by the same exact piecewise-linear product
-integration the charge solver uses.  States are stored as full spectral
+with the per-mode integrals h_k(t) taken from the single modal-history kernel
+(kernels.mode_history), the same exact piecewise-linear product integration
+the charge march uses.  States are stored as full spectral
 coefficient vectors; the decomposition into regular part + charge * Green
 state is computed on demand for a chosen shift (the split depends on the
 shift, the operator does not).
 
 Diagnostics evaluate the origin value of psi(t) with the tail-corrected mode
-sum (the same convention the charge equation is solved with), so the boundary
-relation -q = alpha*psi(0) is checked against the equation actually solved.
+sum sum_odd a_k/sqrt(pi) + tail*q/pi (the same convention the charge equation
+is solved with), so the boundary relation -q = alpha*psi(0) is checked
+against the equation actually solved.
 """
 
 from __future__ import annotations
@@ -22,25 +24,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .charge import ChargeTrajectory, CouplingProfile, apply_U, solve_charge
+from .charge import ChargeTrajectory, CouplingProfile, solve_charge
 from .errors import InputError
 from .greens import SpectralShift, green_coefficients
-from .kernels import (
-    ODD_INVERSE_EIGENVALUE_SUM,
-    odd_eigenvalues,
-    slope_moments,
-    tail_deficit,
-)
-from .spectral import (
-    DEFAULT_K_MAX,
-    INV_SQRT_PI,
-    SpectralCoefficients,
-    TimeGrid,
-    eigenvalues,
-    free_origin_series,
-)
-
-_MODE_BLOCK = 64
+from .kernels import mode_history, odd_eigenvalues, tail_deficit
+from .spectral import DEFAULT_K_MAX, INV_SQRT_PI, SpectralCoefficients, TimeGrid, eigenvalues
 
 
 @dataclass(frozen=True)
@@ -82,28 +70,15 @@ def apply_hamiltonian(state: DomainState) -> SpectralCoefficients:
     return SpectralCoefficients(k_max, out)
 
 
-def assemble_F(traj: ChargeTrajectory, t: float, k_max: int | None = None) -> SpectralCoefficients:
-    """State contribution of the charge history at grid node t.
+def assemble_F(traj: ChargeTrajectory) -> SpectralCoefficients:
+    """State contribution F(q, T) of the charge history at the final node.
 
-    Odd-mode coefficient: (i/sqrt(pi)) e^{-i*lam_k*t} int_0^t q(s) e^{i*lam_k*s} ds,
-    the integral exact per linear segment.  Even modes are zero.
+    Odd-mode coefficient: (i/sqrt(pi)) int_0^T q(s) e^{-i*lam_k*(T-s)} ds, the
+    trajectory's end_history.  Even modes are zero.
     """
-    k_max = traj.k_max if k_max is None else k_max
-    n = traj.grid.node_index(t)
-    dt = traj.grid.dt
-    q = traj.q[: n + 1]
-    lam = odd_eigenvalues(k_max)
-    a = np.zeros(k_max, dtype=complex)
-    if n == 0:
-        return SpectralCoefficients(k_max, a)
-    t_n = n * dt
-    coeffs = np.empty(lam.size, dtype=complex)
-    for j, lam_k in enumerate(lam):
-        b = np.sum(slope_moments(q, dt, lam_k))
-        c = (q[n] * np.exp(1j * lam_k * t_n) - q[0] - b) / (1j * lam_k)
-        coeffs[j] = 1j * INV_SQRT_PI * np.exp(-1j * lam_k * t_n) * c
-    a[0::2] = coeffs
-    return SpectralCoefficients(k_max, a)
+    a = np.zeros(traj.k_max, dtype=complex)
+    a[0::2] = 1j * INV_SQRT_PI * traj.end_history
+    return SpectralCoefficients(traj.k_max, a)
 
 
 @dataclass(frozen=True)
@@ -151,9 +126,7 @@ def evolve(psi0, alpha: CouplingProfile, grid: TimeGrid, k_max: int = DEFAULT_K_
 
     times = grid.times
     n_nodes = times.size
-    dt = grid.dt
     q = traj.q
-    q0 = q[0]
     alpha_nodes = np.real(np.atleast_1d(alpha.values_on(grid)))
 
     if store_every is None or store_every < 1:
@@ -165,51 +138,42 @@ def evolve(psi0, alpha: CouplingProfile, grid: TimeGrid, k_max: int = DEFAULT_K_
 
     norm2 = np.zeros(n_nodes)
     h1_form = np.zeros(n_nodes)
-    u_acc = np.zeros(n_nodes, dtype=complex)
+    origin_sum = np.zeros(n_nodes, dtype=complex)
 
-    lam_all = eigenvalues(k_max)
-    ks = np.arange(1, k_max + 1)
+    # odd modes, one kernel block at a time: a_t = a0*phase + (i/sqrt(pi))*h,
+    # built in place in the block's phase array
+    lam_odd = odd_eigenvalues(k_max)
+    a0_odd = a0[0::2]
+    snap_odd = snap_matrix[0::2]
+    for block, a_t, h in mode_history(q, grid.dt, lam_odd):
+        a_t *= a0_odd[block, None]
+        h *= 1j * INV_SQRT_PI
+        a_t += h
+        mag2 = np.abs(a_t) ** 2
+        norm2 += np.sum(mag2, axis=0)
+        mag2 *= lam_odd[block, None]
+        h1_form += np.sum(mag2, axis=0)
+        origin_sum += np.sum(a_t, axis=0)
+        snap_odd[block] = a_t[:, snap_idx]
 
-    odd_pos = np.where(ks % 2 == 1)[0]
-    for start in range(0, odd_pos.size, _MODE_BLOCK):
-        pos = odd_pos[start:start + _MODE_BLOCK]
-        lam_b = lam_all[pos]
-        phase = np.exp(-1j * np.outer(lam_b, times))
-        b_nodes = np.zeros((pos.size, n_nodes), dtype=complex)
-        for row, lam_k in enumerate(lam_b):
-            b_nodes[row, 1:] = np.cumsum(slope_moments(q, dt, lam_k))
-        c = (q[None, :] * np.conj(phase) - q0 - b_nodes) / (1j * lam_b[:, None])
-        c[:, 0] = 0.0
-        a_t = a0[pos, None] * phase + 1j * INV_SQRT_PI * phase * c
-        norm2 += np.sum(np.abs(a_t) ** 2, axis=0)
-        h1_form += np.sum(lam_b[:, None] * np.abs(a_t) ** 2, axis=0)
-        u_acc += np.sum(phase * (q0 + b_nodes) / lam_b[:, None], axis=0)
-        snap_matrix[pos, :] = a_t[:, snap_idx]
+    lam_even = eigenvalues(k_max)[1::2]
+    mag2 = np.abs(a0[1::2]) ** 2
+    norm2 += np.sum(mag2)
+    h1_form += np.sum(lam_even * mag2)
+    snap_matrix[1::2] = a0[1::2, None] * np.exp(-1j * np.outer(lam_even, times[snap_idx]))
 
-    even_pos = np.where(ks % 2 == 0)[0]
-    if even_pos.size:
-        lam_e = lam_all[even_pos]
-        mag2 = np.abs(a0[even_pos]) ** 2
-        norm2 += np.sum(mag2)
-        h1_form += np.sum(lam_e * mag2)
-        snap_matrix[even_pos, :] = a0[even_pos, None] * np.exp(
-            -1j * np.outer(lam_e, times[snap_idx]))
-
-    free_origin = free_origin_series(SpectralCoefficients(k_max, a0), times)
-    u_dressed = -1j * ODD_INVERSE_EIGENVALUE_SUM * q + 1j * u_acc
+    # energy uses the tail-dressed origin at every node and the analytic mode
+    # tail of the quadratic form: for k > k_max the coefficients behave like
+    # q(t)/(sqrt(pi)*lam_k), adding |q|^2 * (pi^2/2 - truncated sum)/pi to
+    # sum_k lam_k |a_k|^2
+    tail = tail_deficit(k_max) / np.pi
+    origin_dressed = INV_SQRT_PI * origin_sum + tail * q
+    energy = h1_form + tail * np.abs(q) ** 2 + alpha_nodes * np.abs(origin_dressed) ** 2
     # boundary residual checks the equation actually marched, whose U vanishes
-    # at the initial node (empty integral)
-    u_nodes = u_dressed.copy()
-    u_nodes[0] = 0.0
-    origin_values = free_origin + (1j / np.pi) * u_nodes
+    # at the initial node (empty integral), so the tail term is left out there
+    origin_values = origin_dressed.copy()
+    origin_values[0] = INV_SQRT_PI * origin_sum[0]
     boundary_residual = np.abs(q + alpha_nodes * origin_values)
-    # energy uses the tail-dressed origin at every node (no initial-node special
-    # case) and the analytic mode tail of the quadratic form: for k > k_max the
-    # coefficients behave like q(t)/(sqrt(pi)*lam_k), adding
-    # |q|^2 * (pi^2/2 - truncated sum)/pi to sum_k lam_k |a_k|^2
-    origin_dressed = free_origin + (1j / np.pi) * u_dressed
-    energy = h1_form + (tail_deficit(k_max) / np.pi) * np.abs(q) ** 2 \
-        + alpha_nodes * np.abs(origin_dressed) ** 2
     norm = np.sqrt(norm2)
 
     snapshots = [SpectralCoefficients(k_max, snap_matrix[:, j]) for j in range(snap_idx.size)]

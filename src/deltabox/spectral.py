@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AliasingError, DomainError, InputError
+from .kernels import MODE_BLOCK
 
 BOX_HALF_WIDTH = np.pi
 DEFAULT_K_MAX = 401
@@ -156,10 +157,9 @@ def free_origin_series(c: SpectralCoefficients, times: np.ndarray) -> np.ndarray
     coeff = c.a[0::2]
     out = np.zeros(times.shape, dtype=complex)
     # mode-blocked accumulation keeps memory O(len(times))
-    block = 64
-    for j in range(0, lam.size, block):
-        lj = lam[j:j + block]
-        cj = coeff[j:j + block]
+    for j in range(0, lam.size, MODE_BLOCK):
+        lj = lam[j:j + MODE_BLOCK]
+        cj = coeff[j:j + MODE_BLOCK]
         out += np.exp(-1j * np.outer(lj, times)).T @ cj
     return INV_SQRT_PI * out
 
@@ -169,12 +169,11 @@ def evaluate_state(c: SpectralCoefficients, xs) -> np.ndarray:
     xa = np.atleast_1d(_check_in_box(xs))
     out = np.zeros(xa.shape, dtype=complex)
     half_x = 0.5 * xa
-    block = 64
-    for j in range(0, c.k_max, block):
-        ks = np.arange(j + 1, min(j + block, c.k_max) + 1)
+    for j in range(0, c.k_max, MODE_BLOCK):
+        ks = np.arange(j + 1, min(j + MODE_BLOCK, c.k_max) + 1)
         arg = np.outer(ks, half_x)
         modes = np.where((ks % 2 == 1)[:, None], np.cos(arg), np.sin(arg))
-        out += modes.T @ c.a[j:j + block]
+        out += modes.T @ c.a[j:j + MODE_BLOCK]
     return INV_SQRT_PI * out
 
 
@@ -199,10 +198,9 @@ def project_function(f, k_max: int = DEFAULT_K_MAX, resolution: int = 4096) -> S
         fx = np.asarray([complex(f(x)) for x in xs])
     a = np.zeros(k_max, dtype=complex)
     half_x = 0.5 * xs
-    block = 64
-    for j in range(0, k_max, block):
-        ks = np.arange(j + 1, min(j + block, k_max) + 1)
+    for j in range(0, k_max, MODE_BLOCK):
+        ks = np.arange(j + 1, min(j + MODE_BLOCK, k_max) + 1)
         arg = np.outer(ks, half_x)
         modes = np.where((ks % 2 == 1)[:, None], np.cos(arg), np.sin(arg))
-        a[j:j + block] = (modes * (w * fx)[None, :]).sum(axis=1) * INV_SQRT_PI
+        a[j:j + MODE_BLOCK] = (modes * (w * fx)[None, :]).sum(axis=1) * INV_SQRT_PI
     return SpectralCoefficients(k_max, a)

@@ -7,14 +7,13 @@ deterministic given the seed.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import charge as chg
 from . import control as ctl
-from . import greens, oracles, propagator, spectral
+from . import convergence, greens, oracles, propagator, spectral
 from .kernels import discrete_h1_norm, fit_loglog_slope, odd_eigenvalues, segment_moments
 from .spectral import SpectralCoefficients, TimeGrid
 
@@ -172,17 +171,10 @@ def _bump_run(k_max_run, n_steps, t_end=2.0, amplitude=0.5):
 
 
 def check_dt_self_convergence(k_max, seed):
-    k_use = 25  # all retained mode periods resolved on the coarsest grid
-    _, psi0, alpha = _bump_run(k_use, 500)
-    ref = chg.solve_charge(alpha, psi0, TimeGrid(2.0, 16000), k_use)
-    dts, errs = [4e-3, 2e-3, 1e-3], []
-    for dt in dts:
-        n = int(round(2.0 / dt))
-        tr = chg.solve_charge(alpha, psi0, TimeGrid(2.0, n), k_use)
-        errs.append(float(np.max(np.abs(tr.q - ref.q[:: 16000 // n]))))
-    slope = fit_loglog_slope(dts, errs)
+    # k_max = 25: all retained mode periods resolved on the coarsest grid
+    rows, slope = convergence.charge_dt_sweep((4e-3, 2e-3, 1e-3), k_max=25)
     return _result("charge", "dt-self-convergence", slope, 1.9, ">=",
-                   detail=f"errors {errs}")
+                   detail=f"errors {[err for _, err in rows]}")
 
 
 def check_kmax_truncation(k_max, seed):
@@ -402,15 +394,12 @@ def check_phi4_identity(k_max, seed):
         w = rng.standard_normal(201) + 1j * rng.standard_normal(201)
         w[0] = 0.0
         traj = chg.ChargeTrajectory(grid, w, k_use)
-        t_end = grid.t_end
-        f_w = propagator.assemble_F(traj, t_end)
-        # F(w', t): slope-integrated accumulators give the derivative transform
-        lam_odd = odd_eigenvalues(k_use)
+        f_w = propagator.assemble_F(traj)
+        # F(w', t) by parts from the end-time mode integrals: with w(0) = 0,
+        # e^{-i*lam*T} int_0^T w'(s) e^{i*lam*s} ds = w(T) - i*lam*h(T)
         fprime = np.zeros(k_use, dtype=complex)
-        from .kernels import slope_moments as _sm
-        for pos, lam_k in enumerate(lam_odd):
-            b = np.sum(_sm(w, grid.dt, lam_k))
-            fprime[2 * pos] = 1j / np.sqrt(np.pi) * np.exp(-1j * lam_k * t_end) * b
+        fprime[0::2] = 1j / np.sqrt(np.pi) * (
+            w[-1] - 1j * odd_eigenvalues(k_use) * traj.end_history)
         lhs = lam_all * (f_w.a - w[-1] * green.a)
         rhs = 1j * fprime + shift.lam * w[-1] * green.a
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
@@ -426,7 +415,7 @@ def check_green_difference_sign(k_max, seed):
     grid = TimeGrid(1.3, 500)
     t_end = grid.t_end
     traj = chg.ChargeTrajectory(grid, np.ones(501, dtype=complex), k_use)
-    f_one = propagator.assemble_F(traj, t_end)
+    f_one = propagator.assemble_F(traj)
     lam_odd = odd_eigenvalues(k_use)
     phase = np.exp(-1j * lam_odd * t_end)
     direct = (phase - 1.0) * green.a[0::2] + f_one.a[0::2]
@@ -694,9 +683,3 @@ def run_checks(module_filter: str | None = None, k_max: int = spectral.DEFAULT_K
                                   f"error: {exc}")
             results.append(res)
     return results
-
-
-def elapsed_run(module_filter=None, k_max=spectral.DEFAULT_K_MAX, seed=20260809):
-    t0 = time.time()
-    results = run_checks(module_filter, k_max, seed)
-    return results, time.time() - t0

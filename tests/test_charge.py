@@ -17,7 +17,7 @@ from deltabox.errors import (
     StepSingularityError,
 )
 from deltabox.greens import SpectralShift, green_coefficients, green_origin
-from deltabox.kernels import discrete_h1_norm, odd_eigenvalues
+from deltabox.kernels import discrete_h1_norm, mode_history, odd_eigenvalues, slope_moments
 from deltabox.oracles import picard_charge
 from deltabox.propagator import DomainState
 from deltabox.spectral import (
@@ -84,6 +84,30 @@ class TestApplyU:
         # full identity with the q(0) boundary term reproduces the raw
         # causal integrals on (sampled) smooth charges
         assert_check(verify.check_u_integration_by_parts)
+
+
+class TestModeHistory:
+    def test_matches_single_mode_reference(self, rng):
+        # every node of every block against the per-mode slope-moment sums
+        grid = TimeGrid(1.0, 300)
+        q = rng.standard_normal(301) + 1j * rng.standard_normal(301)
+        lam = odd_eigenvalues(151)  # 76 modes: a full block and a partial one
+        for block, phase, h in mode_history(q, grid.dt, lam):
+            for row, lam_k in enumerate(lam[block]):
+                b = np.concatenate(([0.0], np.cumsum(slope_moments(q, grid.dt, lam_k))))
+                e = np.exp(-1j * lam_k * grid.times)
+                assert np.max(np.abs(phase[row] - e)) < 1e-13
+                assert np.max(np.abs(h[row] - (q - e * (q[0] + b)) / (1j * lam_k))) < 1e-13
+
+    def test_march_end_history_matches_kernel(self):
+        # the march builds h(T) step by step, the kernel on every node at once
+        k_max = 101
+        grid = TimeGrid(2.0, 2000)
+        traj = solve_charge(CouplingProfile.sine_bump(0.5, 2.0),
+                            SpectralCoefficients.unit(1, k_max), grid, k_max)
+        last = np.concatenate([h[:, -1] for _, _, h in
+                               mode_history(traj.q, grid.dt, odd_eigenvalues(k_max))])
+        assert np.max(np.abs(traj.end_history - last)) < 1e-13
 
 
 class TestInitialCharge:

@@ -100,6 +100,52 @@ class TestSimulate:
         assert code == 2
 
 
+SMALL_RUN = ["--T", "0.5", "--n-steps", "10", "--k-max", "21"]
+BAD_INPUTS = {
+    "eig-index": ["simulate", "--psi0", "eig:abc", *SMALL_RUN],
+    "bump-amplitude": ["simulate", "--alpha", "bump:x", *SMALL_RUN],
+    "const-amplitude": ["simulate", "--alpha", "const:x", *SMALL_RUN],
+    "domain-charge": ["simulate", "--psi0", "domain:{state}:x:0", *SMALL_RUN],
+    "domain-shift": ["simulate", "--psi0", "domain:{state}:0:0:y", *SMALL_RUN],
+    "spectrum-window": ["spectrum", "--alpha", "1.0", "--window", "5"],
+    "state-line": ["simulate", "--psi0", "file:{bad_state}", *SMALL_RUN],
+    "target-line": ["control", "--target", "{bad_target}", "--k-max", "21"],
+    "sweep-level": ["sweep", "--what", "green-kmax", "--levels", "nan,10,100"],
+}
+
+
+class TestInputContracts:
+    @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+    def test_malformed_number_is_configuration_error(self, case, tmp_path, capsys):
+        state = tmp_path / "state.txt"
+        save_state(str(state), SpectralCoefficients.unit(1, 21))
+        bad_state = tmp_path / "bad_state.txt"
+        bad_state.write_text("# k_max=21\n1,abc,0\n")
+        bad_target = tmp_path / "bad_target.csv"
+        bad_target.write_text("k,re_c,im_c\n3,x,0\n")
+        args = [a.format(state=state, bad_state=bad_state, bad_target=bad_target)
+                for a in BAD_INPUTS[case]]
+        code = run_cli(args + ["--outdir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("configuration error:")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("times, code", [
+        (np.linspace(0.0, 2.0, 5), 0),  # t_n = n*T/N: accepted
+        (np.linspace(0.0, 1.0, 5), 1),  # spans [0, 1] under T = 2
+        (np.array([0.0, 0.3, 2.0]), 1),  # not uniform
+    ])
+    def test_pl_time_column(self, times, code, tmp_path, capsys):
+        path = tmp_path / "alpha.csv"
+        path.write_text("# t,alpha\n" + "".join(f"{t!r},0.0\n" for t in times.tolist()))
+        got = run_cli(["simulate", "--alpha", f"pl:{path}", "--T", "2.0", "--n-steps", "20",
+                       "--k-max", "21", "--outdir", str(tmp_path / "out")])
+        assert got == code
+        if code:
+            assert "t column" in capsys.readouterr().err
+
+
 class TestStateFiles:
     def test_round_trip(self, tmp_path, rng):
         a = rng.standard_normal(17) + 1j * rng.standard_normal(17)

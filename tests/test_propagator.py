@@ -31,14 +31,14 @@ class TestAssembleF:
     def test_zero_charge(self):
         grid = TimeGrid(1.0, 100)
         traj = ChargeTrajectory(grid, np.zeros(101, dtype=complex), 51)
-        out = assemble_F(traj, 1.0)
+        out = assemble_F(traj)
         assert np.all(out.a == 0)
 
     def test_constant_charge_coefficients(self):
         # mode k gets (1/sqrt(pi)) (1 - e^{-i*lam_k*t})/lam_k
         grid = TimeGrid(1.0, 400)
         traj = ChargeTrajectory(grid, np.ones(401, dtype=complex), 51)
-        out = assemble_F(traj, 1.0)
+        out = assemble_F(traj)
         lam = odd_eigenvalues(51)
         expected = (1.0 - np.exp(-1j * lam * 1.0)) / lam / np.sqrt(np.pi)
         assert np.max(np.abs(out.a[0::2] - expected)) < 1e-13
@@ -50,14 +50,8 @@ class TestAssembleF:
         for _ in range(10):
             q = rng.standard_normal(301) + 1j * rng.standard_normal(301)
             traj = ChargeTrajectory(grid, q, 101)
-            out = assemble_F(traj, 2.0)
+            out = assemble_F(traj)
             assert out.norm() <= pl_l2_norm(q, grid.dt) / np.sqrt(np.pi) * (1 + 1e-12)
-
-    def test_off_grid_time(self):
-        grid = TimeGrid(1.0, 100)
-        traj = ChargeTrajectory(grid, np.zeros(101, dtype=complex), 51)
-        with pytest.raises(InputError):
-            assemble_F(traj, 0.505)
 
 
 class TestEvolve:
