@@ -12,8 +12,10 @@ whose retained terms decay at least like 1/lam_k.  The instantaneous
 coefficient sum_k 1/(i*lam_k) is replaced by its analytic value pi^2/(2i),
 which removes the dominant truncation bias for free.  The charge is modeled
 as piecewise linear in time and every per-mode oscillatory integral is done
-in closed form per segment (product integration), so each time step costs one
-scalar linear solve plus an O(k_max) accumulator update.
+in closed form per segment (product integration).  The history of U is then a
+discrete convolution in time, so each block of TIME_BLOCK steps costs one
+small lower-triangular solve plus two O(TIME_BLOCK*k_max) products with a
+table of block-relative phases.
 
 The bracket is i*lam_k times the causal mode integral h_k of the single
 kernel `kernels.mode_history`, from which U is evaluated off the march.
@@ -24,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import solve_triangular, toeplitz
 
 from .errors import (
     DomainCompatibilityError,
@@ -34,6 +37,7 @@ from .errors import (
 from .greens import SpectralShift, green_coefficients, green_origin
 from .kernels import (
     ODD_INVERSE_EIGENVALUE_SUM,
+    TIME_BLOCK,
     discrete_h1_norm,
     history_at_end,
     mode_history,
@@ -183,9 +187,6 @@ class ChargeTrajectory:
             object.__setattr__(self, "end_history", history_at_end(
                 arr, self.grid.dt, odd_eigenvalues(self.k_max)))
 
-    def sup_norm(self) -> float:
-        return float(np.max(np.abs(self.q)))
-
 
 def apply_U(traj: ChargeTrajectory, analytic_tail: bool = True) -> np.ndarray:
     """(Uq)(t_n) = -i*tail*q(t_n) + sum_k h_k(t_n) on every grid node.
@@ -224,46 +225,56 @@ def _march(f_nodes: np.ndarray, phi_nodes: np.ndarray, v0: complex, g_coeff: com
     """Product-integration march for v = f - phi*(g_coeff*g(t) + (i/pi) U v).
 
     g(t) is the truncated origin series of the freely evolved Green state,
-    (1/pi) sum_k e^{-i*lam_k*t}/(lam_k + lam).  At step n the unknown v_n
-    enters through the instantaneous part of U and the final-segment slope,
-    so the update is one scalar complex solve.  The modal accumulator b is
-    B_k(t_n); at the end it gives the trajectory's end_history.
+    (1/pi) sum_k e^{-i*lam_k*t}/(lam_k + lam).  The history part of U at t_n is
+    the discrete convolution w_n = w0_n + sum_{m<n} (v_m - v_{m-1}) kappa(n-m+1),
+    kappa(j) = i sum_k e^{-i*lam_k*j*dt} phi1(i*lam_k*dt)/lam_k, so the nodes of
+    a block of TIME_BLOCK steps solve one lower-triangular system
+
+        (diag(d_n) + diag(phi_n*i/pi) L) v = f_n - phi_n*((i/pi) w_old_n + g_coeff*g_n)
+                                             + phi_n*(i/pi)*kappa(n-s+1)*v_{s-1}
+
+    with d_n = 1 + phi_n*(pi^2/2 + i*kappa(1))/pi the per-step denominator and
+    L[n, m] = kappa(n-m+1) - kappa(n-m) below the diagonal.  Older history
+    enters through the modal accumulator acc_k = v0 + B_k(t_{s-1}): the
+    right-hand side's history terms and the update of acc are each one product
+    with the block-relative phases e^{-i*lam_k*r*dt}, r <= TIME_BLOCK,
+    re-anchored by one exact e^{-i*lam_k*t_{s-1}} per block.  Every d_n is
+    checked before the march; the first one below STEP_SINGULARITY_MARGIN
+    raises StepSingularityError.  At the end acc gives the end_history.
     """
     n_steps = grid.n_steps
     dt = grid.dt
     lam = odd_eigenvalues(k_max)
-    lam0 = shift.lam
+    p1 = phi1(1j * lam * dt)
+    block = min(TIME_BLOCK, n_steps)
 
-    u = 1j * lam * dt
-    p1 = phi1(u)
-    # coefficient of (v_n - v_{n-1}) inside U: i * sum_k e^{-i lam dt} phi1(u)/lam
-    c_slope = np.exp(-u) * p1
-    c_u = 1j * np.sum(c_slope / lam)
-    denom_base = (ODD_INVERSE_EIGENVALUE_SUM + 1j * c_u) / np.pi
+    phases = np.exp(-1j * dt * np.outer(np.arange(block + 1), lam))  # e^{-i lam r dt}
+    kappa = phases[1:] @ (1j * p1 / lam)  # kappa(1), ..., kappa(block)
+    coupling = phi_nodes * (1j / np.pi)
+    d = 1.0 + phi_nodes[1:] * (ODD_INVERSE_EIGENVALUE_SUM + 1j * kappa[0]) / np.pi
+    bad = np.flatnonzero(np.abs(d) < STEP_SINGULARITY_MARGIN)
+    if bad.size:
+        n = int(bad[0]) + 1
+        raise StepSingularityError(n, n * dt, float(abs(d[n - 1])), complex(phi_nodes[n]))
+    lower = toeplitz(np.concatenate(([0.0], np.diff(kappa))), np.zeros(block))
+    green = g_coeff / (lam + shift.lam) if g_coeff != 0 else 0.0
 
     q = np.empty(n_steps + 1, dtype=complex)
     q[0] = v0
-    b = np.zeros(lam.size, dtype=complex)
-    exp_prev = np.ones(lam.size, dtype=complex)  # e^{+i lam t_{n-1}}
-    inv_lam = 1.0 / lam
-    green_weights = 1.0 / (lam + lam0)
+    acc = np.full(lam.size, v0, dtype=complex)
+    for s in range(1, n_steps + 1, block):
+        m = min(block, n_steps + 1 - s)
+        nodes = slice(s, s + m)
+        anchor = np.exp(-1j * lam * ((s - 1) * dt))
+        history = phases[1:m + 1] @ (anchor * (green - acc / lam)) / np.pi
+        rhs = f_nodes[nodes] - phi_nodes[nodes] * history + coupling[nodes] * kappa[:m] * q[s - 1]
+        system = coupling[nodes, None] * lower[:m, :m]
+        system.flat[::m + 1] = d[s - 1:s - 1 + m]
+        q[nodes] = solve_triangular(system, rhs, lower=True, check_finite=False)
+        acc += p1 * np.conj(anchor * (np.conj(np.diff(q[s - 1:s + m])) @ phases[:m]))
 
-    for n in range(1, n_steps + 1):
-        t_n = n * dt
-        e_n = np.exp(-1j * lam * t_n)
-        w_n = 1j * np.sum(e_n * (v0 + b) * inv_lam)
-        rhs = f_nodes[n] - phi_nodes[n] * (1j / np.pi) * (w_n - c_u * q[n - 1])
-        if g_coeff != 0:
-            g_n = np.sum(e_n * green_weights) / np.pi
-            rhs = rhs - phi_nodes[n] * g_coeff * g_n
-        d_n = 1.0 + phi_nodes[n] * denom_base
-        if abs(d_n) < STEP_SINGULARITY_MARGIN:
-            raise StepSingularityError(t_n)
-        q[n] = rhs / d_n
-        b += (q[n] - q[n - 1]) * exp_prev * p1
-        exp_prev = np.conj(e_n)
-
-    return ChargeTrajectory(grid, q, k_max, (q[-1] - e_n * (v0 + b)) / (1j * lam))
+    end_phase = np.exp(-1j * lam * (n_steps * dt))
+    return ChargeTrajectory(grid, q, k_max, (q[-1] - end_phase * acc) / (1j * lam))
 
 
 def solve_charge_general(f, phi: CouplingProfile, shift: SpectralShift, grid: TimeGrid,
@@ -290,9 +301,9 @@ def solve_charge(alpha: CouplingProfile, psi0, grid: TimeGrid,
 
     psi0 is a SpectralCoefficients vector or a DomainState-like object with
     .regular/.charge/.shift.  The initial charge is q(0) = -alpha(0)*psi0(0);
-    the equation is then reduced to the general charge-like scheme with
-    f = -alpha * e^{it*Lap}phi0(0) on the regular part and the Green-source
-    coefficient carrying the singular part.
+    the equation is then the general charge-like scheme with
+    f = -alpha * e^{it*Lap}psi0(0) on the full state and no Green-source term:
+    the Green state's free origin series is g(t) itself.
     """
     if not alpha.is_real:
         raise InputError("the physical coupling must be real-valued")
@@ -302,12 +313,10 @@ def solve_charge(alpha: CouplingProfile, psi0, grid: TimeGrid,
     if isinstance(psi0, SpectralCoefficients):
         full = psi0
         q0 = -complex(alpha_nodes[0]) * origin_trace(psi0)
-        regular = psi0.sub(green_coefficients(shift, psi0.k_max).scaled(q0))
     else:
-        regular = psi0.regular
         shift = psi0.shift
         q0 = complex(psi0.charge)
-        full = regular.add(green_coefficients(shift, regular.k_max).scaled(q0))
+        full = psi0.regular.add(green_coefficients(shift, psi0.regular.k_max).scaled(q0))
         if q0 != 0:
             resid = abs(q0 + alpha_nodes[0] * origin_trace(full))
             if resid > BOUNDARY_COMPAT_TOL:
@@ -317,8 +326,8 @@ def solve_charge(alpha: CouplingProfile, psi0, grid: TimeGrid,
         raise InputError(
             f"state truncation {full.k_max} must match the solver k_max {k_max}")
 
-    f_nodes = -alpha_nodes * free_origin_series(regular, times)
-    return _march(f_nodes, alpha_nodes.astype(complex), q0, q0, shift, grid, k_max)
+    f_nodes = -alpha_nodes * free_origin_series(full, times)
+    return _march(f_nodes, alpha_nodes.astype(complex), q0, 0.0, shift, grid, k_max)
 
 
 def lipschitz_probe(alpha: CouplingProfile, alpha_tilde: CouplingProfile, psi0,

@@ -78,9 +78,6 @@ class SynthesizedControl:
     def profile(self) -> CouplingProfile:
         return CouplingProfile.piecewise_linear(self.grid, self.u)
 
-    def real_profile(self) -> CouplingProfile:
-        return CouplingProfile.piecewise_linear(self.grid, self.u.real)
-
 
 def _horizon_periods(t_end: float) -> int:
     n = t_end / BASE_HORIZON

@@ -38,8 +38,12 @@ class SingularityError(SolverError, ArithmeticError):
 
 
 class StepSingularityError(SingularityError):
-    """The per-step linear solve of the charge march became singular."""
+    """The per-step denominator d_n of the charge march vanished at node n."""
 
-    def __init__(self, t: float, message: str | None = None):
+    def __init__(self, n: int, t: float, abs_d: float, phi: complex):
+        self.n = n
         self.t = t
-        super().__init__(message or f"singular charge step at t={t!r}")
+        self.abs_d = abs_d
+        self.phi = phi
+        super().__init__(
+            f"singular charge step at node n={n}, t={t!r}: |d_n|={abs_d:.3e}, phi_n={phi!r}")

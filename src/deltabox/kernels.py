@@ -18,7 +18,7 @@ model of the data itself.
 States and U are built from one object, the causal mode integral of the charge
 h_k(t) = int_0^t q(s) e^{-i*lam_k*(t-s)} ds = (q(t) - e^{-i*lam_k*t}(q(0) + B_k(t)))/(i*lam_k),
 B_k the summed slope moments.  Only `mode_history` (every node, MODE_BLOCK modes
-at a time) and the charge march (step by step) compute it.
+at a time) and the charge march (TIME_BLOCK steps at a time) compute it.
 """
 
 from __future__ import annotations
@@ -32,6 +32,9 @@ ODD_INVERSE_EIGENVALUE_SUM = np.pi**2 / 2.0
 
 # modes per block of every mode-by-node array, which keeps memory O(len(times))
 MODE_BLOCK = 64
+
+# steps per block of the charge march: one triangular solve of this size per block
+TIME_BLOCK = 128
 
 _PHI_SERIES_CUTOFF = 0.25
 _PHI_SERIES_TERMS = 18

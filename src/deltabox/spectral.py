@@ -151,10 +151,11 @@ def free_evolve(c: SpectralCoefficients, t: float) -> SpectralCoefficients:
 
 def free_origin_series(c: SpectralCoefficients, times: np.ndarray) -> np.ndarray:
     """Origin value of the freely evolved state on a batch of times:
-    sum over odd k of a_k e^{-i*lam_k*t}/sqrt(pi)."""
+    sum over odd k with a_k != 0 of a_k e^{-i*lam_k*t}/sqrt(pi)."""
     times = np.asarray(times, dtype=float)
-    lam = eigenvalues(c.k_max)[0::2]
-    coeff = c.a[0::2]
+    nonzero = np.flatnonzero(c.a[0::2])
+    lam = eigenvalues(c.k_max)[0::2][nonzero]
+    coeff = c.a[0::2][nonzero]
     out = np.zeros(times.shape, dtype=complex)
     # mode-blocked accumulation keeps memory O(len(times))
     for j in range(0, lam.size, MODE_BLOCK):

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from deltabox.charge import (
     ChargeTrajectory,
     CouplingProfile,
+    _march,
     apply_U,
     initial_charge,
     lipschitz_probe,
@@ -17,7 +21,15 @@ from deltabox.errors import (
     StepSingularityError,
 )
 from deltabox.greens import SpectralShift, green_coefficients, green_origin
-from deltabox.kernels import discrete_h1_norm, mode_history, odd_eigenvalues, slope_moments
+from deltabox.kernels import (
+    ODD_INVERSE_EIGENVALUE_SUM,
+    TIME_BLOCK,
+    discrete_h1_norm,
+    mode_history,
+    odd_eigenvalues,
+    phi1,
+    slope_moments,
+)
 from deltabox.oracles import picard_charge
 from deltabox.propagator import DomainState
 from deltabox.spectral import (
@@ -100,7 +112,7 @@ class TestModeHistory:
                 assert np.max(np.abs(h[row] - (q - e * (q[0] + b)) / (1j * lam_k))) < 1e-13
 
     def test_march_end_history_matches_kernel(self):
-        # the march builds h(T) step by step, the kernel on every node at once
+        # the march builds h(T) block by block, the kernel on every node at once
         k_max = 101
         grid = TimeGrid(2.0, 2000)
         traj = solve_charge(CouplingProfile.sine_bump(0.5, 2.0),
@@ -108,6 +120,75 @@ class TestModeHistory:
         last = np.concatenate([h[:, -1] for _, _, h in
                                mode_history(traj.q, grid.dt, odd_eigenvalues(k_max))])
         assert np.max(np.abs(traj.end_history - last)) < 1e-13
+
+
+def reference_march(f_nodes, phi_nodes, v0, g_coeff, shift, grid, k_max):
+    """Step-by-step form of `_march`: one scalar solve and one O(k_max) update
+    of the modal accumulator b = B_k(t_{n-1}) per step; returns (q, end_history)."""
+    dt = grid.dt
+    lam = odd_eigenvalues(k_max)
+    u = 1j * lam * dt
+    p1 = phi1(u)
+    c_u = 1j * np.sum(np.exp(-u) * p1 / lam)
+    denom_base = (ODD_INVERSE_EIGENVALUE_SUM + 1j * c_u) / np.pi
+    green_weights = 1.0 / (lam + shift.lam)
+    q = np.empty(grid.n_steps + 1, dtype=complex)
+    q[0] = v0
+    b = np.zeros(lam.size, dtype=complex)
+    exp_prev = np.ones(lam.size, dtype=complex)  # e^{+i lam t_{n-1}}
+    for n in range(1, grid.n_steps + 1):
+        e_n = np.exp(-1j * lam * (n * dt))
+        w_n = 1j * np.sum(e_n * (v0 + b) / lam)
+        rhs = f_nodes[n] - phi_nodes[n] * (1j / np.pi) * (w_n - c_u * q[n - 1])
+        if g_coeff != 0:
+            rhs -= phi_nodes[n] * g_coeff * np.sum(e_n * green_weights) / np.pi
+        q[n] = rhs / (1.0 + phi_nodes[n] * denom_base)
+        b += (q[n] - q[n - 1]) * exp_prev * p1
+        exp_prev = np.conj(e_n)
+    return q, (q[-1] - e_n * (v0 + b)) / (1j * lam)
+
+
+def _assert_matches_reference(f, phi, v0, g_coeff, grid, k_max, tol=1e-13):
+    traj = _march(f, phi, v0, g_coeff, SpectralShift(), grid, k_max)
+    q, end_history = reference_march(f, phi, v0, g_coeff, SpectralShift(), grid, k_max)
+    assert np.max(np.abs(traj.q - q)) <= tol
+    assert np.max(np.abs(traj.end_history - end_history)) <= tol
+
+
+_unit_complex = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
+
+
+class TestBlockMarch:
+    # |phi| <= 1 keeps every step denominator |d_n| >= 0.38 on these grids
+    # (|d_n - 1| <= 0.62*|phi_n| for k_max <= 201, dt <= 3)
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n_steps=st.integers(1, 3 * TIME_BLOCK + 1),
+           k_max=st.integers(1, 201), t_end=st.floats(0.01, 3.0),
+           v0=_unit_complex, g_coeff=st.one_of(st.just(0.0), _unit_complex))
+    def test_matches_step_reference(self, data, n_steps, k_max, t_end, v0, g_coeff):
+        f = data.draw(hnp.arrays(complex, n_steps + 1, elements=_unit_complex))
+        phi = data.draw(hnp.arrays(complex, n_steps + 1, elements=_unit_complex))
+        _assert_matches_reference(f, phi, v0, g_coeff, TimeGrid(t_end, n_steps), k_max)
+
+    @pytest.mark.parametrize("n_steps", [TIME_BLOCK - 1, TIME_BLOCK, TIME_BLOCK + 1,
+                                         2 * TIME_BLOCK + 7])
+    def test_block_edges(self, rng, n_steps):
+        f = rng.standard_normal(n_steps + 1) + 1j * rng.standard_normal(n_steps + 1)
+        phi = 0.5 * (rng.standard_normal(n_steps + 1) + 1j * rng.standard_normal(n_steps + 1))
+        _assert_matches_reference(f, phi, f[0], 0.3 - 0.2j, TimeGrid(2.0, n_steps), 101)
+
+    def test_simulate_size(self, rng):
+        # k_max = 401, T = 8*pi, n = 25133: a unit-norm state with a_k ~ k^-3 and
+        # random phases, coupled by a sum of three sines bounded by 0.5
+        k_max, grid = 401, TimeGrid(8.0 * np.pi, 25133)
+        k = np.arange(1, k_max + 1)
+        a = k**-3.0 * np.exp(2j * np.pi * rng.random(k_max))
+        psi0 = SpectralCoefficients(k_max, a / np.linalg.norm(a))
+        amp, omega, phase = rng.uniform(-1 / 6, 1 / 6, 3), rng.uniform(0.25, 2, 3), rng.random(3)
+        alpha = np.sin(np.outer(grid.times, omega) + 2 * np.pi * phase) @ amp
+        f = -alpha * free_origin_series(psi0, grid.times)
+        _assert_matches_reference(f, alpha.astype(complex), -alpha[0] * origin_trace(psi0),
+                                  0.0, grid, k_max)
 
 
 class TestInitialCharge:
@@ -193,23 +274,42 @@ class TestSolveCharge:
     def test_large_amplitude_wellposed(self):
         assert_check(verify.check_large_amplitude)
 
+    @staticmethod
+    def _critical_coupling(grid, k_max):
+        # phi with d_n = 1 + phi*(pi^2/2 + i*c_u)/pi = 0 exactly
+        lam = odd_eigenvalues(k_max)
+        u = 1j * lam * grid.dt
+        c_u = 1j * np.sum(np.exp(-u) * phi1(u) / lam)
+        return -np.pi / (ODD_INVERSE_EIGENVALUE_SUM + 1j * c_u)
+
     def test_step_singularity_reported(self):
         # a real coupling never zeroes the per-step denominator (its imaginary
         # part reflects self-adjointness), so exercise the guard through the
         # general scheme with the exactly-critical complex coupling
         grid = TimeGrid(1.0, 100)
-        lam = odd_eigenvalues(401)
-        from deltabox.kernels import ODD_INVERSE_EIGENVALUE_SUM, phi1
-
-        u = 1j * lam * grid.dt
-        c_u = 1j * np.sum(np.exp(-u) * phi1(u) / lam)
-        denom_base = (ODD_INVERSE_EIGENVALUE_SUM + 1j * c_u) / np.pi
-        phi_bad = CouplingProfile.piecewise_linear(
-            grid, np.full(101, -1.0 / denom_base, dtype=complex))
+        phi_bad = self._critical_coupling(grid, 401)
+        prof = CouplingProfile.piecewise_linear(grid, np.full(101, phi_bad, dtype=complex))
         with pytest.raises(StepSingularityError) as err:
-            solve_charge_general(np.ones(101, dtype=complex), phi_bad,
+            solve_charge_general(np.ones(101, dtype=complex), prof,
                                  SpectralShift(), grid, 401)
+        assert err.value.n == 1
         assert err.value.t == pytest.approx(grid.dt)
+        assert err.value.abs_d < 1e-12
+        assert err.value.phi == phi_bad
+        assert "n=1" in str(err.value) and "phi_n=" in str(err.value)
+
+    def test_first_bad_node_in_a_later_block(self):
+        n_steps = 3 * TIME_BLOCK
+        grid = TimeGrid(1.0, n_steps)
+        phi = np.full(n_steps + 1, 0.2, dtype=complex)
+        first = 2 * TIME_BLOCK + 5
+        phi[[first, first + 3]] = self._critical_coupling(grid, 101)
+        with pytest.raises(StepSingularityError) as err:
+            _march(np.ones(n_steps + 1, dtype=complex), phi, 1.0, 0.0,
+                   SpectralShift(), grid, 101)
+        assert err.value.n == first
+        assert err.value.t == pytest.approx(first * grid.dt)
+        assert err.value.phi == phi[first]
 
     def test_domain_compatibility(self):
         grid = TimeGrid(1.0, 100)
