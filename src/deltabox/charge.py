@@ -14,11 +14,13 @@ which removes the dominant truncation bias for free.  The charge is modeled
 as piecewise linear in time and every per-mode oscillatory integral is done
 in closed form per segment (product integration).  The history of U is then a
 discrete convolution in time, so each block of TIME_BLOCK steps costs one
-small lower-triangular solve plus two O(TIME_BLOCK*k_max) products with a
-table of block-relative phases.
+small lower-triangular solve plus two O(TIME_BLOCK*k_max) products with the
+table of block-relative phases from `kernels.block_phases`.
 
 The bracket is i*lam_k times the causal mode integral h_k of the single
-kernel `kernels.mode_history`, from which U is evaluated off the march.
+kernel `kernels.mode_history`, from which U is evaluated off the march, one
+block of TIME_BLOCK nodes at a time.  A trajectory built from samples takes
+its end-time h_k from `kernels.history_at_end`.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .errors import (
 from .greens import SpectralShift, green_coefficients, green_origin
 from .kernels import (
     ODD_INVERSE_EIGENVALUE_SUM,
-    TIME_BLOCK,
+    block_phases,
     discrete_h1_norm,
     history_at_end,
     mode_history,
@@ -168,7 +170,7 @@ class CouplingProfile:
 class ChargeTrajectory:
     """Grid samples of the charge plus its causal mode integrals at the final node,
     end_history_k = int_0^T q(s) e^{-i*lam_k*(T-s)} ds over odd k: from the march,
-    or from kernels.mode_history for a trajectory built from samples."""
+    or from kernels.history_at_end for a trajectory built from samples."""
 
     grid: TimeGrid
     q: np.ndarray = field(repr=False)
@@ -198,8 +200,8 @@ def apply_U(traj: ChargeTrajectory, analytic_tail: bool = True) -> np.ndarray:
     """
     q = traj.q
     out = -1j * (tail_deficit(traj.k_max) if analytic_tail else 0.0) * q
-    for _, _, h in mode_history(q, traj.grid.dt, odd_eigenvalues(traj.k_max)):
-        out += h.sum(axis=0)
+    for nodes, _, h in mode_history(q, traj.grid.dt, odd_eigenvalues(traj.k_max)):
+        out[nodes] += h.sum(axis=0)
     out[0] = 0.0
     return out
 
@@ -238,7 +240,8 @@ def _march(f_nodes: np.ndarray, phi_nodes: np.ndarray, v0: complex, g_coeff: com
     enters through the modal accumulator acc_k = v0 + B_k(t_{s-1}): the
     right-hand side's history terms and the update of acc are each one product
     with the block-relative phases e^{-i*lam_k*r*dt}, r <= TIME_BLOCK,
-    re-anchored by one exact e^{-i*lam_k*t_{s-1}} per block.  Every d_n is
+    re-anchored by one exact e^{-i*lam_k*t_{s-1}} per block (both from
+    kernels.block_phases, as in mode_history).  Every d_n is
     checked before the march; the first one below STEP_SINGULARITY_MARGIN
     raises StepSingularityError.  At the end acc gives the end_history.
     """
@@ -246,9 +249,8 @@ def _march(f_nodes: np.ndarray, phi_nodes: np.ndarray, v0: complex, g_coeff: com
     dt = grid.dt
     lam = odd_eigenvalues(k_max)
     p1 = phi1(1j * lam * dt)
-    block = min(TIME_BLOCK, n_steps)
-
-    phases = np.exp(-1j * dt * np.outer(np.arange(block + 1), lam))  # e^{-i lam r dt}
+    phases, anchors = block_phases(lam, dt, n_steps)  # phases[r] = e^{-i lam r dt}
+    block = phases.shape[0] - 1
     kappa = phases[1:] @ (1j * p1 / lam)  # kappa(1), ..., kappa(block)
     coupling = phi_nodes * (1j / np.pi)
     d = 1.0 + phi_nodes[1:] * (ODD_INVERSE_EIGENVALUE_SUM + 1j * kappa[0]) / np.pi
@@ -262,10 +264,10 @@ def _march(f_nodes: np.ndarray, phi_nodes: np.ndarray, v0: complex, g_coeff: com
     q = np.empty(n_steps + 1, dtype=complex)
     q[0] = v0
     acc = np.full(lam.size, v0, dtype=complex)
-    for s in range(1, n_steps + 1, block):
+    for b, s in enumerate(range(1, n_steps + 1, block)):
         m = min(block, n_steps + 1 - s)
         nodes = slice(s, s + m)
-        anchor = np.exp(-1j * lam * ((s - 1) * dt))
+        anchor = anchors[b]  # e^{-i lam t_{s-1}}
         history = phases[1:m + 1] @ (anchor * (green - acc / lam)) / np.pi
         rhs = f_nodes[nodes] - phi_nodes[nodes] * history + coupling[nodes] * kappa[:m] * q[s - 1]
         system = coupling[nodes, None] * lower[:m, :m]

@@ -150,10 +150,17 @@ def cmd_simulate(args) -> int:
     print(report.to_text())
     print(f"artifacts in {outdir} (config {chash})")
 
-    if report.norm_drift > tol_norm or report.max_boundary_residual > tol_boundary:
-        print("diagnostic tolerance exceeded", file=sys.stderr)
-        return EXIT_SOLVER
-    return EXIT_OK
+    code = EXIT_OK
+    for name, value, tol, per_node in (
+            ("norm_drift", report.norm_drift, tol_norm, np.abs(result.norm - result.norm[0])),
+            ("boundary_residual_max", report.max_boundary_residual, tol_boundary,
+             result.boundary_residual)):
+        if value > tol:
+            n = int(np.argmax(per_node))
+            print(f"diagnostic tolerance exceeded: {name} {value:.6e} > tolerance {tol:.6e}, "
+                  f"peak at node {n} (t={float(grid.times[n])!r})", file=sys.stderr)
+            code = EXIT_SOLVER
+    return code
 
 
 def cmd_spectrum(args) -> int:

@@ -105,7 +105,9 @@ def apply_linearized(alpha: CouplingProfile, u, psi0: SpectralCoefficients,
     u may be a CouplingProfile or complex node samples.  The linear charge is
     marched with the same kernels as the nonlinear solve, with source
     f = -u * (e^{it*Lap}psi0(0) + (i/pi) U q_alpha) and no Green-source term,
-    so the result is the exact derivative of the discrete map.
+    so the result is the exact derivative of the discrete map.  At alpha = 0
+    the march is the identity: the linear charge is f, and only its end
+    history (kernels.history_at_end) is computed.
     """
     times = grid.times
     if isinstance(u, CouplingProfile):
@@ -117,16 +119,12 @@ def apply_linearized(alpha: CouplingProfile, u, psi0: SpectralCoefficients,
 
     source = free_origin_series(psi0, times)
     if alpha_is_zero(alpha):
-        h = source
-        alpha_nodes = np.zeros(times.size)
-    else:
-        if base_charge is None:
-            base_charge = solve_charge(alpha, psi0, grid, k_max, shift)
-        h = source + (1j / np.pi) * apply_U(base_charge)
-        alpha_nodes = np.real(np.atleast_1d(alpha.values_on(grid)))
-
-    f_nodes = -u_nodes * h
-    qdot = _march(f_nodes, alpha_nodes.astype(complex), f_nodes[0], 0.0, shift, grid, k_max)
+        return assemble_F(ChargeTrajectory(grid, -u_nodes * source, k_max))
+    if base_charge is None:
+        base_charge = solve_charge(alpha, psi0, grid, k_max, shift)
+    f_nodes = -u_nodes * (source + (1j / np.pi) * apply_U(base_charge))
+    alpha_nodes = np.real(np.atleast_1d(alpha.values_on(grid))).astype(complex)
+    qdot = _march(f_nodes, alpha_nodes, f_nodes[0], 0.0, shift, grid, k_max)
     return assemble_F(qdot)
 
 

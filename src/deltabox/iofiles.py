@@ -85,12 +85,25 @@ def _header_comments(fields: dict) -> list[str]:
     return [f"# {key}={value}" for key, value in fields.items()]
 
 
-def save_trajectory_csv(path: str, times: np.ndarray, q: np.ndarray, fields: dict) -> None:
+def _save_series_csv(path: str, columns: str, times, values, fields: dict) -> None:
+    """Header comments, the column line, then one 't,re,im' row per node.
+
+    Rows are formatted from Python floats (.tolist()), a chunk of rows at a
+    time so that few float objects are alive at once.
+    """
+    times = np.asarray(times, dtype=float)
+    values = np.asarray(values, dtype=complex)
     lines = _header_comments(fields)
-    lines.append("t,re_q,im_q")
-    for t, v in zip(times, q):
-        lines.append(f"{float(t)!r},{float(v.real)!r},{float(v.imag)!r}")
+    lines.append(columns)
+    for start in range(0, times.size, 1024):
+        rows = slice(start, start + 1024)
+        lines += [f"{t!r},{re!r},{im!r}" for t, re, im in zip(
+            times[rows].tolist(), values.real[rows].tolist(), values.imag[rows].tolist())]
     atomic_write_text(path, "\n".join(lines) + "\n")
+
+
+def save_trajectory_csv(path: str, times: np.ndarray, q: np.ndarray, fields: dict) -> None:
+    _save_series_csv(path, "t,re_q,im_q", times, q, fields)
 
 
 def save_spectrum_csv(path: str, eigs: list[tuple[float, str]], fields: dict) -> None:
@@ -102,11 +115,7 @@ def save_spectrum_csv(path: str, eigs: list[tuple[float, str]], fields: dict) ->
 
 
 def save_control_csv(path: str, times: np.ndarray, u: np.ndarray, fields: dict) -> None:
-    lines = _header_comments(fields)
-    lines.append("t,re_u,im_u")
-    for t, v in zip(times, u):
-        lines.append(f"{float(t)!r},{float(v.real)!r},{float(v.imag)!r}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    _save_series_csv(path, "t,re_u,im_u", times, u, fields)
 
 
 def load_target_csv(path: str, k_max: int) -> SpectralCoefficients:

@@ -17,8 +17,11 @@ model of the data itself.
 
 States and U are built from one object, the causal mode integral of the charge
 h_k(t) = int_0^t q(s) e^{-i*lam_k*(t-s)} ds = (q(t) - e^{-i*lam_k*t}(q(0) + B_k(t)))/(i*lam_k),
-B_k the summed slope moments.  Only `mode_history` (every node, MODE_BLOCK modes
-at a time) and the charge march (TIME_BLOCK steps at a time) compute it.
+B_k the summed slope moments.  Only `mode_history` (every node), `history_at_end`
+(the last node) and the charge march compute it, all in blocks of TIME_BLOCK
+nodes with every mode at once.  They share one set of phases on the uniform
+grid, `block_phases`: e^{-i*lam*(b*B + r)*dt} is an exact anchor per block b
+times a table of block-relative phases, so no node-by-mode exp is evaluated.
 """
 
 from __future__ import annotations
@@ -30,10 +33,13 @@ import numpy as np
 # sum over odd k of 1/lam_k = sum 4/k^2 = pi^2/2
 ODD_INVERSE_EIGENVALUE_SUM = np.pi**2 / 2.0
 
-# modes per block of every mode-by-node array, which keeps memory O(len(times))
+# modes per block of the mode-by-point arrays outside the modal-history kernels
+# (state synthesis, projection, origin series at arbitrary times, the
+# multi-period moment solution)
 MODE_BLOCK = 64
 
-# steps per block of the charge march: one triangular solve of this size per block
+# nodes per block on the uniform time grid: one triangular solve of this size per
+# block of the charge march, and the length of the phase table every kernel shares
 TIME_BLOCK = 128
 
 _PHI_SERIES_CUTOFF = 0.25
@@ -110,37 +116,74 @@ def slope_moments(q: np.ndarray, dt: float, lam: float) -> np.ndarray:
     return (q[1:] - q[:-1]) * phase * p1
 
 
-def mode_history(q: np.ndarray, dt: float, lam: np.ndarray):
-    """Yield (slice, phase, h) for each block of MODE_BLOCK frequencies in lam.
+def block_phases(lam: np.ndarray, dt: float, n_steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Phases e^{-i*lam*t_n} on the grid t_n = n*dt, n <= n_steps, as anchor x table.
 
-    phase[j, n] = e^{-i*lam_j*t_n} and h[j, n] = int_0^{t_n} q_PL(s)
-    e^{-i*lam_j*(t_n - s)} ds on every node t_n = n*dt of the samples q, with
-    h[:, 0] = 0.  Both arrays are fresh per block; the caller may overwrite them.
+    With B = min(TIME_BLOCK, n_steps) (at least 1) and n = b*B + r, 0 <= r <= B:
+    table[r] = e^{-i*lam*r*dt} (shape (B+1, K)) and anchors[b] =
+    exp(-1j*lam*(b*B*dt)), one exact exp per block, for b = 0..n_steps//B.
+    """
+    block = max(1, min(TIME_BLOCK, n_steps))
+    table = np.exp(-1j * dt * np.outer(np.arange(block + 1), lam))
+    anchors = np.exp(-1j * np.outer(dt * (block * np.arange(n_steps // block + 1)), lam))
+    return table, anchors
+
+
+def mode_history(q: np.ndarray, dt: float, lam: np.ndarray):
+    """Yield (nodes, phase, h) for each block of at most TIME_BLOCK nodes, all of lam at once.
+
+    For node n = nodes.start + i of the samples q on t_n = n*dt:
+    phase[j, i] = e^{-i*lam_j*t_n} and h[j, i] = int_0^{t_n} q_PL(s)
+    e^{-i*lam_j*(t_n - s)} ds, with h = 0 at node 0.  Both arrays are
+    (lam.size, m) and fresh per block; the caller may overwrite them.  The
+    slope-moment sum q(0) + B is carried from block to block in one vector.
     """
     q = np.asarray(q, dtype=complex)
-    times = dt * np.arange(q.size)
+    table, anchors = block_phases(lam, dt, q.size - 1)
+    block = table.shape[0] - 1
+    table = np.ascontiguousarray(table[:block].T)
     dq = np.diff(q)
-    for start in range(0, lam.size, MODE_BLOCK):
-        block = slice(start, start + MODE_BLOCK)
-        lam_b = lam[block]
-        phase = -1j * np.outer(lam_b, times)
-        np.exp(phase, out=phase)
-        # B on the nodes: cumulative slope moments, e^{+i*lam*t} reused as conj(phase)
-        h = np.zeros_like(phase)
+    p1 = phi1(1j * lam * dt)[:, None]
+    inv_i_lam = (-1j / lam)[:, None]  # 1/(i*lam)
+    acc = np.full(lam.size, q[0])  # q(0) + B at the block's first node
+    for b, start in enumerate(range(0, q.size, block)):
+        nodes = slice(start, min(start + block, q.size))
+        m = nodes.stop - start
+        phase = anchors[b, :, None] * table[:, :m]
+        # q(0) + B on the block's nodes: acc plus the in-block slope moments
+        # dq_n * e^{+i*lam*t_{n-1}} * phi1, with e^{+i*lam*t} reused as conj(phase)
+        h = np.empty_like(phase)
+        h[:, 0] = acc
         np.conjugate(phase[:, :-1], out=h[:, 1:])
-        h[:, 1:] *= dq
-        h[:, 1:] *= phi1(1j * lam_b * dt)[:, None]
-        np.cumsum(h[:, 1:], axis=1, out=h[:, 1:])
-        h += q[0]
+        h[:, 1:] *= dq[start:nodes.stop - 1]
+        h[:, 1:] *= p1
+        np.cumsum(h, axis=1, out=h)
+        if nodes.stop < q.size:
+            acc = h[:, -1] + p1[:, 0] * np.conj(phase[:, -1]) * dq[nodes.stop - 1]
         h *= phase
-        np.subtract(q, h, out=h)
-        h /= 1j * lam_b[:, None]
-        yield block, phase, h
+        np.subtract(q[nodes], h, out=h)
+        h *= inv_i_lam
+        yield nodes, phase, h
 
 
 def history_at_end(q: np.ndarray, dt: float, lam: np.ndarray) -> np.ndarray:
-    """h_k at the last node of q for every frequency in lam (see mode_history)."""
-    return np.concatenate([h[:, -1] for _, _, h in mode_history(q, dt, lam)])
+    """h_k at the last node of q for every frequency in lam (see mode_history).
+
+    B_k(T) = phi1 * sum_b conj(anchor_b) * sum_r dq_{b*B+r+1} conj(table_r): one
+    product of the block-reshaped increments with the conjugate table, summed
+    over the blocks with the conjugate anchors.
+    """
+    q = np.asarray(q, dtype=complex)
+    n_steps = q.size - 1
+    table, anchors = block_phases(lam, dt, n_steps)
+    block = table.shape[0] - 1
+    n_blocks = -(-n_steps // block)
+    dq = np.zeros(n_blocks * block, dtype=complex)
+    dq[:n_steps] = np.diff(q)
+    moments = dq.reshape(n_blocks, block) @ np.conj(table[:block])
+    b_end = phi1(1j * lam * dt) * np.sum(np.conj(anchors[:n_blocks]) * moments, axis=0)
+    end_phase = np.exp(-1j * lam * (n_steps * dt))
+    return (q[-1] - end_phase * (q[0] + b_end)) / (1j * lam)
 
 
 def discrete_h1_norm(values: np.ndarray, dt: float) -> float:

@@ -7,7 +7,10 @@ The evolved state is the mild solution
 
 with the per-mode integrals h_k(t) taken from the single modal-history kernel
 (kernels.mode_history), the same exact piecewise-linear product integration
-the charge march uses.  States are stored as full spectral
+the charge march uses, walked in blocks of TIME_BLOCK nodes with the march's
+phase table.  The final state is the end-time map a0*e^{-i*lam*T} +
+(i/sqrt(pi))*h(T), from exact phases at T and the march's end history, as in
+control.gamma.  States are stored as full spectral
 coefficient vectors; the decomposition into regular part + charge * Green
 state is computed on demand for a chosen shift (the split depends on the
 shift, the operator does not).
@@ -83,19 +86,27 @@ def assemble_F(traj: ChargeTrajectory) -> SpectralCoefficients:
 
 @dataclass(frozen=True)
 class EvolutionResult:
-    """Trajectory record: decimated state snapshots plus per-node diagnostics."""
+    """Trajectory record: decimated state snapshots plus per-node diagnostics.
+
+    snapshot_matrix[:, j] holds the coefficients at node snapshot_indices[j];
+    `snapshots` and `state_at` wrap its columns on demand.
+    """
 
     grid: TimeGrid
     k_max: int
     charge: ChargeTrajectory
     final_state: SpectralCoefficients
     snapshot_indices: np.ndarray = field(repr=False)
-    snapshots: list = field(repr=False)
+    snapshot_matrix: np.ndarray = field(repr=False)
     norm: np.ndarray = field(repr=False)
     energy: np.ndarray = field(repr=False)
     boundary_residual: np.ndarray = field(repr=False)
     origin_values: np.ndarray = field(repr=False)
     alpha_values: np.ndarray = field(repr=False)
+
+    @property
+    def snapshots(self) -> list[SpectralCoefficients]:
+        return [SpectralCoefficients(self.k_max, col) for col in self.snapshot_matrix.T]
 
     def norm_drift(self) -> float:
         return float(np.max(np.abs(self.norm - self.norm[0])))
@@ -107,7 +118,7 @@ class EvolutionResult:
         pos = np.where(self.snapshot_indices == n)[0]
         if pos.size == 0:
             raise InputError(f"node {n} was not stored (stored: every snapshot stride)")
-        return self.snapshots[int(pos[0])]
+        return SpectralCoefficients(self.k_max, self.snapshot_matrix[:, int(pos[0])])
 
 
 def evolve(psi0, alpha: CouplingProfile, grid: TimeGrid, k_max: int = DEFAULT_K_MAX,
@@ -117,7 +128,9 @@ def evolve(psi0, alpha: CouplingProfile, grid: TimeGrid, k_max: int = DEFAULT_K_
     psi(t_n) = e^{i t_n Lap} psi0 + F(q, t_n) with q from the charge equation.
     store_every thins the stored snapshots (node 0 and the final node are
     always kept); diagnostics (norm, energy, boundary residual) cover every
-    node regardless.
+    node regardless.  One pass over the node blocks of kernels.mode_history
+    fills the diagnostics and the snapshots, so memory beyond the per-node
+    series and the snapshots is O(TIME_BLOCK*k_max).
     """
     traj = solve_charge(alpha, psi0, grid, k_max, shift)
     a0 = (psi0 if isinstance(psi0, SpectralCoefficients) else psi0.full_coefficients()).a
@@ -136,31 +149,37 @@ def evolve(psi0, alpha: CouplingProfile, grid: TimeGrid, k_max: int = DEFAULT_K_
             (np.arange(0, n_nodes, store_every), [n_nodes - 1])))
     snap_matrix = np.zeros((k_max, snap_idx.size), dtype=complex)
 
-    norm2 = np.zeros(n_nodes)
-    h1_form = np.zeros(n_nodes)
-    origin_sum = np.zeros(n_nodes, dtype=complex)
+    norm2 = np.empty(n_nodes)
+    h1_form = np.empty(n_nodes)
+    origin_sum = np.empty(n_nodes, dtype=complex)
 
-    # odd modes, one kernel block at a time: a_t = a0*phase + (i/sqrt(pi))*h,
+    # odd modes, one node block at a time: a_t = a0*phase + (i/sqrt(pi))*h,
     # built in place in the block's phase array
     lam_odd = odd_eigenvalues(k_max)
-    a0_odd = a0[0::2]
-    snap_odd = snap_matrix[0::2]
-    for block, a_t, h in mode_history(q, grid.dt, lam_odd):
-        a_t *= a0_odd[block, None]
+    a0_odd = a0[0::2, None]
+    for nodes, a_t, h in mode_history(q, grid.dt, lam_odd):
+        a_t *= a0_odd
         h *= 1j * INV_SQRT_PI
         a_t += h
         mag2 = np.abs(a_t) ** 2
-        norm2 += np.sum(mag2, axis=0)
-        mag2 *= lam_odd[block, None]
-        h1_form += np.sum(mag2, axis=0)
-        origin_sum += np.sum(a_t, axis=0)
-        snap_odd[block] = a_t[:, snap_idx]
+        norm2[nodes] = np.sum(mag2, axis=0)
+        h1_form[nodes] = lam_odd @ mag2
+        origin_sum[nodes] = np.sum(a_t, axis=0)
+        lo, hi = np.searchsorted(snap_idx, (nodes.start, nodes.stop))
+        cols = snap_idx[lo:hi] - nodes.start
+        snap_matrix[0::2, lo:hi] = a_t[:, cols]
 
+    # even modes evolve freely: the same exp as free_evolve at the snapshot
+    # times, so the sine sector matches it bit for bit
     lam_even = eigenvalues(k_max)[1::2]
     mag2 = np.abs(a0[1::2]) ** 2
     norm2 += np.sum(mag2)
     h1_form += np.sum(lam_even * mag2)
     snap_matrix[1::2] = a0[1::2, None] * np.exp(-1j * np.outer(lam_even, times[snap_idx]))
+    # the final state is the end-time map: exact phases at t_N and the march's
+    # end history, as in gamma, not the anchor x table phase of the last block
+    snap_matrix[0::2, -1] = (a0[0::2] * np.exp(-1j * lam_odd * times[-1])
+                             + 1j * INV_SQRT_PI * traj.end_history)
 
     # energy uses the tail-dressed origin at every node and the analytic mode
     # tail of the quadratic form: for k > k_max the coefficients behave like
@@ -176,13 +195,12 @@ def evolve(psi0, alpha: CouplingProfile, grid: TimeGrid, k_max: int = DEFAULT_K_
     boundary_residual = np.abs(q + alpha_nodes * origin_values)
     norm = np.sqrt(norm2)
 
-    snapshots = [SpectralCoefficients(k_max, snap_matrix[:, j]) for j in range(snap_idx.size)]
     return EvolutionResult(
-        grid=grid, k_max=k_max, charge=traj, final_state=snapshots[-1],
-        snapshot_indices=snap_idx, snapshots=snapshots, norm=norm, energy=energy,
+        grid=grid, k_max=k_max, charge=traj,
+        final_state=SpectralCoefficients(k_max, snap_matrix[:, -1]),
+        snapshot_indices=snap_idx, snapshot_matrix=snap_matrix, norm=norm, energy=energy,
         boundary_residual=boundary_residual, origin_values=origin_values,
         alpha_values=alpha_nodes)
-
 
 @dataclass(frozen=True)
 class DiagnosticsReport:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AliasingError, DomainError, InputError
-from .kernels import MODE_BLOCK
+from .kernels import MODE_BLOCK, block_phases
 
 BOX_HALF_WIDTH = np.pi
 DEFAULT_K_MAX = 401
@@ -151,11 +151,21 @@ def free_evolve(c: SpectralCoefficients, t: float) -> SpectralCoefficients:
 
 def free_origin_series(c: SpectralCoefficients, times: np.ndarray) -> np.ndarray:
     """Origin value of the freely evolved state on a batch of times:
-    sum over odd k with a_k != 0 of a_k e^{-i*lam_k*t}/sqrt(pi)."""
+    sum over odd k with a_k != 0 of a_k e^{-i*lam_k*t}/sqrt(pi).
+
+    On the uniform grid times = times[1]*arange(n) (TimeGrid.times) the phases
+    come from kernels.block_phases and the sum is one product, table @ (a*anchors);
+    any other times take one exp per time and mode.
+    """
     times = np.asarray(times, dtype=float)
     nonzero = np.flatnonzero(c.a[0::2])
     lam = eigenvalues(c.k_max)[0::2][nonzero]
     coeff = c.a[0::2][nonzero]
+    if times.ndim == 1 and times.size > 1 and np.array_equal(
+            times, times[1] * np.arange(times.size)):
+        table, anchors = block_phases(lam, times[1], times.size - 1)
+        by_block = table[:-1] @ (coeff[:, None] * anchors.T)  # [r, b]: node b*B + r
+        return INV_SQRT_PI * by_block.T.ravel()[:times.size]
     out = np.zeros(times.shape, dtype=complex)
     # mode-blocked accumulation keeps memory O(len(times))
     for j in range(0, lam.size, MODE_BLOCK):

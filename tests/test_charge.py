@@ -25,6 +25,7 @@ from deltabox.kernels import (
     ODD_INVERSE_EIGENVALUE_SUM,
     TIME_BLOCK,
     discrete_h1_norm,
+    history_at_end,
     mode_history,
     odd_eigenvalues,
     phi1,
@@ -98,18 +99,55 @@ class TestApplyU:
         assert_check(verify.check_u_integration_by_parts)
 
 
+_unit_complex = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
+
+
+def _slope_moment_history(q, dt, lam_k):
+    """h_k on every node from the single-mode slope moments and a per-node exp."""
+    times = dt * np.arange(q.size)
+    b = np.concatenate(([0.0], np.cumsum(slope_moments(q, dt, lam_k))))
+    return (q - np.exp(-1j * lam_k * times) * (q[0] + b)) / (1j * lam_k)
+
+
 class TestModeHistory:
     def test_matches_single_mode_reference(self, rng):
-        # every node of every block against the per-mode slope-moment sums
+        # every node of every block: h against the per-mode slope-moment sums,
+        # phase against an extended-precision exp, within 4*eps*(lam*t + 1)
         grid = TimeGrid(1.0, 300)
         q = rng.standard_normal(301) + 1j * rng.standard_normal(301)
-        lam = odd_eigenvalues(151)  # 76 modes: a full block and a partial one
-        for block, phase, h in mode_history(q, grid.dt, lam):
-            for row, lam_k in enumerate(lam[block]):
-                b = np.concatenate(([0.0], np.cumsum(slope_moments(q, grid.dt, lam_k))))
-                e = np.exp(-1j * lam_k * grid.times)
-                assert np.max(np.abs(phase[row] - e)) < 1e-13
-                assert np.max(np.abs(h[row] - (q - e * (q[0] + b)) / (1j * lam_k))) < 1e-13
+        lam = odd_eigenvalues(151)
+        t_ext = np.longdouble(grid.dt) * np.arange(grid.n_steps + 1)
+        exact = np.exp(-1j * np.outer(lam.astype(np.longdouble), t_ext))
+        bound = 4 * np.finfo(float).eps * (np.outer(lam, grid.times) + 1)
+        reference = np.array([_slope_moment_history(q, grid.dt, lam_k) for lam_k in lam])
+        covered = []
+        for nodes, phase, h in mode_history(q, grid.dt, lam):
+            assert phase.shape == h.shape == (lam.size, nodes.stop - nodes.start)
+            assert np.all(np.abs(phase - exact[:, nodes]) <= bound[:, nodes])
+            assert np.max(np.abs(h - reference[:, nodes])) < 1e-13
+            covered += range(nodes.start, nodes.stop)
+        assert covered == list(range(grid.n_steps + 1))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n_nodes=st.integers(1, 3 * TIME_BLOCK + 1),
+           k_max=st.integers(1, 201), t_end=st.floats(0.01, 3.0))
+    def test_matches_single_mode_reference_property(self, data, n_nodes, k_max, t_end):
+        q = data.draw(hnp.arrays(complex, n_nodes, elements=_unit_complex))
+        dt = t_end / max(n_nodes - 1, 1)
+        lam = odd_eigenvalues(k_max)
+        h = np.concatenate([h for _, _, h in mode_history(q, dt, lam)], axis=1)
+        reference = np.array([_slope_moment_history(q, dt, lam_k) for lam_k in lam])
+        assert np.max(np.abs(h - reference)) <= 1e-13
+
+    @pytest.mark.parametrize("n_nodes", [2, 3, TIME_BLOCK, TIME_BLOCK + 1, TIME_BLOCK + 2,
+                                         3 * TIME_BLOCK + 37])
+    def test_history_at_end_matches_last_node(self, rng, n_nodes):
+        q = rng.standard_normal(n_nodes) + 1j * rng.standard_normal(n_nodes)
+        lam = odd_eigenvalues(201)
+        dt = 2.0 / (n_nodes - 1)
+        *_, (nodes, _, h) = mode_history(q, dt, lam)
+        assert nodes.stop == n_nodes
+        assert np.max(np.abs(history_at_end(q, dt, lam) - h[:, -1])) < 1e-13
 
     def test_march_end_history_matches_kernel(self):
         # the march builds h(T) block by block, the kernel on every node at once
@@ -117,9 +155,8 @@ class TestModeHistory:
         grid = TimeGrid(2.0, 2000)
         traj = solve_charge(CouplingProfile.sine_bump(0.5, 2.0),
                             SpectralCoefficients.unit(1, k_max), grid, k_max)
-        last = np.concatenate([h[:, -1] for _, _, h in
-                               mode_history(traj.q, grid.dt, odd_eigenvalues(k_max))])
-        assert np.max(np.abs(traj.end_history - last)) < 1e-13
+        *_, (_, _, h) = mode_history(traj.q, grid.dt, odd_eigenvalues(k_max))
+        assert np.max(np.abs(traj.end_history - h[:, -1])) < 1e-13
 
 
 def reference_march(f_nodes, phi_nodes, v0, g_coeff, shift, grid, k_max):
@@ -153,9 +190,6 @@ def _assert_matches_reference(f, phi, v0, g_coeff, grid, k_max, tol=1e-13):
     q, end_history = reference_march(f, phi, v0, g_coeff, SpectralShift(), grid, k_max)
     assert np.max(np.abs(traj.q - q)) <= tol
     assert np.max(np.abs(traj.end_history - end_history)) <= tol
-
-
-_unit_complex = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
 
 
 class TestBlockMarch:

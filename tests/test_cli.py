@@ -9,7 +9,9 @@ from deltabox.iofiles import (
     load_state,
     load_target_csv,
     parse_config_text,
+    save_control_csv,
     save_state,
+    save_trajectory_csv,
 )
 from deltabox.errors import InputError
 from deltabox.spectral import SpectralCoefficients
@@ -99,6 +101,19 @@ class TestSimulate:
                         "--tol-norm-drift", "1e-18", "--outdir", str(tmp_path / "t")])
         assert code == 2
 
+    def test_broken_diagnostic_named(self, tmp_path, capsys):
+        code = run_cli(["simulate", "--psi0", "eig:1", "--alpha", "bump:0.8",
+                        "--T", "1.0", "--n-steps", "100", "--k-max", "51",
+                        "--tol-norm-drift", "1e-300", "--outdir", str(tmp_path / "t")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "norm_drift" in err and "1.000000e-300" in err
+        assert "boundary_residual_max" not in err
+        drift = [ln for ln in (tmp_path / "t" / "manifest.txt").read_text().splitlines()
+                 if ln.startswith("norm_drift=")][0].split("=")[1]
+        assert f"{float(drift):.6e}" in err
+        assert "peak at node" in err and "(t=" in err and "Traceback" not in err
+
 
 SMALL_RUN = ["--T", "0.5", "--n-steps", "10", "--k-max", "21"]
 BAD_INPUTS = {
@@ -170,6 +185,22 @@ class TestStateFiles:
         c = load_target_csv(str(p), 9)
         assert c.a[0] == 1.0
         assert c.a[2] == 0.25 - 0.5j
+
+
+class TestSeriesCsv:
+    @pytest.mark.parametrize("writer, columns", [(save_trajectory_csv, "t,re_q,im_q"),
+                                                 (save_control_csv, "t,re_u,im_u")])
+    def test_bytes_match_per_row_format(self, tmp_path, writer, columns):
+        times = np.array([0.0, 0.1, 5e-324, 1e300, 2.5])
+        values = np.array([-0.0 + 0.0j, complex(-0.0, -0.0), 1e300 - 2.2250738585072014e-308j,
+                           5e-324 + 1e-310j, -1.0 / 3.0 + 1e-300j])
+        path = tmp_path / "series.csv"
+        writer(str(path), times, values, {"config_hash": "abc", "k_max": 5})
+        rows = [f"{float(t)!r},{float(v.real)!r},{float(v.imag)!r}"
+                for t, v in zip(times, values)]
+        expected = "\n".join(["# config_hash=abc", "# k_max=5", columns, *rows]) + "\n"
+        assert path.read_bytes() == expected.encode()
+        assert "-0.0,-0.0" in expected and "5e-324" in expected
 
 
 class TestSpectrumCommand:

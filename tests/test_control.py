@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from deltabox.charge import CouplingProfile
+from deltabox.charge import CouplingProfile, _march
 from deltabox.control import (
     ControlTarget,
     SynthesizedControl,
@@ -14,7 +14,9 @@ from deltabox.control import (
     synthesize_control,
 )
 from deltabox.errors import InputError, UnsupportedHorizonError
-from deltabox.spectral import SpectralCoefficients, TimeGrid, free_evolve
+from deltabox.greens import SpectralShift
+from deltabox.propagator import assemble_F
+from deltabox.spectral import SpectralCoefficients, TimeGrid, free_evolve, free_origin_series
 from deltabox import verify
 
 from conftest import assert_check
@@ -183,6 +185,20 @@ class TestApplyLinearized:
         # int_0^{8pi} -sin(s/4)e^{is/4} ds/sqrt(pi) = -4*pi*i/sqrt(pi)
         expected_c1 = 1j / np.sqrt(np.pi) * (-4j * np.pi / np.sqrt(np.pi))
         assert out.a[0] == pytest.approx(expected_c1, abs=1e-6)
+
+    def test_zero_coupling_skips_the_march(self, rng):
+        # with alpha = 0 the march is the identity: the charge is f itself and
+        # F comes from its end history, as on the marched route
+        k_max = 101
+        grid = TimeGrid(2.0, 2000)
+        psi0 = SpectralCoefficients(k_max, rng.standard_normal(k_max) + 0j)
+        u = rng.standard_normal(grid.n_steps + 1) + 1j * rng.standard_normal(grid.n_steps + 1)
+        f = -u * free_origin_series(psi0, grid.times)
+        marched = _march(f, np.zeros(f.size, dtype=complex), f[0], 0.0, SpectralShift(),
+                         grid, k_max)
+        assert np.array_equal(marched.q, f)
+        out = apply_linearized(CouplingProfile.zero(2.0), u, psi0, grid, k_max)
+        assert np.max(np.abs(out.a - assemble_F(marched).a)) < 1e-13
 
     def test_linearity(self):
         assert_check(verify.check_linearized_linearity)

@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from deltabox.charge import ChargeTrajectory, CouplingProfile
 from deltabox.errors import InputError
 from deltabox.greens import SpectralShift, green_coefficients
-from deltabox.kernels import odd_eigenvalues
+from deltabox.kernels import TIME_BLOCK, odd_eigenvalues
 from deltabox.propagator import (
     DomainState,
     apply_hamiltonian,
@@ -94,6 +96,37 @@ class TestEvolve:
 
     def test_eigenstate_rotation(self):
         assert_check(verify.check_eigenstate_rotation)
+
+    @pytest.mark.parametrize("store_every", [7, TIME_BLOCK, TIME_BLOCK + 1])
+    def test_snapshots_match_every_node(self, store_every):
+        # snapshots are placed block by block; any stride picks the same columns
+        grid = TimeGrid(1.0, 3 * TIME_BLOCK + 20)
+        k_max = 41
+        k = np.arange(1, k_max + 1)
+        psi0 = SpectralCoefficients(k_max, k**-2.0 * np.exp(1j * k))
+        alpha = CouplingProfile.sine_bump(0.4, 1.0)
+        dense = evolve(psi0, alpha, grid, k_max, store_every=1)
+        thin = evolve(psi0, alpha, grid, k_max, store_every=store_every)
+        assert thin.snapshot_indices[-1] == grid.n_steps
+        assert np.array_equal(thin.snapshot_matrix,
+                              dense.snapshot_matrix[:, thin.snapshot_indices])
+        for n, state in zip(thin.snapshot_indices, thin.snapshots):
+            assert np.array_equal(state.a, dense.state_at(n).a)
+        assert np.array_equal(thin.final_state.a, dense.final_state.a)
+
+    def test_memory_is_blocked_in_time(self):
+        # k_max = 401, n = 25133 with no stored snapshots: the peak stays below
+        # one 64 x (n+1) complex array, the size of a mode-blocked node array
+        grid = TimeGrid(8.0 * np.pi, 25133)
+        psi0 = SpectralCoefficients.unit(1, 401)
+        alpha = CouplingProfile.sine_bump(0.5, grid.t_end)
+        tracemalloc.start()
+        try:
+            evolve(psi0, alpha, grid, 401, store_every=None)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * (grid.n_steps + 1) * 16
 
 
 class TestRegularPart:

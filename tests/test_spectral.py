@@ -9,10 +9,13 @@ from deltabox.spectral import (
     eigenmode_value,
     eigenvalue,
     evaluate_state,
+    eigenvalues,
     free_evolve,
+    free_origin_series,
     origin_trace,
     project_function,
 )
+from deltabox.kernels import TIME_BLOCK
 from deltabox import verify
 
 from conftest import assert_check
@@ -64,6 +67,32 @@ class TestOriginTrace:
         target = np.sqrt(np.pi) * np.tanh(np.pi) / 2.0
         # partial-sum oracle: the tail is below 2/k_max
         assert abs(origin_trace(c) - target) < 2.0 / k_max
+
+
+class TestFreeOriginSeries:
+    @pytest.mark.parametrize("n_nodes", [TIME_BLOCK // 2, TIME_BLOCK, TIME_BLOCK + 1,
+                                         3 * TIME_BLOCK + 37])
+    def test_grid_matches_per_time_exp(self, rng, n_nodes):
+        # the uniform grid takes the anchor x table product; the same times
+        # reversed are not times[1]*arange(n) and take one exp per time and mode.
+        # Bound: each path's phase within 4*eps*(lam*t + 1) of exact per mode,
+        # plus K*eps*sum|a_k| of summation, all over sqrt(pi)
+        k_max = 401
+        c = SpectralCoefficients(k_max, rng.standard_normal(k_max)
+                                 + 1j * rng.standard_normal(k_max))
+        times = TimeGrid(2.0, n_nodes - 1).times
+        grid_path = free_origin_series(c, times)
+        per_time = free_origin_series(c, times[::-1])[::-1]
+        eps = np.finfo(float).eps
+        lam, a_odd = eigenvalues(k_max)[0::2], np.abs(c.a[0::2])
+        bound = eps * (8 * np.outer(times, lam) + 8 + lam.size) @ a_odd / np.sqrt(np.pi)
+        assert np.all(np.abs(grid_path - per_time) <= bound)
+
+    def test_grid_skips_zero_modes(self):
+        times = TimeGrid(1.0, 300).times
+        out = free_origin_series(SpectralCoefficients.unit(3, 51), times)
+        assert np.max(np.abs(out - INV_SQRT_PI * np.exp(-2.25j * times))) < 1e-14
+        assert np.all(free_origin_series(SpectralCoefficients.zeros(51), times) == 0)
 
 
 class TestFreeEvolve:
