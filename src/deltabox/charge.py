@@ -15,7 +15,10 @@ as piecewise linear in time and every per-mode oscillatory integral is done
 in closed form per segment (product integration).  The history of U is then a
 discrete convolution in time, so each block of TIME_BLOCK steps costs one
 small lower-triangular solve plus two O(TIME_BLOCK*k_max) products with the
-table of block-relative phases from `kernels.block_phases`.
+table of block-relative phases from `kernels.block_phases`.  The march
+solves v = f - phi*(i/pi) U v and nothing else: the physical charge takes
+f = -alpha*e^{it*Lap}psi0(0), the linearization its own source, and the
+general scheme folds its Green-source term into f.
 
 The bracket is i*lam_k times the causal mode integral h_k of the single
 kernel `kernels.mode_history`, from which U is evaluated off the march, one
@@ -65,14 +68,13 @@ class CouplingProfile:
 
     kinds: 'constant' (value amplitude), 'sine_bump' (amplitude*sin(pi t/T),
     vanishing at both ends), 'piecewise_linear' (node samples on a uniform
-    grid).  h10 marks profiles with alpha(0) = alpha(t_end) = 0 exactly.
+    grid).
     """
 
     kind: str
     t_end: float
     amplitude: float = 0.0
     samples: np.ndarray | None = field(default=None, repr=False)
-    h10: bool = False
 
     def __post_init__(self):
         if self.kind not in ("constant", "sine_bump", "piecewise_linear"):
@@ -87,18 +89,11 @@ class CouplingProfile:
                 raise InputError("samples must be a 1-d array with at least two nodes")
             if not (np.all(np.isfinite(arr.real)) and np.all(np.isfinite(arr.imag))):
                 raise InputError("samples must be finite")
-            if self.h10 and (arr[0] != 0 or arr[-1] != 0):
-                raise InputError("h10 profile must vanish at both endpoints")
             arr = arr.copy()
             arr.flags.writeable = False
             object.__setattr__(self, "samples", arr)
-        else:
-            if not np.isfinite(self.amplitude):
-                raise InputError("amplitude must be finite")
-            if self.kind == "constant":
-                object.__setattr__(self, "h10", self.amplitude == 0.0)
-            else:
-                object.__setattr__(self, "h10", True)
+        elif not np.isfinite(self.amplitude):
+            raise InputError("amplitude must be finite")
 
     @classmethod
     def zero(cls, t_end: float) -> "CouplingProfile":
@@ -113,11 +108,11 @@ class CouplingProfile:
         return cls("sine_bump", t_end, amplitude)
 
     @classmethod
-    def piecewise_linear(cls, grid: TimeGrid, samples, h10: bool = False) -> "CouplingProfile":
+    def piecewise_linear(cls, grid: TimeGrid, samples) -> "CouplingProfile":
         arr = np.asarray(samples, dtype=complex)
         if arr.shape != (grid.n_steps + 1,):
             raise InputError("samples must match the grid nodes")
-        return cls("piecewise_linear", grid.t_end, 0.0, arr, h10)
+        return cls("piecewise_linear", grid.t_end, 0.0, arr)
 
     @property
     def is_real(self) -> bool:
@@ -160,11 +155,6 @@ class CouplingProfile:
     def values_on(self, grid: TimeGrid) -> np.ndarray:
         return np.atleast_1d(self.value(grid.times))
 
-    def scaled(self, c: float) -> "CouplingProfile":
-        if self.kind == "piecewise_linear":
-            return CouplingProfile(self.kind, self.t_end, 0.0, self.samples * c, self.h10)
-        return CouplingProfile(self.kind, self.t_end, self.amplitude * c, None, self.h10)
-
 
 @dataclass(frozen=True)
 class ChargeTrajectory:
@@ -206,33 +196,29 @@ def apply_U(traj: ChargeTrajectory, analytic_tail: bool = True) -> np.ndarray:
     return out
 
 
-def initial_charge(f0: complex, phi0: complex, shift: SpectralShift | complex = SpectralShift(),
-                   green_value: complex | None = None) -> complex:
+def initial_charge(f0: complex, phi0: complex, shift: SpectralShift = SpectralShift()) -> complex:
     """v(0) = f(0) / (1 + phi(0) * G^lam(0,0)).
 
     A vanishing denominator is the static eigenvalue condition of the coupled
     Hamiltonian and raises SingularityError.
     """
-    lam = shift.lam if isinstance(shift, SpectralShift) else complex(shift)
-    g0 = green_origin(lam) if green_value is None else complex(green_value)
-    den = 1.0 + complex(phi0) * g0
+    den = 1.0 + complex(phi0) * green_origin(shift.lam)
     if abs(den) < STEP_SINGULARITY_MARGIN:
         raise SingularityError(
             "1 + phi(0)*G(0,0) vanishes: initial coupling sits on an eigenvalue configuration")
     return complex(f0) / den
 
 
-def _march(f_nodes: np.ndarray, phi_nodes: np.ndarray, v0: complex, g_coeff: complex,
-           shift: SpectralShift, grid: TimeGrid, k_max: int) -> ChargeTrajectory:
-    """Product-integration march for v = f - phi*(g_coeff*g(t) + (i/pi) U v).
+def _march(f_nodes: np.ndarray, phi_nodes: np.ndarray, v0: complex, grid: TimeGrid,
+           k_max: int) -> ChargeTrajectory:
+    """Product-integration march for v = f - phi*(i/pi) U v with v(0) = v0.
 
-    g(t) is the truncated origin series of the freely evolved Green state,
-    (1/pi) sum_k e^{-i*lam_k*t}/(lam_k + lam).  The history part of U at t_n is
-    the discrete convolution w_n = w0_n + sum_{m<n} (v_m - v_{m-1}) kappa(n-m+1),
+    The history part of U at t_n is the discrete convolution
+    w_n = w0_n + sum_{m<n} (v_m - v_{m-1}) kappa(n-m+1),
     kappa(j) = i sum_k e^{-i*lam_k*j*dt} phi1(i*lam_k*dt)/lam_k, so the nodes of
     a block of TIME_BLOCK steps solve one lower-triangular system
 
-        (diag(d_n) + diag(phi_n*i/pi) L) v = f_n - phi_n*((i/pi) w_old_n + g_coeff*g_n)
+        (diag(d_n) + diag(phi_n*i/pi) L) v = f_n - phi_n*(i/pi)*w_old_n
                                              + phi_n*(i/pi)*kappa(n-s+1)*v_{s-1}
 
     with d_n = 1 + phi_n*(pi^2/2 + i*kappa(1))/pi the per-step denominator and
@@ -259,7 +245,6 @@ def _march(f_nodes: np.ndarray, phi_nodes: np.ndarray, v0: complex, g_coeff: com
         n = int(bad[0]) + 1
         raise StepSingularityError(n, n * dt, float(abs(d[n - 1])), complex(phi_nodes[n]))
     lower = toeplitz(np.concatenate(([0.0], np.diff(kappa))), np.zeros(block))
-    green = g_coeff / (lam + shift.lam) if g_coeff != 0 else 0.0
 
     q = np.empty(n_steps + 1, dtype=complex)
     q[0] = v0
@@ -268,7 +253,7 @@ def _march(f_nodes: np.ndarray, phi_nodes: np.ndarray, v0: complex, g_coeff: com
         m = min(block, n_steps + 1 - s)
         nodes = slice(s, s + m)
         anchor = anchors[b]  # e^{-i lam t_{s-1}}
-        history = phases[1:m + 1] @ (anchor * (green - acc / lam)) / np.pi
+        history = phases[1:m + 1] @ (anchor * (-acc / lam)) / np.pi
         rhs = f_nodes[nodes] - phi_nodes[nodes] * history + coupling[nodes] * kappa[:m] * q[s - 1]
         system = coupling[nodes, None] * lower[:m, :m]
         system.flat[::m + 1] = d[s - 1:s - 1 + m]
@@ -283,6 +268,9 @@ def solve_charge_general(f, phi: CouplingProfile, shift: SpectralShift, grid: Ti
                          k_max: int = DEFAULT_K_MAX, v0: complex | None = None) -> ChargeTrajectory:
     """Grid solution of v = f - phi*(v(0)*g(t) + (i/pi) U v), g the Green origin series.
 
+    g(t) = (1/pi) sum_k e^{-i*lam_k*t}/(lam_k + lam) is the origin series of the
+    freely evolved Green state G^lam(., 0); the Green-source term is folded
+    into the source, so the march solves v = f - phi*v0*g - phi*(i/pi) U v.
     f may be a node-sample array or a callable of t.  When v0 is not supplied
     it comes from initial_charge with the closed-form Green value.
     """
@@ -293,19 +281,20 @@ def solve_charge_general(f, phi: CouplingProfile, shift: SpectralShift, grid: Ti
     phi_nodes = np.atleast_1d(np.asarray(phi.values_on(grid)))
     if v0 is None:
         v0 = initial_charge(f_nodes[0], phi_nodes[0], shift)
-    return _march(f_nodes, phi_nodes, complex(v0), complex(v0), shift, grid, k_max)
+    v0 = complex(v0)
+    green = free_origin_series(green_coefficients(shift, k_max), times)
+    return _march(f_nodes - phi_nodes * v0 * green, phi_nodes, v0, grid, k_max)
 
 
 def solve_charge(alpha: CouplingProfile, psi0, grid: TimeGrid,
-                 k_max: int = DEFAULT_K_MAX,
-                 shift: SpectralShift = SpectralShift()) -> ChargeTrajectory:
+                 k_max: int = DEFAULT_K_MAX) -> ChargeTrajectory:
     """Solve q = -alpha*(e^{it*Lap}psi0(0) + (i/pi) U q) on the grid.
 
     psi0 is a SpectralCoefficients vector or a DomainState-like object with
-    .regular/.charge/.shift.  The initial charge is q(0) = -alpha(0)*psi0(0);
-    the equation is then the general charge-like scheme with
-    f = -alpha * e^{it*Lap}psi0(0) on the full state and no Green-source term:
-    the Green state's free origin series is g(t) itself.
+    .charge and .full_coefficients().  The initial charge is q(0) =
+    -alpha(0)*psi0(0), or the DomainState's own charge; the march then takes
+    f = -alpha * e^{it*Lap}psi0(0) on the full state, whose Green part needs
+    no separate source term, so the resolvent shift of the split drops out.
     """
     if not alpha.is_real:
         raise InputError("the physical coupling must be real-valued")
@@ -316,9 +305,8 @@ def solve_charge(alpha: CouplingProfile, psi0, grid: TimeGrid,
         full = psi0
         q0 = -complex(alpha_nodes[0]) * origin_trace(psi0)
     else:
-        shift = psi0.shift
         q0 = complex(psi0.charge)
-        full = psi0.regular.add(green_coefficients(shift, psi0.regular.k_max).scaled(q0))
+        full = psi0.full_coefficients()
         if q0 != 0:
             resid = abs(q0 + alpha_nodes[0] * origin_trace(full))
             if resid > BOUNDARY_COMPAT_TOL:
@@ -329,15 +317,14 @@ def solve_charge(alpha: CouplingProfile, psi0, grid: TimeGrid,
             f"state truncation {full.k_max} must match the solver k_max {k_max}")
 
     f_nodes = -alpha_nodes * free_origin_series(full, times)
-    return _march(f_nodes, alpha_nodes.astype(complex), q0, 0.0, shift, grid, k_max)
+    return _march(f_nodes, alpha_nodes.astype(complex), q0, grid, k_max)
 
 
 def lipschitz_probe(alpha: CouplingProfile, alpha_tilde: CouplingProfile, psi0,
-                    grid: TimeGrid, k_max: int = DEFAULT_K_MAX,
-                    shift: SpectralShift = SpectralShift()) -> tuple[float, float]:
+                    grid: TimeGrid, k_max: int = DEFAULT_K_MAX) -> tuple[float, float]:
     """Discrete-H^1 distances (|q - q_tilde|, |alpha - alpha_tilde|) for ratio studies."""
-    qa = solve_charge(alpha, psi0, grid, k_max, shift)
-    qb = solve_charge(alpha_tilde, psi0, grid, k_max, shift)
+    qa = solve_charge(alpha, psi0, grid, k_max)
+    qb = solve_charge(alpha_tilde, psi0, grid, k_max)
     dq = discrete_h1_norm(qa.q - qb.q, grid.dt)
     da = discrete_h1_norm(
         np.asarray(alpha.values_on(grid), dtype=complex)

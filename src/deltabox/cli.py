@@ -46,7 +46,7 @@ from .verify import run_checks
 
 EXIT_OK, EXIT_CONFIG, EXIT_SOLVER, EXIT_IO = 0, 1, 2, 3
 
-_SIMULATE_KEYS = {"psi0", "alpha", "T", "n_steps", "k_max", "outdir", "seed",
+_SIMULATE_KEYS = {"psi0", "alpha", "T", "n_steps", "k_max", "outdir",
                   "store_every", "tol_norm_drift", "tol_boundary"}
 
 
@@ -108,7 +108,7 @@ def cmd_simulate(args) -> int:
     cfg = {
         "psi0": args.psi0, "alpha": args.alpha, "T": repr(args.T),
         "n_steps": str(args.n_steps), "k_max": str(args.k_max),
-        "seed": str(args.seed), "store_every": str(args.store_every),
+        "store_every": str(args.store_every),
     }
     if args.config:
         file_cfg = _load_config(args.config, _SIMULATE_KEYS)
@@ -279,7 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-steps", type=int, default=1000, dest="n_steps")
     p.add_argument("--k-max", type=int, default=DEFAULT_K_MAX, dest="k_max")
     p.add_argument("--outdir", default="out")
-    p.add_argument("--seed", type=int, default=20260809)
     p.add_argument("--store-every", type=int, default=10, dest="store_every")
     p.add_argument("--tol-norm-drift", type=float, default=1e-6, dest="tol_norm_drift")
     p.add_argument("--tol-boundary", type=float, default=1e-8, dest="tol_boundary")

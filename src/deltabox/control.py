@@ -30,7 +30,6 @@ import numpy as np
 
 from .charge import ChargeTrajectory, CouplingProfile, _march, apply_U, solve_charge
 from .errors import InputError, UnsupportedHorizonError
-from .greens import SpectralShift
 from .kernels import MODE_BLOCK, fit_loglog_slope, history_at_end, odd_eigenvalues, phi1
 from .propagator import assemble_F
 from .spectral import (
@@ -88,24 +87,23 @@ def _horizon_periods(t_end: float) -> int:
     return n_round
 
 
-def gamma(alpha: CouplingProfile, psi0, grid: TimeGrid, k_max: int = DEFAULT_K_MAX,
-          shift: SpectralShift = SpectralShift()) -> SpectralCoefficients:
+def gamma(alpha: CouplingProfile, psi0, grid: TimeGrid,
+          k_max: int = DEFAULT_K_MAX) -> SpectralCoefficients:
     """End-time state e^{iT*Lap} psi0 + F(q_alpha, T) of the nonlinear evolution."""
     full = psi0 if isinstance(psi0, SpectralCoefficients) else psi0.full_coefficients()
-    charge = solve_charge(alpha, psi0, grid, k_max, shift)
+    charge = solve_charge(alpha, psi0, grid, k_max)
     return free_evolve(full, grid.t_end).add(assemble_F(charge))
 
 
 def apply_linearized(alpha: CouplingProfile, u, psi0: SpectralCoefficients,
                      grid: TimeGrid, k_max: int = DEFAULT_K_MAX,
-                     shift: SpectralShift = SpectralShift(),
                      base_charge: ChargeTrajectory | None = None) -> SpectralCoefficients:
     """Directional derivative of Gamma at alpha in the direction u.
 
     u may be a CouplingProfile or complex node samples.  The linear charge is
     marched with the same kernels as the nonlinear solve, with source
-    f = -u * (e^{it*Lap}psi0(0) + (i/pi) U q_alpha) and no Green-source term,
-    so the result is the exact derivative of the discrete map.  At alpha = 0
+    f = -u * (e^{it*Lap}psi0(0) + (i/pi) U q_alpha) and qdot(0) = f(0), so the
+    result is the exact derivative of the discrete map.  At alpha = 0
     the march is the identity: the linear charge is f, and only its end
     history (kernels.history_at_end) is computed.
     """
@@ -121,10 +119,10 @@ def apply_linearized(alpha: CouplingProfile, u, psi0: SpectralCoefficients,
     if alpha_is_zero(alpha):
         return assemble_F(ChargeTrajectory(grid, -u_nodes * source, k_max))
     if base_charge is None:
-        base_charge = solve_charge(alpha, psi0, grid, k_max, shift)
+        base_charge = solve_charge(alpha, psi0, grid, k_max)
     f_nodes = -u_nodes * (source + (1j / np.pi) * apply_U(base_charge))
     alpha_nodes = np.real(np.atleast_1d(alpha.values_on(grid))).astype(complex)
-    qdot = _march(f_nodes, alpha_nodes, f_nodes[0], 0.0, shift, grid, k_max)
+    qdot = _march(f_nodes, alpha_nodes, f_nodes[0], grid, k_max)
     return assemble_F(qdot)
 
 
@@ -271,8 +269,7 @@ def _frequency_collisions(k_bar: int, k_max: int) -> list[tuple[int, int]]:
 
 
 def controllability_experiment(k_bar: int, epsilons, delta_direction: ControlTarget,
-                               grid: TimeGrid, k_max: int = DEFAULT_K_MAX,
-                               shift: SpectralShift = SpectralShift()) -> SteeringReport:
+                               grid: TimeGrid, k_max: int = DEFAULT_K_MAX) -> SteeringReport:
     """Nonlinear steering test around psi_kbar with the real part of the
     synthesized control.
 
@@ -293,14 +290,14 @@ def controllability_experiment(k_bar: int, epsilons, delta_direction: ControlTar
     # at alpha = 0 the linearization is linear in u: one solve serves every eps
     linear_unit = apply_linearized(CouplingProfile.zero(grid.t_end),
                                    CouplingProfile.piecewise_linear(grid, control_unit.u.real),
-                                   psi0, grid, k_max, shift)
+                                   psi0, grid, k_max)
     remainders = []
     disp_errors = []
     defects = []
     for eps in epsilons:
         u_scaled = control_unit.u * eps
         alpha_re = CouplingProfile.piecewise_linear(grid, u_scaled.real)
-        final = gamma(alpha_re, psi0, grid, k_max, shift)
+        final = gamma(alpha_re, psi0, grid, k_max)
         linear = linear_unit.scaled(eps)
         predicted = free_final.add(linear)
         remainders.append(final.sub(predicted).norm())

@@ -70,9 +70,17 @@ def save_state(path: str, c: SpectralCoefficients) -> None:
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
+def _text_lines(path: str) -> list[str]:
+    """Stripped non-blank lines of a UTF-8 text file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return [ln for ln in map(str.strip, fh) if ln]
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+
+
 def load_state(path: str) -> SpectralCoefficients:
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+    lines = _text_lines(path)
     if not lines or not lines[0].startswith("# k_max="):
         raise InputError(f"{path}: missing '# k_max=' header")
     k_max = parse_number(lines[0].split("=", 1)[1], int, f"{path}: k_max header")
@@ -120,8 +128,7 @@ def save_control_csv(path: str, times: np.ndarray, u: np.ndarray, fields: dict) 
 
 def load_target_csv(path: str, k_max: int) -> SpectralCoefficients:
     """Control-target file: 'k,re_c,im_c' rows (header and '#' comments skipped)."""
-    with open(path) as fh:
-        rows = [ln for ln in map(str.strip, fh) if ln and not ln.startswith(("#", "k,"))]
+    rows = [ln for ln in _text_lines(path) if not ln.startswith(("#", "k,"))]
     return _mode_coefficients(path, rows, k_max, "target")
 
 

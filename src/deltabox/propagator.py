@@ -122,7 +122,7 @@ class EvolutionResult:
 
 
 def evolve(psi0, alpha: CouplingProfile, grid: TimeGrid, k_max: int = DEFAULT_K_MAX,
-           shift: SpectralShift = SpectralShift(), store_every: int = 10) -> EvolutionResult:
+           store_every: int = 10) -> EvolutionResult:
     """Propagate psi0 under the time-dependent point interaction alpha(t).
 
     psi(t_n) = e^{i t_n Lap} psi0 + F(q, t_n) with q from the charge equation.
@@ -132,7 +132,7 @@ def evolve(psi0, alpha: CouplingProfile, grid: TimeGrid, k_max: int = DEFAULT_K_
     fills the diagnostics and the snapshots, so memory beyond the per-node
     series and the snapshots is O(TIME_BLOCK*k_max).
     """
-    traj = solve_charge(alpha, psi0, grid, k_max, shift)
+    traj = solve_charge(alpha, psi0, grid, k_max)
     a0 = (psi0 if isinstance(psi0, SpectralCoefficients) else psi0.full_coefficients()).a
     if a0.size != k_max:
         raise InputError("state truncation must match k_max")

@@ -155,7 +155,8 @@ def free_origin_series(c: SpectralCoefficients, times: np.ndarray) -> np.ndarray
 
     On the uniform grid times = times[1]*arange(n) (TimeGrid.times) the phases
     come from kernels.block_phases and the sum is one product, table @ (a*anchors);
-    any other times take one exp per time and mode.
+    any other times take one exp per time and mode.  The result has the shape
+    of times, so a scalar time gives a 0-d array.
     """
     times = np.asarray(times, dtype=float)
     nonzero = np.flatnonzero(c.a[0::2])
@@ -166,13 +167,13 @@ def free_origin_series(c: SpectralCoefficients, times: np.ndarray) -> np.ndarray
         table, anchors = block_phases(lam, times[1], times.size - 1)
         by_block = table[:-1] @ (coeff[:, None] * anchors.T)  # [r, b]: node b*B + r
         return INV_SQRT_PI * by_block.T.ravel()[:times.size]
-    out = np.zeros(times.shape, dtype=complex)
+    out = np.zeros(times.size, dtype=complex)
     # mode-blocked accumulation keeps memory O(len(times))
     for j in range(0, lam.size, MODE_BLOCK):
         lj = lam[j:j + MODE_BLOCK]
         cj = coeff[j:j + MODE_BLOCK]
         out += np.exp(-1j * np.outer(lj, times)).T @ cj
-    return INV_SQRT_PI * out
+    return INV_SQRT_PI * out.reshape(times.shape)
 
 
 def evaluate_state(c: SpectralCoefficients, xs) -> np.ndarray:

@@ -49,7 +49,6 @@ class TestCouplingProfile:
         p = CouplingProfile.sine_bump(0.5, 2.0)
         assert p.value(0.0) == 0.0
         assert abs(p.value(2.0)) < 1e-16
-        assert p.h10
 
     def test_derivative(self):
         p = CouplingProfile.sine_bump(0.5, 2.0)
@@ -59,15 +58,10 @@ class TestCouplingProfile:
 
     def test_piecewise_linear(self):
         grid = TimeGrid(1.0, 4)
-        p = CouplingProfile.piecewise_linear(grid, [0.0, 1.0, 0.5, 0.5, 0.0], h10=True)
+        p = CouplingProfile.piecewise_linear(grid, [0.0, 1.0, 0.5, 0.5, 0.0])
         assert p.value(0.125) == pytest.approx(0.5)
         assert p.derivative(0.1) == pytest.approx(4.0)
         assert p.derivative(0.3) == pytest.approx(-2.0)
-
-    def test_h10_enforced(self):
-        grid = TimeGrid(1.0, 2)
-        with pytest.raises(InputError):
-            CouplingProfile.piecewise_linear(grid, [0.1, 0.5, 0.0], h10=True)
 
     def test_outside_domain(self):
         with pytest.raises(InputError):
@@ -185,11 +179,22 @@ def reference_march(f_nodes, phi_nodes, v0, g_coeff, shift, grid, k_max):
     return q, (q[-1] - e_n * (v0 + b)) / (1j * lam)
 
 
-def _assert_matches_reference(f, phi, v0, g_coeff, grid, k_max, tol=1e-13):
-    traj = _march(f, phi, v0, g_coeff, SpectralShift(), grid, k_max)
-    q, end_history = reference_march(f, phi, v0, g_coeff, SpectralShift(), grid, k_max)
+def _assert_matches_reference(f, phi, v0, green_source, shift, grid, k_max, tol=1e-13):
+    """`_march` against the step reference; with green_source the general
+    scheme, whose Green-source term v0*g(t) is folded into the march's source."""
+    if green_source:
+        profile = CouplingProfile.piecewise_linear(grid, phi)
+        phi = profile.values_on(grid)
+        traj = solve_charge_general(f, profile, shift, grid, k_max, v0=v0)
+    else:
+        traj = _march(f, phi, v0, grid, k_max)
+    q, end_history = reference_march(f, phi, v0, v0 if green_source else 0.0, shift, grid,
+                                     k_max)
     assert np.max(np.abs(traj.q - q)) <= tol
     assert np.max(np.abs(traj.end_history - end_history)) <= tol
+
+
+_shifts = st.sampled_from([SpectralShift(), SpectralShift(2.5 - 0.3j)])
 
 
 class TestBlockMarch:
@@ -198,18 +203,20 @@ class TestBlockMarch:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), n_steps=st.integers(1, 3 * TIME_BLOCK + 1),
            k_max=st.integers(1, 201), t_end=st.floats(0.01, 3.0),
-           v0=_unit_complex, g_coeff=st.one_of(st.just(0.0), _unit_complex))
-    def test_matches_step_reference(self, data, n_steps, k_max, t_end, v0, g_coeff):
+           v0=_unit_complex, green_source=st.booleans(), shift=_shifts)
+    def test_matches_step_reference(self, data, n_steps, k_max, t_end, v0, green_source, shift):
         f = data.draw(hnp.arrays(complex, n_steps + 1, elements=_unit_complex))
         phi = data.draw(hnp.arrays(complex, n_steps + 1, elements=_unit_complex))
-        _assert_matches_reference(f, phi, v0, g_coeff, TimeGrid(t_end, n_steps), k_max)
+        _assert_matches_reference(f, phi, v0, green_source, shift, TimeGrid(t_end, n_steps),
+                                  k_max)
 
     @pytest.mark.parametrize("n_steps", [TIME_BLOCK - 1, TIME_BLOCK, TIME_BLOCK + 1,
                                          2 * TIME_BLOCK + 7])
     def test_block_edges(self, rng, n_steps):
         f = rng.standard_normal(n_steps + 1) + 1j * rng.standard_normal(n_steps + 1)
         phi = 0.5 * (rng.standard_normal(n_steps + 1) + 1j * rng.standard_normal(n_steps + 1))
-        _assert_matches_reference(f, phi, f[0], 0.3 - 0.2j, TimeGrid(2.0, n_steps), 101)
+        for shift in (SpectralShift(), SpectralShift(2.5 - 0.3j)):
+            _assert_matches_reference(f, phi, f[0], True, shift, TimeGrid(2.0, n_steps), 101)
 
     def test_simulate_size(self, rng):
         # k_max = 401, T = 8*pi, n = 25133: a unit-norm state with a_k ~ k^-3 and
@@ -222,7 +229,7 @@ class TestBlockMarch:
         alpha = np.sin(np.outer(grid.times, omega) + 2 * np.pi * phase) @ amp
         f = -alpha * free_origin_series(psi0, grid.times)
         _assert_matches_reference(f, alpha.astype(complex), -alpha[0] * origin_trace(psi0),
-                                  0.0, grid, k_max)
+                                  False, SpectralShift(), grid, k_max)
 
 
 class TestInitialCharge:
@@ -339,8 +346,7 @@ class TestSolveCharge:
         first = 2 * TIME_BLOCK + 5
         phi[[first, first + 3]] = self._critical_coupling(grid, 101)
         with pytest.raises(StepSingularityError) as err:
-            _march(np.ones(n_steps + 1, dtype=complex), phi, 1.0, 0.0,
-                   SpectralShift(), grid, 101)
+            _march(np.ones(n_steps + 1, dtype=complex), phi, 1.0, grid, 101)
         assert err.value.n == first
         assert err.value.t == pytest.approx(first * grid.dt)
         assert err.value.phi == phi[first]

@@ -1,9 +1,13 @@
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from deltabox.cli import main
+from deltabox.cli import _SIMULATE_KEYS, _parse_alpha, _parse_psi0, main
 from deltabox.iofiles import (
     config_hash,
     load_state,
@@ -14,7 +18,7 @@ from deltabox.iofiles import (
     save_trajectory_csv,
 )
 from deltabox.errors import InputError
-from deltabox.spectral import SpectralCoefficients
+from deltabox.spectral import SpectralCoefficients, TimeGrid
 
 
 def run_cli(args):
@@ -56,7 +60,7 @@ class TestSimulate:
 
     def test_determinism(self, tmp_path):
         args = ["simulate", "--psi0", "eig:1", "--alpha", "bump:0.4", "--T", "1.0",
-                "--n-steps", "250", "--k-max", "51", "--seed", "7"]
+                "--n-steps", "250", "--k-max", "51"]
         out1, out2 = tmp_path / "a", tmp_path / "b"
         assert run_cli(args + ["--outdir", str(out1)]) == 0
         assert run_cli(args + ["--outdir", str(out2)]) == 0
@@ -185,6 +189,126 @@ class TestStateFiles:
         c = load_target_csv(str(p), 9)
         assert c.a[0] == 1.0
         assert c.a[2] == 0.25 - 0.5j
+
+
+def _descriptor(kinds):
+    """Free text, or KIND:text for a known kind; never a kind that reads a file
+    (those are fuzzed through the file contents below)."""
+    rest = st.one_of(st.text(max_size=30), st.integers().map(str), st.floats().map(repr))
+    return st.one_of(
+        st.text(max_size=30),
+        st.builds("{}:{}".format, st.sampled_from(kinds), rest),
+    ).filter(lambda d: d.partition(":")[0] not in ("file", "domain", "pl"))
+
+
+_config_line = st.one_of(
+    st.text(max_size=30),
+    st.builds("{}={}".format, st.sampled_from(sorted(_SIMULATE_KEYS) + ["version", "seed"]),
+              st.sampled_from(["1", "2", "", " eig:1 ", "x=y"])),
+)
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _coefficients(data, k_max):
+    parts = data.draw(hnp.arrays(np.float64, (2, k_max), elements=_finite))
+    a = np.empty(k_max, dtype=complex)
+    a.real, a.imag = parts
+    return a
+
+
+def _same_bits(x, y):
+    return x.shape == y.shape and np.array_equal(x.view(np.uint64), y.view(np.uint64))
+
+
+class TestInputProperties:
+    """Any user text either parses or raises InputError; files round-trip bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(descriptor=_descriptor(["eig", "zero", "const", "bump"]))
+    def test_psi0_descriptor(self, descriptor):
+        try:
+            state = _parse_psi0(descriptor, 21)
+        except InputError:
+            return
+        assert descriptor.startswith("eig:") and state.k_max == 21 and state.norm() == 1.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(descriptor=_descriptor(["zero", "const", "bump", "eig"]))
+    def test_alpha_descriptor(self, descriptor):
+        try:
+            profile = _parse_alpha(descriptor, 2.0)
+        except InputError:
+            return
+        assert profile.t_end == 2.0 and np.all(np.isfinite(profile.values_on(TimeGrid(2.0, 4))))
+
+    @settings(max_examples=200, deadline=None)
+    @given(header=st.integers(-2, 30), body=st.text(max_size=120),
+           charge=st.sampled_from(["0:0", "0.1:-0.2", "x:0", "0:0:2.5", "0:0:-0.25"]))
+    def test_state_file_descriptors(self, header, body, charge):
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, "state.txt")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(f"# k_max={header}\n{body}")
+            for descriptor in (f"file:{path}", f"domain:{path}:{charge}"):
+                try:
+                    _parse_psi0(descriptor, 21)
+                except InputError:
+                    pass
+
+    @pytest.mark.filterwarnings("ignore:loadtxt. input contained no data")
+    @settings(max_examples=200, deadline=None)
+    @given(body=st.one_of(st.text(max_size=120), st.lists(
+        st.builds("{!r},{!r}".format, st.floats(0.0, 2.0), st.floats()), max_size=6).map(
+        "\n".join)))
+    def test_pl_file_descriptor(self, body):
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, "alpha.csv")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(body)
+            try:
+                profile = _parse_alpha(f"pl:{path}", 2.0)
+            except InputError:
+                return
+            assert profile.kind == "piecewise_linear"
+
+    @settings(max_examples=200, deadline=None)
+    @given(lines=st.lists(_config_line, max_size=8))
+    def test_config_text(self, lines):
+        try:
+            cfg = parse_config_text("\n".join(lines), _SIMULATE_KEYS)
+        except InputError:
+            return
+        assert set(cfg) <= _SIMULATE_KEYS
+
+    @pytest.mark.parametrize("loader", [load_state, lambda p: load_target_csv(p, 3)])
+    def test_binary_file_is_input_error(self, tmp_path, loader):
+        path = tmp_path / "binary.txt"
+        path.write_bytes(b"# k_max=3\n\xff\xfe,1,2\n")
+        with pytest.raises(InputError, match="UTF-8"):
+            loader(str(path))
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), k_max=st.integers(1, 40))
+    def test_state_round_trip(self, data, k_max):
+        a = _coefficients(data, k_max)
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, "state.txt")
+            save_state(path, SpectralCoefficients(k_max, a))
+            assert _same_bits(load_state(path).a, a)
+            # a state file is also a valid target file
+            assert _same_bits(load_target_csv(path, k_max).a, a)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), k_max=st.integers(1, 40))
+    def test_target_round_trip(self, data, k_max):
+        a = _coefficients(data, k_max)
+        rows = [f"{k},{v.real!r},{v.imag!r}" for k, v in enumerate(a.tolist(), start=1)]
+        order = data.draw(st.permutations(range(k_max)))
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, "target.csv")
+            with open(path, "w") as fh:
+                fh.write("# target\nk,re_c,im_c\n" + "\n".join(rows[i] for i in order) + "\n")
+            assert _same_bits(load_target_csv(path, k_max).a, a)
 
 
 class TestSeriesCsv:

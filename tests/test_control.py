@@ -14,7 +14,6 @@ from deltabox.control import (
     synthesize_control,
 )
 from deltabox.errors import InputError, UnsupportedHorizonError
-from deltabox.greens import SpectralShift
 from deltabox.propagator import assemble_F
 from deltabox.spectral import SpectralCoefficients, TimeGrid, free_evolve, free_origin_series
 from deltabox import verify
@@ -194,8 +193,7 @@ class TestApplyLinearized:
         psi0 = SpectralCoefficients(k_max, rng.standard_normal(k_max) + 0j)
         u = rng.standard_normal(grid.n_steps + 1) + 1j * rng.standard_normal(grid.n_steps + 1)
         f = -u * free_origin_series(psi0, grid.times)
-        marched = _march(f, np.zeros(f.size, dtype=complex), f[0], 0.0, SpectralShift(),
-                         grid, k_max)
+        marched = _march(f, np.zeros(f.size, dtype=complex), f[0], grid, k_max)
         assert np.array_equal(marched.q, f)
         out = apply_linearized(CouplingProfile.zero(2.0), u, psi0, grid, k_max)
         assert np.max(np.abs(out.a - assemble_F(marched).a)) < 1e-13

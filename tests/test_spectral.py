@@ -94,6 +94,12 @@ class TestFreeOriginSeries:
         assert np.max(np.abs(out - INV_SQRT_PI * np.exp(-2.25j * times))) < 1e-14
         assert np.all(free_origin_series(SpectralCoefficients.zeros(51), times) == 0)
 
+    def test_scalar_time(self, rng):
+        c = SpectralCoefficients(51, rng.standard_normal(51) + 1j * rng.standard_normal(51))
+        out = free_origin_series(c, 0.5)
+        assert out.shape == ()
+        assert abs(out - origin_trace(free_evolve(c, 0.5))) < 1e-14
+
 
 class TestFreeEvolve:
     def test_full_period_mode_one(self):
