@@ -11,11 +11,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import warnings
 
 import numpy as np
 
 from . import __version__
-from .charge import CouplingProfile, solve_charge
+from .charge import CouplingProfile
 from .control import (
     ControlTarget,
     controllability_experiment,
@@ -24,7 +25,7 @@ from .control import (
     synthesize_control,
 )
 from .convergence import charge_dt_sweep, green_kmax_sweep
-from .errors import InputError, SolverError
+from .errors import InputError, SingularityError, SolverError
 from .greens import (SpectralShift, default_window, green_closed, green_origin, green_series,
                      static_eigenvalues)
 from .iofiles import (
@@ -42,6 +43,9 @@ from .iofiles import (
 )
 from .propagator import DomainState, diagnostics, evolve
 from .spectral import DEFAULT_K_MAX, SpectralCoefficients, TimeGrid
+# verify (and through it oracles) is imported eagerly although only `verify`
+# runs it: perfbench/tracer.py looks both up in sys.modules right after this
+# module is imported.  Their scipy imports wait for first use, so they are cheap.
 from .verify import run_checks
 
 EXIT_OK, EXIT_CONFIG, EXIT_SOLVER, EXIT_IO = 0, 1, 2, 3
@@ -71,7 +75,11 @@ def _parse_psi0(descriptor: str, k_max: int):
         if regular.k_max != k_max:
             raise InputError(f"state file k_max {regular.k_max} != configured {k_max}")
         re_q, im_q, *lam = (parse_number(v, float, "psi0 domain field") for v in parts[1:])
-        return DomainState(regular, complex(re_q, im_q), SpectralShift(*lam))
+        try:
+            shift = SpectralShift(*lam)
+        except SingularityError as exc:
+            raise InputError(f"psi0 domain LAMBDA: {exc}") from None
+        return DomainState(regular, complex(re_q, im_q), shift)
     raise InputError(f"unknown psi0 source {descriptor!r} (use eig:K | file:PATH | domain:...)")
 
 
@@ -85,7 +93,10 @@ def _parse_alpha(descriptor: str, t_end: float) -> CouplingProfile:
         return CouplingProfile.sine_bump(parse_number(rest, float, "alpha bump:A"), t_end)
     if kind == "pl":
         try:
-            samples = np.loadtxt(rest, delimiter=",", comments="#", ndmin=2)
+            with warnings.catch_warnings():
+                # an empty file is a configuration error below, not a warning
+                warnings.simplefilter("ignore", UserWarning)
+                samples = np.loadtxt(rest, delimiter=",", comments="#", ndmin=2)
         except ValueError as exc:
             raise InputError(f"{rest}: {exc}") from None
         if samples.shape[1] < 2:

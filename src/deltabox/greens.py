@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import DomainError, InputError, SingularityError
 from .kernels import odd_eigenvalues
@@ -48,24 +47,24 @@ class SpectralShift:
         z = complex(self.lam)
         if not np.isfinite(z.real) or not np.isfinite(z.imag):
             raise InputError("shift must be finite")
-        if _near_pole(z, odd_only=False):
-            raise SingularityError(f"shift {z} coincides with a negated eigenvalue")
+        k = _pole_index(z, odd_only=False)
+        if k:
+            raise SingularityError(f"shift {z} is on the pole -lam_{k} = {-0.25 * k * k!r}")
 
 
-def _near_pole(z: complex, odd_only: bool) -> bool:
-    """True when z is within POLE_MARGIN of some -lam_k (odd k only if requested)."""
+def _pole_index(z: complex, odd_only: bool) -> int:
+    """The k with z within POLE_MARGIN of -lam_k (odd k only if requested), else 0."""
     z = complex(z)
     if abs(z.imag) > POLE_MARGIN:
-        return False
+        return 0
     if z.real > -0.25 + POLE_MARGIN:
-        return False
-    k = 2.0 * np.sqrt(-z.real)
-    k_near = round(k)
+        return 0
+    k_near = round(2.0 * np.sqrt(-z.real))
     if k_near < 1:
-        return False
+        return 0
     if odd_only and k_near % 2 == 0:
-        return False
-    return abs(z.real + 0.25 * k_near**2) <= POLE_MARGIN
+        return 0
+    return k_near if abs(z.real + 0.25 * k_near**2) <= POLE_MARGIN else 0
 
 
 def _cexpm1(u: np.ndarray | complex) -> np.ndarray:
@@ -81,7 +80,7 @@ def green_closed(x: float, x_prime: float, z: complex) -> complex:
         if abs(coord) > BOX_HALF_WIDTH + 1e-12:
             raise DomainError("coordinate outside the box [-pi, pi]")
     z = complex(z)
-    if _near_pole(z, odd_only=False):
+    if _pole_index(z, odd_only=False):
         raise SingularityError(f"z={z} is at (or within {POLE_MARGIN} of) a resolvent pole")
     lo, hi = min(x, x_prime), max(x, x_prime)
     w = np.sqrt(z)
@@ -107,15 +106,14 @@ def green_series(x: float, x_prime: float, z: complex, k_max: int = DEFAULT_K_MA
         if abs(coord) > BOX_HALF_WIDTH + 1e-12:
             raise DomainError("coordinate outside the box [-pi, pi]")
     z = complex(z)
-    if _near_pole(z, odd_only=False):
+    if _pole_index(z, odd_only=False):
         raise SingularityError(f"z={z} is at (or within {POLE_MARGIN} of) a resolvent pole")
-    k = np.arange(1, k_max + 1)
-    lam = eigenvalues(k_max)
-    half = 0.5 * k
-    odd = k % 2 == 1
-    px = np.where(odd, np.cos(half * x), np.sin(half * x))
-    pxp = np.where(odd, np.cos(half * x_prime), np.sin(half * x_prime))
-    return complex(np.sum(px * pxp / (lam + z)) / np.pi)
+    half = 0.5 * np.arange(1, k_max + 1)
+    px, pxp = np.empty(k_max), np.empty(k_max)
+    for out, coord in ((px, x), (pxp, x_prime)):
+        out[0::2] = np.cos(half[0::2] * coord)  # odd k: cosine modes
+        out[1::2] = np.sin(half[1::2] * coord)  # even k: sine modes
+    return complex(np.sum(px * pxp / (eigenvalues(k_max) + z)) / np.pi)
 
 
 def green_origin(z: complex) -> complex:
@@ -125,7 +123,7 @@ def green_origin(z: complex) -> complex:
     negated odd-sector eigenvalues.
     """
     z = complex(z)
-    if _near_pole(z, odd_only=True):
+    if _pole_index(z, odd_only=True):
         raise SingularityError(f"z={z} is at (or within {POLE_MARGIN} of) an odd-sector pole")
     if abs(z) < 1e-7:
         # tanh(pi w)/(2w) = pi/2 - pi^3 z/6 + pi^5 z^2/15 + O(z^3)
@@ -173,6 +171,8 @@ def static_eigenvalues(alpha: float, window: tuple[float, float],
     condition function is strictly monotone (Herglotz), so each bracket holds
     exactly one root, found by Brent's method to ROOT_XTOL.
     """
+    from scipy.optimize import brentq  # loaded on first use: no other command needs it
+
     if not np.isfinite(alpha):
         raise InputError(f"alpha must be finite, got {alpha!r}")
     lo, hi = float(window[0]), float(window[1])

@@ -10,7 +10,6 @@ slow and simple on purpose.
 from __future__ import annotations
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.linalg import eigh_tridiagonal
 
 from .errors import SolverError
@@ -98,6 +97,8 @@ def galerkin_evolution(a0: np.ndarray, alpha_value, t_end: float, k_max: int,
     Integrating these with a generic adaptive ODE solver gives a reference
     trajectory that shares no numerics with the product-integration march.
     """
+    from scipy.integrate import solve_ivp  # loaded on first use: it also loads scipy.optimize
+
     lam = 0.25 * np.arange(1, k_max + 1, dtype=float) ** 2
     odd = np.arange(k_max) % 2 == 0  # 0-based positions of odd mode indices
     deficit = tail_deficit(k_max)

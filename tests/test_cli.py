@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -7,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import deltabox
 from deltabox.cli import _SIMULATE_KEYS, _parse_alpha, _parse_psi0, main
 from deltabox.iofiles import (
     config_hash,
@@ -23,6 +26,13 @@ from deltabox.spectral import SpectralCoefficients, TimeGrid
 
 def run_cli(args):
     return main(args)
+
+
+def run_python(args):
+    """A fresh interpreter with this deltabox on its path."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(deltabox.__file__)))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=120)
 
 
 class TestSimulate:
@@ -164,6 +174,25 @@ class TestInputContracts:
         if code:
             assert "t column" in capsys.readouterr().err
 
+    def test_empty_pl_file_prints_one_line(self, tmp_path):
+        path = tmp_path / "alpha.csv"
+        path.write_text("")
+        proc = run_python(["-m", "deltabox.cli", "simulate", "--alpha", f"pl:{path}", *SMALL_RUN,
+                           "--outdir", str(tmp_path / "out")])
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [
+            f"configuration error: {path}: expected CSV rows t,alpha"]
+
+    def test_shift_on_pole_is_configuration_error(self, tmp_path, capsys):
+        # -0.25 is -lam_1: the resolvent G^lam has a pole there
+        state = tmp_path / "state.txt"
+        state.write_text("# k_max=21\n")
+        code = run_cli(["simulate", "--psi0", f"domain:{state}:0:0:-0.25", *SMALL_RUN,
+                        "--outdir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("configuration error:") and "pole -lam_1 = -0.25" in err
+
 
 class TestStateFiles:
     def test_round_trip(self, tmp_path, rng):
@@ -255,7 +284,6 @@ class TestInputProperties:
                 except InputError:
                     pass
 
-    @pytest.mark.filterwarnings("ignore:loadtxt. input contained no data")
     @settings(max_examples=200, deadline=None)
     @given(body=st.one_of(st.text(max_size=120), st.lists(
         st.builds("{!r},{!r}".format, st.floats(0.0, 2.0), st.floats()), max_size=6).map(
@@ -416,3 +444,17 @@ class TestIOExitCode:
                         "--T", "0.5", "--n-steps", "50", "--k-max", "21",
                         "--outdir", str(blocker)])
         assert code == 3
+
+
+class TestImportBudget:
+    @pytest.mark.parametrize("module, absent", [
+        ("deltabox", ("scipy.optimize", "scipy.integrate", "deltabox.verify",
+                      "deltabox.oracles")),
+        # the CLI keeps verify and oracles, which are cheap without these two
+        ("deltabox.cli", ("scipy.optimize", "scipy.integrate")),
+    ])
+    def test_import_leaves_heavy_modules_unloaded(self, module, absent):
+        proc = run_python(["-c", f"import sys, {module}; "
+                                 f"print(*(m for m in {absent!r} if m in sys.modules))"])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == []
