@@ -43,6 +43,7 @@ from .greens import SpectralShift, green_coefficients, green_origin
 from .kernels import (
     ODD_INVERSE_EIGENVALUE_SUM,
     block_phases,
+    close_history,
     discrete_h1_norm,
     history_at_end,
     mode_history,
@@ -260,8 +261,7 @@ def _march(f_nodes: np.ndarray, phi_nodes: np.ndarray, v0: complex, grid: TimeGr
         q[nodes] = solve_triangular(system, rhs, lower=True, check_finite=False)
         acc += p1 * np.conj(anchor * (np.conj(np.diff(q[s - 1:s + m])) @ phases[:m]))
 
-    end_phase = np.exp(-1j * lam * (n_steps * dt))
-    return ChargeTrajectory(grid, q, k_max, (q[-1] - end_phase * acc) / (1j * lam))
+    return ChargeTrajectory(grid, q, k_max, close_history(q[-1], acc, lam, n_steps * dt))
 
 
 def solve_charge_general(f, phi: CouplingProfile, shift: SpectralShift, grid: TimeGrid,
@@ -307,11 +307,10 @@ def solve_charge(alpha: CouplingProfile, psi0, grid: TimeGrid,
     else:
         q0 = complex(psi0.charge)
         full = psi0.full_coefficients()
-        if q0 != 0:
-            resid = abs(q0 + alpha_nodes[0] * origin_trace(full))
-            if resid > BOUNDARY_COMPAT_TOL:
-                raise DomainCompatibilityError(
-                    f"initial state violates -q = alpha*psi(0) by {resid:.3e}")
+        resid = abs(q0 + alpha_nodes[0] * origin_trace(full))
+        if resid > BOUNDARY_COMPAT_TOL:
+            raise DomainCompatibilityError(
+                f"initial state violates -q = alpha*psi(0) by {resid:.3e}")
     if full.k_max != k_max:
         raise InputError(
             f"state truncation {full.k_max} must match the solver k_max {k_max}")

@@ -179,7 +179,7 @@ def cmd_spectrum(args) -> int:
     if args.window:
         window = tuple(parse_number(v, float, "window LO:HI")
                        for v in args.window.partition(":")[::2])
-    eigs = static_eigenvalues(args.alpha, window, args.k_max)
+    eigs = static_eigenvalues(args.alpha, window)
     outdir = _outdir(args.outdir)
     os.makedirs(outdir, exist_ok=True)
     path = os.path.join(outdir, "spectrum.csv")
@@ -255,17 +255,16 @@ def cmd_sweep(args) -> int:
     outdir = _outdir(args.outdir)
     os.makedirs(outdir, exist_ok=True)
     if args.what == "charge-dt":
-        levels = [parse_number(x, float, "levels") for x in args.levels.split(",")] \
-            if args.levels else (4e-3, 2e-3, 1e-3)
-        rows, slope = charge_dt_sweep(levels)
-        header, min_slope = "dt,sup_error", args.min_slope if args.min_slope else 1.9
+        sweep, header, min_slope = charge_dt_sweep, "dt,sup_error", 1.9
     elif args.what == "green-kmax":
-        levels = [int(parse_number(x, float, "levels")) for x in args.levels.split(",")] \
-            if args.levels else (1000, 10000, 100000)
-        rows, slope = green_kmax_sweep(levels)
-        header, min_slope = "k_max,abs_error", args.min_slope if args.min_slope else 0.9
+        sweep, header, min_slope = green_kmax_sweep, "k_max,abs_error", 0.9
     else:
         raise InputError(f"unknown sweep {args.what!r} (charge-dt | green-kmax)")
+    if args.levels:
+        rows, slope = sweep([parse_number(x, float, "levels") for x in args.levels.split(",")])
+    else:
+        rows, slope = sweep()
+    min_slope = args.min_slope if args.min_slope else min_slope
     path = os.path.join(outdir, f"sweep_{args.what}.csv")
     lines = [f"# slope={slope!r}", header]
     lines += [f"{level!r},{err!r}" for level, err in rows]

@@ -30,8 +30,9 @@ import numpy as np
 
 from .charge import ChargeTrajectory, CouplingProfile, _march, apply_U, solve_charge
 from .errors import InputError, UnsupportedHorizonError
-from .kernels import MODE_BLOCK, fit_loglog_slope, history_at_end, odd_eigenvalues, phi1
-from .propagator import assemble_F
+from .kernels import (MODE_BLOCK, close_history, fit_loglog_slope, history_at_end,
+                      odd_eigenvalues, phi1)
+from .propagator import assemble_F, end_state, initial_coefficients
 from .spectral import (
     DEFAULT_K_MAX,
     INV_SQRT_PI,
@@ -89,10 +90,9 @@ def _horizon_periods(t_end: float) -> int:
 
 def gamma(alpha: CouplingProfile, psi0, grid: TimeGrid,
           k_max: int = DEFAULT_K_MAX) -> SpectralCoefficients:
-    """End-time state e^{iT*Lap} psi0 + F(q_alpha, T) of the nonlinear evolution."""
-    full = psi0 if isinstance(psi0, SpectralCoefficients) else psi0.full_coefficients()
-    charge = solve_charge(alpha, psi0, grid, k_max)
-    return free_evolve(full, grid.t_end).add(assemble_F(charge))
+    """End-time state e^{iT*Lap} psi0 + F(q_alpha, T) of the nonlinear evolution
+    (propagator.end_state of the charge solve; evolve's final state)."""
+    return end_state(initial_coefficients(psi0), solve_charge(alpha, psi0, grid, k_max))
 
 
 def apply_linearized(alpha: CouplingProfile, u, psi0: SpectralCoefficients,
@@ -174,44 +174,34 @@ def solve_moment(target: ControlTarget, grid: TimeGrid | None = None) -> Synthes
     return SynthesizedControl(grid, rho, defect)
 
 
-def _pl_fourier_coefficients(samples: np.ndarray, grid: TimeGrid, lam: np.ndarray) -> np.ndarray:
-    """Exact integrals int_0^T rho_PL(s) e^{i*lam*s} ds of the piecewise-linear
-    interpolant, one value per requested frequency.
-
-    Uses integration by parts: C = (rho_T e^{i lam T} - rho_0 - B)/(i lam) with
-    B = sum_m (rho_m - rho_{m-1}) e^{i lam t_{m-1}} phi1(i lam dt).  When every
-    lam*dt is a rational multiple of 2*pi/n (uniform grid), the segment sums
-    are Fourier bins of the increment sequence, evaluated with one FFT;
-    otherwise C = e^{i lam T} h(T) with h from the modal-history kernel.
+def _pl_end_history(samples: np.ndarray, grid: TimeGrid, lam: np.ndarray) -> np.ndarray:
+    """End history h(T) = int_0^T rho_PL(s) e^{-i*lam*(T-s)} ds per frequency: history_at_end,
+    or, when every lam*T is a multiple of 2*pi, slope-moment sums B taken as
+    Fourier bins of the increments with one FFT and closed by close_history.
     """
-    dt = grid.dt
-    t_end = grid.t_end
-    bins = lam * t_end / (2.0 * np.pi)
+    bins = lam * grid.t_end / (2.0 * np.pi)
     bins_round = np.round(bins)
     if not np.all(np.abs(bins - bins_round) < 1e-9):
-        return np.exp(1j * lam * t_end) * history_at_end(samples, dt, lam)
-    # every frequency is an exact DFT bin of the increment sequence
+        return history_at_end(samples, grid.dt, lam)
     inc = np.diff(samples)
     # bin j: sum_m inc_m e^{+2*pi*i*j*m/n}; in place as in solve_moment (inc is complex)
     spectrum = np.fft.ifft(inc, norm="forward", out=inc)
-    b = spectrum[bins_round.astype(int) % grid.n_steps] * phi1(1j * lam * dt)
-    return (samples[-1] * np.exp(1j * lam * t_end) - samples[0] - b) / (1j * lam)
+    b = spectrum[bins_round.astype(int) % grid.n_steps] * phi1(1j * lam * grid.dt)
+    return close_history(samples[-1], samples[0] + b, lam, grid.n_steps * grid.dt)
 
 
 def moment_residual(rho: SynthesizedControl, target: ControlTarget) -> float:
     """max_k |c_k - (i/sqrt(pi)) int_0^T rho(s) e^{-i*lam_k*(T-s)} ds| over odd k.
 
-    The integral treats the sampled control as piecewise linear and integrates
-    each segment exactly, independently of how rho was constructed.
+    The moments are the odd part of assemble_F of rho: each segment of the piecewise-linear
+    control is integrated exactly, independently of how rho was constructed.
     """
     lam = odd_eigenvalues(target.k_max)
-    grid = rho.grid
-    c_int = _pl_fourier_coefficients(np.asarray(rho.u, dtype=complex), grid, lam)
-    moments = 1j * INV_SQRT_PI * np.exp(-1j * lam * grid.t_end) * c_int
-    return float(np.max(np.abs(target.c.a[0::2] - moments)))
+    h = _pl_end_history(np.asarray(rho.u, dtype=complex), rho.grid, lam)
+    return float(np.max(np.abs(target.c.a[0::2] - 1j * INV_SQRT_PI * h)))
 
 
-def synthesize_control(delta_target: ControlTarget, k_bar: int, t_end: float | None = None,
+def synthesize_control(delta_target: ControlTarget, k_bar: int,
                        grid: TimeGrid | None = None) -> SynthesizedControl:
     """First-order control for steering psi_kbar by delta_target at alpha = 0.
 
@@ -220,8 +210,6 @@ def synthesize_control(delta_target: ControlTarget, k_bar: int, t_end: float | N
     """
     if k_bar % 2 == 0:
         raise InputError("the anchor eigenstate must be an even-sector mode (odd k)")
-    if t_end is not None and abs(t_end - delta_target.t_end) > 1e-9:
-        raise InputError("horizon mismatch between target and request")
     rho = solve_moment(delta_target, grid)
     lam_bar = eigenvalue(k_bar)
     u = -np.sqrt(np.pi) * rho.u * np.exp(1j * lam_bar * rho.grid.times)

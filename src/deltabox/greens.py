@@ -27,6 +27,7 @@ from .spectral import (
     INV_SQRT_PI,
     SpectralCoefficients,
     eigenvalues,
+    mode_table,
 )
 
 POLE_MARGIN = 1e-9
@@ -108,11 +109,7 @@ def green_series(x: float, x_prime: float, z: complex, k_max: int = DEFAULT_K_MA
     z = complex(z)
     if _pole_index(z, odd_only=False):
         raise SingularityError(f"z={z} is at (or within {POLE_MARGIN} of) a resolvent pole")
-    half = 0.5 * np.arange(1, k_max + 1)
-    px, pxp = np.empty(k_max), np.empty(k_max)
-    for out, coord in ((px, x), (pxp, x_prime)):
-        out[0::2] = np.cos(half[0::2] * coord)  # odd k: cosine modes
-        out[1::2] = np.sin(half[1::2] * coord)  # even k: sine modes
+    px, pxp = mode_table(range(1, k_max + 1), x), mode_table(range(1, k_max + 1), x_prime)
     return complex(np.sum(px * pxp / (eigenvalues(k_max) + z)) / np.pi)
 
 
@@ -161,8 +158,7 @@ def _even_sector_poles(lo: float, hi: float) -> np.ndarray:
     return poles[(poles > lo) & (poles < hi)]
 
 
-def static_eigenvalues(alpha: float, window: tuple[float, float],
-                       k_max: int = DEFAULT_K_MAX) -> list[tuple[float, str]]:
+def static_eigenvalues(alpha: float, window: tuple[float, float]) -> list[tuple[float, str]]:
     """Eigenvalues of H_alpha inside the window, as sorted (E, sector) pairs.
 
     The odd sector (sine modes, zero at the origin) is untouched by the point

@@ -18,10 +18,11 @@ model of the data itself.
 States and U are built from one object, the causal mode integral of the charge
 h_k(t) = int_0^t q(s) e^{-i*lam_k*(t-s)} ds = (q(t) - e^{-i*lam_k*t}(q(0) + B_k(t)))/(i*lam_k),
 B_k the summed slope moments.  Only `mode_history` (every node), `history_at_end`
-(the last node) and the charge march compute it, all in blocks of TIME_BLOCK
-nodes with every mode at once.  They share one set of phases on the uniform
-grid, `block_phases`: e^{-i*lam*(b*B + r)*dt} is an exact anchor per block b
-times a table of block-relative phases, so no node-by-mode exp is evaluated.
+and the charge march (the last node, closed by `close_history`) compute it, in
+blocks of TIME_BLOCK nodes with every mode at once.  They share one set of
+phases on the uniform grid, `block_phases`: e^{-i*lam*(b*B + r)*dt} is an exact
+anchor per block b times a table of block-relative phases, so no node-by-mode
+exp is evaluated.
 """
 
 from __future__ import annotations
@@ -72,15 +73,9 @@ def phi2(u: np.ndarray | complex) -> np.ndarray:
     return np.where(small, acc, direct)
 
 
-def odd_modes(k_max: int) -> np.ndarray:
-    """Odd mode indices 1, 3, 5, ... <= k_max."""
-    return np.arange(1, k_max + 1, 2)
-
-
 def odd_eigenvalues(k_max: int) -> np.ndarray:
-    """Eigenvalues k^2/4 on the odd (cosine) modes up to k_max."""
-    k = odd_modes(k_max)
-    return 0.25 * k.astype(float) ** 2
+    """Eigenvalues k^2/4 on the odd (cosine) modes k = 1, 3, 5, ... <= k_max."""
+    return 0.25 * np.arange(1, k_max + 1, 2).astype(float) ** 2
 
 
 def tail_deficit(k_max: int) -> float:
@@ -182,8 +177,12 @@ def history_at_end(q: np.ndarray, dt: float, lam: np.ndarray) -> np.ndarray:
     dq[:n_steps] = np.diff(q)
     moments = dq.reshape(n_blocks, block) @ np.conj(table[:block])
     b_end = phi1(1j * lam * dt) * np.sum(np.conj(anchors[:n_blocks]) * moments, axis=0)
-    end_phase = np.exp(-1j * lam * (n_steps * dt))
-    return (q[-1] - end_phase * (q[0] + b_end)) / (1j * lam)
+    return close_history(q[-1], q[0] + b_end, lam, n_steps * dt)
+
+
+def close_history(q_end, start_sum: np.ndarray, lam: np.ndarray, t_end: float) -> np.ndarray:
+    """h_k(T) = (q(T) - e^{-i*lam_k*T}*start_sum_k)/(i*lam_k), start_sum = q(0) + B(T)."""
+    return (q_end - np.exp(-1j * lam * t_end) * start_sum) / (1j * lam)
 
 
 def discrete_h1_norm(values: np.ndarray, dt: float) -> float:

@@ -83,8 +83,7 @@ def fd_spectrum(alpha: float, n_points: int = 4096, n_eigen: int = 6) -> np.ndar
     return np.asarray(vals)
 
 
-def galerkin_evolution(a0: np.ndarray, alpha_value, t_end: float, k_max: int,
-                       rtol: float = 1e-11, atol: float = 1e-12) -> np.ndarray:
+def galerkin_evolution(a0: np.ndarray, alpha_value, t_end: float, k_max: int) -> np.ndarray:
     """Final coefficients by direct ODE integration of the truncated mode system.
 
     The charge formulation with the tail-corrected U is equivalent (in exact
@@ -113,7 +112,7 @@ def galerkin_evolution(a0: np.ndarray, alpha_value, t_end: float, k_max: int,
         return np.concatenate((da.real, da.imag))
 
     y0 = np.concatenate((np.asarray(a0).real, np.asarray(a0).imag))
-    sol = solve_ivp(rhs, (0.0, t_end), y0, rtol=rtol, atol=atol, method="DOP853",
+    sol = solve_ivp(rhs, (0.0, t_end), y0, rtol=1e-11, atol=1e-12, method="DOP853",
                     dense_output=False)
     if not sol.success:
         raise SolverError(f"reference ODE integration failed: {sol.message}")

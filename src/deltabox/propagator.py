@@ -8,9 +8,9 @@ The evolved state is the mild solution
 with the per-mode integrals h_k(t) taken from the single modal-history kernel
 (kernels.mode_history), the same exact piecewise-linear product integration
 the charge march uses, walked in blocks of TIME_BLOCK nodes with the march's
-phase table.  The final state is the end-time map a0*e^{-i*lam*T} +
-(i/sqrt(pi))*h(T), from exact phases at T and the march's end history, as in
-control.gamma.  States are stored as full spectral
+phase table.  The final state is the end-time map Gamma of `end_state`,
+a0*e^{-i*lam*T} + (i/sqrt(pi))*h(T) from exact phases at T and the march's
+end history, which control.gamma returns too.  States are stored as full spectral
 coefficient vectors; the decomposition into regular part + charge * Green
 state is computed on demand for a chosen shift (the split depends on the
 shift, the operator does not).
@@ -31,7 +31,8 @@ from .charge import ChargeTrajectory, CouplingProfile, solve_charge
 from .errors import InputError
 from .greens import SpectralShift, green_coefficients
 from .kernels import mode_history, odd_eigenvalues, tail_deficit
-from .spectral import DEFAULT_K_MAX, INV_SQRT_PI, SpectralCoefficients, TimeGrid, eigenvalues
+from .spectral import (DEFAULT_K_MAX, INV_SQRT_PI, SpectralCoefficients, TimeGrid, eigenvalues,
+                       free_evolve)
 
 
 @dataclass(frozen=True)
@@ -84,6 +85,16 @@ def assemble_F(traj: ChargeTrajectory) -> SpectralCoefficients:
     return SpectralCoefficients(traj.k_max, a)
 
 
+def initial_coefficients(psi0) -> SpectralCoefficients:
+    """psi0 as one coefficient vector: a DomainState adds its charge times the Green state."""
+    return psi0 if isinstance(psi0, SpectralCoefficients) else psi0.full_coefficients()
+
+
+def end_state(full: SpectralCoefficients, traj: ChargeTrajectory) -> SpectralCoefficients:
+    """End-time map Gamma = e^{i*t_N*Lap} psi0 + F(q, t_N) at the last node t_N = n*dt."""
+    return free_evolve(full, traj.grid.n_steps * traj.grid.dt).add(assemble_F(traj))
+
+
 @dataclass(frozen=True)
 class EvolutionResult:
     """Trajectory record: decimated state snapshots plus per-node diagnostics.
@@ -102,7 +113,6 @@ class EvolutionResult:
     energy: np.ndarray = field(repr=False)
     boundary_residual: np.ndarray = field(repr=False)
     origin_values: np.ndarray = field(repr=False)
-    alpha_values: np.ndarray = field(repr=False)
 
     @property
     def snapshots(self) -> list[SpectralCoefficients]:
@@ -133,9 +143,8 @@ def evolve(psi0, alpha: CouplingProfile, grid: TimeGrid, k_max: int = DEFAULT_K_
     series and the snapshots is O(TIME_BLOCK*k_max).
     """
     traj = solve_charge(alpha, psi0, grid, k_max)
-    a0 = (psi0 if isinstance(psi0, SpectralCoefficients) else psi0.full_coefficients()).a
-    if a0.size != k_max:
-        raise InputError("state truncation must match k_max")
+    full = initial_coefficients(psi0)
+    a0 = full.a
 
     times = grid.times
     n_nodes = times.size
@@ -176,10 +185,9 @@ def evolve(psi0, alpha: CouplingProfile, grid: TimeGrid, k_max: int = DEFAULT_K_
     norm2 += np.sum(mag2)
     h1_form += np.sum(lam_even * mag2)
     snap_matrix[1::2] = a0[1::2, None] * np.exp(-1j * np.outer(lam_even, times[snap_idx]))
-    # the final state is the end-time map: exact phases at t_N and the march's
-    # end history, as in gamma, not the anchor x table phase of the last block
-    snap_matrix[0::2, -1] = (a0[0::2] * np.exp(-1j * lam_odd * times[-1])
-                             + 1j * INV_SQRT_PI * traj.end_history)
+    # the final state is the end-time map, not the anchor x table phase of the last block
+    final_state = end_state(full, traj)
+    snap_matrix[:, -1] = final_state.a
 
     # energy uses the tail-dressed origin at every node and the analytic mode
     # tail of the quadratic form: for k > k_max the coefficients behave like
@@ -197,10 +205,9 @@ def evolve(psi0, alpha: CouplingProfile, grid: TimeGrid, k_max: int = DEFAULT_K_
 
     return EvolutionResult(
         grid=grid, k_max=k_max, charge=traj,
-        final_state=SpectralCoefficients(k_max, snap_matrix[:, -1]),
+        final_state=final_state,
         snapshot_indices=snap_idx, snapshot_matrix=snap_matrix, norm=norm, energy=energy,
-        boundary_residual=boundary_residual, origin_values=origin_values,
-        alpha_values=alpha_nodes)
+        boundary_residual=boundary_residual, origin_values=origin_values)
 
 @dataclass(frozen=True)
 class DiagnosticsReport:

@@ -46,15 +46,26 @@ def _check_in_box(x: np.ndarray) -> np.ndarray:
     return x
 
 
+def mode_table(modes: range, x) -> np.ndarray:
+    """sqrt(pi)*psi_k(x) for the consecutive k in modes: rows k, columns x.
+
+    Odd rows take cos(k*x/2) and even rows sin(k*x/2), each function evaluated
+    on its own rows only.  Callers apply 1/sqrt(pi) where their sums need it.
+    """
+    half_x = 0.5 * np.asarray(x, dtype=float)
+    ks = np.arange(modes.start, modes.stop)
+    table = np.empty((ks.size,) + half_x.shape)
+    odd = 1 - modes.start % 2  # row of the first odd k
+    table[odd::2] = np.cos(np.multiply.outer(ks[odd::2], half_x))
+    table[1 - odd::2] = np.sin(np.multiply.outer(ks[1 - odd::2], half_x))
+    return table
+
+
 def eigenmode_value(k: int, x) -> np.ndarray | float:
     """Value of psi_k at x (scalar or array), |x| <= pi."""
     if k < 1 or int(k) != k:
         raise InputError(f"mode index must be a positive integer, got {k!r}")
-    xa = _check_in_box(x)
-    if k % 2 == 0:
-        out = INV_SQRT_PI * np.sin(0.5 * k * xa)
-    else:
-        out = INV_SQRT_PI * np.cos(0.5 * k * xa)
+    out = INV_SQRT_PI * mode_table(range(int(k), int(k) + 1), _check_in_box(x))[0]
     return out if np.ndim(x) else float(out)
 
 
@@ -78,13 +89,6 @@ class TimeGrid:
     @property
     def times(self) -> np.ndarray:
         return self.dt * np.arange(self.n_steps + 1)
-
-    def node_index(self, t: float) -> int:
-        """Index n with t_n = t; raises InputError for off-grid t."""
-        n = int(round(t / self.dt))
-        if n < 0 or n > self.n_steps or abs(n * self.dt - t) > 1e-9 * max(1.0, self.t_end):
-            raise InputError(f"t={t!r} is not a node of the grid")
-        return n
 
 
 @dataclass(frozen=True)
@@ -180,11 +184,8 @@ def evaluate_state(c: SpectralCoefficients, xs) -> np.ndarray:
     """Pointwise synthesis sum_k a_k psi_k(x) on a batch of coordinates."""
     xa = np.atleast_1d(_check_in_box(xs))
     out = np.zeros(xa.shape, dtype=complex)
-    half_x = 0.5 * xa
     for j in range(0, c.k_max, MODE_BLOCK):
-        ks = np.arange(j + 1, min(j + MODE_BLOCK, c.k_max) + 1)
-        arg = np.outer(ks, half_x)
-        modes = np.where((ks % 2 == 1)[:, None], np.cos(arg), np.sin(arg))
+        modes = mode_table(range(j + 1, min(j + MODE_BLOCK, c.k_max) + 1), xa)
         out += modes.T @ c.a[j:j + MODE_BLOCK]
     return INV_SQRT_PI * out
 
@@ -209,10 +210,7 @@ def project_function(f, k_max: int = DEFAULT_K_MAX, resolution: int = 4096) -> S
     except (TypeError, ValueError):
         fx = np.asarray([complex(f(x)) for x in xs])
     a = np.zeros(k_max, dtype=complex)
-    half_x = 0.5 * xs
     for j in range(0, k_max, MODE_BLOCK):
-        ks = np.arange(j + 1, min(j + MODE_BLOCK, k_max) + 1)
-        arg = np.outer(ks, half_x)
-        modes = np.where((ks % 2 == 1)[:, None], np.cos(arg), np.sin(arg))
+        modes = mode_table(range(j + 1, min(j + MODE_BLOCK, k_max) + 1), xs)
         a[j:j + MODE_BLOCK] = (modes * (w * fx)[None, :]).sum(axis=1) * INV_SQRT_PI
     return SpectralCoefficients(k_max, a)

@@ -163,16 +163,16 @@ def check_fd_oracle(k_max, seed):
 
 # ---------------------------------------------------------------- charge
 
-def _bump_run(k_max_run, n_steps, t_end=2.0, amplitude=0.5):
+def _bump_run(k_max_run, n_steps, t_end=2.0):
     grid = TimeGrid(t_end, n_steps)
     psi0 = SpectralCoefficients.unit(1, k_max_run)
-    alpha = chg.CouplingProfile.sine_bump(amplitude, t_end)
+    alpha = chg.CouplingProfile.sine_bump(0.5, t_end)
     return grid, psi0, alpha
 
 
 def check_dt_self_convergence(k_max, seed):
     # k_max = 25: all retained mode periods resolved on the coarsest grid
-    rows, slope = convergence.charge_dt_sweep((4e-3, 2e-3, 1e-3), k_max=25)
+    rows, slope = convergence.charge_dt_sweep((4e-3, 2e-3, 1e-3))
     return _result("charge", "dt-self-convergence", slope, 1.9, ">=",
                    detail=f"errors {[err for _, err in rows]}")
 

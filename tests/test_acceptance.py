@@ -91,7 +91,7 @@ def test_criterion_4_decoupling():
 
 
 def test_criterion_5_charge_solver_order():
-    rows, slope = charge_dt_sweep((4e-3, 2e-3, 1e-3), k_max=25)
+    rows, slope = charge_dt_sweep((4e-3, 2e-3, 1e-3))
     # Picard fixed-point oracle on a T=2 run, oracle grid 4x finer
     k_use = 25
     grid = TimeGrid(2.0, 2000)

@@ -358,6 +358,13 @@ class TestSolveCharge:
         with pytest.raises(DomainCompatibilityError):
             solve_charge(CouplingProfile.constant(0.5, 1.0), bad, grid, 101)
 
+    def test_zero_charge_domain_state_checked(self):
+        # a zero charge is no exemption: -0 = alpha(0)*psi(0) fails for psi_1 at alpha(0) = 0.5
+        grid = TimeGrid(1.0, 100)
+        zero_charge = DomainState(SpectralCoefficients.unit(1, 101), 0.0, SpectralShift())
+        with pytest.raises(DomainCompatibilityError):
+            solve_charge(CouplingProfile.constant(0.5, 1.0), zero_charge, grid, 101)
+
     def test_domain_state_accepted_when_compatible(self):
         grid = TimeGrid(1.0, 200)
         k_use = 101

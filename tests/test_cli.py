@@ -140,6 +140,12 @@ BAD_INPUTS = {
     "state-line": ["simulate", "--psi0", "file:{bad_state}", *SMALL_RUN],
     "target-line": ["control", "--target", "{bad_target}", "--k-max", "21"],
     "sweep-level": ["sweep", "--what", "green-kmax", "--levels", "nan,10,100"],
+    "sweep-zero-kmax": ["sweep", "--what", "green-kmax", "--levels", "0,10,100"],
+    "sweep-negative-level": ["sweep", "--what", "green-kmax", "--levels=-5,10,100"],
+    "sweep-zero-dt": ["sweep", "--levels", "0,1e-3,2e-3"],
+    "sweep-repeated-level": ["sweep", "--levels=1e-3,1e-3,1e-3"],
+    "domain-zero-charge": ["simulate", "--psi0", "domain:{state}:0:0", "--alpha", "const:1",
+                           *SMALL_RUN],
 }
 
 

@@ -14,8 +14,15 @@ from deltabox.control import (
     synthesize_control,
 )
 from deltabox.errors import InputError, UnsupportedHorizonError
-from deltabox.propagator import assemble_F
-from deltabox.spectral import SpectralCoefficients, TimeGrid, free_evolve, free_origin_series
+from deltabox.greens import SpectralShift, green_coefficients
+from deltabox.propagator import DomainState, assemble_F, evolve
+from deltabox.spectral import (
+    SpectralCoefficients,
+    TimeGrid,
+    free_evolve,
+    free_origin_series,
+    origin_trace,
+)
 from deltabox import verify
 
 from conftest import assert_check
@@ -98,17 +105,18 @@ class TestMomentResidual:
         assert_check(verify.check_moment_exactness)
 
     def test_fft_matches_direct_segment_sum(self, rng):
-        # the FFT bin evaluation is the same per-segment exact quadrature
-        from deltabox.control import _pl_fourier_coefficients
+        # the FFT bin evaluation is the same per-segment exact quadrature:
+        # h(T) = (rho_T - e^{-i*lam*T}(rho_0 + B))/(i*lam), B the summed slope moments
+        from deltabox.control import _pl_end_history
         from deltabox.kernels import odd_eigenvalues, slope_moments
 
         grid = TimeGrid(T8PI, 512)
         samples = rng.standard_normal(513) + 1j * rng.standard_normal(513)
         lam = odd_eigenvalues(25)
-        got = _pl_fourier_coefficients(samples, grid, lam)
+        got = _pl_end_history(samples, grid, lam)
         direct = np.array([
-            (samples[-1] * np.exp(1j * l * T8PI) - samples[0]
-             - np.sum(slope_moments(samples, grid.dt, l))) / (1j * l)
+            (samples[-1] - np.exp(-1j * l * T8PI)
+             * (samples[0] + np.sum(slope_moments(samples, grid.dt, l)))) / (1j * l)
             for l in lam])
         assert np.max(np.abs(got - direct)) < 1e-10
 
@@ -154,6 +162,22 @@ class TestGamma:
 
     def test_even_sector_closure(self):
         assert_check(verify.check_sector_closure)
+
+    @pytest.mark.parametrize("domain", [False, True])
+    def test_evolve_final_state_is_gamma(self, domain):
+        # one end-time map: T/n*n != T on this grid, and both must close at t_N
+        k_max, alpha0 = 51, 0.4
+        grid = TimeGrid(T8PI, 600)
+        alpha = CouplingProfile.sine_bump(0.5, T8PI)
+        psi0 = SpectralCoefficients.unit(1, k_max).add(SpectralCoefficients.unit(4, k_max))
+        if domain:
+            # compatible state: q = -alpha(0)*full(0) with full = psi0 + q*G
+            alpha = CouplingProfile.constant(alpha0, T8PI)
+            g0 = origin_trace(green_coefficients(SpectralShift(), k_max))
+            q = -alpha0 * origin_trace(psi0) / (1.0 + alpha0 * g0)
+            psi0 = DomainState(psi0, q, SpectralShift())
+        final = evolve(psi0, alpha, grid, k_max).final_state
+        assert np.array_equal(final.a, gamma(alpha, psi0, grid, k_max).a)
 
     def test_norm_preserved(self):
         grid = TimeGrid(1.0, 1000)

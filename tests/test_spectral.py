@@ -186,11 +186,6 @@ class TestTimeGrid:
         g = TimeGrid(2.0, 4)
         assert g.dt == 0.5
         assert np.allclose(g.times, [0, 0.5, 1.0, 1.5, 2.0])
-        assert g.node_index(1.5) == 3
-
-    def test_off_grid(self):
-        with pytest.raises(InputError):
-            TimeGrid(2.0, 4).node_index(0.3)
 
     def test_bad_steps(self):
         with pytest.raises(InputError):
