@@ -286,15 +286,15 @@ def solve_charge_general(f, phi: CouplingProfile, shift: SpectralShift, grid: Ti
     return _march(f_nodes - phi_nodes * v0 * green, phi_nodes, v0, grid, k_max)
 
 
-def solve_charge(alpha: CouplingProfile, psi0, grid: TimeGrid,
-                 k_max: int = DEFAULT_K_MAX) -> ChargeTrajectory:
+def solve_charge(alpha: CouplingProfile, psi0, grid: TimeGrid) -> ChargeTrajectory:
     """Solve q = -alpha*(e^{it*Lap}psi0(0) + (i/pi) U q) on the grid.
 
     psi0 is a SpectralCoefficients vector or a DomainState-like object with
-    .charge and .full_coefficients().  The initial charge is q(0) =
-    -alpha(0)*psi0(0), or the DomainState's own charge; the march then takes
-    f = -alpha * e^{it*Lap}psi0(0) on the full state, whose Green part needs
-    no separate source term, so the resolvent shift of the split drops out.
+    .charge and .full_coefficients(); its truncation is the solver's.  The
+    initial charge is q(0) = -alpha(0)*psi0(0), or the DomainState's own
+    charge; the march then takes f = -alpha * e^{it*Lap}psi0(0) on the full
+    state, whose Green part needs no separate source term, so the resolvent
+    shift of the split drops out.
     """
     if not alpha.is_real:
         raise InputError("the physical coupling must be real-valued")
@@ -311,19 +311,16 @@ def solve_charge(alpha: CouplingProfile, psi0, grid: TimeGrid,
         if resid > BOUNDARY_COMPAT_TOL:
             raise DomainCompatibilityError(
                 f"initial state violates -q = alpha*psi(0) by {resid:.3e}")
-    if full.k_max != k_max:
-        raise InputError(
-            f"state truncation {full.k_max} must match the solver k_max {k_max}")
 
     f_nodes = -alpha_nodes * free_origin_series(full, times)
-    return _march(f_nodes, alpha_nodes.astype(complex), q0, grid, k_max)
+    return _march(f_nodes, alpha_nodes.astype(complex), q0, grid, full.k_max)
 
 
 def lipschitz_probe(alpha: CouplingProfile, alpha_tilde: CouplingProfile, psi0,
-                    grid: TimeGrid, k_max: int = DEFAULT_K_MAX) -> tuple[float, float]:
+                    grid: TimeGrid) -> tuple[float, float]:
     """Discrete-H^1 distances (|q - q_tilde|, |alpha - alpha_tilde|) for ratio studies."""
-    qa = solve_charge(alpha, psi0, grid, k_max)
-    qb = solve_charge(alpha_tilde, psi0, grid, k_max)
+    qa = solve_charge(alpha, psi0, grid)
+    qb = solve_charge(alpha_tilde, psi0, grid)
     dq = discrete_h1_norm(qa.q - qb.q, grid.dt)
     da = discrete_h1_norm(
         np.asarray(alpha.values_on(grid), dtype=complex)

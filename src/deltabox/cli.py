@@ -51,7 +51,7 @@ from .verify import run_checks
 EXIT_OK, EXIT_CONFIG, EXIT_SOLVER, EXIT_IO = 0, 1, 2, 3
 
 _SIMULATE_KEYS = {"psi0", "alpha", "T", "n_steps", "k_max", "outdir",
-                  "store_every", "tol_norm_drift", "tol_boundary"}
+                  "tol_norm_drift", "tol_boundary"}
 
 
 def _outdir(args_outdir: str) -> str:
@@ -119,14 +119,13 @@ def cmd_simulate(args) -> int:
     cfg = {
         "psi0": args.psi0, "alpha": args.alpha, "T": repr(args.T),
         "n_steps": str(args.n_steps), "k_max": str(args.k_max),
-        "store_every": str(args.store_every),
     }
     if args.config:
         file_cfg = _load_config(args.config, _SIMULATE_KEYS)
         cfg.update(file_cfg)
-    t_end, n_steps, k_max, store_every = (
+    t_end, n_steps, k_max = (
         parse_number(cfg[key], kind, key) for key, kind in
-        (("T", float), ("n_steps", int), ("k_max", int), ("store_every", int)))
+        (("T", float), ("n_steps", int), ("k_max", int)))
     tol_norm, tol_boundary = (parse_number(str(cfg.get(key, getattr(args, key))), float, key)
                               for key in ("tol_norm_drift", "tol_boundary"))
     if not (t_end > 0 and np.isfinite(t_end)):
@@ -137,7 +136,7 @@ def cmd_simulate(args) -> int:
     outdir = _outdir(cfg.get("outdir", args.outdir))
     chash = config_hash(cfg)
 
-    result = evolve(psi0, alpha, grid, k_max, store_every=store_every)
+    result = evolve(psi0, alpha, grid)
     report = diagnostics(result, alpha)
 
     os.makedirs(outdir, exist_ok=True)
@@ -210,7 +209,7 @@ def cmd_control(args) -> int:
     target = ControlTarget(target_c, t_end)
     rho = solve_moment(target)
     residual = moment_residual(rho, target)
-    control = synthesize_control(target, args.k_bar)
+    control = synthesize_control(rho, args.k_bar)
     outdir = _outdir(args.outdir)
     os.makedirs(outdir, exist_ok=True)
     upath = os.path.join(outdir, "control.csv")
@@ -228,8 +227,7 @@ def cmd_control(args) -> int:
         if norm == 0:
             raise InputError("experiment needs a nonzero target direction")
         direction = ControlTarget(target_c.scaled(1.0 / norm), t_end)
-        rep = controllability_experiment(args.k_bar, [1e-1, 3e-2, 1e-2],
-                                         direction, grid, args.k_max)
+        rep = controllability_experiment(args.k_bar, [1e-1, 3e-2, 1e-2], direction, grid)
         report_lines.append(rep.to_text())
     report = "\n".join(report_lines) + "\n"
     rpath = os.path.join(outdir, "control_report.txt")
@@ -289,7 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-steps", type=int, default=1000, dest="n_steps")
     p.add_argument("--k-max", type=int, default=DEFAULT_K_MAX, dest="k_max")
     p.add_argument("--outdir", default="out")
-    p.add_argument("--store-every", type=int, default=10, dest="store_every")
     p.add_argument("--tol-norm-drift", type=float, default=1e-6, dest="tol_norm_drift")
     p.add_argument("--tol-boundary", type=float, default=1e-8, dest="tol_boundary")
     p.add_argument("--config", help="key=value config file (version=1)")
@@ -346,6 +343,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
+        if getattr(args, "k_max", 1) < 1:
+            raise InputError(f"--k-max must be at least 1, got {args.k_max}")
         return args.func(args)
     except InputError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -34,7 +34,6 @@ from .kernels import (MODE_BLOCK, close_history, fit_loglog_slope, history_at_en
                       odd_eigenvalues, phi1)
 from .propagator import assemble_F, end_state, initial_coefficients
 from .spectral import (
-    DEFAULT_K_MAX,
     INV_SQRT_PI,
     SpectralCoefficients,
     TimeGrid,
@@ -73,7 +72,10 @@ class SynthesizedControl:
 
     grid: TimeGrid
     u: np.ndarray = field(repr=False)
-    realness_defect: float = 0.0
+
+    @property
+    def realness_defect(self) -> float:
+        return float(np.max(np.abs(self.u.imag)))
 
     def profile(self) -> CouplingProfile:
         return CouplingProfile.piecewise_linear(self.grid, self.u)
@@ -88,24 +90,22 @@ def _horizon_periods(t_end: float) -> int:
     return n_round
 
 
-def gamma(alpha: CouplingProfile, psi0, grid: TimeGrid,
-          k_max: int = DEFAULT_K_MAX) -> SpectralCoefficients:
+def gamma(alpha: CouplingProfile, psi0, grid: TimeGrid) -> SpectralCoefficients:
     """End-time state e^{iT*Lap} psi0 + F(q_alpha, T) of the nonlinear evolution
     (propagator.end_state of the charge solve; evolve's final state)."""
-    return end_state(initial_coefficients(psi0), solve_charge(alpha, psi0, grid, k_max))
+    return end_state(initial_coefficients(psi0), solve_charge(alpha, psi0, grid))
 
 
-def apply_linearized(alpha: CouplingProfile, u, psi0: SpectralCoefficients,
-                     grid: TimeGrid, k_max: int = DEFAULT_K_MAX,
+def apply_linearized(alpha: CouplingProfile, u, psi0: SpectralCoefficients, grid: TimeGrid,
                      base_charge: ChargeTrajectory | None = None) -> SpectralCoefficients:
     """Directional derivative of Gamma at alpha in the direction u.
 
     u may be a CouplingProfile or complex node samples.  The linear charge is
     marched with the same kernels as the nonlinear solve, with source
     f = -u * (e^{it*Lap}psi0(0) + (i/pi) U q_alpha) and qdot(0) = f(0), so the
-    result is the exact derivative of the discrete map.  At alpha = 0
-    the march is the identity: the linear charge is f, and only its end
-    history (kernels.history_at_end) is computed.
+    result is the exact derivative of the discrete map, at psi0's truncation.
+    At alpha = 0 the march is the identity: the linear charge is f, and only
+    its end history (kernels.history_at_end) is computed.
     """
     times = grid.times
     if isinstance(u, CouplingProfile):
@@ -117,12 +117,12 @@ def apply_linearized(alpha: CouplingProfile, u, psi0: SpectralCoefficients,
 
     source = free_origin_series(psi0, times)
     if alpha_is_zero(alpha):
-        return assemble_F(ChargeTrajectory(grid, -u_nodes * source, k_max))
+        return assemble_F(ChargeTrajectory(grid, -u_nodes * source, psi0.k_max))
     if base_charge is None:
-        base_charge = solve_charge(alpha, psi0, grid, k_max)
+        base_charge = solve_charge(alpha, psi0, grid)
     f_nodes = -u_nodes * (source + (1j / np.pi) * apply_U(base_charge))
     alpha_nodes = np.real(np.atleast_1d(alpha.values_on(grid))).astype(complex)
-    qdot = _march(f_nodes, alpha_nodes, f_nodes[0], grid, k_max)
+    qdot = _march(f_nodes, alpha_nodes, f_nodes[0], grid, psi0.k_max)
     return assemble_F(qdot)
 
 
@@ -170,8 +170,7 @@ def solve_moment(target: ControlTarget, grid: TimeGrid | None = None) -> Synthes
             idx = modes[start:start + MODE_BLOCK]
             acc += np.sin(np.outer(t_act, lam[idx])) @ c_odd[idx]
         rho[active] = scale * acc
-    defect = float(np.max(np.abs(rho.imag)))
-    return SynthesizedControl(grid, rho, defect)
+    return SynthesizedControl(grid, rho)
 
 
 def _pl_end_history(samples: np.ndarray, grid: TimeGrid, lam: np.ndarray) -> np.ndarray:
@@ -201,20 +200,17 @@ def moment_residual(rho: SynthesizedControl, target: ControlTarget) -> float:
     return float(np.max(np.abs(target.c.a[0::2] - 1j * INV_SQRT_PI * h)))
 
 
-def synthesize_control(delta_target: ControlTarget, k_bar: int,
-                       grid: TimeGrid | None = None) -> SynthesizedControl:
-    """First-order control for steering psi_kbar by delta_target at alpha = 0.
+def synthesize_control(rho: SynthesizedControl, k_bar: int) -> SynthesizedControl:
+    """First-order control for steering psi_kbar by a target at alpha = 0.
 
     Inverts the linearized charge relation -qdot = u(t) e^{-i*lam_kbar*t}/sqrt(pi):
-    u(t) = -sqrt(pi) * rho(t) * e^{i*lam_kbar*t} with rho from the moment solver.
+    u(t) = -sqrt(pi) * rho(t) * e^{i*lam_kbar*t} with rho the target's solve_moment.
     """
     if k_bar % 2 == 0:
         raise InputError("the anchor eigenstate must be an even-sector mode (odd k)")
-    rho = solve_moment(delta_target, grid)
     lam_bar = eigenvalue(k_bar)
     u = -np.sqrt(np.pi) * rho.u * np.exp(1j * lam_bar * rho.grid.times)
-    defect = float(np.max(np.abs(u.imag)))
-    return SynthesizedControl(rho.grid, u, defect)
+    return SynthesizedControl(rho.grid, u)
 
 
 @dataclass(frozen=True)
@@ -259,9 +255,9 @@ def _frequency_collisions(k_bar: int, k_max: int) -> list[tuple[int, int]]:
 
 
 def controllability_experiment(k_bar: int, epsilons, delta_direction: ControlTarget,
-                               grid: TimeGrid, k_max: int = DEFAULT_K_MAX) -> SteeringReport:
+                               grid: TimeGrid) -> SteeringReport:
     """Nonlinear steering test around psi_kbar with the real part of the
-    synthesized control.
+    synthesized control, at the truncation of delta_direction.
 
     For each eps the control for eps*delta_direction is synthesized, its real
     part drives the full evolution, and the remainder against the first-order
@@ -273,21 +269,21 @@ def controllability_experiment(k_bar: int, epsilons, delta_direction: ControlTar
     norm = delta_direction.c.norm()
     if abs(norm - 1.0) > 1e-9:
         raise InputError("delta_direction must be normalized")
-    psi0 = SpectralCoefficients.unit(k_bar, k_max)
+    psi0 = SpectralCoefficients.unit(k_bar, delta_direction.k_max)
     free_final = free_evolve(psi0, grid.t_end)
-    control_unit = synthesize_control(delta_direction, k_bar, grid=grid)
+    control_unit = synthesize_control(solve_moment(delta_direction, grid), k_bar)
 
     # at alpha = 0 the linearization is linear in u: one solve serves every eps
     linear_unit = apply_linearized(CouplingProfile.zero(grid.t_end),
                                    CouplingProfile.piecewise_linear(grid, control_unit.u.real),
-                                   psi0, grid, k_max)
+                                   psi0, grid)
     remainders = []
     disp_errors = []
     defects = []
     for eps in epsilons:
         u_scaled = control_unit.u * eps
         alpha_re = CouplingProfile.piecewise_linear(grid, u_scaled.real)
-        final = gamma(alpha_re, psi0, grid, k_max)
+        final = gamma(alpha_re, psi0, grid)
         linear = linear_unit.scaled(eps)
         predicted = free_final.add(linear)
         remainders.append(final.sub(predicted).norm())

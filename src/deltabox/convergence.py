@@ -32,7 +32,7 @@ def charge_dt_sweep(dts=CHARGE_DT_LEVELS) -> tuple[list[tuple[float, float]], fl
     """Self-convergence of the charge solver: sup error against a refine-times
     finer reference run, per time step size."""
     dts = _check_levels([float(d) for d in dts])[::-1]
-    t_end, k_max = DT_STUDY_T_END, DT_STUDY_K_MAX
+    t_end = DT_STUDY_T_END
     steps = [int(round(t_end / d)) for d in dts]
     for d, n in zip(dts, steps):
         if abs(n * d - t_end) > 1e-12 * max(1.0, t_end):
@@ -40,12 +40,12 @@ def charge_dt_sweep(dts=CHARGE_DT_LEVELS) -> tuple[list[tuple[float, float]], fl
     n_ref = steps[-1] * DT_STUDY_REFINE
     if any(n_ref % n for n in steps):
         raise InputError("refinement levels must nest into the reference grid")
-    psi0 = SpectralCoefficients.unit(1, k_max)
+    psi0 = SpectralCoefficients.unit(1, DT_STUDY_K_MAX)
     alpha = CouplingProfile.sine_bump(DT_STUDY_AMPLITUDE, t_end)
-    ref = solve_charge(alpha, psi0, TimeGrid(t_end, n_ref), k_max)
+    ref = solve_charge(alpha, psi0, TimeGrid(t_end, n_ref))
     rows = []
     for d, n in zip(dts, steps):
-        traj = solve_charge(alpha, psi0, TimeGrid(t_end, n), k_max)
+        traj = solve_charge(alpha, psi0, TimeGrid(t_end, n))
         err = float(np.max(np.abs(traj.q - ref.q[:: n_ref // n])))
         rows.append((d, err))
     slope = fit_loglog_slope([r[0] for r in rows], [r[1] for r in rows])

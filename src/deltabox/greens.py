@@ -19,13 +19,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InputError, SingularityError
+from .errors import InputError, SingularityError
 from .kernels import odd_eigenvalues
 from .spectral import (
     BOX_HALF_WIDTH,
     DEFAULT_K_MAX,
     INV_SQRT_PI,
     SpectralCoefficients,
+    _check_in_box,
     eigenvalues,
     mode_table,
 )
@@ -75,14 +76,18 @@ def _cexpm1(u: np.ndarray | complex) -> np.ndarray:
     return np.expm1(x) * np.cos(y) - 2.0 * np.sin(0.5 * y) ** 2 + 1j * np.exp(x) * np.sin(y)
 
 
-def green_closed(x: float, x_prime: float, z: complex) -> complex:
-    """Closed-form Dirichlet Green's function G^z(x, x')."""
-    for coord in (x, x_prime):
-        if abs(coord) > BOX_HALF_WIDTH + 1e-12:
-            raise DomainError("coordinate outside the box [-pi, pi]")
+def _off_pole(z: complex) -> complex:
+    """z as a complex, or SingularityError within POLE_MARGIN of a resolvent pole."""
     z = complex(z)
     if _pole_index(z, odd_only=False):
         raise SingularityError(f"z={z} is at (or within {POLE_MARGIN} of) a resolvent pole")
+    return z
+
+
+def green_closed(x: float, x_prime: float, z: complex) -> complex:
+    """Closed-form Dirichlet Green's function G^z(x, x')."""
+    _check_in_box((x, x_prime))
+    z = _off_pole(z)
     lo, hi = min(x, x_prime), max(x, x_prime)
     w = np.sqrt(z)
     if w == 0:
@@ -103,12 +108,8 @@ def green_closed(x: float, x_prime: float, z: complex) -> complex:
 
 def green_series(x: float, x_prime: float, z: complex, k_max: int = DEFAULT_K_MAX) -> complex:
     """Eigenfunction expansion of G^z(x, x') truncated at k_max; O(1/k_max) error."""
-    for coord in (x, x_prime):
-        if abs(coord) > BOX_HALF_WIDTH + 1e-12:
-            raise DomainError("coordinate outside the box [-pi, pi]")
-    z = complex(z)
-    if _pole_index(z, odd_only=False):
-        raise SingularityError(f"z={z} is at (or within {POLE_MARGIN} of) a resolvent pole")
+    _check_in_box((x, x_prime))
+    z = _off_pole(z)
     px, pxp = mode_table(range(1, k_max + 1), x), mode_table(range(1, k_max + 1), x_prime)
     return complex(np.sum(px * pxp / (eigenvalues(k_max) + z)) / np.pi)
 

@@ -31,8 +31,7 @@ from .charge import ChargeTrajectory, CouplingProfile, solve_charge
 from .errors import InputError
 from .greens import SpectralShift, green_coefficients
 from .kernels import mode_history, odd_eigenvalues, tail_deficit
-from .spectral import (DEFAULT_K_MAX, INV_SQRT_PI, SpectralCoefficients, TimeGrid, eigenvalues,
-                       free_evolve)
+from .spectral import INV_SQRT_PI, SpectralCoefficients, TimeGrid, eigenvalues, free_evolve
 
 
 @dataclass(frozen=True)
@@ -100,11 +99,10 @@ class EvolutionResult:
     """Trajectory record: decimated state snapshots plus per-node diagnostics.
 
     snapshot_matrix[:, j] holds the coefficients at node snapshot_indices[j];
-    `snapshots` and `state_at` wrap its columns on demand.
+    `snapshots` and `state_at` wrap its columns on demand.  The grid and the
+    truncation are the charge's.
     """
 
-    grid: TimeGrid
-    k_max: int
     charge: ChargeTrajectory
     final_state: SpectralCoefficients
     snapshot_indices: np.ndarray = field(repr=False)
@@ -116,7 +114,7 @@ class EvolutionResult:
 
     @property
     def snapshots(self) -> list[SpectralCoefficients]:
-        return [SpectralCoefficients(self.k_max, col) for col in self.snapshot_matrix.T]
+        return [SpectralCoefficients(self.charge.k_max, col) for col in self.snapshot_matrix.T]
 
     def norm_drift(self) -> float:
         return float(np.max(np.abs(self.norm - self.norm[0])))
@@ -128,21 +126,23 @@ class EvolutionResult:
         pos = np.where(self.snapshot_indices == n)[0]
         if pos.size == 0:
             raise InputError(f"node {n} was not stored (stored: every snapshot stride)")
-        return SpectralCoefficients(self.k_max, self.snapshot_matrix[:, int(pos[0])])
+        return SpectralCoefficients(self.charge.k_max, self.snapshot_matrix[:, int(pos[0])])
 
 
-def evolve(psi0, alpha: CouplingProfile, grid: TimeGrid, k_max: int = DEFAULT_K_MAX,
-           store_every: int = 10) -> EvolutionResult:
+def evolve(psi0, alpha: CouplingProfile, grid: TimeGrid,
+           store_every: int | None = None) -> EvolutionResult:
     """Propagate psi0 under the time-dependent point interaction alpha(t).
 
-    psi(t_n) = e^{i t_n Lap} psi0 + F(q, t_n) with q from the charge equation.
-    store_every thins the stored snapshots (node 0 and the final node are
-    always kept); diagnostics (norm, energy, boundary residual) cover every
-    node regardless.  One pass over the node blocks of kernels.mode_history
-    fills the diagnostics and the snapshots, so memory beyond the per-node
-    series and the snapshots is O(TIME_BLOCK*k_max).
+    psi(t_n) = e^{i t_n Lap} psi0 + F(q, t_n) with q from the charge equation,
+    at psi0's own truncation.  Snapshots are stored at node 0, the final node
+    and, if store_every is given, every store_every-th node; diagnostics
+    (norm, energy, boundary residual) cover every node regardless.  One pass
+    over the node blocks of kernels.mode_history fills the diagnostics and the
+    snapshots, so memory beyond the per-node series and the snapshots is
+    O(TIME_BLOCK*k_max).
     """
-    traj = solve_charge(alpha, psi0, grid, k_max)
+    traj = solve_charge(alpha, psi0, grid)
+    k_max = traj.k_max
     full = initial_coefficients(psi0)
     a0 = full.a
 
@@ -204,8 +204,7 @@ def evolve(psi0, alpha: CouplingProfile, grid: TimeGrid, k_max: int = DEFAULT_K_
     norm = np.sqrt(norm2)
 
     return EvolutionResult(
-        grid=grid, k_max=k_max, charge=traj,
-        final_state=final_state,
+        charge=traj, final_state=final_state,
         snapshot_indices=snap_idx, snapshot_matrix=snap_matrix, norm=norm, energy=energy,
         boundary_residual=boundary_residual, origin_values=origin_values)
 
@@ -242,8 +241,8 @@ def diagnostics(result: EvolutionResult, alpha: CouplingProfile) -> DiagnosticsR
     dE/dt = alpha'(t) |psi(0,t)|^2; the discrete balance compares centered
     differences of E against that source on interior nodes.
     """
-    times = result.grid.times
-    dt = result.grid.dt
+    times = result.charge.grid.times
+    dt = result.charge.grid.dt
     energy = result.energy
     drive = np.real(np.atleast_1d(alpha.derivative(times))) * np.abs(result.origin_values) ** 2
     if times.size >= 3:

@@ -183,7 +183,7 @@ def check_kmax_truncation(k_max, seed):
     qs = {}
     ks = [51, 101, 201, 401]
     for kk in ks:
-        qs[kk] = chg.solve_charge(alpha, SpectralCoefficients.unit(1, kk), grid, kk).q
+        qs[kk] = chg.solve_charge(alpha, SpectralCoefficients.unit(1, kk), grid).q
     diffs = [float(np.max(np.abs(qs[a] - qs[b]))) for a, b in zip(ks[:-1], ks[1:])]
     slope = fit_loglog_slope(ks[:-1], diffs)
     ok_monotone = all(d2 < d1 for d1, d2 in zip(diffs[:-1], diffs[1:]))
@@ -255,7 +255,7 @@ def check_conjugation_reversal(k_max, seed):
         a = np.zeros(k_use, dtype=complex)
         a[0::2] = rng.standard_normal((k_use + 1) // 2) / np.arange(1, k_use + 1, 2) ** 2
         psi0 = SpectralCoefficients(k_use, a)
-        traj = chg.solve_charge(alpha, psi0, grid, k_use)
+        traj = chg.solve_charge(alpha, psi0, grid)
         src = spectral.free_origin_series(psi0, fgrid.times)
         av = np.real(alpha.values_on(fgrid))
         q_rev = oracles.picard_charge(np.conj(-av * src), av.astype(complex),
@@ -271,7 +271,7 @@ def check_large_amplitude(k_max, seed):
     psi0 = SpectralCoefficients.unit(1, 101)
     for profile in (chg.CouplingProfile.constant(10.0, 1.0),
                     chg.CouplingProfile.sine_bump(10.0, 1.0)):
-        traj = chg.solve_charge(profile, psi0, grid, 101)
+        traj = chg.solve_charge(profile, psi0, grid)
         if not np.all(np.isfinite(traj.q.real)):
             return _result("charge", "large-amplitude-wellposed", 1.0, 0.0)
     return _result("charge", "large-amplitude-wellposed", 0.0, 0.0,
@@ -281,7 +281,7 @@ def check_large_amplitude(k_max, seed):
 def check_picard_oracle(k_max, seed):
     k_use = 25
     grid, psi0, alpha = _bump_run(k_use, 2000)
-    traj = chg.solve_charge(alpha, psi0, grid, k_use)
+    traj = chg.solve_charge(alpha, psi0, grid)
     fgrid = TimeGrid(2.0, 8000)
     src = spectral.free_origin_series(psi0, fgrid.times)
     av = np.real(alpha.values_on(fgrid))
@@ -316,18 +316,17 @@ def check_galerkin_ode_oracle(k_max, seed):
     # integration of the equivalent truncated mode system
     k_use = 25
     grid, psi0, alpha = _bump_run(k_use, 2000)
-    res = propagator.evolve(psi0, alpha, grid, k_use, store_every=None)
+    res = propagator.evolve(psi0, alpha, grid)
     ref = oracles.galerkin_evolution(psi0.a, lambda t: alpha.value(t), grid.t_end, k_use)
     dev = float(np.max(np.abs(res.final_state.a - ref)))
     return _result("propagator", "galerkin-ode-oracle", dev, 1e-6)
 
 
 def check_unitarity_dt_order(k_max, seed):
-    k_use = 25
     dts, drifts = [4e-3, 2e-3, 1e-3], []
     for dt in dts:
-        grid, psi0, alpha = _bump_run(k_use, int(round(2.0 / dt)))
-        res = propagator.evolve(psi0, alpha, grid, k_use, store_every=None)
+        grid, psi0, alpha = _bump_run(25, int(round(2.0 / dt)))
+        res = propagator.evolve(psi0, alpha, grid)
         drifts.append(res.norm_drift())
     slope = fit_loglog_slope(dts, drifts)
     return _result("propagator", "unitarity-dt-order", slope, 1.9, ">=",
@@ -342,7 +341,7 @@ def check_unitarity_kmax_bound(k_max, seed):
     ks, drifts = [5, 25, 101, 401], []
     for kk in ks:
         grid, psi0, alpha = _bump_run(kk, 4000, t_end=1.0)
-        res = propagator.evolve(psi0, alpha, grid, kk, store_every=None)
+        res = propagator.evolve(psi0, alpha, grid)
         drifts.append(res.norm_drift())
     return _result("propagator", "unitarity-kmax-bound", max(drifts), 1e-8,
                    detail=f"drifts over k_max {ks}: {drifts}")
@@ -350,7 +349,7 @@ def check_unitarity_kmax_bound(k_max, seed):
 
 def check_mild_odd_support(k_max, seed):
     grid, psi0, alpha = _bump_run(101, 500, t_end=1.0)
-    res = propagator.evolve(psi0, alpha, grid, 101, store_every=50)
+    res = propagator.evolve(psi0, alpha, grid, store_every=50)
     worst = 0.0
     for idx, state in zip(res.snapshot_indices, res.snapshots):
         free = spectral.free_evolve(psi0, grid.times[idx])
@@ -363,7 +362,7 @@ def check_boundary_equivalence(k_max, seed):
     grid = TimeGrid(1.0, 1000)
     psi0 = SpectralCoefficients.unit(1, k_max)
     alpha = chg.CouplingProfile.sine_bump(1.0, 1.0)
-    res = propagator.evolve(psi0, alpha, grid, k_max, store_every=None)
+    res = propagator.evolve(psi0, alpha, grid)
     return _result("propagator", "boundary-equivalence", res.max_boundary_residual(), 1e-8)
 
 
@@ -415,18 +414,23 @@ def check_green_difference_sign(k_max, seed):
                    detail=f"(lam+lam0) matches; (lam-lam0) deviates by {dev_minus:.2e}")
 
 
+def _coupled_eigenstate(alpha_c, k_max):
+    """(E, state, scale): the first even-sector eigenvalue E of H_alpha in (0.26, 2.25)
+    and its eigenstate a_k = scale/(sqrt(pi)*(lam_k - E)) on odd k, scaled to unit norm."""
+    energy = [e for e, s in greens.static_eigenvalues(alpha_c, (0.26, 2.25)) if s == "even"][0]
+    a = np.zeros(k_max, dtype=complex)
+    a[0::2] = 1.0 / (np.sqrt(np.pi) * (odd_eigenvalues(k_max) - energy))
+    state = SpectralCoefficients(k_max, a)
+    scale = 1.0 / state.norm()
+    return energy, state.scaled(scale), scale
+
+
 def check_eigenstate_rotation(k_max, seed):
     alpha_c = 0.5
-    energy = [e for e, s in greens.static_eigenvalues(alpha_c, (0.26, 2.25)) if s == "even"][0]
-    lam_odd = odd_eigenvalues(k_max)
-    a = np.zeros(k_max, dtype=complex)
-    a[0::2] = 1.0 / (np.sqrt(np.pi) * (lam_odd - energy))
-    state = SpectralCoefficients(k_max, a)
-    state = state.scaled(1.0 / state.norm())
+    energy, state, _ = _coupled_eigenstate(alpha_c, k_max)
     ds = propagator.decompose(state, -alpha_c * spectral.origin_trace(state))
     grid = TimeGrid(1.0, 1000)
-    res = propagator.evolve(ds, chg.CouplingProfile.constant(alpha_c, 1.0), grid, k_max,
-                            store_every=None)
+    res = propagator.evolve(ds, chg.CouplingProfile.constant(alpha_c, 1.0), grid)
     final = res.final_state
     overlap = np.vdot(state.a, final.a)
     fidelity_defect = abs(1.0 - abs(overlap) / (state.norm() * final.norm()))
@@ -436,14 +440,7 @@ def check_eigenstate_rotation(k_max, seed):
 
 
 def check_hamiltonian_eigenstate(k_max, seed):
-    alpha_c = -1.5
-    energy = [e for e, s in greens.static_eigenvalues(alpha_c, (0.26, 2.25)) if s == "even"][0]
-    lam_odd = odd_eigenvalues(k_max)
-    a = np.zeros(k_max, dtype=complex)
-    a[0::2] = 1.0 / (np.sqrt(np.pi) * (lam_odd - energy))
-    state = SpectralCoefficients(k_max, a)
-    scale = 1.0 / state.norm()
-    state = state.scaled(scale)
+    energy, state, scale = _coupled_eigenstate(-1.5, k_max)
     ds = propagator.decompose(state, scale)  # q = 1 before normalization
     out = propagator.apply_hamiltonian(ds)
     dev = float(np.max(np.abs(out.a - energy * state.a)))
@@ -452,7 +449,7 @@ def check_hamiltonian_eigenstate(k_max, seed):
 
 def check_regular_tail(k_max, seed):
     grid, psi0, alpha = _bump_run(k_max, 2000)
-    res = propagator.evolve(psi0, alpha, grid, k_max, store_every=None)
+    res = propagator.evolve(psi0, alpha, grid)
     q_end = res.charge.q[-1]
     ds = propagator.decompose(res.final_state, q_end)
     cuts = sorted({max(2, k_max // 8), max(3, k_max // 4), max(4, k_max // 2)})
@@ -465,22 +462,17 @@ def check_regular_tail(k_max, seed):
 
 def check_energy_constant(k_max, seed):
     alpha_c = 0.5
-    energy = [e for e, s in greens.static_eigenvalues(alpha_c, (0.26, 2.25)) if s == "even"][0]
-    lam_odd = odd_eigenvalues(k_max)
-    a = np.zeros(k_max, dtype=complex)
-    a[0::2] = 1.0 / (np.sqrt(np.pi) * (lam_odd - energy))
-    state = SpectralCoefficients(k_max, a)
-    state = state.scaled(1.0 / state.norm())
+    _, state, _ = _coupled_eigenstate(alpha_c, k_max)
     ds = propagator.decompose(state, -alpha_c * spectral.origin_trace(state))
     alpha = chg.CouplingProfile.constant(alpha_c, 1.0)
-    res = propagator.evolve(ds, alpha, TimeGrid(1.0, 1000), k_max, store_every=None)
+    res = propagator.evolve(ds, alpha, TimeGrid(1.0, 1000))
     rep = propagator.diagnostics(res, alpha)
     return _result("propagator", "energy-constant-static", rep.energy_drift, 1e-5)
 
 
 def check_energy_balance(k_max, seed):
     grid, psi0, alpha = _bump_run(k_max, 2000)
-    res = propagator.evolve(psi0, alpha, grid, k_max, store_every=None)
+    res = propagator.evolve(psi0, alpha, grid)
     rep = propagator.diagnostics(res, alpha)
     return _result("propagator", "energy-balance", rep.energy_balance_relative, 1e-3)
 
@@ -490,16 +482,15 @@ def check_energy_balance(k_max, seed):
 def check_linearized_linearity(k_max, seed):
     rng = np.random.default_rng(seed + 9)
     grid = TimeGrid(1.0, 500)
-    k_use = 101
-    psi0 = SpectralCoefficients.unit(1, k_use)
+    psi0 = SpectralCoefficients.unit(1, 101)
     alpha = chg.CouplingProfile.sine_bump(0.3, 1.0)
-    base = chg.solve_charge(alpha, psi0, grid, k_use)
+    base = chg.solve_charge(alpha, psi0, grid)
     t = grid.times
     u1 = np.sin(np.pi * t) * (1 + 0.5j)
     u2 = np.sin(2 * np.pi * t) * (0.3 - 0.2j) + np.sin(np.pi * t)
-    d1 = ctl.apply_linearized(alpha, u1, psi0, grid, k_use, base_charge=base)
-    d2 = ctl.apply_linearized(alpha, u2, psi0, grid, k_use, base_charge=base)
-    d12 = ctl.apply_linearized(alpha, u1 + u2, psi0, grid, k_use, base_charge=base)
+    d1 = ctl.apply_linearized(alpha, u1, psi0, grid, base_charge=base)
+    d2 = ctl.apply_linearized(alpha, u2, psi0, grid, base_charge=base)
+    d12 = ctl.apply_linearized(alpha, u1 + u2, psi0, grid, base_charge=base)
     dev = d12.sub(d1.add(d2)).norm()
     return _result("control", "linearized-linearity", dev, 1e-10)
 
@@ -512,8 +503,8 @@ def check_sector_closure(k_max, seed):
     a[2] = 0.6
     psi0 = SpectralCoefficients(k_use, a)
     alpha = chg.CouplingProfile.sine_bump(0.4, 1.0)
-    final = ctl.gamma(alpha, psi0, grid, k_use)
-    lin = ctl.apply_linearized(alpha, np.sin(np.pi * grid.times) + 0j, psi0, grid, k_use)
+    final = ctl.gamma(alpha, psi0, grid)
+    lin = ctl.apply_linearized(alpha, np.sin(np.pi * grid.times) + 0j, psi0, grid)
     dev = max(final.even_sector_defect(), lin.even_sector_defect())
     return _result("control", "even-sector-closure", dev, 0.0)
 
@@ -536,8 +527,7 @@ def check_moment_exactness(k_max, seed):
 def check_gateaux_continuity(k_max, seed):
     rng = np.random.default_rng(seed + 11)
     grid = TimeGrid(1.0, 500)
-    k_use = 101
-    psi0 = SpectralCoefficients.unit(1, k_use)
+    psi0 = SpectralCoefficients.unit(1, 101)
     t = grid.times
     us = []
     for _ in range(10):
@@ -550,12 +540,12 @@ def check_gateaux_continuity(k_max, seed):
     for gap in gaps:
         a1 = chg.CouplingProfile.sine_bump(base_amp, 1.0)
         a2 = chg.CouplingProfile.sine_bump(base_amp + gap, 1.0)
-        b1 = chg.solve_charge(a1, psi0, grid, k_use)
-        b2 = chg.solve_charge(a2, psi0, grid, k_use)
+        b1 = chg.solve_charge(a1, psi0, grid)
+        b2 = chg.solve_charge(a2, psi0, grid)
         worst = 0.0
         for u in us:
-            d1 = ctl.apply_linearized(a1, u + 0j, psi0, grid, k_use, base_charge=b1)
-            d2 = ctl.apply_linearized(a2, u + 0j, psi0, grid, k_use, base_charge=b2)
+            d1 = ctl.apply_linearized(a1, u + 0j, psi0, grid, base_charge=b1)
+            d2 = ctl.apply_linearized(a2, u + 0j, psi0, grid, base_charge=b2)
             worst = max(worst, d1.sub(d2).norm())
         sups.append(worst)
     monotone = all(s2 < s1 for s1, s2 in zip(sups[:-1], sups[1:]))
@@ -566,34 +556,32 @@ def check_gateaux_continuity(k_max, seed):
 def check_frechet_order(k_max, seed):
     rng = np.random.default_rng(seed + 12)
     grid = TimeGrid(2.0, 1000)
-    k_use = 101
-    psi0 = SpectralCoefficients.unit(1, k_use)
+    psi0 = SpectralCoefficients.unit(1, 101)
     t = grid.times
     u = np.sin(np.pi * t / 2.0) + 0.4 * np.sin(np.pi * t)
     u = u / discrete_h1_norm(u, grid.dt)
     worst_slope = np.inf
     for base in (chg.CouplingProfile.zero(2.0), chg.CouplingProfile.sine_bump(0.3, 2.0)):
-        g0 = ctl.gamma(base, psi0, grid, k_use)
-        d = ctl.apply_linearized(base, u + 0j, psi0, grid, k_use)
+        g0 = ctl.gamma(base, psi0, grid)
+        d = ctl.apply_linearized(base, u + 0j, psi0, grid)
         eps_list, rems = [1e-1, 1e-2, 1e-3], []
         for eps in eps_list:
             vals = np.real(np.atleast_1d(base.values_on(grid))) + eps * u
             pert = chg.CouplingProfile.piecewise_linear(grid, vals + 0j)
-            rems.append(ctl.gamma(pert, psi0, grid, k_use).sub(g0).sub(d.scaled(eps)).norm())
+            rems.append(ctl.gamma(pert, psi0, grid).sub(g0).sub(d.scaled(eps)).norm())
         worst_slope = min(worst_slope, fit_loglog_slope(eps_list, rems))
     return _result("control", "frechet-order", worst_slope, 1.9, ">=")
 
 
 def check_lipschitz_ratio(k_max, seed):
     grid = TimeGrid(2.0, 1000)
-    k_use = 101
-    psi0 = SpectralCoefficients.unit(1, k_use)
+    psi0 = SpectralCoefficients.unit(1, 101)
     amps = [0.08, 0.10, 0.12, 0.14, 0.16]
     ratios = []
     for amp in amps:
         a = chg.CouplingProfile.sine_bump(amp, 2.0)
         b = chg.CouplingProfile.sine_bump(amp * 1.001, 2.0)
-        dq, da = chg.lipschitz_probe(a, b, psi0, grid, k_use)
+        dq, da = chg.lipschitz_probe(a, b, psi0, grid)
         ratios.append(dq / da)
     return _result("control", "lipschitz-ratio", max(ratios), 10.0,
                    detail=f"ratios {ratios}")

@@ -65,7 +65,7 @@ def test_criterion_3_unitarity():
     grid = TimeGrid(2.0, 2000)  # dt = 1e-3
     psi0 = SpectralCoefficients.unit(1, 401)
     alpha = CouplingProfile.sine_bump(0.5, 2.0)
-    res = evolve(psi0, alpha, grid, 401, store_every=None)
+    res = evolve(psi0, alpha, grid)
     elapsed = time.perf_counter() - t0
     drift = res.norm_drift()
     resid = res.max_boundary_residual()
@@ -80,8 +80,7 @@ def test_criterion_4_decoupling():
     psi0 = SpectralCoefficients.unit(2, 401)
     worst_q, worst_state = 0.0, 0.0
     for amp in (0.2, 0.5, 1.0):
-        res = evolve(psi0, CouplingProfile.sine_bump(amp, 2.0), grid, 401,
-                     store_every=None)
+        res = evolve(psi0, CouplingProfile.sine_bump(amp, 2.0), grid)
         worst_q = max(worst_q, float(np.max(np.abs(res.charge.q))))
         free = free_evolve(psi0, 2.0)
         worst_state = max(worst_state, float(np.max(np.abs(res.final_state.a - free.a))))
@@ -97,7 +96,7 @@ def test_criterion_5_charge_solver_order():
     grid = TimeGrid(2.0, 2000)
     psi0 = SpectralCoefficients.unit(1, k_use)
     alpha = CouplingProfile.sine_bump(0.5, 2.0)
-    traj = solve_charge(alpha, psi0, grid, k_use)
+    traj = solve_charge(alpha, psi0, grid)
     fgrid = TimeGrid(2.0, 8000)
     src = free_origin_series(psi0, fgrid.times)
     av = np.real(alpha.values_on(fgrid))
@@ -170,15 +169,15 @@ def test_criterion_8_frechet_derivative():
 
     worst_slope = np.inf
     for base in (CouplingProfile.zero(2.0), CouplingProfile.sine_bump(0.3, 2.0)):
-        g0 = gamma(base, psi0, grid, k_max)
+        g0 = gamma(base, psi0, grid)
         base_vals = np.real(np.atleast_1d(base.values_on(grid)))
         for _ in range(3):
             u = random_unit_bump()
-            d = apply_linearized(base, u + 0j, psi0, grid, k_max)
+            d = apply_linearized(base, u + 0j, psi0, grid)
             eps_list, rems = [1e-1, 1e-2, 1e-3], []
             for eps in eps_list:
                 pert = CouplingProfile.piecewise_linear(grid, base_vals + eps * u + 0j)
-                rems.append(gamma(pert, psi0, grid, k_max).sub(g0).sub(d.scaled(eps)).norm())
+                rems.append(gamma(pert, psi0, grid).sub(g0).sub(d.scaled(eps)).norm())
             worst_slope = min(worst_slope, fit_loglog_slope(eps_list, rems))
     record(8, "Frechet remainder order of the end-time map",
            worst_slope >= 1.9, f"worst log-log slope={worst_slope:.3f}>=1.9 "
@@ -194,7 +193,7 @@ def test_criterion_9_local_steering():
     a[2] = 1.0
     direction = ControlTarget(SpectralCoefficients(k_max, a), t_end)
     eps = (1e-1, 3e-2, 1e-2)
-    rep = controllability_experiment(1, eps, direction, grid, k_max)
+    rep = controllability_experiment(1, eps, direction, grid)
     elapsed = time.perf_counter() - t0
     disp_ok = all(d <= 10 * e for d, e in zip(rep.displacement_errors, eps))
     ok = rep.remainder_slope >= 1.9 and disp_ok and elapsed < 600.0
@@ -213,7 +212,7 @@ def test_criterion_10_lipschitz_probe():
     for amp in (0.08, 0.10, 0.12, 0.14, 0.16):
         a = CouplingProfile.sine_bump(amp, 2.0)
         b = CouplingProfile.sine_bump(amp * 1.001, 2.0)
-        dq, da = lipschitz_probe(a, b, psi0, grid, 101)
+        dq, da = lipschitz_probe(a, b, psi0, grid)
         ratios.append(dq / da)
     bounded = max(ratios) <= 10.0
     stable = max(ratios) / min(ratios) <= 1.5

@@ -148,7 +148,7 @@ class TestModeHistory:
         k_max = 101
         grid = TimeGrid(2.0, 2000)
         traj = solve_charge(CouplingProfile.sine_bump(0.5, 2.0),
-                            SpectralCoefficients.unit(1, k_max), grid, k_max)
+                            SpectralCoefficients.unit(1, k_max), grid)
         *_, (_, _, h) = mode_history(traj.q, grid.dt, odd_eigenvalues(k_max))
         assert np.max(np.abs(traj.end_history - h[:, -1])) < 1e-13
 
@@ -271,15 +271,14 @@ class TestSolveChargeGeneral:
 class TestSolveCharge:
     def test_zero_coupling(self):
         grid = TimeGrid(2.0, 200)
-        traj = solve_charge(CouplingProfile.zero(2.0), SpectralCoefficients.unit(1, 101),
-                            grid, 101)
+        traj = solve_charge(CouplingProfile.zero(2.0), SpectralCoefficients.unit(1, 101), grid)
         assert np.all(traj.q == 0)
 
     def test_odd_state_does_not_feel_the_interaction(self):
         grid = TimeGrid(2.0, 500)
         for amp in (0.2, 0.5, 1.0):
             traj = solve_charge(CouplingProfile.sine_bump(amp, 2.0),
-                                SpectralCoefficients.unit(2, 101), grid, 101)
+                                SpectralCoefficients.unit(2, 101), grid)
             assert np.all(traj.q == 0)
 
     def test_initial_value_and_picard_trajectory(self):
@@ -289,7 +288,7 @@ class TestSolveCharge:
         grid = TimeGrid(2.0, 2000)
         psi0 = SpectralCoefficients.unit(1, k_use)
         alpha = CouplingProfile.constant(0.1, 2.0)
-        traj = solve_charge(alpha, psi0, grid, k_use)
+        traj = solve_charge(alpha, psi0, grid)
         assert traj.q[0] == pytest.approx(-0.1 / np.sqrt(np.pi), abs=1e-15)
 
         fgrid = TimeGrid(2.0, 8000)
@@ -356,14 +355,14 @@ class TestSolveCharge:
         regular = SpectralCoefficients.unit(1, 101)
         bad = DomainState(regular, 0.3 + 0.1j, SpectralShift())
         with pytest.raises(DomainCompatibilityError):
-            solve_charge(CouplingProfile.constant(0.5, 1.0), bad, grid, 101)
+            solve_charge(CouplingProfile.constant(0.5, 1.0), bad, grid)
 
     def test_zero_charge_domain_state_checked(self):
         # a zero charge is no exemption: -0 = alpha(0)*psi(0) fails for psi_1 at alpha(0) = 0.5
         grid = TimeGrid(1.0, 100)
         zero_charge = DomainState(SpectralCoefficients.unit(1, 101), 0.0, SpectralShift())
         with pytest.raises(DomainCompatibilityError):
-            solve_charge(CouplingProfile.constant(0.5, 1.0), zero_charge, grid, 101)
+            solve_charge(CouplingProfile.constant(0.5, 1.0), zero_charge, grid)
 
     def test_domain_state_accepted_when_compatible(self):
         grid = TimeGrid(1.0, 200)
@@ -375,20 +374,14 @@ class TestSolveCharge:
         g0 = origin_trace(green)
         q = -alpha0 * origin_trace(base) / (1.0 + alpha0 * g0)
         state = DomainState(base, q, SpectralShift())
-        traj = solve_charge(CouplingProfile.constant(alpha0, 1.0), state, grid, k_use)
+        traj = solve_charge(CouplingProfile.constant(alpha0, 1.0), state, grid)
         assert traj.q[0] == pytest.approx(q)
-
-    def test_truncation_mismatch_rejected(self):
-        grid = TimeGrid(1.0, 10)
-        with pytest.raises(InputError):
-            solve_charge(CouplingProfile.zero(1.0), SpectralCoefficients.unit(1, 51),
-                         grid, 101)
 
     def test_complex_coupling_rejected(self):
         grid = TimeGrid(1.0, 10)
         prof = CouplingProfile.piecewise_linear(grid, np.linspace(0, 1, 11) * (1 + 1j))
         with pytest.raises(InputError):
-            solve_charge(prof, SpectralCoefficients.unit(1, 51), grid, 51)
+            solve_charge(prof, SpectralCoefficients.unit(1, 51), grid)
 
 
 class TestLipschitzProbe:
@@ -396,7 +389,7 @@ class TestLipschitzProbe:
         grid = TimeGrid(1.0, 200)
         psi0 = SpectralCoefficients.unit(1, 51)
         a = CouplingProfile.sine_bump(0.3, 1.0)
-        dq, da = lipschitz_probe(a, a, psi0, grid, 51)
+        dq, da = lipschitz_probe(a, a, psi0, grid)
         assert dq == 0.0 and da == 0.0
 
     def test_odd_sector_charge_free(self):
@@ -404,7 +397,7 @@ class TestLipschitzProbe:
         psi0 = SpectralCoefficients.unit(2, 51)
         a = CouplingProfile.sine_bump(0.3, 1.0)
         z = CouplingProfile.zero(1.0)
-        dq, da = lipschitz_probe(a, z, psi0, grid, 51)
+        dq, da = lipschitz_probe(a, z, psi0, grid)
         assert dq == 0.0
         assert da == pytest.approx(
             discrete_h1_norm(np.asarray(a.values_on(grid), complex), grid.dt))

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -77,6 +78,21 @@ class TestSimulate:
         for name in ("trajectory.csv", "final_state.txt"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    def test_memory_is_blocked_in_time(self, tmp_path):
+        # simulate keeps no snapshots it does not write: at k_max = 401, n = 25133
+        # the peak stays below the bound of propagator's test of the same name
+        n_steps = 25133
+        tracemalloc.start()
+        try:
+            code = run_cli(["simulate", "--psi0", "eig:1", "--alpha", "bump:0.5",
+                            "--T", repr(8.0 * np.pi), "--n-steps", str(n_steps),
+                            "--k-max", "401", "--outdir", str(tmp_path / "run")])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 64 * (n_steps + 1) * 16
+
     def test_env_outdir_override(self, tmp_path, monkeypatch):
         envdir = tmp_path / "envout"
         monkeypatch.setenv("DELTABOX_OUTDIR", str(envdir))
@@ -146,6 +162,8 @@ BAD_INPUTS = {
     "sweep-repeated-level": ["sweep", "--levels=1e-3,1e-3,1e-3"],
     "domain-zero-charge": ["simulate", "--psi0", "domain:{state}:0:0", "--alpha", "const:1",
                            *SMALL_RUN],
+    "control-zero-kmax": ["control", "--target", "{empty_target}", "--k-max", "0"],
+    "green-negative-kmax": ["green", "--k-max", "-3"],
 }
 
 
@@ -158,9 +176,13 @@ class TestInputContracts:
         bad_state.write_text("# k_max=21\n1,abc,0\n")
         bad_target = tmp_path / "bad_target.csv"
         bad_target.write_text("k,re_c,im_c\n3,x,0\n")
-        args = [a.format(state=state, bad_state=bad_state, bad_target=bad_target)
-                for a in BAD_INPUTS[case]]
-        code = run_cli(args + ["--outdir", str(tmp_path / "out")])
+        empty_target = tmp_path / "empty_target.csv"
+        empty_target.write_text("k,re_c,im_c\n")
+        args = [a.format(state=state, bad_state=bad_state, bad_target=bad_target,
+                         empty_target=empty_target) for a in BAD_INPUTS[case]]
+        if args[0] != "green":  # green writes no files and has no --outdir
+            args += ["--outdir", str(tmp_path / "out")]
+        code = run_cli(args)
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("configuration error:")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from deltabox.charge import CouplingProfile, _march
+from deltabox.charge import CouplingProfile, _march, lipschitz_probe, solve_charge
 from deltabox.control import (
     ControlTarget,
     SynthesizedControl,
@@ -98,7 +98,7 @@ class TestMomentResidual:
         t = target_on(1)
         rho = solve_moment(t)
         t2 = target_on(1, value=2.0)
-        rho2 = SynthesizedControl(rho.grid, rho.u * 2.0, rho.realness_defect)
+        rho2 = SynthesizedControl(rho.grid, rho.u * 2.0)
         assert moment_residual(rho2, t2) == pytest.approx(2 * moment_residual(rho, t), abs=1e-12)
 
     def test_random_targets_battery(self):
@@ -123,11 +123,11 @@ class TestMomentResidual:
 
 class TestSynthesizeControl:
     def test_zero_target(self):
-        u = synthesize_control(target_on(1, value=0.0), 1)
+        u = synthesize_control(solve_moment(target_on(1, value=0.0)), 1)
         assert np.all(u.u == 0)
 
     def test_mode_one_closed_form(self):
-        u = synthesize_control(target_on(1), 1)
+        u = synthesize_control(solve_moment(target_on(1)), 1)
         ts = u.grid.times
         expected = 0.25 * np.sin(ts / 4.0) * np.exp(1j * ts / 4.0)
         assert np.max(np.abs(u.u - expected)) < 1e-10
@@ -135,21 +135,21 @@ class TestSynthesizeControl:
     def test_modulus_matches_rho(self):
         t = target_on(3)
         rho = solve_moment(t)
-        u = synthesize_control(t, 1)
+        u = synthesize_control(rho, 1)
         assert np.max(np.abs(np.abs(u.u) - np.sqrt(np.pi) * np.abs(rho.u))) < 1e-12
 
     def test_even_anchor_rejected(self):
         with pytest.raises(InputError):
-            synthesize_control(target_on(1), 2)
+            synthesize_control(solve_moment(target_on(1)), 2)
 
     def test_linearized_round_trip(self):
         # the synthesized control reaches its target through the linearized map
         k_max = 101
         grid = TimeGrid(T8PI, 20000)
         t = target_on(3, k_max=k_max, value=0.5)
-        u = synthesize_control(t, 1, grid=grid)
+        u = synthesize_control(solve_moment(t, grid), 1)
         psi0 = SpectralCoefficients.unit(1, k_max)
-        out = apply_linearized(CouplingProfile.zero(T8PI), u.profile(), psi0, grid, k_max)
+        out = apply_linearized(CouplingProfile.zero(T8PI), u.profile(), psi0, grid)
         assert out.sub(t.c).norm() < 1e-6
 
 
@@ -157,7 +157,7 @@ class TestGamma:
     def test_free_map(self):
         grid = TimeGrid(1.0, 200)
         psi0 = SpectralCoefficients.unit(1, 51)
-        out = gamma(CouplingProfile.zero(1.0), psi0, grid, 51)
+        out = gamma(CouplingProfile.zero(1.0), psi0, grid)
         assert np.max(np.abs(out.a - free_evolve(psi0, 1.0).a)) == 0.0
 
     def test_even_sector_closure(self):
@@ -176,14 +176,36 @@ class TestGamma:
             g0 = origin_trace(green_coefficients(SpectralShift(), k_max))
             q = -alpha0 * origin_trace(psi0) / (1.0 + alpha0 * g0)
             psi0 = DomainState(psi0, q, SpectralShift())
-        final = evolve(psi0, alpha, grid, k_max).final_state
-        assert np.array_equal(final.a, gamma(alpha, psi0, grid, k_max).a)
+        final = evolve(psi0, alpha, grid).final_state
+        assert np.array_equal(final.a, gamma(alpha, psi0, grid).a)
 
     def test_norm_preserved(self):
         grid = TimeGrid(1.0, 1000)
         psi0 = SpectralCoefficients.unit(1, 101)
-        out = gamma(CouplingProfile.sine_bump(0.5, 1.0), psi0, grid, 101)
+        out = gamma(CouplingProfile.sine_bump(0.5, 1.0), psi0, grid)
         assert abs(out.norm() - 1.0) < 1e-6
+
+
+class TestTruncationFromState:
+    # every solver entry point runs at the truncation of the state it is given
+    def test_solvers_accept_a_51_mode_state(self):
+        grid = TimeGrid(1.0, 200)
+        psi0 = SpectralCoefficients.unit(1, 51)
+        alpha = CouplingProfile.sine_bump(0.3, 1.0)
+        assert solve_charge(alpha, psi0, grid).k_max == 51
+        assert evolve(psi0, alpha, grid).final_state.k_max == 51
+        assert gamma(alpha, psi0, grid).k_max == 51
+        u = np.sin(np.pi * grid.times) + 0j
+        assert apply_linearized(alpha, u, psi0, grid).k_max == 51
+        dq, da = lipschitz_probe(alpha, CouplingProfile.sine_bump(0.31, 1.0), psi0, grid)
+        assert dq > 0 and da > 0
+
+    def test_zero_coupling_linearization_keeps_the_truncation(self):
+        grid = TimeGrid(1.0, 200)
+        u = np.sin(np.pi * grid.times) + 0j
+        out = apply_linearized(CouplingProfile.zero(1.0), u, SpectralCoefficients.unit(1, 51),
+                               grid)
+        assert out.k_max == 51
 
 
 class TestApplyLinearized:
@@ -191,7 +213,7 @@ class TestApplyLinearized:
         grid = TimeGrid(1.0, 100)
         psi0 = SpectralCoefficients.unit(1, 51)
         out = apply_linearized(CouplingProfile.sine_bump(0.3, 1.0),
-                               np.zeros(101, dtype=complex), psi0, grid, 51)
+                               np.zeros(101, dtype=complex), psi0, grid)
         assert np.all(out.a == 0)
 
     def test_eigenstate_reduction_at_zero_coupling(self):
@@ -202,7 +224,7 @@ class TestApplyLinearized:
         psi0 = SpectralCoefficients.unit(1, k_max)
         ts = grid.times
         u = np.sin(ts / 4.0) * np.exp(1j * ts / 4.0)
-        out = apply_linearized(CouplingProfile.zero(T8PI), u, psi0, grid, k_max)
+        out = apply_linearized(CouplingProfile.zero(T8PI), u, psi0, grid)
         # q = -(1/sqrt(pi)) sin(t/4): its transform to mode 1 is known in
         # closed form: (i/sqrt(pi)) e^{-i lam T} int q e^{i lam s} ds with
         # int_0^{8pi} -sin(s/4)e^{is/4} ds/sqrt(pi) = -4*pi*i/sqrt(pi)
@@ -219,7 +241,7 @@ class TestApplyLinearized:
         f = -u * free_origin_series(psi0, grid.times)
         marched = _march(f, np.zeros(f.size, dtype=complex), f[0], grid, k_max)
         assert np.array_equal(marched.q, f)
-        out = apply_linearized(CouplingProfile.zero(2.0), u, psi0, grid, k_max)
+        out = apply_linearized(CouplingProfile.zero(2.0), u, psi0, grid)
         assert np.max(np.abs(out.a - assemble_F(marched).a)) < 1e-13
 
     def test_linearity(self):
@@ -240,12 +262,11 @@ class TestControllabilityExperiment:
     def test_zero_direction_rejected(self):
         grid = TimeGrid(T8PI, 4096)
         with pytest.raises(InputError):
-            controllability_experiment(1, [1e-2], target_on(3, value=0.5), grid, 51)
+            controllability_experiment(1, [1e-2], target_on(3, value=0.5), grid)
 
     def test_small_experiment(self):
         grid = TimeGrid(T8PI, 6283)
-        rep = controllability_experiment(1, [3e-2, 1e-2], target_on(3, k_max=51),
-                                         grid, 51)
+        rep = controllability_experiment(1, [3e-2, 1e-2], target_on(3, k_max=51), grid)
         assert rep.remainder_slope > 1.8
         assert all(np.isfinite(rep.remainders))
         assert "none" in rep.collision_note
@@ -254,5 +275,5 @@ class TestControllabilityExperiment:
         # with no control the final state is exactly the free phase rotation
         grid = TimeGrid(T8PI, 2000)
         psi0 = SpectralCoefficients.unit(1, 51)
-        out = gamma(CouplingProfile.zero(T8PI), psi0, grid, 51)
+        out = gamma(CouplingProfile.zero(T8PI), psi0, grid)
         assert np.max(np.abs(out.a - free_evolve(psi0, T8PI).a)) == 0.0

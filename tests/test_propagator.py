@@ -60,7 +60,7 @@ class TestEvolve:
     def test_free_eigenstate_phase(self):
         grid = TimeGrid(1.0, 100)
         psi0 = SpectralCoefficients.unit(1, 51)
-        res = evolve(psi0, CouplingProfile.zero(1.0), grid, 51)
+        res = evolve(psi0, CouplingProfile.zero(1.0), grid)
         assert res.final_state.a[0] == pytest.approx(np.exp(-0.25j), abs=1e-15)
         assert res.norm_drift() < 1e-15
         assert res.max_boundary_residual() == 0.0
@@ -68,7 +68,7 @@ class TestEvolve:
     def test_odd_state_free_evolution_exact(self):
         grid = TimeGrid(2.0, 500)
         psi0 = SpectralCoefficients.unit(2, 101)
-        res = evolve(psi0, CouplingProfile.sine_bump(0.7, 2.0), grid, 101)
+        res = evolve(psi0, CouplingProfile.sine_bump(0.7, 2.0), grid)
         free = free_evolve(psi0, 2.0)
         assert np.max(np.abs(res.final_state.a - free.a)) == 0.0
         assert np.all(res.charge.q == 0)
@@ -88,7 +88,7 @@ class TestEvolve:
     def test_snapshots(self):
         grid = TimeGrid(1.0, 100)
         psi0 = SpectralCoefficients.unit(1, 21)
-        res = evolve(psi0, CouplingProfile.sine_bump(0.2, 1.0), grid, 21, store_every=25)
+        res = evolve(psi0, CouplingProfile.sine_bump(0.2, 1.0), grid, store_every=25)
         assert list(res.snapshot_indices) == [0, 25, 50, 75, 100]
         assert np.max(np.abs(res.state_at(0).a - psi0.a)) == 0.0
         with pytest.raises(InputError):
@@ -105,8 +105,8 @@ class TestEvolve:
         k = np.arange(1, k_max + 1)
         psi0 = SpectralCoefficients(k_max, k**-2.0 * np.exp(1j * k))
         alpha = CouplingProfile.sine_bump(0.4, 1.0)
-        dense = evolve(psi0, alpha, grid, k_max, store_every=1)
-        thin = evolve(psi0, alpha, grid, k_max, store_every=store_every)
+        dense = evolve(psi0, alpha, grid, store_every=1)
+        thin = evolve(psi0, alpha, grid, store_every=store_every)
         assert thin.snapshot_indices[-1] == grid.n_steps
         assert np.array_equal(thin.snapshot_matrix,
                               dense.snapshot_matrix[:, thin.snapshot_indices])
@@ -122,7 +122,7 @@ class TestEvolve:
         alpha = CouplingProfile.sine_bump(0.5, grid.t_end)
         tracemalloc.start()
         try:
-            evolve(psi0, alpha, grid, 401, store_every=None)
+            evolve(psi0, alpha, grid)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -168,7 +168,7 @@ class TestDiagnostics:
         grid = TimeGrid(1.0, 200)
         psi0 = SpectralCoefficients.unit(1, 51)
         alpha = CouplingProfile.zero(1.0)
-        rep = diagnostics(evolve(psi0, alpha, grid, 51), alpha)
+        rep = diagnostics(evolve(psi0, alpha, grid), alpha)
         assert rep.max_boundary_residual == 0.0
         assert rep.energy_drift < 1e-14
 
@@ -203,6 +203,6 @@ class TestIndependentDynamicOracle:
         dts, errs = [4e-3, 2e-3, 1e-3], []
         for dt in dts:
             grid = TimeGrid(2.0, int(round(2.0 / dt)))
-            res = evolve(psi0, alpha, grid, k_use, store_every=None)
+            res = evolve(psi0, alpha, grid)
             errs.append(float(np.max(np.abs(res.final_state.a - ref))))
         assert fit_loglog_slope(dts, errs) > 1.9
