@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular, toeplitz
+from scipy.linalg import solve_triangular
 
 from .errors import (
     DomainCompatibilityError,
@@ -46,6 +46,7 @@ from .kernels import (
     close_history,
     discrete_h1_norm,
     history_at_end,
+    lag_matrix,
     mode_history,
     odd_eigenvalues,
     phi1,
@@ -245,7 +246,7 @@ def _march(f_nodes: np.ndarray, phi_nodes: np.ndarray, v0: complex, grid: TimeGr
     if bad.size:
         n = int(bad[0]) + 1
         raise StepSingularityError(n, n * dt, float(abs(d[n - 1])), complex(phi_nodes[n]))
-    lower = toeplitz(np.concatenate(([0.0], np.diff(kappa))), np.zeros(block))
+    lower = lag_matrix(np.concatenate(([0.0], np.diff(kappa))))
 
     q = np.empty(n_steps + 1, dtype=complex)
     q[0] = v0

@@ -77,8 +77,11 @@ def _cexpm1(u: np.ndarray | complex) -> np.ndarray:
 
 
 def _off_pole(z: complex) -> complex:
-    """z as a complex, or SingularityError within POLE_MARGIN of a resolvent pole."""
+    """z as a complex; InputError if it is not finite, SingularityError within
+    POLE_MARGIN of a resolvent pole."""
     z = complex(z)
+    if not (np.isfinite(z.real) and np.isfinite(z.imag)):
+        raise InputError(f"z={z} must be finite")
     if _pole_index(z, odd_only=False):
         raise SingularityError(f"z={z} is at (or within {POLE_MARGIN} of) a resolvent pole")
     return z

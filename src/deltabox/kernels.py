@@ -19,10 +19,11 @@ States and U are built from one object, the causal mode integral of the charge
 h_k(t) = int_0^t q(s) e^{-i*lam_k*(t-s)} ds = (q(t) - e^{-i*lam_k*t}(q(0) + B_k(t)))/(i*lam_k),
 B_k the summed slope moments.  Only `mode_history` (every node), `history_at_end`
 and the charge march (the last node, closed by `close_history`) compute it, in
-blocks of TIME_BLOCK nodes with every mode at once.  They share one set of
-phases on the uniform grid, `block_phases`: e^{-i*lam*(b*B + r)*dt} is an exact
-anchor per block b times a table of block-relative phases, so no node-by-mode
-exp is evaluated.
+blocks of TIME_BLOCK nodes with every mode at once; the propagator's per-node
+sums over modes use the same blocks through lag kernels (`lag_matrix`).  They
+share one set of phases on the uniform grid, `block_phases`:
+e^{-i*lam*(b*B + r)*dt} is an exact anchor per block b times a table of
+block-relative phases, so no node-by-mode exp is evaluated.
 """
 
 from __future__ import annotations
@@ -122,6 +123,22 @@ def block_phases(lam: np.ndarray, dt: float, n_steps: int) -> tuple[np.ndarray, 
     table = np.exp(-1j * dt * np.outer(np.arange(block + 1), lam))
     anchors = np.exp(-1j * np.outer(dt * (block * np.arange(n_steps // block + 1)), lam))
     return table, anchors
+
+
+def lag_matrix(lags: np.ndarray) -> np.ndarray:
+    """Lower-triangular Toeplitz matrices T[..., r, j] = lags[..., r - j] (r >= j), zero above.
+
+    lags[..., 0] is the diagonal.  A lag kernel on the grid is a sum over modes
+    of weights times the phase table of `block_phases`, and applying its matrix
+    to the increments of a block is the block's discrete convolution.  Each
+    matrix is copied out of a sliding window over the zero-padded lags, so no
+    other array of its size is made.
+    """
+    size = lags.shape[-1]
+    padded = np.zeros(lags.shape[:-1] + (2 * size - 1,), dtype=lags.dtype)
+    padded[..., size - 1:] = lags
+    window = np.lib.stride_tricks.sliding_window_view(padded, size, axis=-1)
+    return np.ascontiguousarray(window[..., ::-1])
 
 
 def mode_history(q: np.ndarray, dt: float, lam: np.ndarray):

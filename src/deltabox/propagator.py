@@ -5,10 +5,11 @@ The evolved state is the mild solution
     psi(t) = e^{it*Lap} psi0 + F(q, t),
     F(q, t) = (i/sqrt(pi)) sum_{k odd} ( int_0^t q(s) e^{-i*lam_k*(t-s)} ds ) psi_k,
 
-with the per-mode integrals h_k(t) taken from the single modal-history kernel
-(kernels.mode_history), the same exact piecewise-linear product integration
-the charge march uses, walked in blocks of TIME_BLOCK nodes with the march's
-phase table.  The final state is the end-time map Gamma of `end_state`,
+with the per-mode integrals h_k(t) of the same exact piecewise-linear product
+integration the charge march uses (kernels.mode_history).  evolve's per-node
+diagnostics never form h_k on every node: they are block lag-kernel sums over
+the march's phase table, TIME_BLOCK nodes to a block (_odd_sector).  The
+final state is the end-time map Gamma of `end_state`,
 a0*e^{-i*lam*T} + (i/sqrt(pi))*h(T) from exact phases at T and the march's
 end history, which control.gamma returns too.  States are stored as full spectral
 coefficient vectors; the decomposition into regular part + charge * Green
@@ -24,13 +25,14 @@ against the equation actually solved.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .charge import ChargeTrajectory, CouplingProfile, solve_charge
 from .errors import InputError
 from .greens import SpectralShift, green_coefficients
-from .kernels import mode_history, odd_eigenvalues, tail_deficit
+from .kernels import block_phases, lag_matrix, odd_eigenvalues, phi1, tail_deficit
 from .spectral import INV_SQRT_PI, SpectralCoefficients, TimeGrid, eigenvalues, free_evolve
 
 
@@ -43,6 +45,15 @@ class DomainState:
     shift: SpectralShift = SpectralShift()
 
     def full_coefficients(self) -> SpectralCoefficients:
+        """psi = regular + charge * G^lam(., 0) as one coefficient vector.
+
+        Built on first use and kept, so the charge solve and the state
+        assembly of one evolution share it.
+        """
+        return self._full
+
+    @cached_property
+    def _full(self) -> SpectralCoefficients:
         green = green_coefficients(self.shift, self.regular.k_max)
         return self.regular.add(green.scaled(self.charge))
 
@@ -129,17 +140,109 @@ class EvolutionResult:
         return SpectralCoefficients(self.charge.k_max, self.snapshot_matrix[:, int(pos[0])])
 
 
+def _odd_sector(q: np.ndarray, dt: float, lam: np.ndarray, a0: np.ndarray,
+                snap_nodes: np.ndarray):
+    """Per-node sum |a_k|^2, sum lam_k |a_k|^2 and sum a_k over the odd modes, and a_k at snap_nodes.
+
+    a_k(t_n) = a0_k e^{-i*lam_k*t_n} + (i/sqrt(pi)) h_k(t_n) is never formed on
+    every node.  With nu_k = 1/(sqrt(pi)*lam_k) and the slope-moment sum
+    q(0) + B_k of kernels.mode_history it is
+
+        a_k(t_n) = e^{-i*lam_k*t_n} c_k(t_n) + nu_k q_n,   c_k = a0_k - nu_k (q(0) + B_k(t_n)),
+
+    and inside the block of TIME_BLOCK nodes that starts at node s, with the
+    increments x_j = q_{s+j+1} - q_{s+j},
+
+        c_k(s+r) = c_k(s) - beta_k sum_{j<r} e^{i*lam_k*j*dt} x_j,   beta_k = nu_k phi1_k e^{i*lam_k*t_s}.
+
+    So with the phase table and anchors of kernels.block_phases, and lag
+    matrices (kernels.lag_matrix) of kernels v_l = sum_k v_k e^{-i*lam_k*l*dt}:
+
+        sum_k w_k e^{-i*lam_k*t} c_k = table @ (w anchor c(s)) - L[w nu phi1] x
+        sum_k w_k |c_k|^2 = sum_k w_k |c_k(s)|^2
+            - 2 sum_{j<r} Re conj(x_j) (table @ (w nu conj(phi1) anchor c(s)) - G[w nu^2 |phi1|^2] x)_j
+
+    where L has zero diagonal and G carries half its lag-0 value there.  Then
+    sum |a|^2 = sum |c|^2 + |q|^2 sum nu^2 + 2 Re(conj(q) sum nu e^{-i*lam*t} c),
+    and the lam-weighted form likewise with lam*nu = 1/sqrt(pi).  All blocks
+    are done at once: the block-start c(s) come from one product of the
+    block-reshaped increments with the conjugate table, summed over the blocks
+    (as in kernels.history_at_end).
+    """
+    n_nodes = q.size
+    table, anchors = block_phases(lam, dt, n_nodes - 1)
+    block = table.shape[0] - 1
+    n_blocks = anchors.shape[0]
+    table = table[:block]
+    nu = INV_SQRT_PI / lam
+    p1 = phi1(1j * lam * dt)
+    x = np.zeros((n_blocks, block), dtype=complex)
+    x.flat[:n_nodes - 1] = np.diff(q)
+
+    # c at every block start, anchored: anchor_b * c(s_b)
+    c = np.empty((n_blocks, lam.size), dtype=complex)
+    c[0] = a0 - nu * q[0]
+    np.matmul(x[:-1], np.conj(table), out=c[1:])
+    c[1:] *= np.conj(anchors[:-1])
+    c[1:] *= -nu * p1
+    np.cumsum(c, axis=0, out=c)
+    mag2 = np.abs(c) ** 2
+    start_norm2, start_h1 = mag2.sum(axis=1), mag2 @ lam
+    del mag2
+    c *= anchors
+
+    g = nu * nu * np.abs(p1) ** 2
+    lags = (table @ np.stack((nu * p1, nu * nu * p1, g, lam * g), axis=1)).T
+    lags[:2, 0] = 0.0
+    lags[2:, 0] *= 0.5
+    lag_one, lag_nu, gram_one, gram_lam = lag_matrix(lags)
+
+    def lagged(weight, lag):
+        out = (c * weight) @ table.T
+        out -= x @ lag.T
+        return out
+
+    def squares(start, weight, gram):
+        terms = np.conj(x)
+        terms *= lagged(weight, gram)
+        out = np.empty((n_blocks, block))
+        out[:, 0] = 0.0
+        np.cumsum(terms.real[:, :-1], axis=1, out=out[:, 1:])
+        out *= -2.0
+        out += start[:, None]
+        return out.reshape(-1)[:n_nodes]
+
+    q_conj = np.conj(q)
+    abs_q2 = np.abs(q) ** 2
+    norm2 = squares(start_norm2, nu * np.conj(p1), gram_one)
+    norm2 += abs_q2 * np.sum(nu * nu)
+    norm2 += 2.0 * np.real(q_conj * lagged(nu, lag_nu).reshape(-1)[:n_nodes])
+    h1_form = squares(start_h1, INV_SQRT_PI * np.conj(p1), gram_lam)
+    h1_form += abs_q2 * np.sum(lam * nu * nu)
+    origin_sum = lagged(1.0, lag_one).reshape(-1)[:n_nodes]
+    h1_form += 2.0 * INV_SQRT_PI * np.real(q_conj * origin_sum)
+    origin_sum += q * np.sum(nu)
+
+    snapshots = np.empty((lam.size, snap_nodes.size), dtype=complex)
+    for col, n in enumerate(snap_nodes):
+        b, r = divmod(int(n), block)
+        history = x[b, :r] @ np.conj(table[:r])
+        snapshots[:, col] = table[r] * (c[b] - nu * p1 * history) + nu * q[n]
+    return norm2, h1_form, origin_sum, snapshots
+
+
 def evolve(psi0, alpha: CouplingProfile, grid: TimeGrid,
            store_every: int | None = None) -> EvolutionResult:
     """Propagate psi0 under the time-dependent point interaction alpha(t).
 
     psi(t_n) = e^{i t_n Lap} psi0 + F(q, t_n) with q from the charge equation,
-    at psi0's own truncation.  Snapshots are stored at node 0, the final node
-    and, if store_every is given, every store_every-th node; diagnostics
-    (norm, energy, boundary residual) cover every node regardless.  One pass
-    over the node blocks of kernels.mode_history fills the diagnostics and the
-    snapshots, so memory beyond the per-node series and the snapshots is
-    O(TIME_BLOCK*k_max).
+    at psi0's own truncation.  Snapshots are stored at node 0 (psi0 itself),
+    the final node (the end-time map) and, if store_every is given, every
+    store_every-th node; diagnostics (norm, energy, boundary residual) cover
+    every node regardless.  The odd-mode sums come from block lag kernels
+    (_odd_sector), so no node-by-mode array is formed: memory beyond the
+    per-node series and the snapshots is one block-start vector per block of
+    TIME_BLOCK nodes.
     """
     traj = solve_charge(alpha, psi0, grid)
     k_max = traj.k_max
@@ -158,25 +261,9 @@ def evolve(psi0, alpha: CouplingProfile, grid: TimeGrid,
             (np.arange(0, n_nodes, store_every), [n_nodes - 1])))
     snap_matrix = np.zeros((k_max, snap_idx.size), dtype=complex)
 
-    norm2 = np.empty(n_nodes)
-    h1_form = np.empty(n_nodes)
-    origin_sum = np.empty(n_nodes, dtype=complex)
-
-    # odd modes, one node block at a time: a_t = a0*phase + (i/sqrt(pi))*h,
-    # built in place in the block's phase array
     lam_odd = odd_eigenvalues(k_max)
-    a0_odd = a0[0::2, None]
-    for nodes, a_t, h in mode_history(q, grid.dt, lam_odd):
-        a_t *= a0_odd
-        h *= 1j * INV_SQRT_PI
-        a_t += h
-        mag2 = np.abs(a_t) ** 2
-        norm2[nodes] = np.sum(mag2, axis=0)
-        h1_form[nodes] = lam_odd @ mag2
-        origin_sum[nodes] = np.sum(a_t, axis=0)
-        lo, hi = np.searchsorted(snap_idx, (nodes.start, nodes.stop))
-        cols = snap_idx[lo:hi] - nodes.start
-        snap_matrix[0::2, lo:hi] = a_t[:, cols]
+    norm2, h1_form, origin_sum, snap_matrix[0::2, 1:-1] = _odd_sector(
+        q, grid.dt, lam_odd, a0[0::2], snap_idx[1:-1])
 
     # even modes evolve freely: the same exp as free_evolve at the snapshot
     # times, so the sine sector matches it bit for bit
@@ -185,7 +272,8 @@ def evolve(psi0, alpha: CouplingProfile, grid: TimeGrid,
     norm2 += np.sum(mag2)
     h1_form += np.sum(lam_even * mag2)
     snap_matrix[1::2] = a0[1::2, None] * np.exp(-1j * np.outer(lam_even, times[snap_idx]))
-    # the final state is the end-time map, not the anchor x table phase of the last block
+    # the first and last columns are psi0 and the end-time map themselves
+    snap_matrix[:, 0] = a0
     final_state = end_state(full, traj)
     snap_matrix[:, -1] = final_state.a
 
@@ -207,6 +295,7 @@ def evolve(psi0, alpha: CouplingProfile, grid: TimeGrid,
         charge=traj, final_state=final_state,
         snapshot_indices=snap_idx, snapshot_matrix=snap_matrix, norm=norm, energy=energy,
         boundary_residual=boundary_residual, origin_values=origin_values)
+
 
 @dataclass(frozen=True)
 class DiagnosticsReport:

@@ -41,7 +41,7 @@ def eigenvalues(k_max: int) -> np.ndarray:
 
 def _check_in_box(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
-    if np.any(np.abs(x) > BOX_HALF_WIDTH + 1e-12):
+    if not np.all(np.abs(x) <= BOX_HALF_WIDTH + 1e-12):  # NaN fails too
         raise DomainError("coordinate outside the box [-pi, pi]")
     return x
 

@@ -7,7 +7,6 @@ complete.  Tolerances are fixed here and nowhere else.
 import time
 
 import numpy as np
-import pytest
 
 from deltabox.charge import CouplingProfile, solve_charge
 from deltabox.control import (

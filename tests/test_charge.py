@@ -26,6 +26,7 @@ from deltabox.kernels import (
     TIME_BLOCK,
     discrete_h1_norm,
     history_at_end,
+    lag_matrix,
     mode_history,
     odd_eigenvalues,
     phi1,
@@ -217,6 +218,17 @@ class TestBlockMarch:
         phi = 0.5 * (rng.standard_normal(n_steps + 1) + 1j * rng.standard_normal(n_steps + 1))
         for shift in (SpectralShift(), SpectralShift(2.5 - 0.3j)):
             _assert_matches_reference(f, phi, f[0], True, shift, TimeGrid(2.0, n_steps), 101)
+
+    @pytest.mark.parametrize("size", [1, 2, TIME_BLOCK])
+    def test_lag_matrix_is_toeplitz(self, rng, size):
+        # the march's lower matrix holds exactly the values scipy's toeplitz places
+        from scipy.linalg import toeplitz
+
+        lags = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        lags[0] = 0.0
+        assert np.array_equal(lag_matrix(lags), toeplitz(lags, np.zeros(size)))
+        stacked = lag_matrix(np.stack((lags, 2.0 * lags)))
+        assert np.array_equal(stacked[1], lag_matrix(2.0 * lags))
 
     def test_simulate_size(self, rng):
         # k_max = 401, T = 8*pi, n = 25133: a unit-norm state with a_k ~ k^-3 and

@@ -164,6 +164,9 @@ BAD_INPUTS = {
                            *SMALL_RUN],
     "control-zero-kmax": ["control", "--target", "{empty_target}", "--k-max", "0"],
     "green-negative-kmax": ["green", "--k-max", "-3"],
+    "green-nan-z": ["green", "--z-re", "nan"],
+    "green-nan-x": ["green", "--x", "nan"],
+    "green-inf-z-im": ["green", "--z-im", "inf"],
 }
 
 

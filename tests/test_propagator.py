@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from deltabox.charge import ChargeTrajectory, CouplingProfile
+from deltabox.control import gamma
 from deltabox.errors import InputError
 from deltabox.greens import SpectralShift, green_coefficients
-from deltabox.kernels import TIME_BLOCK, odd_eigenvalues
+from deltabox.kernels import TIME_BLOCK, mode_history, odd_eigenvalues, tail_deficit
 from deltabox.propagator import (
     DomainState,
     apply_hamiltonian,
@@ -16,8 +17,15 @@ from deltabox.propagator import (
     evolve,
     regular_part,
 )
-from deltabox.spectral import SpectralCoefficients, TimeGrid, free_evolve
-from deltabox import verify
+from deltabox.spectral import (
+    INV_SQRT_PI,
+    SpectralCoefficients,
+    TimeGrid,
+    eigenvalues,
+    free_evolve,
+    origin_trace,
+)
+from deltabox import propagator, verify
 
 from conftest import assert_check
 
@@ -127,6 +135,88 @@ class TestEvolve:
         finally:
             tracemalloc.stop()
         assert peak < 64 * (grid.n_steps + 1) * 16
+
+
+def node_by_node_diagnostics(psi0, alpha, grid, q):
+    """(norm, energy, origin_values, boundary_residual) from a_k(t_n) on every
+    node and mode, summed from kernels.mode_history's blocks."""
+    k_max = psi0.k_max
+    lam = odd_eigenvalues(k_max)
+    norm2, h1, origin = np.empty(q.size), np.empty(q.size), np.empty(q.size, dtype=complex)
+    for nodes, phase, h in mode_history(q, grid.dt, lam):
+        a = psi0.a[0::2, None] * phase + 1j * INV_SQRT_PI * h
+        norm2[nodes] = np.sum(np.abs(a) ** 2, axis=0)
+        h1[nodes] = lam @ np.abs(a) ** 2
+        origin[nodes] = np.sum(a, axis=0)
+    even = np.abs(psi0.a[1::2]) ** 2
+    norm2 += np.sum(even)
+    h1 += np.sum(eigenvalues(k_max)[1::2] * even)
+    alpha_nodes = np.real(alpha.values_on(grid))
+    tail = tail_deficit(k_max) / np.pi
+    origin_values = INV_SQRT_PI * origin + tail * q
+    energy = h1 + tail * np.abs(q) ** 2 + alpha_nodes * np.abs(origin_values) ** 2
+    origin_values[0] = INV_SQRT_PI * origin[0]
+    return np.sqrt(norm2), energy, origin_values, np.abs(q + alpha_nodes * origin_values)
+
+
+class TestOddSectorSums:
+    # evolve's block lag-kernel sums against the same diagnostics summed over
+    # every node and mode: dense k^-3 state, alpha(0) != 0, one grid whose n is
+    # not a multiple of TIME_BLOCK and one shorter than a block
+    K_MAX = 101
+
+    def run(self, n_steps):
+        k = np.arange(1, self.K_MAX + 1)
+        psi0 = SpectralCoefficients(self.K_MAX, k**-3.0 * np.exp(2.1j * k))
+        grid = TimeGrid(2.5, n_steps)
+        alpha = CouplingProfile.piecewise_linear(
+            grid, 0.35 + 0.15 * np.sin(3.0 * grid.times))
+        return psi0, alpha, grid, evolve(psi0, alpha, grid)
+
+    @pytest.mark.parametrize("n_steps", [2 * TIME_BLOCK + 37, TIME_BLOCK // 2 + 3])
+    def test_matches_node_by_node_sums(self, n_steps):
+        psi0, alpha, grid, res = self.run(n_steps)
+        norm, energy, origin, resid = node_by_node_diagnostics(psi0, alpha, grid, res.charge.q)
+        for got, ref in ((res.norm, norm), (res.energy, energy), (res.origin_values, origin)):
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+        # the residual is a rounding-level difference of q and alpha*psi(0):
+        # its scale is |q|
+        q_scale = np.max(np.abs(res.charge.q))
+        assert np.max(np.abs(res.boundary_residual - resid)) <= 1e-13 * q_scale
+
+    def test_initial_snapshot_is_psi0(self):
+        psi0, alpha, _, res = self.run(2 * TIME_BLOCK + 37)
+        assert alpha.value(0.0) != 0.0
+        assert np.array_equal(res.state_at(0).a, psi0.a)
+
+
+class TestDomainStateCoefficients:
+    def compatible_state(self, alpha0, k_max):
+        psi = SpectralCoefficients.unit(1, k_max).add(SpectralCoefficients.unit(4, k_max))
+        g0 = origin_trace(green_coefficients(SpectralShift(), k_max))
+        q = -alpha0 * origin_trace(psi) / (1.0 + alpha0 * g0)
+        return DomainState(psi, q, SpectralShift())
+
+    @pytest.mark.parametrize("solver", ["evolve", "gamma"])
+    def test_full_vector_built_once(self, solver, monkeypatch):
+        # the charge solve and the state assembly share one full vector
+        alpha0, k_max, grid = 0.4, 51, TimeGrid(1.0, 300)
+        alpha = CouplingProfile.constant(alpha0, 1.0)
+        final = {"evolve": lambda s: evolve(s, alpha, grid).final_state,
+                 "gamma": lambda s: gamma(alpha, s, grid)}[solver]
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return green_coefficients(*args)
+
+        prebuilt = self.compatible_state(alpha0, k_max)
+        prebuilt.full_coefficients()
+        monkeypatch.setattr(propagator, "green_coefficients", counted)
+        first = final(self.compatible_state(alpha0, k_max))
+        assert len(calls) == 1
+        assert np.array_equal(first.a, final(prebuilt).a)
+        assert len(calls) == 1
 
 
 class TestRegularPart:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from deltabox.errors import AliasingError, DomainError, InputError
-from deltabox.greens import green_closed, green_origin
+from deltabox.greens import green_closed
 from deltabox.spectral import (
     SpectralCoefficients,
     TimeGrid,
