@@ -20,10 +20,10 @@ solves v = f - phi*(i/pi) U v and nothing else: the physical charge takes
 f = -alpha*e^{it*Lap}psi0(0), the linearization its own source, and the
 general scheme folds its Green-source term into f.
 
-The bracket is i*lam_k times the causal mode integral h_k of the single
-kernel `kernels.mode_history`, from which U is evaluated off the march, one
-block of TIME_BLOCK nodes at a time.  A trajectory built from samples takes
-its end-time h_k from `kernels.history_at_end`.
+The bracket is i*lam_k times the causal mode integral h_k.  Off the march, U
+is one lag sum (kernels.lag_sums) of the block-start slope-moment sums of
+kernels.block_starts, with the march's own lag kernel kappa.  A trajectory
+built from samples takes its end-time h_k from `kernels.history_at_end`.
 """
 
 from __future__ import annotations
@@ -43,14 +43,14 @@ from .greens import SpectralShift, green_coefficients, green_origin
 from .kernels import (
     ODD_INVERSE_EIGENVALUE_SUM,
     block_phases,
+    block_starts,
     close_history,
     discrete_h1_norm,
     history_at_end,
     lag_matrix,
-    mode_history,
+    lag_sums,
     odd_eigenvalues,
     phi1,
-    tail_deficit,
 )
 from .spectral import (
     DEFAULT_K_MAX,
@@ -183,17 +183,24 @@ class ChargeTrajectory:
 
 
 def apply_U(traj: ChargeTrajectory, analytic_tail: bool = True) -> np.ndarray:
-    """(Uq)(t_n) = -i*tail*q(t_n) + sum_k h_k(t_n) on every grid node.
+    """(Uq)(t_n) = -i*c_tail*q(t_n) - sum_k e^{-i*lam_k*t_n} S_k(t_n)/(i*lam_k) on every grid node.
 
-    analytic_tail swaps the truncated instantaneous coefficient
-    sum_{k<=k_max} 1/lam_k for the analytic pi^2/2 (tail = tail_deficit(k_max));
-    without it tail = 0.  (Uq)(t_0) = 0 always (empty integral); the tail
-    replacement only applies to marched nodes.
+    S_k = q(0) + B_k is the slope-moment sum of kernels.block_starts, and the
+    mode sum is its lag sum: within a block S_k grows by phi1_k times the
+    increments, so the lag kernel is the march's kappa.  c_tail is the
+    instantaneous coefficient: the analytic pi^2/2 with analytic_tail, the
+    truncated sum_{k<=k_max} 1/lam_k without.  (Uq)(t_0) = 0 always (empty
+    integral); the tail replacement only applies to marched nodes.
     """
     q = traj.q
-    out = -1j * (tail_deficit(traj.k_max) if analytic_tail else 0.0) * q
-    for nodes, _, h in mode_history(q, traj.grid.dt, odd_eigenvalues(traj.k_max)):
-        out[nodes] += h.sum(axis=0)
+    lam = odd_eigenvalues(traj.k_max)
+    table, anchors, x, p1, sums = block_starts(q, traj.grid.dt, lam)
+    kappa = table @ (1j * p1 / lam)
+    kappa[0] = 0.0
+    history = lag_sums(anchors * sums[:-1] * (-1j / lam), table, x, lag_matrix(kappa))
+    c_tail = ODD_INVERSE_EIGENVALUE_SUM if analytic_tail else np.sum(1.0 / lam)
+    out = -1j * c_tail * q
+    out -= history.reshape(-1)[:q.size]
     out[0] = 0.0
     return out
 
@@ -229,7 +236,7 @@ def _march(f_nodes: np.ndarray, phi_nodes: np.ndarray, v0: complex, grid: TimeGr
     right-hand side's history terms and the update of acc are each one product
     with the block-relative phases e^{-i*lam_k*r*dt}, r <= TIME_BLOCK,
     re-anchored by one exact e^{-i*lam_k*t_{s-1}} per block (both from
-    kernels.block_phases, as in mode_history).  Every d_n is
+    kernels.block_phases, as in kernels.block_starts).  Every d_n is
     checked before the march; the first one below STEP_SINGULARITY_MARGIN
     raises StepSingularityError.  At the end acc gives the end_history.
     """

@@ -258,11 +258,12 @@ def cmd_sweep(args) -> int:
         sweep, header, min_slope = green_kmax_sweep, "k_max,abs_error", 0.9
     else:
         raise InputError(f"unknown sweep {args.what!r} (charge-dt | green-kmax)")
+    if args.min_slope is not None:
+        min_slope = parse_number(args.min_slope, float, "--min-slope")
     if args.levels:
         rows, slope = sweep([parse_number(x, float, "levels") for x in args.levels.split(",")])
     else:
         rows, slope = sweep()
-    min_slope = args.min_slope if args.min_slope else min_slope
     path = os.path.join(outdir, f"sweep_{args.what}.csv")
     lines = [f"# slope={slope!r}", header]
     lines += [f"{level!r},{err!r}" for level, err in rows]
@@ -330,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="convergence-order studies")
     p.add_argument("--what", default="charge-dt", help="charge-dt | green-kmax")
     p.add_argument("--levels", help="comma-separated refinement levels (>=3)")
-    p.add_argument("--min-slope", type=float, dest="min_slope")
+    p.add_argument("--min-slope", dest="min_slope")
     p.add_argument("--outdir", default="out")
     p.set_defaults(func=cmd_sweep)
     return parser

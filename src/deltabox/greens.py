@@ -55,8 +55,13 @@ class SpectralShift:
 
 
 def _pole_index(z: complex, odd_only: bool) -> int:
-    """The k with z within POLE_MARGIN of -lam_k (odd k only if requested), else 0."""
+    """The k with z within POLE_MARGIN of -lam_k (odd k only if requested), else 0.
+
+    A non-finite z has no pole distance and raises InputError.
+    """
     z = complex(z)
+    if not (np.isfinite(z.real) and np.isfinite(z.imag)):
+        raise InputError(f"z={z} must be finite")
     if abs(z.imag) > POLE_MARGIN:
         return 0
     if z.real > -0.25 + POLE_MARGIN:
@@ -77,11 +82,9 @@ def _cexpm1(u: np.ndarray | complex) -> np.ndarray:
 
 
 def _off_pole(z: complex) -> complex:
-    """z as a complex; InputError if it is not finite, SingularityError within
-    POLE_MARGIN of a resolvent pole."""
+    """z as a complex; InputError if it is not finite (`_pole_index`),
+    SingularityError within POLE_MARGIN of a resolvent pole."""
     z = complex(z)
-    if not (np.isfinite(z.real) and np.isfinite(z.imag)):
-        raise InputError(f"z={z} must be finite")
     if _pole_index(z, odd_only=False):
         raise SingularityError(f"z={z} is at (or within {POLE_MARGIN} of) a resolvent pole")
     return z
@@ -121,7 +124,7 @@ def green_origin(z: complex) -> complex:
     """G^z(0,0) = tanh(pi*sqrt(z))/(2*sqrt(z)), with the removable value pi/2 at z=0.
 
     Even in sqrt(z), hence a single-valued function of z; poles only at the
-    negated odd-sector eigenvalues.
+    negated odd-sector eigenvalues.  A non-finite z raises InputError.
     """
     z = complex(z)
     if _pole_index(z, odd_only=True):

@@ -16,14 +16,16 @@ with u = i*lam*h.  No quadrature error is incurred beyond the piecewise-linear
 model of the data itself.
 
 States and U are built from one object, the causal mode integral of the charge
-h_k(t) = int_0^t q(s) e^{-i*lam_k*(t-s)} ds = (q(t) - e^{-i*lam_k*t}(q(0) + B_k(t)))/(i*lam_k),
-B_k the summed slope moments.  Only `mode_history` (every node), `history_at_end`
-and the charge march (the last node, closed by `close_history`) compute it, in
-blocks of TIME_BLOCK nodes with every mode at once; the propagator's per-node
-sums over modes use the same blocks through lag kernels (`lag_matrix`).  They
-share one set of phases on the uniform grid, `block_phases`:
-e^{-i*lam*(b*B + r)*dt} is an exact anchor per block b times a table of
-block-relative phases, so no node-by-mode exp is evaluated.
+h_k(t) = int_0^t q(s) e^{-i*lam_k*(t-s)} ds = (q(t) - e^{-i*lam_k*t} S_k(t))/(i*lam_k),
+S_k = q(0) + B_k the summed slope moments.  `block_starts` computes S at the
+first node of every block of TIME_BLOCK nodes, and at the end, from one product
+of the block-reshaped increments with the phase table.  Inside a block S moves
+by the block's own increments only, so a per-node sum over modes is a lag sum
+(`lag_sums`, on the lag matrices of `lag_matrix`) and h_k is never formed on
+every node.  `history_at_end` and the charge march close S(T) with
+`close_history`.  Every kernel shares one set of phases on the uniform grid,
+`block_phases`: e^{-i*lam*(b*B + r)*dt} is an exact anchor per block b times a
+table of block-relative phases, so no node-by-mode exp is evaluated.
 """
 
 from __future__ import annotations
@@ -102,7 +104,7 @@ def slope_moments(q: np.ndarray, dt: float, lam: float) -> np.ndarray:
     """Per-segment exact integrals of the piecewise-constant derivative of q_PL
     against e^{i*lam*s}: slope_m * (e^{i*lam*t_m} - e^{i*lam*t_{m-1}})/(i*lam).
 
-    Single-frequency reference form of the B_k sums inside `mode_history`.
+    Single-frequency reference form of the B_k sums of `block_starts`.
     """
     q = np.asarray(q, dtype=complex)
     n = q.size - 1
@@ -141,60 +143,50 @@ def lag_matrix(lags: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(window[..., ::-1])
 
 
-def mode_history(q: np.ndarray, dt: float, lam: np.ndarray):
-    """Yield (nodes, phase, h) for each block of at most TIME_BLOCK nodes, all of lam at once.
+def block_starts(q: np.ndarray, dt: float, lam: np.ndarray):
+    """Phase table, anchors, increments, phi1 and the block-start sums of the samples q.
 
-    For node n = nodes.start + i of the samples q on t_n = n*dt:
-    phase[j, i] = e^{-i*lam_j*t_n} and h[j, i] = int_0^{t_n} q_PL(s)
-    e^{-i*lam_j*(t_n - s)} ds, with h = 0 at node 0.  Both arrays are
-    (lam.size, m) and fresh per block; the caller may overwrite them.  The
-    slope-moment sum q(0) + B is carried from block to block in one vector.
+    With table, anchors = block_phases(lam, dt, n) cut to the B rows r < B of a
+    block, and the increments x[b, j] = q_{b*B+j+1} - q_{b*B+j} (zero past the
+    last node), returns (table, anchors, x, phi1(i*lam*dt), S) where
+    S[b] = q(0) + B_k(t_{b*B}) for every block b and S[-1] = q(0) + B_k(T).
+    B_k over a block is phi1 * conj(anchor_b) * (x[b] @ conj(table)): one
+    product for all blocks, summed over the blocks.
     """
     q = np.asarray(q, dtype=complex)
     table, anchors = block_phases(lam, dt, q.size - 1)
-    block = table.shape[0] - 1
-    table = np.ascontiguousarray(table[:block].T)
-    dq = np.diff(q)
-    p1 = phi1(1j * lam * dt)[:, None]
-    inv_i_lam = (-1j / lam)[:, None]  # 1/(i*lam)
-    acc = np.full(lam.size, q[0])  # q(0) + B at the block's first node
-    for b, start in enumerate(range(0, q.size, block)):
-        nodes = slice(start, min(start + block, q.size))
-        m = nodes.stop - start
-        phase = anchors[b, :, None] * table[:, :m]
-        # q(0) + B on the block's nodes: acc plus the in-block slope moments
-        # dq_n * e^{+i*lam*t_{n-1}} * phi1, with e^{+i*lam*t} reused as conj(phase)
-        h = np.empty_like(phase)
-        h[:, 0] = acc
-        np.conjugate(phase[:, :-1], out=h[:, 1:])
-        h[:, 1:] *= dq[start:nodes.stop - 1]
-        h[:, 1:] *= p1
-        np.cumsum(h, axis=1, out=h)
-        if nodes.stop < q.size:
-            acc = h[:, -1] + p1[:, 0] * np.conj(phase[:, -1]) * dq[nodes.stop - 1]
-        h *= phase
-        np.subtract(q[nodes], h, out=h)
-        h *= inv_i_lam
-        yield nodes, phase, h
+    table = table[:-1]
+    x = np.zeros((anchors.shape[0], table.shape[0]), dtype=complex)
+    x.flat[:q.size - 1] = np.diff(q)
+    p1 = phi1(1j * lam * dt)
+    sums = np.empty((x.shape[0] + 1, lam.size), dtype=complex)
+    sums[0] = q[0]
+    np.matmul(x, np.conj(table), out=sums[1:])
+    sums[1:] *= np.conj(anchors)
+    sums[1:] *= p1
+    np.cumsum(sums, axis=0, out=sums)
+    return table, anchors, x, p1, sums
+
+
+def lag_sums(starts: np.ndarray, table: np.ndarray, x: np.ndarray, lag: np.ndarray) -> np.ndarray:
+    """Per-node sums over modes sum_k w_k e^{-i*lam_k*t_n} y_k(t_n), one row per block.
+
+    starts[b] = w * anchor_b * y(t_{b*B}) holds the weighted values at the
+    block's first node; inside the block y_k(t_{b*B+r}) = y_k(t_{b*B})
+    - beta_k sum_{j<r} e^{i*lam_k*t_{b*B+j}} x[b, j], and lag is the lag matrix
+    (`lag_matrix`) of sum_k w_k beta_k e^{-i*lam_k*l*dt} with zero lag 0.
+    table, x are those of `block_starts`; node b*B + r is entry [b, r].
+    """
+    out = starts @ table.T
+    out -= x @ lag.T
+    return out
 
 
 def history_at_end(q: np.ndarray, dt: float, lam: np.ndarray) -> np.ndarray:
-    """h_k at the last node of q for every frequency in lam (see mode_history).
-
-    B_k(T) = phi1 * sum_b conj(anchor_b) * sum_r dq_{b*B+r+1} conj(table_r): one
-    product of the block-reshaped increments with the conjugate table, summed
-    over the blocks with the conjugate anchors.
-    """
+    """h_k at the last node of q for every frequency in lam: S(T) of `block_starts`, closed."""
     q = np.asarray(q, dtype=complex)
-    n_steps = q.size - 1
-    table, anchors = block_phases(lam, dt, n_steps)
-    block = table.shape[0] - 1
-    n_blocks = -(-n_steps // block)
-    dq = np.zeros(n_blocks * block, dtype=complex)
-    dq[:n_steps] = np.diff(q)
-    moments = dq.reshape(n_blocks, block) @ np.conj(table[:block])
-    b_end = phi1(1j * lam * dt) * np.sum(np.conj(anchors[:n_blocks]) * moments, axis=0)
-    return close_history(q[-1], q[0] + b_end, lam, n_steps * dt)
+    *_, sums = block_starts(q, dt, lam)
+    return close_history(q[-1], sums[-1], lam, (q.size - 1) * dt)
 
 
 def close_history(q_end, start_sum: np.ndarray, lam: np.ndarray, t_end: float) -> np.ndarray:

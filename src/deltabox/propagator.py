@@ -6,10 +6,10 @@ The evolved state is the mild solution
     F(q, t) = (i/sqrt(pi)) sum_{k odd} ( int_0^t q(s) e^{-i*lam_k*(t-s)} ds ) psi_k,
 
 with the per-mode integrals h_k(t) of the same exact piecewise-linear product
-integration the charge march uses (kernels.mode_history).  evolve's per-node
-diagnostics never form h_k on every node: they are block lag-kernel sums over
-the march's phase table, TIME_BLOCK nodes to a block (_odd_sector).  The
-final state is the end-time map Gamma of `end_state`,
+integration the charge march uses.  evolve's per-node diagnostics never form
+h_k on every node: they are lag sums (kernels.lag_sums) from the block-start
+slope-moment sums of kernels.block_starts, TIME_BLOCK nodes to a block
+(_odd_sector).  The final state is the end-time map Gamma of `end_state`,
 a0*e^{-i*lam*T} + (i/sqrt(pi))*h(T) from exact phases at T and the march's
 end history, which control.gamma returns too.  States are stored as full spectral
 coefficient vectors; the decomposition into regular part + charge * Green
@@ -32,7 +32,7 @@ import numpy as np
 from .charge import ChargeTrajectory, CouplingProfile, solve_charge
 from .errors import InputError
 from .greens import SpectralShift, green_coefficients
-from .kernels import block_phases, lag_matrix, odd_eigenvalues, phi1, tail_deficit
+from .kernels import block_starts, lag_matrix, lag_sums, odd_eigenvalues, tail_deficit
 from .spectral import INV_SQRT_PI, SpectralCoefficients, TimeGrid, eigenvalues, free_evolve
 
 
@@ -140,22 +140,22 @@ class EvolutionResult:
         return SpectralCoefficients(self.charge.k_max, self.snapshot_matrix[:, int(pos[0])])
 
 
-def _odd_sector(q: np.ndarray, dt: float, lam: np.ndarray, a0: np.ndarray,
-                snap_nodes: np.ndarray):
-    """Per-node sum |a_k|^2, sum lam_k |a_k|^2 and sum a_k over the odd modes, and a_k at snap_nodes.
+def _odd_sector(traj: ChargeTrajectory, a0: np.ndarray, snap_nodes: np.ndarray):
+    """Per-node sum |a_k|^2, sum lam_k |a_k|^2 and sum a_k over the odd modes of the
+    charge traj, and a_k at snap_nodes; a0 holds the odd modes of psi0.
 
     a_k(t_n) = a0_k e^{-i*lam_k*t_n} + (i/sqrt(pi)) h_k(t_n) is never formed on
     every node.  With nu_k = 1/(sqrt(pi)*lam_k) and the slope-moment sum
-    q(0) + B_k of kernels.mode_history it is
+    S_k = q(0) + B_k of kernels.block_starts it is
 
-        a_k(t_n) = e^{-i*lam_k*t_n} c_k(t_n) + nu_k q_n,   c_k = a0_k - nu_k (q(0) + B_k(t_n)),
+        a_k(t_n) = e^{-i*lam_k*t_n} c_k(t_n) + nu_k q_n,   c_k = a0_k - nu_k S_k(t_n),
 
     and inside the block of TIME_BLOCK nodes that starts at node s, with the
     increments x_j = q_{s+j+1} - q_{s+j},
 
         c_k(s+r) = c_k(s) - beta_k sum_{j<r} e^{i*lam_k*j*dt} x_j,   beta_k = nu_k phi1_k e^{i*lam_k*t_s}.
 
-    So with the phase table and anchors of kernels.block_phases, and lag
+    So with the phase table and anchors of kernels.block_starts, and lag
     matrices (kernels.lag_matrix) of kernels v_l = sum_k v_k e^{-i*lam_k*l*dt}:
 
         sum_k w_k e^{-i*lam_k*t} c_k = table @ (w anchor c(s)) - L[w nu phi1] x
@@ -165,27 +165,20 @@ def _odd_sector(q: np.ndarray, dt: float, lam: np.ndarray, a0: np.ndarray,
     where L has zero diagonal and G carries half its lag-0 value there.  Then
     sum |a|^2 = sum |c|^2 + |q|^2 sum nu^2 + 2 Re(conj(q) sum nu e^{-i*lam*t} c),
     and the lam-weighted form likewise with lam*nu = 1/sqrt(pi).  All blocks
-    are done at once: the block-start c(s) come from one product of the
-    block-reshaped increments with the conjugate table, summed over the blocks
-    (as in kernels.history_at_end).
+    are done at once: c(s) = a0 - nu*S(s) with the block-start sums S of
+    kernels.block_starts, and each sum over modes is a kernels.lag_sums.
     """
+    q = traj.q
     n_nodes = q.size
-    table, anchors = block_phases(lam, dt, n_nodes - 1)
-    block = table.shape[0] - 1
-    n_blocks = anchors.shape[0]
-    table = table[:block]
+    lam = odd_eigenvalues(traj.k_max)
+    table, anchors, x, p1, sums = block_starts(q, traj.grid.dt, lam)
+    n_blocks, block = x.shape
     nu = INV_SQRT_PI / lam
-    p1 = phi1(1j * lam * dt)
-    x = np.zeros((n_blocks, block), dtype=complex)
-    x.flat[:n_nodes - 1] = np.diff(q)
 
     # c at every block start, anchored: anchor_b * c(s_b)
-    c = np.empty((n_blocks, lam.size), dtype=complex)
-    c[0] = a0 - nu * q[0]
-    np.matmul(x[:-1], np.conj(table), out=c[1:])
-    c[1:] *= np.conj(anchors[:-1])
-    c[1:] *= -nu * p1
-    np.cumsum(c, axis=0, out=c)
+    c = sums[:-1]
+    c *= -nu
+    c += a0
     mag2 = np.abs(c) ** 2
     start_norm2, start_h1 = mag2.sum(axis=1), mag2 @ lam
     del mag2
@@ -197,14 +190,9 @@ def _odd_sector(q: np.ndarray, dt: float, lam: np.ndarray, a0: np.ndarray,
     lags[2:, 0] *= 0.5
     lag_one, lag_nu, gram_one, gram_lam = lag_matrix(lags)
 
-    def lagged(weight, lag):
-        out = (c * weight) @ table.T
-        out -= x @ lag.T
-        return out
-
     def squares(start, weight, gram):
         terms = np.conj(x)
-        terms *= lagged(weight, gram)
+        terms *= lag_sums(c * weight, table, x, gram)
         out = np.empty((n_blocks, block))
         out[:, 0] = 0.0
         np.cumsum(terms.real[:, :-1], axis=1, out=out[:, 1:])
@@ -216,10 +204,10 @@ def _odd_sector(q: np.ndarray, dt: float, lam: np.ndarray, a0: np.ndarray,
     abs_q2 = np.abs(q) ** 2
     norm2 = squares(start_norm2, nu * np.conj(p1), gram_one)
     norm2 += abs_q2 * np.sum(nu * nu)
-    norm2 += 2.0 * np.real(q_conj * lagged(nu, lag_nu).reshape(-1)[:n_nodes])
+    norm2 += 2.0 * np.real(q_conj * lag_sums(c * nu, table, x, lag_nu).reshape(-1)[:n_nodes])
     h1_form = squares(start_h1, INV_SQRT_PI * np.conj(p1), gram_lam)
     h1_form += abs_q2 * np.sum(lam * nu * nu)
-    origin_sum = lagged(1.0, lag_one).reshape(-1)[:n_nodes]
+    origin_sum = lag_sums(c, table, x, lag_one).reshape(-1)[:n_nodes]
     h1_form += 2.0 * INV_SQRT_PI * np.real(q_conj * origin_sum)
     origin_sum += q * np.sum(nu)
 
@@ -261,9 +249,8 @@ def evolve(psi0, alpha: CouplingProfile, grid: TimeGrid,
             (np.arange(0, n_nodes, store_every), [n_nodes - 1])))
     snap_matrix = np.zeros((k_max, snap_idx.size), dtype=complex)
 
-    lam_odd = odd_eigenvalues(k_max)
     norm2, h1_form, origin_sum, snap_matrix[0::2, 1:-1] = _odd_sector(
-        q, grid.dt, lam_odd, a0[0::2], snap_idx[1:-1])
+        traj, a0[0::2], snap_idx[1:-1])
 
     # even modes evolve freely: the same exp as free_evolve at the snapshot
     # times, so the sine sector matches it bit for bit

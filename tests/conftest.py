@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from deltabox.kernels import slope_moments
+
 SEED = 20260809
 
 
@@ -14,3 +16,15 @@ def assert_check(check_fn, k_max=401, seed=SEED):
     result = check_fn(k_max, seed)
     assert result.passed, result.line()
     return result
+
+
+def slope_moment_history(q, dt, lam):
+    """h_k = int_0^t q(s) e^{-i*lam_k*(t-s)} ds on every node (one row per lam_k), each
+    mode from its own single-mode slope moments and a per-node exp: the
+    reference for the block kernels."""
+    times = dt * np.arange(q.size)
+    rows = []
+    for lam_k in lam:
+        b = np.concatenate(([0.0], np.cumsum(slope_moments(q, dt, lam_k))))
+        rows.append((q - np.exp(-1j * lam_k * times) * (q[0] + b)) / (1j * lam_k))
+    return np.array(rows)

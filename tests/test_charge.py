@@ -24,13 +24,13 @@ from deltabox.greens import SpectralShift, green_coefficients, green_origin
 from deltabox.kernels import (
     ODD_INVERSE_EIGENVALUE_SUM,
     TIME_BLOCK,
+    block_phases,
     discrete_h1_norm,
     history_at_end,
     lag_matrix,
-    mode_history,
     odd_eigenvalues,
     phi1,
-    slope_moments,
+    tail_deficit,
 )
 from deltabox.oracles import picard_charge
 from deltabox.propagator import DomainState
@@ -42,7 +42,7 @@ from deltabox.spectral import (
 )
 from deltabox import verify
 
-from conftest import assert_check
+from conftest import assert_check, slope_moment_history
 
 
 class TestCouplingProfile:
@@ -97,42 +97,54 @@ class TestApplyU:
 _unit_complex = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
 
 
-def _slope_moment_history(q, dt, lam_k):
-    """h_k on every node from the single-mode slope moments and a per-node exp."""
-    times = dt * np.arange(q.size)
-    b = np.concatenate(([0.0], np.cumsum(slope_moments(q, dt, lam_k))))
-    return (q - np.exp(-1j * lam_k * times) * (q[0] + b)) / (1j * lam_k)
+def _reference_U(q, histories, tail):
+    """U on every node as -i*tail*q plus the sum of the per-mode histories."""
+    out = histories.sum(axis=0) - 1j * tail * q
+    out[0] = 0.0
+    return out
 
 
 class TestModeHistory:
+    # the modal history h_k(t_n) reaches the program through apply_U (its sum
+    # over modes on every node) and history_at_end (every mode at the last
+    # node); both are checked against the per-mode slope-moment reference
+
     def test_matches_single_mode_reference(self, rng):
-        # every node of every block: h against the per-mode slope-moment sums,
-        # phase against an extended-precision exp, within 4*eps*(lam*t + 1)
+        # every node of every block: apply_U (with and without the analytic
+        # tail) against the per-mode sums, and the anchor x table phases
+        # against an extended-precision exp, within 4*eps*(lam*t + 1)
         grid = TimeGrid(1.0, 300)
         q = rng.standard_normal(301) + 1j * rng.standard_normal(301)
-        lam = odd_eigenvalues(151)
-        t_ext = np.longdouble(grid.dt) * np.arange(grid.n_steps + 1)
+        k_max = 151
+        lam = odd_eigenvalues(k_max)
+        table, anchors = block_phases(lam, grid.dt, grid.n_steps)
+        block = table.shape[0] - 1
+        nodes = np.arange(grid.n_steps + 1)
+        phase = (anchors[nodes // block] * table[nodes % block]).T
+        t_ext = np.longdouble(grid.dt) * nodes
         exact = np.exp(-1j * np.outer(lam.astype(np.longdouble), t_ext))
         bound = 4 * np.finfo(float).eps * (np.outer(lam, grid.times) + 1)
-        reference = np.array([_slope_moment_history(q, grid.dt, lam_k) for lam_k in lam])
-        covered = []
-        for nodes, phase, h in mode_history(q, grid.dt, lam):
-            assert phase.shape == h.shape == (lam.size, nodes.stop - nodes.start)
-            assert np.all(np.abs(phase - exact[:, nodes]) <= bound[:, nodes])
-            assert np.max(np.abs(h - reference[:, nodes])) < 1e-13
-            covered += range(nodes.start, nodes.stop)
-        assert covered == list(range(grid.n_steps + 1))
+        assert np.all(np.abs(phase - exact) <= bound)
+        traj = ChargeTrajectory(grid, q, k_max)
+        histories = slope_moment_history(q, grid.dt, lam)
+        for analytic_tail, tail in ((True, tail_deficit(k_max)), (False, 0.0)):
+            u = apply_U(traj, analytic_tail)
+            assert np.max(np.abs(u - _reference_U(q, histories, tail))) < 1e-13
 
     @settings(max_examples=60, deadline=None)
-    @given(data=st.data(), n_nodes=st.integers(1, 3 * TIME_BLOCK + 1),
-           k_max=st.integers(1, 201), t_end=st.floats(0.01, 3.0))
-    def test_matches_single_mode_reference_property(self, data, n_nodes, k_max, t_end):
+    @given(data=st.data(), n_nodes=st.integers(2, 3 * TIME_BLOCK + 1),
+           k_max=st.integers(1, 201), t_end=st.floats(0.01, 3.0),
+           analytic_tail=st.booleans())
+    def test_matches_single_mode_reference_property(self, data, n_nodes, k_max, t_end,
+                                                    analytic_tail):
         q = data.draw(hnp.arrays(complex, n_nodes, elements=_unit_complex))
-        dt = t_end / max(n_nodes - 1, 1)
-        lam = odd_eigenvalues(k_max)
-        h = np.concatenate([h for _, _, h in mode_history(q, dt, lam)], axis=1)
-        reference = np.array([_slope_moment_history(q, dt, lam_k) for lam_k in lam])
-        assert np.max(np.abs(h - reference)) <= 1e-13
+        grid = TimeGrid(t_end, n_nodes - 1)
+        histories = slope_moment_history(q, grid.dt, odd_eigenvalues(k_max))
+        traj = ChargeTrajectory(grid, q, k_max)
+        u = apply_U(traj, analytic_tail)
+        tail = tail_deficit(k_max) if analytic_tail else 0.0
+        assert np.max(np.abs(u - _reference_U(q, histories, tail))) <= 1e-13
+        assert np.max(np.abs(traj.end_history - histories[:, -1])) <= 1e-13
 
     @pytest.mark.parametrize("n_nodes", [2, 3, TIME_BLOCK, TIME_BLOCK + 1, TIME_BLOCK + 2,
                                          3 * TIME_BLOCK + 37])
@@ -140,18 +152,17 @@ class TestModeHistory:
         q = rng.standard_normal(n_nodes) + 1j * rng.standard_normal(n_nodes)
         lam = odd_eigenvalues(201)
         dt = 2.0 / (n_nodes - 1)
-        *_, (nodes, _, h) = mode_history(q, dt, lam)
-        assert nodes.stop == n_nodes
-        assert np.max(np.abs(history_at_end(q, dt, lam) - h[:, -1])) < 1e-13
+        reference = slope_moment_history(q, dt, lam)[:, -1]
+        assert np.max(np.abs(history_at_end(q, dt, lam) - reference)) < 1e-13
 
     def test_march_end_history_matches_kernel(self):
-        # the march builds h(T) block by block, the kernel on every node at once
+        # the march builds h(T) block by block, the kernel from the samples at once
         k_max = 101
         grid = TimeGrid(2.0, 2000)
         traj = solve_charge(CouplingProfile.sine_bump(0.5, 2.0),
                             SpectralCoefficients.unit(1, k_max), grid)
-        *_, (_, _, h) = mode_history(traj.q, grid.dt, odd_eigenvalues(k_max))
-        assert np.max(np.abs(traj.end_history - h[:, -1])) < 1e-13
+        end = history_at_end(traj.q, grid.dt, odd_eigenvalues(k_max))
+        assert np.max(np.abs(traj.end_history - end)) < 1e-13
 
 
 def reference_march(f_nodes, phi_nodes, v0, g_coeff, shift, grid, k_max):

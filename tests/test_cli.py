@@ -160,6 +160,8 @@ BAD_INPUTS = {
     "sweep-negative-level": ["sweep", "--what", "green-kmax", "--levels=-5,10,100"],
     "sweep-zero-dt": ["sweep", "--levels", "0,1e-3,2e-3"],
     "sweep-repeated-level": ["sweep", "--levels=1e-3,1e-3,1e-3"],
+    "sweep-nan-min-slope": ["sweep", "--what", "green-kmax", "--min-slope", "nan"],
+    "sweep-inf-min-slope": ["sweep", "--what", "green-kmax", "--min-slope", "inf"],
     "domain-zero-charge": ["simulate", "--psi0", "domain:{state}:0:0", "--alpha", "const:1",
                            *SMALL_RUN],
     "control-zero-kmax": ["control", "--target", "{empty_target}", "--k-max", "0"],
@@ -425,6 +427,12 @@ class TestSweepCommand:
         text = (out / "sweep_green-kmax.csv").read_text()
         assert text.startswith("# slope=")
         assert "k_max,abs_error" in text
+
+    def test_zero_min_slope_is_honoured(self, tmp_path, capsys):
+        code = run_cli(["sweep", "--what", "green-kmax", "--min-slope", "0",
+                        "--outdir", str(tmp_path / "sw")])
+        assert code == 0
+        assert "(minimum 0.0);" in capsys.readouterr().out
 
     def test_single_level_rejected(self, tmp_path):
         code = run_cli(["sweep", "--what", "charge-dt", "--levels", "1e-3",

@@ -84,6 +84,12 @@ class TestGreenOrigin:
         with pytest.raises(SingularityError):
             green_origin(-0.25)
 
+    @pytest.mark.parametrize("z", [complex("nan"), complex("-inf"), complex(float("nan"), 1.0),
+                                   complex(1.0, float("inf"))], ids=str)
+    def test_non_finite_z_rejected(self, z):
+        with pytest.raises(InputError, match="must be finite"):
+            green_origin(z)
+
     def test_even_mode_shift_is_not_a_pole(self):
         # z = -1 = -lam_2 only hits the sine sector, absent at the origin
         val = green_origin(-1.0)

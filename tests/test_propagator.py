@@ -7,7 +7,7 @@ from deltabox.charge import ChargeTrajectory, CouplingProfile
 from deltabox.control import gamma
 from deltabox.errors import InputError
 from deltabox.greens import SpectralShift, green_coefficients
-from deltabox.kernels import TIME_BLOCK, mode_history, odd_eigenvalues, tail_deficit
+from deltabox.kernels import TIME_BLOCK, odd_eigenvalues, tail_deficit
 from deltabox.propagator import (
     DomainState,
     apply_hamiltonian,
@@ -27,7 +27,7 @@ from deltabox.spectral import (
 )
 from deltabox import propagator, verify
 
-from conftest import assert_check
+from conftest import assert_check, slope_moment_history
 
 
 def pl_l2_norm(q, dt):
@@ -139,15 +139,14 @@ class TestEvolve:
 
 def node_by_node_diagnostics(psi0, alpha, grid, q):
     """(norm, energy, origin_values, boundary_residual) from a_k(t_n) on every
-    node and mode, summed from kernels.mode_history's blocks."""
+    node and mode, built from the per-mode slope-moment histories."""
     k_max = psi0.k_max
     lam = odd_eigenvalues(k_max)
-    norm2, h1, origin = np.empty(q.size), np.empty(q.size), np.empty(q.size, dtype=complex)
-    for nodes, phase, h in mode_history(q, grid.dt, lam):
-        a = psi0.a[0::2, None] * phase + 1j * INV_SQRT_PI * h
-        norm2[nodes] = np.sum(np.abs(a) ** 2, axis=0)
-        h1[nodes] = lam @ np.abs(a) ** 2
-        origin[nodes] = np.sum(a, axis=0)
+    h = slope_moment_history(q, grid.dt, lam)
+    a = psi0.a[0::2, None] * np.exp(-1j * np.outer(lam, grid.times)) + 1j * INV_SQRT_PI * h
+    norm2 = np.sum(np.abs(a) ** 2, axis=0)
+    h1 = lam @ np.abs(a) ** 2
+    origin = np.sum(a, axis=0)
     even = np.abs(psi0.a[1::2]) ** 2
     norm2 += np.sum(even)
     h1 += np.sum(eigenvalues(k_max)[1::2] * even)
