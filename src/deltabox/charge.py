@@ -31,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import (
     DomainCompatibilityError,
@@ -49,6 +48,7 @@ from .kernels import (
     history_at_end,
     lag_matrix,
     lag_sums,
+    lower_solve,
     odd_eigenvalues,
     phi1,
 )
@@ -266,7 +266,7 @@ def _march(f_nodes: np.ndarray, phi_nodes: np.ndarray, v0: complex, grid: TimeGr
         rhs = f_nodes[nodes] - phi_nodes[nodes] * history + coupling[nodes] * kappa[:m] * q[s - 1]
         system = coupling[nodes, None] * lower[:m, :m]
         system.flat[::m + 1] = d[s - 1:s - 1 + m]
-        q[nodes] = solve_triangular(system, rhs, lower=True, check_finite=False)
+        q[nodes] = lower_solve(system, rhs)
         acc += p1 * np.conj(anchor * (np.conj(np.diff(q[s - 1:s + m])) @ phases[:m]))
 
     return ChargeTrajectory(grid, q, k_max, close_history(q[-1], acc, lam, n_steps * dt))

@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 configuration/validation problem, 2 solver failure,
 3 file I/O failure.  DELTABOX_OUTDIR overrides the output directory.  Every
 numeric field of user input goes through iofiles.parse_number, so a malformed
-value is a configuration error, never a traceback.
+value is a configuration error, never a traceback: numeric flags are read as
+text and converted in `main` (each subcommand lists its own in `numbers`).
 """
 
 from __future__ import annotations
@@ -41,11 +42,12 @@ from .iofiles import (
     save_trajectory_csv,
     write_manifest,
 )
+from .kernels import runtime_record
 from .propagator import DomainState, diagnostics, evolve
 from .spectral import DEFAULT_K_MAX, SpectralCoefficients, TimeGrid
 # verify (and through it oracles) is imported eagerly although only `verify`
 # runs it: perfbench/tracer.py looks both up in sys.modules right after this
-# module is imported.  Their scipy imports wait for first use, so they are cheap.
+# module is imported.  Both need numpy alone, so they are cheap.
 from .verify import run_checks
 
 EXIT_OK, EXIT_CONFIG, EXIT_SOLVER, EXIT_IO = 0, 1, 2, 3
@@ -156,6 +158,7 @@ def cmd_simulate(args) -> int:
             "energy_drift": repr(report.energy_drift),
             "energy_balance_rel": repr(report.energy_balance_relative),
         },
+        "runtime": runtime_record(),
     })
     print(report.to_text())
     print(f"artifacts in {outdir} (config {chash})")
@@ -232,8 +235,11 @@ def cmd_control(args) -> int:
     report = "\n".join(report_lines) + "\n"
     rpath = os.path.join(outdir, "control_report.txt")
     atomic_write_text(rpath, report)
+    mpath = os.path.join(outdir, "manifest.txt")
+    write_manifest(mpath, {"outputs": {"control": upath, "report": rpath},
+                           "runtime": runtime_record()})
     print(report, end="")
-    print(f"wrote {upath}, {rpath}")
+    print(f"wrote {upath}, {rpath}, {mpath}")
     return EXIT_OK
 
 
@@ -284,56 +290,59 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="propagate a state under a coupling profile")
     p.add_argument("--psi0", default="eig:1", help="eig:K | file:PATH | domain:FILE:RE:IM[:LAM]")
     p.add_argument("--alpha", default="zero", help="zero | const:A | bump:A | pl:FILE")
-    p.add_argument("--T", type=float, default=1.0)
-    p.add_argument("--n-steps", type=int, default=1000, dest="n_steps")
-    p.add_argument("--k-max", type=int, default=DEFAULT_K_MAX, dest="k_max")
+    p.add_argument("--T", default=1.0)
+    p.add_argument("--n-steps", default=1000, dest="n_steps")
+    p.add_argument("--k-max", default=DEFAULT_K_MAX, dest="k_max")
     p.add_argument("--outdir", default="out")
-    p.add_argument("--tol-norm-drift", type=float, default=1e-6, dest="tol_norm_drift")
-    p.add_argument("--tol-boundary", type=float, default=1e-8, dest="tol_boundary")
+    p.add_argument("--tol-norm-drift", default=1e-6, dest="tol_norm_drift")
+    p.add_argument("--tol-boundary", default=1e-8, dest="tol_boundary")
     p.add_argument("--config", help="key=value config file (version=1)")
-    p.set_defaults(func=cmd_simulate)
+    p.set_defaults(func=cmd_simulate, numbers={"T": float, "n_steps": int, "k_max": int,
+                                               "tol_norm_drift": float, "tol_boundary": float})
 
     p = sub.add_parser("spectrum", help="static eigenvalues of the coupled box")
-    p.add_argument("--alpha", type=float, required=True)
+    p.add_argument("--alpha", required=True)
     p.add_argument("--window", help="LO:HI energy window")
-    p.add_argument("--k-max", type=int, default=DEFAULT_K_MAX, dest="k_max")
+    p.add_argument("--k-max", default=DEFAULT_K_MAX, dest="k_max")
     p.add_argument("--outdir", default="out")
-    p.set_defaults(func=cmd_spectrum)
+    p.set_defaults(func=cmd_spectrum, numbers={"alpha": float, "k_max": int})
 
     p = sub.add_parser("green", help="evaluate the box Green's function")
-    p.add_argument("--x", type=float, default=0.0)
-    p.add_argument("--xp", type=float, default=0.0)
-    p.add_argument("--z-re", type=float, default=1.0, dest="z_re")
-    p.add_argument("--z-im", type=float, default=0.0, dest="z_im")
-    p.add_argument("--k-max", type=int, default=DEFAULT_K_MAX, dest="k_max")
-    p.set_defaults(func=cmd_green)
+    p.add_argument("--x", default=0.0)
+    p.add_argument("--xp", default=0.0)
+    p.add_argument("--z-re", default=1.0, dest="z_re")
+    p.add_argument("--z-im", default=0.0, dest="z_im")
+    p.add_argument("--k-max", default=DEFAULT_K_MAX, dest="k_max")
+    p.set_defaults(func=cmd_green, numbers={"x": float, "xp": float, "z_re": float,
+                                            "z_im": float, "k_max": int})
 
     p = sub.add_parser("control", help="moment-problem control synthesis")
     p.add_argument("--target", required=True, help="CSV k,re_c,im_c")
-    p.add_argument("--k-bar", type=int, default=1, dest="k_bar")
-    p.add_argument("--T", type=float, default=8.0, help="horizon (in pi units by default)")
+    p.add_argument("--k-bar", default=1, dest="k_bar")
+    p.add_argument("--T", default=8.0, help="horizon (in pi units by default)")
     p.add_argument("--T-in-pi", action=argparse.BooleanOptionalAction, default=True,
                    dest="T_in_pi")
-    p.add_argument("--k-max", type=int, default=DEFAULT_K_MAX, dest="k_max")
-    p.add_argument("--n-steps", type=int, default=25133, dest="n_steps")
+    p.add_argument("--k-max", default=DEFAULT_K_MAX, dest="k_max")
+    p.add_argument("--n-steps", default=25133, dest="n_steps")
     p.add_argument("--experiment", action="store_true",
                    help="run the nonlinear steering experiment")
     p.add_argument("--outdir", default="out")
-    p.set_defaults(func=cmd_control)
+    p.set_defaults(func=cmd_control, numbers={"k_bar": int, "T": float, "k_max": int,
+                                              "n_steps": int})
 
     p = sub.add_parser("verify", help="run the invariant battery")
     p.add_argument("--filter", help="restrict to one module")
-    p.add_argument("--k-max", type=int, default=DEFAULT_K_MAX, dest="k_max")
-    p.add_argument("--seed", type=int, default=20260809)
+    p.add_argument("--k-max", default=DEFAULT_K_MAX, dest="k_max")
+    p.add_argument("--seed", default=20260809)
     p.add_argument("--out", help="write the report to this path")
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(func=cmd_verify, numbers={"k_max": int, "seed": int})
 
     p = sub.add_parser("sweep", help="convergence-order studies")
     p.add_argument("--what", default="charge-dt", help="charge-dt | green-kmax")
     p.add_argument("--levels", help="comma-separated refinement levels (>=3)")
     p.add_argument("--min-slope", dest="min_slope")
     p.add_argument("--outdir", default="out")
-    p.set_defaults(func=cmd_sweep)
+    p.set_defaults(func=cmd_sweep, numbers={})
     return parser
 
 
@@ -344,6 +353,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
+        for dest, kind in args.numbers.items():
+            flag = "--" + dest.replace("_", "-")
+            setattr(args, dest, parse_number(getattr(args, dest), kind, flag))
         if getattr(args, "k_max", 1) < 1:
             raise InputError(f"--k-max must be at least 1, got {args.k_max}")
         return args.func(args)

@@ -156,6 +156,30 @@ def green_coefficients(shift: SpectralShift | complex, k_max: int = DEFAULT_K_MA
     return SpectralCoefficients(k_max, a)
 
 
+def find_root(f, lo: float, hi: float, xtol: float = ROOT_XTOL) -> float:
+    """The sign change of f in [lo, hi] to within xtol; f(lo) and f(hi) must differ in sign.
+
+    Bisection: it keeps the half whose ends differ in sign until the bracket
+    is narrower than xtol or its ends are neighbouring floats, so it ends
+    after at most log2((hi - lo)/xtol) evaluations, whatever f does inside.
+    """
+    f_lo = f(lo)
+    if f_lo == 0:
+        return lo
+    while hi - lo > xtol:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        f_mid = f(mid)
+        if f_mid == 0:
+            return mid
+        if (f_mid < 0) == (f_lo < 0):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def _even_sector_poles(lo: float, hi: float) -> np.ndarray:
     """Odd-sector eigenvalues (poles of the even-sector condition) inside (lo, hi]."""
     if hi <= 0.25:
@@ -172,10 +196,8 @@ def static_eigenvalues(alpha: float, window: tuple[float, float]) -> list[tuple[
     interaction: E = lam_k for even k.  Even-sector eigenvalues solve
     1 + alpha*G^{-E}(0,0) = 0.  Between consecutive odd-sector poles the
     condition function is strictly monotone (Herglotz), so each bracket holds
-    exactly one root, found by Brent's method to ROOT_XTOL.
+    exactly one root, found by `find_root` to ROOT_XTOL.
     """
-    from scipy.optimize import brentq  # loaded on first use: no other command needs it
-
     if not np.isfinite(alpha):
         raise InputError(f"alpha must be finite, got {alpha!r}")
     lo, hi = float(window[0]), float(window[1])
@@ -213,7 +235,7 @@ def static_eigenvalues(alpha: float, window: tuple[float, float]) -> list[tuple[
         fa, fb = condition(left), condition(right)
         if np.sign(fa) == np.sign(fb):
             continue
-        root = brentq(condition, left, right, xtol=ROOT_XTOL)
+        root = find_root(condition, left, right)
         if lo < root < hi:
             out.append((float(root), "even"))
 

@@ -26,11 +26,20 @@ every node.  `history_at_end` and the charge march close S(T) with
 `close_history`.  Every kernel shares one set of phases on the uniform grid,
 `block_phases`: e^{-i*lam*(b*B + r)*dt} is an exact anchor per block b times a
 table of block-relative phases, so no node-by-mode exp is evaluated.
+
+The march's one triangular solve per block is `lower_solve`: OpenBLAS's
+cblas_ztrsv from the library numpy itself links, called through ctypes, so no
+command needs scipy.  Where numpy's BLAS is not that library, the solve is
+scipy.linalg.solve_triangular, imported on first use.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import glob
 import math
+import os
 
 import numpy as np
 
@@ -192,6 +201,73 @@ def history_at_end(q: np.ndarray, dt: float, lam: np.ndarray) -> np.ndarray:
 def close_history(q_end, start_sum: np.ndarray, lam: np.ndarray, t_end: float) -> np.ndarray:
     """h_k(T) = (q(T) - e^{-i*lam_k*T}*start_sum_k)/(i*lam_k), start_sum = q(0) + B(T)."""
     return (q_end - np.exp(-1j * lam * t_end) * start_sum) / (1j * lam)
+
+
+# BLAS thread settings as the process saw them when deltabox was imported
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+_THREADS_AT_IMPORT = {name: os.environ.get(name, "unset") for name in THREAD_VARIABLES}
+
+# CBLAS enum values (cblas.h): row-major, lower, no transpose, non-unit diagonal
+_CBLAS_LOWER_SOLVE = (101, 122, 111, 131)
+
+
+def _numpy_blas() -> dict:
+    return np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+
+
+@functools.cache
+def _bundled_trsv():
+    """scipy_cblas_ztrsv64_ of the OpenBLAS in numpy's wheel, or None if numpy has another BLAS.
+
+    Only a scipy-openblas build with 64-bit integers exports this symbol with
+    int64 sizes; the library sits next to the numpy package (numpy.libs on
+    Linux and Windows, numpy/.dylibs on macOS) and is already loaded by numpy.
+    """
+    blas = _numpy_blas()
+    if blas.get("name") != "scipy-openblas" or "USE64BITINT" not in blas.get(
+            "openblas configuration", ""):
+        return None
+    here = os.path.dirname(np.__file__)
+    for folder in (os.path.join(here, os.pardir, "numpy.libs"), os.path.join(here, ".dylibs")):
+        for path in sorted(glob.glob(os.path.join(folder, "libscipy_openblas64_*"))):
+            try:
+                trsv = ctypes.CDLL(path).scipy_cblas_ztrsv64_
+            except (OSError, AttributeError):
+                continue
+            trsv.restype = None
+            trsv.argtypes = [ctypes.c_int] * 4 + [ctypes.c_int64, ctypes.c_void_p,
+                                                  ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64]
+            return trsv
+    return None
+
+
+def lower_solve(system: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """x with system @ x = rhs for a square lower-triangular complex system (upper part ignored).
+
+    cblas_ztrsv of numpy's bundled OpenBLAS when `_bundled_trsv` finds it,
+    else scipy.linalg.solve_triangular; both give the same bits.
+    """
+    system = np.ascontiguousarray(system, dtype=complex)
+    x = np.array(rhs, dtype=complex)  # a contiguous copy, solved in place
+    m = x.size
+    if system.shape != (m, m) or x.shape != (m,):
+        raise ValueError(f"lower_solve needs an (m, m) system and an (m,) rhs, "
+                         f"got {system.shape} and {x.shape}")
+    trsv = _bundled_trsv()
+    if trsv is None:
+        from scipy.linalg import solve_triangular  # numpy has no usable BLAS symbol here
+
+        return solve_triangular(system, x, lower=True, check_finite=False)
+    trsv(*_CBLAS_LOWER_SOLVE, m, system.ctypes.data, max(m, 1), x.ctypes.data, 1)
+    return x
+
+
+def runtime_record() -> dict:
+    """What ran the linear algebra: the triangular-solve path, numpy's BLAS and the thread
+    variables seen at import ('unset' when absent)."""
+    blas = _numpy_blas()
+    return {"triangular_solve": "scipy" if _bundled_trsv() is None else "bundled-openblas",
+            "blas": f"{blas.get('name')} {blas.get('version')}", **_THREADS_AT_IMPORT}
 
 
 def discrete_h1_norm(values: np.ndarray, dt: float) -> float:

@@ -2,20 +2,26 @@
 
 These deliberately avoid the production code paths: the charge oracle uses
 plain trapezoid quadrature plus Picard fixed-point iteration instead of the
-product-integration march, and the spectrum oracle discretizes the operator
-on a position grid instead of using the Green's-function condition.  They are
-slow and simple on purpose.
+product-integration march, the spectrum oracle discretizes the operator on a
+position grid instead of using the Green's-function condition, and the
+dynamic oracle integrates the truncated mode equations with classical
+Runge-Kutta.  They are slow and simple on purpose, and need nothing beyond
+numpy; the tests check them against scipy's eigensolver and ODE solver.
 """
 
 from __future__ import annotations
 
-import numpy as np
-from scipy.linalg import eigh_tridiagonal
+import math
 
-from .errors import SolverError
-from .greens import SpectralShift
+import numpy as np
+
+from .errors import InputError, SolverError
+from .greens import SpectralShift, find_root
 from .kernels import odd_eigenvalues, tail_deficit
-from .spectral import BOX_HALF_WIDTH, TimeGrid
+from .spectral import BOX_HALF_WIDTH, TimeGrid, eigenvalues
+
+# RK4 steps of the dynamic oracle: dt * (largest retained odd eigenvalue) at most this
+GALERKIN_PHASE_STEP = 0.1
 
 
 def picard_charge(f_nodes: np.ndarray, phi_nodes: np.ndarray, v0: complex, g_coeff: complex,
@@ -69,18 +75,41 @@ def fd_spectrum(alpha: float, n_points: int = 4096, n_eigen: int = 6) -> np.ndar
 
     Second-order central differences with Dirichlet walls; the delta is the
     standard 1/h spike at the grid node sitting exactly on the origin.
-    n_points fixes the spacing h = 2*pi/n_points (interior nodes n_points-1,
-    an odd count, so x = 0 is a node).
+    n_points (even) fixes the spacing h = 2*pi/n_points; the n_points-1
+    interior nodes put x = 0 at node M = n_points/2 from either wall.
+
+    The eigenvalues are the roots of the matrix's secular equations, not an
+    eigensolver's output.  From the left wall, u_i = sin(h*kappa*i) solves
+    every row off the spike with E = 4 sin^2(h*kappa/2)/h^2 (h*M = pi):
+      - odd sector (u_M = 0): kappa = 1, 2, ...;
+      - even sector (u mirror-symmetric about the spike row):
+        2 cos(pi*kappa) + alpha*h*sin(pi*kappa)/sin(h*kappa) = 0, which is
+        monotone between consecutive integers, where it is 2(-1)^m, and
+        2 + alpha*pi at kappa = 0;
+      - bound state (alpha*pi < -2), u_i = sinh(h*sigma*i), E = -4 sinh^2(h*sigma/2)/h^2:
+        2 sinh(h*sigma)/tanh(pi*sigma) + alpha*h = 0 for
+        0 < sigma <= asinh(|alpha|*h/2)/h.
     """
+    if n_points % 2 or n_points <= 2 * n_eigen + 2:
+        raise InputError(f"n_points must be even and above 2*n_eigen + 2, got {n_points!r}")
     h = 2.0 * BOX_HALF_WIDTH / n_points
-    m = n_points - 1
-    diag = np.full(m, 2.0 / h**2)
-    j0 = m // 2  # x_j = -pi + (j+1)h -> j0 maps to x = 0
-    diag[j0] += alpha / h
-    off = np.full(m - 1, -1.0 / h**2)
-    vals = eigh_tridiagonal(diag, off, select="i", select_range=(0, n_eigen - 1),
-                            eigvals_only=True)
-    return np.asarray(vals)
+
+    def even(kappa):
+        ratio = math.sin(math.pi * kappa) / math.sin(h * kappa) if kappa else math.pi / h
+        return 2.0 * math.cos(math.pi * kappa) + alpha * h * ratio
+
+    def bound(sigma):
+        ratio = math.sinh(h * sigma) / math.tanh(math.pi * sigma) if sigma else h / math.pi
+        return 2.0 * ratio + alpha * h
+
+    bound_state = 2.0 + alpha * math.pi < 0.0  # else the lowest even root is in [0, 1)
+    kappas = list(range(1, n_eigen + 1))
+    kappas += [find_root(even, m, m + 1.0) for m in range(int(bound_state), n_eigen + 1)]
+    energies = [4.0 * math.sin(0.5 * h * kappa) ** 2 / h**2 for kappa in kappas]
+    if bound_state:
+        sigma = find_root(bound, 0.0, math.asinh(-0.5 * alpha * h) / h)
+        energies.append(-4.0 * math.sinh(0.5 * h * sigma) ** 2 / h**2)
+    return np.sort(energies)[:n_eigen]
 
 
 def galerkin_evolution(a0: np.ndarray, alpha_value, t_end: float, k_max: int) -> np.ndarray:
@@ -93,28 +122,38 @@ def galerkin_evolution(a0: np.ndarray, alpha_value, t_end: float, k_max: int) ->
         psi_eff(0,t) = (sum_j a_j / sqrt(pi)) / (1 + alpha(t) * tail_deficit / pi),
 
     the denominator dressing the origin value with the analytic mode tail.
-    Integrating these with a generic adaptive ODE solver gives a reference
-    trajectory that shares no numerics with the product-integration march.
+    Even modes rotate freely.  The odd ones are integrated in the interaction
+    picture b_k = e^{i*lam_k*t} a_k, where only the coupling drives them,
+
+        b_k' = -i c(t) e^{i*lam_k*t} sum_j e^{-i*lam_j*t} b_j,
+        c(t) = alpha(t)/(pi + alpha(t)*tail_deficit),
+
+    by classical fourth-order Runge-Kutta with fixed steps of at most
+    GALERKIN_PHASE_STEP/lam_max.  That shares no numerics with the
+    product-integration march.  alpha_value maps an array of times to the
+    real coupling there.
     """
-    from scipy.integrate import solve_ivp  # loaded on first use: it also loads scipy.optimize
+    a0 = np.asarray(a0, dtype=complex)
+    lam = odd_eigenvalues(k_max)
+    n_steps = math.ceil(t_end * lam[-1] / GALERKIN_PHASE_STEP)
+    dt = t_end / n_steps
+    times = 0.5 * dt * np.arange(2 * n_steps + 1)  # nodes and midpoints
+    alphas = np.asarray(alpha_value(times), dtype=float)
+    coupling = -1j * alphas / (np.pi + alphas * tail_deficit(k_max))
+    phases = np.exp(1j * np.outer(times, lam))
 
-    lam = 0.25 * np.arange(1, k_max + 1, dtype=float) ** 2
-    odd = np.arange(k_max) % 2 == 0  # 0-based positions of odd mode indices
-    deficit = tail_deficit(k_max)
-    inv_sqrt_pi = 1.0 / np.sqrt(np.pi)
+    def rate(j, b):
+        return (coupling[j] * (np.conj(phases[j]) @ b)) * phases[j]
 
-    def rhs(t, y):
-        a = y[:k_max] + 1j * y[k_max:]
-        al = float(alpha_value(t))
-        trace = inv_sqrt_pi * np.sum(a[odd])
-        origin = trace / (1.0 + al * deficit / np.pi)
-        da = -1j * (lam * a + np.where(odd, al * origin * inv_sqrt_pi, 0.0))
-        return np.concatenate((da.real, da.imag))
-
-    y0 = np.concatenate((np.asarray(a0).real, np.asarray(a0).imag))
-    sol = solve_ivp(rhs, (0.0, t_end), y0, rtol=1e-11, atol=1e-12, method="DOP853",
-                    dense_output=False)
-    if not sol.success:
-        raise SolverError(f"reference ODE integration failed: {sol.message}")
-    yT = sol.y[:, -1]
-    return yT[:k_max] + 1j * yT[k_max:]
+    b = a0[0::2].copy()
+    for n in range(n_steps):
+        k1 = rate(2 * n, b)
+        k2 = rate(2 * n + 1, b + 0.5 * dt * k1)
+        k3 = rate(2 * n + 1, b + 0.5 * dt * k2)
+        k4 = rate(2 * n + 2, b + dt * k3)
+        b = b + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    if not np.all(np.isfinite(b)):
+        raise SolverError("reference ODE integration diverged")
+    out = a0 * np.exp(-1j * eigenvalues(k_max) * t_end)
+    out[0::2] = b * np.conj(phases[-1])
+    return out

@@ -21,6 +21,7 @@ from deltabox.errors import (
     StepSingularityError,
 )
 from deltabox.greens import SpectralShift, green_coefficients, green_origin
+from deltabox import kernels
 from deltabox.kernels import (
     ODD_INVERSE_EIGENVALUE_SUM,
     TIME_BLOCK,
@@ -28,6 +29,7 @@ from deltabox.kernels import (
     discrete_h1_norm,
     history_at_end,
     lag_matrix,
+    lower_solve,
     odd_eigenvalues,
     phi1,
     tail_deficit,
@@ -240,6 +242,43 @@ class TestBlockMarch:
         assert np.array_equal(lag_matrix(lags), toeplitz(lags, np.zeros(size)))
         stacked = lag_matrix(np.stack((lags, 2.0 * lags)))
         assert np.array_equal(stacked[1], lag_matrix(2.0 * lags))
+
+    @pytest.mark.skipif(kernels._bundled_trsv() is None, reason="numpy's BLAS is not OpenBLAS")
+    def test_lower_solve_matches_scipy(self, rng):
+        # every block size of the march: a complex coupling row times the lag
+        # matrix, the step denominators on the diagonal; the ctypes call must give
+        # scipy's bits, ignore the upper triangle and leave the rhs alone
+        from scipy.linalg import solve_triangular
+
+        def cnormal(*shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        lags = cnormal(TIME_BLOCK)
+        lags[0] = 0.0
+        lower = lag_matrix(lags)
+        for m in range(1, TIME_BLOCK + 1):
+            system = cnormal(m, 1) * lower[:m, :m] + np.triu(cnormal(m, m), 1)
+            system.flat[::m + 1] = 2.0 + 0.5 * cnormal(m)
+            rhs = cnormal(m)
+            kept = rhs.copy()
+            x = lower_solve(system, rhs)
+            assert np.array_equal(x, solve_triangular(system, rhs, lower=True,
+                                                      check_finite=False)), m
+            assert np.array_equal(rhs, kept)
+
+    @pytest.mark.parametrize("n_steps", [1, TIME_BLOCK, TIME_BLOCK + 1, 2 * TIME_BLOCK + 7])
+    def test_scipy_fallback_is_bit_identical(self, rng, monkeypatch, n_steps):
+        # without numpy's bundled OpenBLAS the march solves through scipy, with
+        # the same q and end history; TIME_BLOCK + 1 ends on a 1-step block
+        f = rng.standard_normal(n_steps + 1) + 1j * rng.standard_normal(n_steps + 1)
+        phi = 0.5 * (rng.standard_normal(n_steps + 1) + 1j * rng.standard_normal(n_steps + 1))
+        grid = TimeGrid(2.0, n_steps)
+        bundled = _march(f, phi, f[0], grid, 101)
+        monkeypatch.setattr(kernels, "_bundled_trsv", lambda: None)
+        fallback = _march(f, phi, f[0], grid, 101)
+        assert kernels.runtime_record()["triangular_solve"] == "scipy"
+        assert np.array_equal(bundled.q, fallback.q)
+        assert np.array_equal(bundled.end_history, fallback.end_history)
 
     def test_simulate_size(self, rng):
         # k_max = 401, T = 8*pi, n = 25133: a unit-norm state with a_k ~ k^-3 and

@@ -12,6 +12,7 @@ from hypothesis.extra import numpy as hnp
 
 import deltabox
 from deltabox.cli import _SIMULATE_KEYS, _parse_alpha, _parse_psi0, main
+from deltabox.kernels import THREAD_VARIABLES, _bundled_trsv
 from deltabox.iofiles import (
     config_hash,
     load_state,
@@ -27,6 +28,24 @@ from deltabox.spectral import SpectralCoefficients, TimeGrid
 
 def run_cli(args):
     return main(args)
+
+
+RUNTIME_KEYS = ["triangular_solve", "blas", *THREAD_VARIABLES]
+
+
+def manifest_section(path, name):
+    """key -> value of one '[name]' block of a manifest."""
+    block = path.read_text().split(f"[{name}]\n", 1)[1].split("\n\n", 1)[0]
+    return dict(ln.split("=", 1) for ln in block.splitlines() if ln)
+
+
+def assert_runtime_section(path):
+    runtime = manifest_section(path, "runtime")
+    assert list(runtime) == RUNTIME_KEYS
+    assert runtime["triangular_solve"] == (
+        "scipy" if _bundled_trsv() is None else "bundled-openblas")
+    assert runtime["blas"].split()[0] == np.show_config(mode="dicts")[
+        "Build Dependencies"]["blas"]["name"]
 
 
 def run_python(args):
@@ -46,7 +65,7 @@ class TestSimulate:
         state = load_state(str(out / "final_state.txt"))
         assert state.a[0] == pytest.approx(np.exp(-0.25j), abs=1e-15)
         assert (out / "trajectory.csv").exists()
-        assert (out / "manifest.txt").exists()
+        assert_runtime_section(out / "manifest.txt")
 
     def test_odd_state_charge_free(self, tmp_path):
         out = tmp_path / "run"
@@ -169,6 +188,23 @@ BAD_INPUTS = {
     "green-nan-z": ["green", "--z-re", "nan"],
     "green-nan-x": ["green", "--x", "nan"],
     "green-inf-z-im": ["green", "--z-im", "inf"],
+    # numeric flags go through parse_number, not argparse's type conversion
+    "green-text-x": ["green", "--x", "abc"],
+    "green-text-xp": ["green", "--xp", "abc"],
+    "green-text-z-re": ["green", "--z-re", "abc"],
+    "green-text-z-im": ["green", "--z-im", "1j"],
+    "green-text-kmax": ["green", "--k-max", "2.5"],
+    "spectrum-text-alpha": ["spectrum", "--alpha", "abc"],
+    "spectrum-inf-alpha": ["spectrum", "--alpha", "inf"],
+    "simulate-text-T": ["simulate", "--T", "abc", "--n-steps", "10", "--k-max", "21"],
+    "simulate-text-n-steps": ["simulate", "--T", "0.5", "--n-steps", "abc", "--k-max", "21"],
+    "simulate-text-kmax": ["simulate", "--T", "0.5", "--n-steps", "10", "--k-max", "x"],
+    "simulate-text-tol": ["simulate", *SMALL_RUN, "--tol-boundary", "abc"],
+    "control-text-T": ["control", "--target", "{empty_target}", "--T", "abc"],
+    "control-text-n-steps": ["control", "--target", "{empty_target}", "--n-steps", "1e3"],
+    "control-text-k-bar": ["control", "--target", "{empty_target}", "--k-bar", "abc"],
+    "verify-text-seed": ["verify", "--seed", "abc"],
+    "verify-text-kmax": ["verify", "--k-max", "abc"],
 }
 
 
@@ -185,7 +221,7 @@ class TestInputContracts:
         empty_target.write_text("k,re_c,im_c\n")
         args = [a.format(state=state, bad_state=bad_state, bad_target=bad_target,
                          empty_target=empty_target) for a in BAD_INPUTS[case]]
-        if args[0] != "green":  # green writes no files and has no --outdir
+        if args[0] not in ("green", "verify"):  # these write no files and have no --outdir
             args += ["--outdir", str(tmp_path / "out")]
         code = run_cli(args)
         err = capsys.readouterr().err
@@ -459,6 +495,9 @@ class TestControlCommand:
         body = [ln for ln in (out / "control.csv").read_text().splitlines()
                 if not ln.startswith("#")]
         assert body[0] == "t,re_u,im_u"
+        assert manifest_section(out / "manifest.txt", "outputs") == {
+            "control": str(out / "control.csv"), "report": str(out / "control_report.txt")}
+        assert_runtime_section(out / "manifest.txt")
 
     def test_even_target_rejected(self, tmp_path):
         target = tmp_path / "target.csv"
@@ -487,13 +526,34 @@ class TestIOExitCode:
 
 class TestImportBudget:
     @pytest.mark.parametrize("module, absent", [
-        ("deltabox", ("scipy.optimize", "scipy.integrate", "deltabox.verify",
-                      "deltabox.oracles")),
-        # the CLI keeps verify and oracles, which are cheap without these two
-        ("deltabox.cli", ("scipy.optimize", "scipy.integrate")),
+        ("deltabox", ("scipy", "deltabox.verify", "deltabox.oracles")),
+        # the CLI keeps verify and oracles, which need numpy alone
+        ("deltabox.cli", ("scipy",)),
     ])
     def test_import_leaves_heavy_modules_unloaded(self, module, absent):
         proc = run_python(["-c", f"import sys, {module}; "
                                  f"print(*(m for m in {absent!r} if m in sys.modules))"])
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == []
+
+    @pytest.mark.skipif(_bundled_trsv() is None, reason="numpy's BLAS is not OpenBLAS")
+    def test_commands_load_no_scipy(self, tmp_path):
+        # every command in one interpreter, the full verify battery included
+        target = tmp_path / "target.csv"
+        target.write_text("k,re_c,im_c\n3,1.0,0.0\n")
+        out = str(tmp_path / "out")
+        commands = [
+            ["simulate", "--alpha", "bump:0.5", "--T", "1.0", "--n-steps", "300",
+             "--k-max", "41", "--outdir", out],
+            ["control", "--target", str(target), "--k-max", "21", "--outdir", out],
+            ["spectrum", "--alpha", "-2.0", "--outdir", out],
+            ["green", "--x", "0.5"],
+            ["sweep", "--what", "green-kmax", "--outdir", out],
+            ["verify"],
+        ]
+        proc = run_python(["-c", "import sys, deltabox.cli as cli; "
+                                 f"codes = [cli.main(args) for args in {commands!r}]; "
+                                 "print('RESULT', codes, "
+                                 "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == f"RESULT {[0] * len(commands)} []"

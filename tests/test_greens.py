@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+from deltabox import greens
 from deltabox.errors import InputError, SingularityError
 from deltabox.greens import (
+    ROOT_XTOL,
     SpectralShift,
+    find_root,
     green_closed,
     green_coefficients,
     green_origin,
@@ -12,7 +15,7 @@ from deltabox.greens import (
     static_eigenvalues,
 )
 from deltabox.oracles import fd_spectrum
-from deltabox.spectral import origin_trace
+from deltabox.spectral import BOX_HALF_WIDTH, origin_trace
 from deltabox import verify
 
 from conftest import assert_check
@@ -166,6 +169,50 @@ class TestStaticEigenvalues:
         mine = [e for e, _ in static_eigenvalues(2.0, (-10.0, 10.0))][:3]
         ref = fd_spectrum(2.0, n_eigen=3)
         assert np.max(np.abs(np.array(mine) - ref)) < 1e-3
+
+
+    @pytest.mark.parametrize("alpha, window", [
+        (1e4, (0.0, 10.0)), (-2.0, (-50.0, 0.0)), (2.0, (-10.0, 10.0)), (-2.0, (-10.0, 10.0)),
+        (0.5, (-10.0, 10.0)), (-0.5, (-10.0, 10.0)), (0.7, (0.3, 20.0)), (-1.3, (0.3, 20.0)),
+        (-3.0, (0.5, 5.0)), (7.0, (0.5, 5.0)), (1.0, (0.26, 2.25)),
+    ])
+    def test_roots_match_brentq(self, alpha, window, monkeypatch):
+        # the bisection against scipy's Brent method on the same brackets
+        from scipy.optimize import brentq
+
+        mine = static_eigenvalues(alpha, window)
+        monkeypatch.setattr(greens, "find_root",
+                            lambda f, lo, hi: brentq(f, lo, hi, xtol=ROOT_XTOL))
+        ref = static_eigenvalues(alpha, window)
+        assert [s for _, s in mine] == [s for _, s in ref]
+        assert np.max(np.abs(np.array([e for e, _ in mine]) - [e for e, _ in ref])) <= 1e-11
+
+    @pytest.mark.parametrize("alpha", [-2.0, -0.5, 0.0, 0.5, 2.0])
+    def test_fd_secular_roots_match_eigensolver(self, alpha):
+        # the secular equations against scipy's eigensolver on the same matrix
+        from scipy.linalg import eigh_tridiagonal
+
+        n_points, n_eigen = 4096, 6
+        h = 2.0 * BOX_HALF_WIDTH / n_points
+        diag = np.full(n_points - 1, 2.0 / h**2)
+        diag[n_points // 2 - 1] += alpha / h  # the node on x = 0
+        off = np.full(n_points - 2, -1.0 / h**2)
+        ref = eigh_tridiagonal(diag, off, select="i", select_range=(0, n_eigen - 1),
+                               eigvals_only=True)
+        assert np.max(np.abs(fd_spectrum(alpha, n_points, n_eigen) - ref)) <= 1e-9
+
+    def test_fd_needs_a_node_on_the_origin(self):
+        with pytest.raises(InputError):
+            fd_spectrum(1.0, n_points=4097)
+
+
+class TestFindRoot:
+    def test_bracket_ends_and_tolerance(self):
+        assert find_root(lambda x: x - 0.3, 0.3, 1.0) == 0.3
+        assert abs(find_root(np.cos, 0.0, 3.0) - np.pi / 2) <= ROOT_XTOL
+        # a bracket that cannot shrink below xtol stops at neighbouring floats
+        root = find_root(lambda x: x - 1e8 * np.sqrt(2.0), 1e8, 2e8, xtol=0.0)
+        assert abs(root - 1e8 * np.sqrt(2.0)) <= 1e8 * np.spacing(1.0)
 
 
 class TestSpectralShift:

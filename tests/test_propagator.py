@@ -280,6 +280,32 @@ class TestIndependentDynamicOracle:
         # numerics with the march
         assert_check(verify.check_galerkin_ode_oracle)
 
+    def test_rk4_matches_dop853(self):
+        # the fixed-step oracle against scipy's adaptive DOP853 on the check's system
+        from scipy.integrate import solve_ivp
+        from deltabox.oracles import galerkin_evolution
+
+        k_use, t_end = 25, 2.0
+        alpha = CouplingProfile.sine_bump(0.5, t_end)
+        lam = eigenvalues(k_use)
+        odd = np.arange(k_use) % 2 == 0
+        dressing = tail_deficit(k_use) / np.pi
+
+        def rhs(t, y):
+            a = y[:k_use] + 1j * y[k_use:]
+            al = float(alpha.value(t))
+            origin = INV_SQRT_PI * np.sum(a[odd]) / (1.0 + al * dressing)
+            da = -1j * (lam * a + np.where(odd, al * origin * INV_SQRT_PI, 0.0))
+            return np.concatenate((da.real, da.imag))
+
+        for psi0 in (SpectralCoefficients.unit(1, k_use),
+                     SpectralCoefficients(k_use, np.exp(0.3j * np.arange(k_use)) / 5.0)):
+            sol = solve_ivp(rhs, (0.0, t_end), np.concatenate((psi0.a.real, psi0.a.imag)),
+                            rtol=1e-11, atol=1e-12, method="DOP853")
+            ref = sol.y[:k_use, -1] + 1j * sol.y[k_use:, -1]
+            mine = galerkin_evolution(psi0.a, alpha.value, t_end, k_use)
+            assert np.max(np.abs(mine - ref)) <= 1e-9
+
     def test_order_against_ode_oracle(self):
         # halving dt quarters the deviation from the reference trajectory
         from deltabox.oracles import galerkin_evolution
