@@ -64,7 +64,7 @@ def _output_deviation(parent_work: str, change_work: str) -> dict:
         except ValueError:
             out[name] = "differs"
             continue
-        if len(a) != len(b) or any(len(x) != len(y) for x, y in zip(a, b)):
+        if not a or len(a) != len(b) or any(len(x) != len(y) for x, y in zip(a, b)):
             out[name] = "differs"
         else:
             out[name] = max(abs(u - v) for x, y in zip(a, b) for u, v in zip(x, y))
@@ -122,7 +122,10 @@ def record(parent_dirs: list[str], change_dirs: list[str]) -> dict:
                     "python": first["environment"]["python"],
                     "numpy": first["environment"]["numpy"], "threads": first["thread_env"],
                     "blas_threads_runtime": first["environment"]["blas_threads_runtime"]},
-        "blas": first["environment"]["numpy_config"]["Build Dependencies"]["blas"],
+        # numpy's BLAS as built; its build-machine directories say nothing about this run
+        "blas": {key: value for key, value in
+                 first["environment"]["numpy_config"]["Build Dependencies"]["blas"].items()
+                 if not key.endswith("directory")},
         "workloads": {},
     }
     for name, pairs in workloads.items():
@@ -170,8 +173,9 @@ def main(argv=None) -> int:
     parser.add_argument("--change", nargs="+", required=True, help="change run directories")
     args = parser.parse_args(argv)
     path = os.path.join(ROOT, f"BENCH_{args.label}.json")
+    bench = record(args.parent, args.change)
     with open(path, "w") as fh:
-        json.dump(record(args.parent, args.change), fh, indent=1)
+        json.dump(bench, fh, indent=1)
         fh.write("\n")
     print(f"wrote {path}")
     return 0
