@@ -4,7 +4,8 @@ Exit codes: 0 success, 1 configuration/validation problem, 2 solver failure,
 3 file I/O failure.  DELTABOX_OUTDIR overrides the output directory.  Every
 numeric field of user input goes through iofiles.parse_number, so a malformed
 value is a configuration error, never a traceback: numeric flags are read as
-text and converted in `main` (each subcommand lists its own in `numbers`).
+text and converted in `main` (each subcommand lists its own in `numbers`);
+simulate's tolerances, which a config file may also set, in `cmd_simulate`.
 """
 
 from __future__ import annotations
@@ -297,8 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol-norm-drift", default=1e-6, dest="tol_norm_drift")
     p.add_argument("--tol-boundary", default=1e-8, dest="tol_boundary")
     p.add_argument("--config", help="key=value config file (version=1)")
-    p.set_defaults(func=cmd_simulate, numbers={"T": float, "n_steps": int, "k_max": int,
-                                               "tol_norm_drift": float, "tol_boundary": float})
+    p.set_defaults(func=cmd_simulate, numbers={"T": float, "n_steps": int, "k_max": int})
 
     p = sub.add_parser("spectrum", help="static eigenvalues of the coupled box")
     p.add_argument("--alpha", required=True)

@@ -156,17 +156,17 @@ def green_coefficients(shift: SpectralShift | complex, k_max: int = DEFAULT_K_MA
     return SpectralCoefficients(k_max, a)
 
 
-def find_root(f, lo: float, hi: float, xtol: float = ROOT_XTOL) -> float:
-    """The sign change of f in [lo, hi] to within xtol; f(lo) and f(hi) must differ in sign.
+def find_root(f, lo: float, hi: float) -> float:
+    """The sign change of f in [lo, hi] to within ROOT_XTOL; f(lo) and f(hi) must differ in sign.
 
     Bisection: it keeps the half whose ends differ in sign until the bracket
-    is narrower than xtol or its ends are neighbouring floats, so it ends
-    after at most log2((hi - lo)/xtol) evaluations, whatever f does inside.
+    is narrower than ROOT_XTOL or its ends are neighbouring floats, so it ends
+    after at most log2((hi - lo)/ROOT_XTOL) evaluations, whatever f does inside.
     """
     f_lo = f(lo)
     if f_lo == 0:
         return lo
-    while hi - lo > xtol:
+    while hi - lo > ROOT_XTOL:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break

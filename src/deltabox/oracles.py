@@ -1,12 +1,16 @@
 """Independent cross-check implementations.
 
-These deliberately avoid the production code paths: the charge oracle uses
-plain trapezoid quadrature plus Picard fixed-point iteration instead of the
+These avoid the production solvers: the charge oracle uses plain trapezoid
+quadrature plus Picard fixed-point iteration instead of the
 product-integration march, the spectrum oracle discretizes the operator on a
 position grid instead of using the Green's-function condition, and the
 dynamic oracle integrates the truncated mode equations with classical
 Runge-Kutta.  They are slow and simple on purpose, and need nothing beyond
-numpy; the tests check them against scipy's eigensolver and ODE solver.
+numpy.  One piece is shared: the spectrum oracle finds its secular roots with
+greens.find_root, the bisection static_eigenvalues also uses, so a find_root
+fault could move both sides of that check alike.  The tests guard against it
+by checking fd_spectrum against scipy's eigh_tridiagonal and find_root (through
+static_eigenvalues) against brentq, and the RK4 oracle against DOP853.
 """
 
 from __future__ import annotations

@@ -48,6 +48,9 @@ def test_pairs_become_medians_wins_and_deviations(tmp_path):
     assert wall["change_lower_in_pairs"] == 2
     assert entry["iterations"] == {"parent": {"attempted": 9, "failed": 1},
                                    "change": {"attempted": 9, "failed": 0}}
+    # run.json names no CPU or kernel, so those belong to the recording host only
+    assert out["machine"]["nproc"] == 2 and "cpu" not in out["machine"]
+    assert set(out["recording_host"]) == {"cpu", "platform"}
     assert entry["output_deviation"] == {"log.txt": "differs", "q.csv": 0.25}
     assert "lib directory" not in out["blas"]
 

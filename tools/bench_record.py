@@ -11,7 +11,8 @@ checkout.  Per workload it holds each side's median and quartiles of the
 per-run scaled medians (and of the unscaled ones), the pairs the change won,
 the iterations attempted and failed, the git SHA and source digest of each
 side, and how far the change's outputs are from the parent's.  Once per file
-it holds the machine and numpy's BLAS configuration, and the verdict of the
+it holds the machine as run.json records it, the CPU and platform of the host
+that ran this script, numpy's BLAS configuration, and the verdict of the
 verify battery on each side.
 """
 
@@ -117,11 +118,13 @@ def record(parent_dirs: list[str], change_dirs: list[str]) -> dict:
     first = runs[0][3]
     out = {
         "benchmark": "perfbench/run.py --trace 0; every time scaled to the reference speed",
-        "machine": {"cpu": _cpu_model(), "nproc": first["nproc"],
-                    "affinity_cpus": first["affinity_cpus"], "platform": platform.platform(),
+        "machine": {"nproc": first["nproc"], "affinity_cpus": first["affinity_cpus"],
                     "python": first["environment"]["python"],
                     "numpy": first["environment"]["numpy"], "threads": first["thread_env"],
                     "blas_threads_runtime": first["environment"]["blas_threads_runtime"]},
+        # run.json names no CPU or kernel: these are the host that ran this script,
+        # which is the benchmark machine only when the runs were recorded in place
+        "recording_host": {"cpu": _cpu_model(), "platform": platform.platform()},
         # numpy's BLAS as built; its build-machine directories say nothing about this run
         "blas": {key: value for key, value in
                  first["environment"]["numpy_config"]["Build Dependencies"]["blas"].items()
