@@ -11,6 +11,7 @@ simulate's tolerances, which a config file may also set, in `cmd_simulate`.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import os
 import sys
 import warnings
@@ -113,6 +114,17 @@ def _parse_alpha(descriptor: str, t_end: float) -> CouplingProfile:
                      "(use zero | const:A | bump:A | pl:FILE)")
 
 
+def _by_contents(descriptor: str) -> str:
+    """A psi0/alpha descriptor with its file path (file:, domain:, pl:) replaced by
+    the sha256 of the file's bytes, so the same inputs hash alike at any path."""
+    kind, _, rest = descriptor.partition(":")
+    if kind not in ("file", "domain", "pl"):
+        return descriptor
+    path, sep, fields = rest.partition(":") if kind == "domain" else (rest, "", "")
+    with open(path, "rb") as fh:
+        return f"{kind}:{hashlib.sha256(fh.read()).hexdigest()}{sep}{fields}"
+
+
 def _load_config(path: str, allowed: set[str]) -> dict:
     with open(path) as fh:
         return parse_config_text(fh.read(), allowed, source=path)
@@ -137,7 +149,9 @@ def cmd_simulate(args) -> int:
     psi0 = _parse_psi0(cfg["psi0"], k_max)
     alpha = _parse_alpha(cfg["alpha"], t_end)
     outdir = _outdir(cfg.get("outdir", args.outdir))
-    chash = config_hash(cfg)
+    # only what decides the artifacts' numbers: not outdir, not the tolerances
+    chash = config_hash({"psi0": _by_contents(cfg["psi0"]), "alpha": _by_contents(cfg["alpha"]),
+                         "T": repr(t_end), "n_steps": repr(n_steps), "k_max": repr(k_max)})
 
     result = evolve(psi0, alpha, grid)
     report = diagnostics(result, alpha)

@@ -30,8 +30,7 @@ import numpy as np
 
 from .charge import ChargeTrajectory, CouplingProfile, _march, apply_U, solve_charge
 from .errors import InputError, UnsupportedHorizonError
-from .kernels import (MODE_BLOCK, close_history, fit_loglog_slope, history_at_end,
-                      odd_eigenvalues, phi1)
+from .kernels import close_history, fit_loglog_slope, history_at_end, odd_eigenvalues, phi1
 from .propagator import assemble_F, end_state, initial_coefficients
 from .spectral import (
     INV_SQRT_PI,
@@ -136,7 +135,10 @@ def solve_moment(target: ControlTarget, grid: TimeGrid | None = None) -> Synthes
     """Particular moment-problem solution rho with rho(0) = rho(T) = 0.
 
     Requires T = 8*pi*N.  On [0, 8*pi] the solution is the sine superposition
-    described in the module docstring; for N > 1 it is extended by zero.
+    described in the module docstring, zero after 8*pi.  With n steps,
+    lam_k*t_j = 2*pi*(k^2*N)*j/n, so every sin(lam_k t) is a harmonic of the
+    grid and all modes are synthesized with one inverse FFT of the bin
+    spectrum, bins (k^2*N) mod n.
     """
     n_periods = _horizon_periods(target.t_end)
     if grid is None:
@@ -144,32 +146,22 @@ def solve_moment(target: ControlTarget, grid: TimeGrid | None = None) -> Synthes
     elif abs(grid.t_end - target.t_end) > 1e-9:
         raise InputError("control grid horizon must match the target horizon")
 
-    times = grid.times
     c_odd = target.c.a[0::2]
-    lam = odd_eigenvalues(target.k_max)
-    k_odd = np.arange(1, target.k_max + 1, 2)
-    rho = np.zeros(times.size, dtype=complex)
-    scale = -INV_SQRT_PI / 4.0  # -(sqrt(pi)/(4*pi))
+    k_odd = np.arange(1, target.k_max + 1, 2, dtype=np.int64)
     n = grid.n_steps
-    if n_periods == 1:
-        # every sin(lam_k t) is an exact DFT harmonic of the grid: synthesize
-        # all modes with a single inverse FFT of the bin spectrum
-        spec = np.zeros(n, dtype=complex)
-        bins = (k_odd.astype(np.int64) ** 2) % n
-        np.add.at(spec, bins, c_odd / 2j)
-        np.add.at(spec, (-bins) % n, -c_odd / 2j)
-        # in place: the transform runs about a third faster at 2^19 points
-        np.multiply(scale, np.fft.ifft(spec, norm="forward", out=spec), out=rho[:n])
-        rho[n] = 0.0  # sin(2*pi*k^2) = 0 exactly at t = 8*pi
-    else:
-        active = times <= BASE_HORIZON * (1 + 1e-12)
-        t_act = times[active]
-        acc = np.zeros(t_act.size, dtype=complex)
-        modes = np.flatnonzero(c_odd)
-        for start in range(0, modes.size, MODE_BLOCK):
-            idx = modes[start:start + MODE_BLOCK]
-            acc += np.sin(np.outer(t_act, lam[idx])) @ c_odd[idx]
-        rho[active] = scale * acc
+    # rho[:n] holds the bin spectrum, then (in place: the transform runs about a
+    # third faster at 2^19 points) its inverse FFT
+    rho = np.zeros(n + 1, dtype=complex)
+    bins = (k_odd**2 * n_periods) % n
+    np.add.at(rho, bins, c_odd / 2j)
+    np.add.at(rho, (-bins) % n, -c_odd / 2j)
+    np.fft.ifft(rho[:n], norm="forward", out=rho[:n])
+    rho *= -INV_SQRT_PI / 4.0  # -(sqrt(pi)/(4*pi))
+    # zero after 8*pi: the nodes j*dt > 8*pi*(1 + 1e-12), all at or after node
+    # n // N, since every earlier node lies at least dt inside 8*pi
+    first = n // n_periods
+    rho[first:][grid.dt * np.arange(first, n + 1) > BASE_HORIZON * (1 + 1e-12)] = 0.0
+    rho[n] = 0.0  # sin(2*pi*k^2) = 0 exactly at t = 8*pi
     return SynthesizedControl(grid, rho)
 
 

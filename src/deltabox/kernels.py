@@ -47,8 +47,7 @@ import numpy as np
 ODD_INVERSE_EIGENVALUE_SUM = np.pi**2 / 2.0
 
 # modes per block of the mode-by-point arrays outside the modal-history kernels
-# (state synthesis, projection, origin series at arbitrary times, the
-# multi-period moment solution)
+# (state synthesis, projection, origin series at arbitrary times)
 MODE_BLOCK = 64
 
 # nodes per block on the uniform time grid: one triangular solve of this size per

@@ -27,10 +27,16 @@ from .spectral import BOX_HALF_WIDTH, TimeGrid, eigenvalues
 # RK4 steps of the dynamic oracle: dt * (largest retained odd eigenvalue) at most this
 GALERKIN_PHASE_STEP = 0.1
 
+# the charge oracle converges when a Picard sweep moves every node by less than this
+PICARD_TOL = 1e-12
+PICARD_MAX_ITER = 500
+
+# grid points across the box of the spectrum oracle (even, so a node sits on x = 0)
+FD_POINTS = 4096
+
 
 def picard_charge(f_nodes: np.ndarray, phi_nodes: np.ndarray, v0: complex, g_coeff: complex,
                   shift: SpectralShift, grid: TimeGrid, k_max: int,
-                  tol: float = 1e-12, max_iter: int = 500,
                   kernel_sign: float = -1.0) -> np.ndarray:
     """Fixed-point solution of v = f - phi*(g_coeff*g(t) + (i/pi) U v).
 
@@ -55,7 +61,7 @@ def picard_charge(f_nodes: np.ndarray, phi_nodes: np.ndarray, v0: complex, g_coe
 
     v = np.array(f_nodes, dtype=complex)
     v[0] = v0
-    for _ in range(max_iter):
+    for _ in range(PICARD_MAX_ITER):
         u_v = np.zeros(times.size, dtype=complex)
         for lam_k, ph in zip(lam, phases):
             integrand = v * ph
@@ -69,18 +75,18 @@ def picard_charge(f_nodes: np.ndarray, phi_nodes: np.ndarray, v0: complex, g_coe
         v_new[0] = v0
         delta = float(np.max(np.abs(v_new - v)))
         v = v_new
-        if delta < tol:
+        if delta < PICARD_TOL:
             return v
-    raise SolverError(f"Picard iteration did not reach {tol} in {max_iter} sweeps")
+    raise SolverError(f"Picard iteration did not reach {PICARD_TOL} in {PICARD_MAX_ITER} sweeps")
 
 
-def fd_spectrum(alpha: float, n_points: int = 4096, n_eigen: int = 6) -> np.ndarray:
+def fd_spectrum(alpha: float, n_eigen: int = 6) -> np.ndarray:
     """Lowest eigenvalues of -d^2/dx^2 + alpha*delta on a position grid.
 
     Second-order central differences with Dirichlet walls; the delta is the
     standard 1/h spike at the grid node sitting exactly on the origin.
-    n_points (even) fixes the spacing h = 2*pi/n_points; the n_points-1
-    interior nodes put x = 0 at node M = n_points/2 from either wall.
+    FD_POINTS fixes the spacing h = 2*pi/FD_POINTS; the FD_POINTS-1 interior
+    nodes put x = 0 at node M = FD_POINTS/2 from either wall.
 
     The eigenvalues are the roots of the matrix's secular equations, not an
     eigensolver's output.  From the left wall, u_i = sin(h*kappa*i) solves
@@ -94,9 +100,10 @@ def fd_spectrum(alpha: float, n_points: int = 4096, n_eigen: int = 6) -> np.ndar
         2 sinh(h*sigma)/tanh(pi*sigma) + alpha*h = 0 for
         0 < sigma <= asinh(|alpha|*h/2)/h.
     """
-    if n_points % 2 or n_points <= 2 * n_eigen + 2:
-        raise InputError(f"n_points must be even and above 2*n_eigen + 2, got {n_points!r}")
-    h = 2.0 * BOX_HALF_WIDTH / n_points
+    if FD_POINTS <= 2 * n_eigen + 2:
+        raise InputError(f"n_eigen must be below {(FD_POINTS - 2) // 2} on the "
+                         f"{FD_POINTS}-point grid, got {n_eigen!r}")
+    h = 2.0 * BOX_HALF_WIDTH / FD_POINTS
 
     def even(kappa):
         ratio = math.sin(math.pi * kappa) / math.sin(h * kappa) if kappa else math.pi / h

@@ -9,9 +9,10 @@ with the per-mode integrals h_k(t) of the same exact piecewise-linear product
 integration the charge march uses.  evolve's per-node diagnostics never form
 h_k on every node: they are lag sums (kernels.lag_sums) from the block-start
 slope-moment sums of kernels.block_starts, TIME_BLOCK nodes to a block
-(_odd_sector).  The final state is the end-time map Gamma of `end_state`,
-a0*e^{-i*lam*T} + (i/sqrt(pi))*h(T) from exact phases at T and the march's
-end history, which control.gamma returns too.  States are stored as full spectral
+(_odd_sector).  The state at any node is one formula, `_mild_state`: at the
+last node it is the end-time map Gamma (`end_state`, also control.gamma's)
+from the march's end history, elsewhere (`state_at`) from
+kernels.history_at_end.  States are stored as full spectral
 coefficient vectors; the decomposition into regular part + charge * Green
 state is computed on demand for a chosen shift (the split depends on the
 shift, the operator does not).
@@ -32,7 +33,8 @@ import numpy as np
 from .charge import ChargeTrajectory, CouplingProfile, solve_charge
 from .errors import InputError
 from .greens import SpectralShift, green_coefficients
-from .kernels import block_starts, lag_matrix, lag_sums, odd_eigenvalues, tail_deficit
+from .kernels import (block_starts, history_at_end, lag_matrix, lag_sums, odd_eigenvalues,
+                      tail_deficit)
 from .spectral import INV_SQRT_PI, SpectralCoefficients, TimeGrid, eigenvalues, free_evolve
 
 
@@ -84,15 +86,20 @@ def apply_hamiltonian(state: DomainState) -> SpectralCoefficients:
     return SpectralCoefficients(k_max, out)
 
 
+def _history_state(k_max: int, history: np.ndarray) -> SpectralCoefficients:
+    """F(q, t) from the odd-mode histories h_k(t): (i/sqrt(pi)) h_k, even modes zero."""
+    a = np.zeros(k_max, dtype=complex)
+    a[0::2] = 1j * INV_SQRT_PI * history
+    return SpectralCoefficients(k_max, a)
+
+
 def assemble_F(traj: ChargeTrajectory) -> SpectralCoefficients:
     """State contribution F(q, T) of the charge history at the final node.
 
     Odd-mode coefficient: (i/sqrt(pi)) int_0^T q(s) e^{-i*lam_k*(T-s)} ds, the
     trajectory's end_history.  Even modes are zero.
     """
-    a = np.zeros(traj.k_max, dtype=complex)
-    a[0::2] = 1j * INV_SQRT_PI * traj.end_history
-    return SpectralCoefficients(traj.k_max, a)
+    return _history_state(traj.k_max, traj.end_history)
 
 
 def initial_coefficients(psi0) -> SpectralCoefficients:
@@ -100,32 +107,32 @@ def initial_coefficients(psi0) -> SpectralCoefficients:
     return psi0 if isinstance(psi0, SpectralCoefficients) else psi0.full_coefficients()
 
 
+def _mild_state(full: SpectralCoefficients, t: float, history: np.ndarray) -> SpectralCoefficients:
+    """psi(t) = e^{it*Lap} psi0 + F(q, t) from psi0's full vector and the histories h_k(t)."""
+    return free_evolve(full, t).add(_history_state(full.k_max, history))
+
+
 def end_state(full: SpectralCoefficients, traj: ChargeTrajectory) -> SpectralCoefficients:
     """End-time map Gamma = e^{i*t_N*Lap} psi0 + F(q, t_N) at the last node t_N = n*dt."""
-    return free_evolve(full, traj.grid.n_steps * traj.grid.dt).add(assemble_F(traj))
+    return _mild_state(full, traj.grid.n_steps * traj.grid.dt, traj.end_history)
 
 
 @dataclass(frozen=True)
 class EvolutionResult:
-    """Trajectory record: decimated state snapshots plus per-node diagnostics.
+    """Trajectory record: psi0, the end-time state and per-node diagnostics.
 
-    snapshot_matrix[:, j] holds the coefficients at node snapshot_indices[j];
-    `snapshots` and `state_at` wrap its columns on demand.  The grid and the
-    truncation are the charge's.
+    initial_state is psi0's full coefficient vector; `state_at` builds the
+    state at any node from it and the charge.  The grid and the truncation are
+    the charge's.
     """
 
     charge: ChargeTrajectory
+    initial_state: SpectralCoefficients
     final_state: SpectralCoefficients
-    snapshot_indices: np.ndarray = field(repr=False)
-    snapshot_matrix: np.ndarray = field(repr=False)
     norm: np.ndarray = field(repr=False)
     energy: np.ndarray = field(repr=False)
     boundary_residual: np.ndarray = field(repr=False)
     origin_values: np.ndarray = field(repr=False)
-
-    @property
-    def snapshots(self) -> list[SpectralCoefficients]:
-        return [SpectralCoefficients(self.charge.k_max, col) for col in self.snapshot_matrix.T]
 
     def norm_drift(self) -> float:
         return float(np.max(np.abs(self.norm - self.norm[0])))
@@ -134,15 +141,24 @@ class EvolutionResult:
         return float(np.max(self.boundary_residual))
 
     def state_at(self, n: int) -> SpectralCoefficients:
-        pos = np.where(self.snapshot_indices == n)[0]
-        if pos.size == 0:
-            raise InputError(f"node {n} was not stored (stored: every snapshot stride)")
-        return SpectralCoefficients(self.charge.k_max, self.snapshot_matrix[:, int(pos[0])])
+        """psi(t_n) = e^{i*t_n*Lap} psi0 + F(q, t_n) at node 0 <= n <= N, t_n = n*dt.
+
+        F takes h(t_n) = kernels.history_at_end of the charge up to node n; the
+        last node returns final_state, the end-time map itself.
+        """
+        grid = self.charge.grid
+        if not isinstance(n, (int, np.integer)) or not 0 <= n <= grid.n_steps:
+            raise InputError(f"node must be an integer in 0..{grid.n_steps}, got {n!r}")
+        if n == grid.n_steps:
+            return self.final_state
+        lam = odd_eigenvalues(self.charge.k_max)
+        return _mild_state(self.initial_state, n * grid.dt,
+                           history_at_end(self.charge.q[:n + 1], grid.dt, lam))
 
 
-def _odd_sector(traj: ChargeTrajectory, a0: np.ndarray, snap_nodes: np.ndarray):
+def _odd_sector(traj: ChargeTrajectory, a0: np.ndarray):
     """Per-node sum |a_k|^2, sum lam_k |a_k|^2 and sum a_k over the odd modes of the
-    charge traj, and a_k at snap_nodes; a0 holds the odd modes of psi0.
+    charge traj; a0 holds the odd modes of psi0.
 
     a_k(t_n) = a0_k e^{-i*lam_k*t_n} + (i/sqrt(pi)) h_k(t_n) is never formed on
     every node.  With nu_k = 1/(sqrt(pi)*lam_k) and the slope-moment sum
@@ -210,59 +226,31 @@ def _odd_sector(traj: ChargeTrajectory, a0: np.ndarray, snap_nodes: np.ndarray):
     origin_sum = lag_sums(c, table, x, lag_one).reshape(-1)[:n_nodes]
     h1_form += 2.0 * INV_SQRT_PI * np.real(q_conj * origin_sum)
     origin_sum += q * np.sum(nu)
-
-    snapshots = np.empty((lam.size, snap_nodes.size), dtype=complex)
-    for col, n in enumerate(snap_nodes):
-        b, r = divmod(int(n), block)
-        history = x[b, :r] @ np.conj(table[:r])
-        snapshots[:, col] = table[r] * (c[b] - nu * p1 * history) + nu * q[n]
-    return norm2, h1_form, origin_sum, snapshots
+    return norm2, h1_form, origin_sum
 
 
-def evolve(psi0, alpha: CouplingProfile, grid: TimeGrid,
-           store_every: int | None = None) -> EvolutionResult:
+def evolve(psi0, alpha: CouplingProfile, grid: TimeGrid) -> EvolutionResult:
     """Propagate psi0 under the time-dependent point interaction alpha(t).
 
     psi(t_n) = e^{i t_n Lap} psi0 + F(q, t_n) with q from the charge equation,
-    at psi0's own truncation.  Snapshots are stored at node 0 (psi0 itself),
-    the final node (the end-time map) and, if store_every is given, every
-    store_every-th node; diagnostics (norm, energy, boundary residual) cover
-    every node regardless.  The odd-mode sums come from block lag kernels
+    at psi0's own truncation.  The result keeps psi0 and the end-time map
+    (state_at builds any other node); diagnostics (norm, energy, boundary
+    residual) cover every node.  The odd-mode sums come from block lag kernels
     (_odd_sector), so no node-by-mode array is formed: memory beyond the
-    per-node series and the snapshots is one block-start vector per block of
-    TIME_BLOCK nodes.
+    per-node series is one block-start vector per block of TIME_BLOCK nodes.
     """
     traj = solve_charge(alpha, psi0, grid)
     k_max = traj.k_max
     full = initial_coefficients(psi0)
     a0 = full.a
-
-    times = grid.times
-    n_nodes = times.size
     q = traj.q
     alpha_nodes = np.real(np.atleast_1d(alpha.values_on(grid)))
 
-    if store_every is None or store_every < 1:
-        snap_idx = np.array([0, n_nodes - 1])
-    else:
-        snap_idx = np.unique(np.concatenate(
-            (np.arange(0, n_nodes, store_every), [n_nodes - 1])))
-    snap_matrix = np.zeros((k_max, snap_idx.size), dtype=complex)
-
-    norm2, h1_form, origin_sum, snap_matrix[0::2, 1:-1] = _odd_sector(
-        traj, a0[0::2], snap_idx[1:-1])
-
-    # even modes evolve freely: the same exp as free_evolve at the snapshot
-    # times, so the sine sector matches it bit for bit
-    lam_even = eigenvalues(k_max)[1::2]
+    norm2, h1_form, origin_sum = _odd_sector(traj, a0[0::2])
+    # even modes evolve freely: their |a_k|^2 never changes
     mag2 = np.abs(a0[1::2]) ** 2
     norm2 += np.sum(mag2)
-    h1_form += np.sum(lam_even * mag2)
-    snap_matrix[1::2] = a0[1::2, None] * np.exp(-1j * np.outer(lam_even, times[snap_idx]))
-    # the first and last columns are psi0 and the end-time map themselves
-    snap_matrix[:, 0] = a0
-    final_state = end_state(full, traj)
-    snap_matrix[:, -1] = final_state.a
+    h1_form += np.sum(eigenvalues(k_max)[1::2] * mag2)
 
     # energy uses the tail-dressed origin at every node and the analytic mode
     # tail of the quadratic form: for k > k_max the coefficients behave like
@@ -279,9 +267,8 @@ def evolve(psi0, alpha: CouplingProfile, grid: TimeGrid,
     norm = np.sqrt(norm2)
 
     return EvolutionResult(
-        charge=traj, final_state=final_state,
-        snapshot_indices=snap_idx, snapshot_matrix=snap_matrix, norm=norm, energy=energy,
-        boundary_residual=boundary_residual, origin_values=origin_values)
+        charge=traj, initial_state=full, final_state=end_state(full, traj), norm=norm,
+        energy=energy, boundary_residual=boundary_residual, origin_values=origin_values)
 
 
 @dataclass(frozen=True)

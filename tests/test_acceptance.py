@@ -101,7 +101,7 @@ def test_criterion_5_charge_solver_order():
     av = np.real(alpha.values_on(fgrid))
     oracle = picard_charge(-av * src, av.astype(complex),
                            -av[0] * origin_trace(psi0), 0.0,
-                           SpectralShift(), fgrid, k_use, tol=1e-12)
+                           SpectralShift(), fgrid, k_use)
     agreement = float(np.max(np.abs(traj.q - oracle[::4])))
     ok = slope >= 1.9 and agreement <= 1e-6
     record(5, "charge-solver order and fixed-point oracle",
@@ -113,7 +113,7 @@ def test_criterion_6_static_spectrum():
     worst_fd = 0.0
     for alpha in (-2.0, 2.0):
         mine = [e for e, _ in static_eigenvalues(alpha, (-10.0, 10.0))][:3]
-        ref = fd_spectrum(alpha, n_points=4096, n_eigen=3)
+        ref = fd_spectrum(alpha, n_eigen=3)
         worst_fd = max(worst_fd, float(np.max(np.abs(np.array(mine) - ref))))
     e1_present = all(
         any(abs(e - 1.0) < 1e-12 for e, _ in static_eigenvalues(a, (0.5, 1.5)))

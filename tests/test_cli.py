@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -98,8 +99,8 @@ class TestSimulate:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
     def test_memory_is_blocked_in_time(self, tmp_path):
-        # simulate keeps no snapshots it does not write: at k_max = 401, n = 25133
-        # the peak stays below the bound of propagator's test of the same name
+        # at k_max = 401, n = 25133 the peak stays below the bound of
+        # propagator's test of the same name
         n_steps = 25133
         tracemalloc.start()
         try:
@@ -508,10 +509,56 @@ class TestControlCommand:
 
 
 class TestConfigHash:
+    SMALL = ["--T", "0.5", "--n-steps", "50", "--k-max", "21"]
+
     def test_stable(self):
         h1 = config_hash({"a": "1", "b": "2"})
         h2 = config_hash({"b": "2", "a": "1"})
         assert h1 == h2 and len(h1) == 12
+
+    @staticmethod
+    def write_inputs(folder):
+        """A state file and a pl coupling file (alpha(0) = 0) on the SMALL grid."""
+        folder.mkdir()
+        save_state(str(folder / "psi0.txt"), SpectralCoefficients.unit(3, 21))
+        times = 0.5 * np.arange(51) / 50
+        (folder / "alpha.csv").write_text(
+            "".join(f"{t!r},{0.05 * math.sin(t)!r}\n" for t in times.tolist()))
+        return folder / "psi0.txt", folder / "alpha.csv"
+
+    @staticmethod
+    def simulate_hash(args, outdir):
+        assert run_cli(["simulate", *args, "--outdir", str(outdir)]) == 0
+        return manifest_section(outdir / "manifest.txt", "inputs")["config_hash"]
+
+    @pytest.mark.parametrize("psi0", ["file:{}", "domain:{}:0:0"])
+    def test_inputs_hash_by_contents(self, psi0, tmp_path):
+        hashes = []
+        for name in ("a", "b"):
+            state, alpha = self.write_inputs(tmp_path / name)
+            hashes.append(self.simulate_hash(
+                ["--psi0", psi0.format(state), "--alpha", f"pl:{alpha}", *self.SMALL],
+                tmp_path / f"out-{name}"))
+        assert hashes[0] == hashes[1]
+        # one byte changed at the same path: the last digit of the second row
+        rows = alpha.read_text().splitlines()
+        rows[1] = rows[1][:-1] + ("1" if rows[1][-1] != "1" else "2")
+        alpha.write_text("\n".join(rows) + "\n")
+        changed = self.simulate_hash(
+            ["--psi0", psi0.format(state), "--alpha", f"pl:{alpha}", *self.SMALL],
+            tmp_path / "out-changed")
+        assert changed != hashes[1]
+
+    def test_config_file_hashes_like_flags(self, tmp_path):
+        flags = ["--psi0", "eig:1", "--alpha", "bump:0.4", *self.SMALL]
+        expected = self.simulate_hash(flags, tmp_path / "flags")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("version=1\npsi0=eig:1\nalpha=bump:0.4\nT=0.50\nn_steps=50\n"
+                       f"k_max=21\noutdir={tmp_path / 'cfg-out'}\n"
+                       "tol_boundary=1e-8\ntol_norm_drift=1e-6\n")
+        assert run_cli(["simulate", "--config", str(cfg)]) == 0
+        got = manifest_section(tmp_path / "cfg-out" / "manifest.txt", "inputs")["config_hash"]
+        assert got == expected
 
 
 class TestIOExitCode:

@@ -82,6 +82,21 @@ class TestSolveMoment:
         assert np.all(rho.u[beyond] == 0)
         assert moment_residual(rho, t) < 1e-7
 
+    def test_multiple_periods_match_direct_sum(self, rng):
+        # N = 3 on a step count that is not a multiple of N: the FFT bins
+        # (k^2*N) mod n against sin(lam_k t) summed mode by mode
+        k_max, n_periods = 101, 3
+        a = np.zeros(k_max, dtype=complex)
+        kk = np.arange(1, k_max + 1, 2)
+        a[0::2] = kk**-3.0 * np.exp(2j * np.pi * rng.random(kk.size))
+        grid = TimeGrid(n_periods * T8PI, 30001)
+        rho = solve_moment(ControlTarget(SpectralCoefficients(k_max, a), grid.t_end), grid)
+        times = grid.times
+        active = times <= T8PI * (1 + 1e-12)
+        direct = -np.sin(np.outer(times[active], kk**2 / 4.0)) @ a[0::2] / (4.0 * np.sqrt(np.pi))
+        assert np.max(np.abs(rho.u[active] - direct)) <= 1e-14
+        assert np.all(rho.u[~active] == 0)
+
     def test_residual_of_construction(self):
         t = target_on(1)
         assert moment_residual(solve_moment(t), t) < 1e-8

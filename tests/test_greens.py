@@ -14,7 +14,7 @@ from deltabox.greens import (
     green_series,
     static_eigenvalues,
 )
-from deltabox.oracles import fd_spectrum
+from deltabox.oracles import FD_POINTS, fd_spectrum
 from deltabox.spectral import BOX_HALF_WIDTH, origin_trace
 from deltabox import verify
 
@@ -192,18 +192,18 @@ class TestStaticEigenvalues:
         # the secular equations against scipy's eigensolver on the same matrix
         from scipy.linalg import eigh_tridiagonal
 
-        n_points, n_eigen = 4096, 6
-        h = 2.0 * BOX_HALF_WIDTH / n_points
-        diag = np.full(n_points - 1, 2.0 / h**2)
-        diag[n_points // 2 - 1] += alpha / h  # the node on x = 0
-        off = np.full(n_points - 2, -1.0 / h**2)
+        n_eigen = 6
+        h = 2.0 * BOX_HALF_WIDTH / FD_POINTS
+        diag = np.full(FD_POINTS - 1, 2.0 / h**2)
+        diag[FD_POINTS // 2 - 1] += alpha / h  # the node on x = 0
+        off = np.full(FD_POINTS - 2, -1.0 / h**2)
         ref = eigh_tridiagonal(diag, off, select="i", select_range=(0, n_eigen - 1),
                                eigvals_only=True)
-        assert np.max(np.abs(fd_spectrum(alpha, n_points, n_eigen) - ref)) <= 1e-9
+        assert np.max(np.abs(fd_spectrum(alpha, n_eigen) - ref)) <= 1e-9
 
-    def test_fd_needs_a_node_on_the_origin(self):
+    def test_fd_rejects_more_eigenvalues_than_the_grid_has(self):
         with pytest.raises(InputError):
-            fd_spectrum(1.0, n_points=4097)
+            fd_spectrum(1.0, n_eigen=FD_POINTS // 2)
 
 
 class TestFindRoot:

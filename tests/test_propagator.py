@@ -93,37 +93,20 @@ class TestEvolve:
     def test_boundary_equivalence(self):
         assert_check(verify.check_boundary_equivalence)
 
-    def test_snapshots(self):
+    def test_state_at_nodes(self):
         grid = TimeGrid(1.0, 100)
         psi0 = SpectralCoefficients.unit(1, 21)
-        res = evolve(psi0, CouplingProfile.sine_bump(0.2, 1.0), grid, store_every=25)
-        assert list(res.snapshot_indices) == [0, 25, 50, 75, 100]
-        assert np.max(np.abs(res.state_at(0).a - psi0.a)) == 0.0
-        with pytest.raises(InputError):
-            res.state_at(13)
+        res = evolve(psi0, CouplingProfile.sine_bump(0.2, 1.0), grid)
+        assert res.state_at(grid.n_steps) is res.final_state
+        for n in (-1, grid.n_steps + 1, 2.5):
+            with pytest.raises(InputError):
+                res.state_at(n)
 
     def test_eigenstate_rotation(self):
         assert_check(verify.check_eigenstate_rotation)
 
-    @pytest.mark.parametrize("store_every", [7, TIME_BLOCK, TIME_BLOCK + 1])
-    def test_snapshots_match_every_node(self, store_every):
-        # snapshots are placed block by block; any stride picks the same columns
-        grid = TimeGrid(1.0, 3 * TIME_BLOCK + 20)
-        k_max = 41
-        k = np.arange(1, k_max + 1)
-        psi0 = SpectralCoefficients(k_max, k**-2.0 * np.exp(1j * k))
-        alpha = CouplingProfile.sine_bump(0.4, 1.0)
-        dense = evolve(psi0, alpha, grid, store_every=1)
-        thin = evolve(psi0, alpha, grid, store_every=store_every)
-        assert thin.snapshot_indices[-1] == grid.n_steps
-        assert np.array_equal(thin.snapshot_matrix,
-                              dense.snapshot_matrix[:, thin.snapshot_indices])
-        for n, state in zip(thin.snapshot_indices, thin.snapshots):
-            assert np.array_equal(state.a, dense.state_at(n).a)
-        assert np.array_equal(thin.final_state.a, dense.final_state.a)
-
     def test_memory_is_blocked_in_time(self):
-        # k_max = 401, n = 25133 with no stored snapshots: the peak stays below
+        # k_max = 401, n = 25133: the peak stays below
         # one 64 x (n+1) complex array, the size of a mode-blocked node array
         grid = TimeGrid(8.0 * np.pi, 25133)
         psi0 = SpectralCoefficients.unit(1, 401)
@@ -182,6 +165,15 @@ class TestOddSectorSums:
         # its scale is |q|
         q_scale = np.max(np.abs(res.charge.q))
         assert np.max(np.abs(res.boundary_residual - resid)) <= 1e-13 * q_scale
+
+    @pytest.mark.parametrize("n_steps", [2 * TIME_BLOCK + 37, TIME_BLOCK // 2 + 3])
+    def test_state_at_matches_node_by_node(self, n_steps):
+        psi0, _, grid, res = self.run(n_steps)
+        lam = eigenvalues(self.K_MAX)
+        ref = psi0.a[:, None] * np.exp(-1j * np.outer(lam, grid.times))
+        ref[0::2] += 1j * INV_SQRT_PI * slope_moment_history(res.charge.q, grid.dt, lam[0::2])
+        got = np.array([res.state_at(n).a for n in range(grid.n_steps + 1)]).T
+        assert np.max(np.abs(got - ref)) <= 1e-13
 
     def test_initial_snapshot_is_psi0(self):
         psi0, alpha, _, res = self.run(2 * TIME_BLOCK + 37)
