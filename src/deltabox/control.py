@@ -131,14 +131,47 @@ def alpha_is_zero(alpha: CouplingProfile) -> bool:
     return alpha.amplitude == 0.0
 
 
+def _odd_harmonics(k_max: int, n_periods: int) -> np.ndarray:
+    """k^2*N for the odd modes k <= k_max: lam_k*t_j = 2*pi*(k^2*N)*j/n on n steps of 8*pi*N."""
+    return np.arange(1, k_max + 1, 2, dtype=np.int64) ** 2 * n_periods
+
+
+# e^{2*pi*i*p/8}, exact where the value is representable
+_EIGHTH_ROOTS = np.array([1, np.sqrt(0.5) * (1 + 1j), 1j, np.sqrt(0.5) * (-1 + 1j),
+                          -1, -np.sqrt(0.5) * (1 + 1j), -1j, np.sqrt(0.5) * (1 - 1j)])
+
+
+def _fold(n: int, bins: np.ndarray):
+    """Prune the n-point sums X_b = sum_m x_m e^{2*pi*i*b*m/n} to the residue class of `bins`.
+
+    f is the largest divisor of gcd(n, 8) with every bin = r (mod f).  Every odd k
+    has k^2 = 1 (mod 8), so the moment bins (k^2*N) mod n give f = gcd(n, 8) and
+    r = N mod f.  With M = n/f, bin f*j + r of the n-point sum is bin j of the
+    M-point sum of the folded, twisted samples
+
+        z_m = e^{2*pi*i*r*m/n} * sum_{p<f} e^{2*pi*i*r*p/f} x_{m+p*M},    m < M.
+
+    Returns f, r, the roots e^{2*pi*i*r*p/f} (p < f), the twiddles e^{2*pi*i*r*m/n}
+    (m < M; None when r = 0, where they are exactly 1) and each bin's index j.
+    """
+    f = int(np.gcd.reduce(np.concatenate(([n, 8], bins - bins[:1]))))
+    r = int(bins[0]) % f if bins.size else 0
+    roots = _EIGHTH_ROOTS[(8 // f) * r * np.arange(f) % 8]
+    twiddle = np.exp(2j * np.pi * r / n * np.arange(n // f)) if r else None
+    return f, r, roots, twiddle, (bins - r) // f
+
+
 def solve_moment(target: ControlTarget, grid: TimeGrid | None = None) -> SynthesizedControl:
     """Particular moment-problem solution rho with rho(0) = rho(T) = 0.
 
     Requires T = 8*pi*N.  On [0, 8*pi] the solution is the sine superposition
     described in the module docstring, zero after 8*pi.  With n steps,
     lam_k*t_j = 2*pi*(k^2*N)*j/n, so every sin(lam_k t) is a harmonic of the
-    grid and all modes are synthesized with one inverse FFT of the bin
-    spectrum, bins (k^2*N) mod n.
+    grid, at the bins (k^2*N) mod n and -(k^2*N) mod n.  These lie in the
+    classes N and -N mod f = gcd(n, 8) (`_fold`), so rho is synthesized by the
+    transpose of the fold: one n/f-point inverse FFT of the class-N spectrum
+    and, when -N is another class, one n/f-point FFT of the -bins at the same
+    indices, spread over the f rows of rho's own buffer.
     """
     n_periods = _horizon_periods(target.t_end)
     if grid is None:
@@ -147,15 +180,37 @@ def solve_moment(target: ControlTarget, grid: TimeGrid | None = None) -> Synthes
         raise InputError("control grid horizon must match the target horizon")
 
     c_odd = target.c.a[0::2]
-    k_odd = np.arange(1, target.k_max + 1, 2, dtype=np.int64)
     n = grid.n_steps
-    # rho[:n] holds the bin spectrum, then (in place: the transform runs about a
-    # third faster at 2^19 points) its inverse FFT
+    bins = _odd_harmonics(target.k_max, n_periods) % n
+    f, r, roots, twiddle, index = _fold(n, bins)
+    # rho[:n] as f rows, t = m + p*n/f.  Row 0 holds the class-N spectrum, then its
+    # transform, in place: the synthesis adds no full-length array to rho
     rho = np.zeros(n + 1, dtype=complex)
-    bins = (k_odd**2 * n_periods) % n
-    np.add.at(rho, bins, c_odd / 2j)
-    np.add.at(rho, (-bins) % n, -c_odd / 2j)
-    np.fft.ifft(rho[:n], norm="forward", out=rho[:n])
+    rows = rho[:n].reshape(f, n // f)
+    a = rows[0]
+    np.add.at(a, index, c_odd / 2j)
+    if 2 * r % f == 0:  # -N = N (mod f): one class, r = 0 or f/2, roots +-1
+        np.add.at(a, ((-bins) % n - r) // f, -c_odd / 2j)
+        np.fft.ifft(a, norm="forward", out=a)
+        if twiddle is not None:
+            a *= twiddle
+        np.multiply(roots[1:, None], a, out=rows[1:])
+    else:
+        # bin n - b of class -N is e^{-2*pi*i*b*t/n}: a forward FFT at b's index, in row 1
+        b = rows[1]
+        np.add.at(b, index, -c_odd / 2j)
+        np.fft.ifft(a, norm="forward", out=a)
+        np.fft.fft(b, out=b)
+        a *= twiddle
+        b *= twiddle.conj()
+        # row p = roots[p]*a + conj(roots[p])*b; rows 0 and 1 last, as they hold a and b.
+        # (A matmul here pages in OpenBLAS's GEMM buffer early: the steering run's peak RSS rose.)
+        for p in range(f - 1, 1, -1):
+            np.multiply(a, roots[p], out=rows[p])
+            rows[p] += roots[p].conj() * b
+        row1 = roots[1] * a + roots[1].conj() * b
+        a += b
+        rows[1] = row1
     rho *= -INV_SQRT_PI / 4.0  # -(sqrt(pi)/(4*pi))
     # zero after 8*pi: the nodes j*dt > 8*pi*(1 + 1e-12), all at or after node
     # n // N, since every earlier node lies at least dt inside 8*pi
@@ -168,16 +223,26 @@ def solve_moment(target: ControlTarget, grid: TimeGrid | None = None) -> Synthes
 def _pl_end_history(samples: np.ndarray, grid: TimeGrid, lam: np.ndarray) -> np.ndarray:
     """End history h(T) = int_0^T rho_PL(s) e^{-i*lam*(T-s)} ds per frequency: history_at_end,
     or, when every lam*T is a multiple of 2*pi, slope-moment sums B taken as
-    Fourier bins of the increments with one FFT and closed by close_history.
+    Fourier bins of the increments with one n/f-point FFT of their fold (`_fold`)
+    and closed by close_history.
     """
     bins = lam * grid.t_end / (2.0 * np.pi)
     bins_round = np.round(bins)
     if not np.all(np.abs(bins - bins_round) < 1e-9):
         return history_at_end(samples, grid.dt, lam)
+    n = grid.n_steps
+    f, r, roots, twiddle, index = _fold(n, bins_round.astype(np.int64) % n)
     inc = np.diff(samples)
-    # bin j: sum_m inc_m e^{+2*pi*i*j*m/n}; in place as in solve_moment (inc is complex)
-    spectrum = np.fft.ifft(inc, norm="forward", out=inc)
-    b = spectrum[bins_round.astype(int) % grid.n_steps] * phi1(1j * lam * grid.dt)
+    # bin j: sum_m inc_m e^{+2*pi*i*j*m/n}.  The fold accumulates in inc's first
+    # row, transformed in place as in solve_moment (inc is complex)
+    rows = inc.reshape(f, n // f)
+    z = rows[0]
+    if f > 1:
+        z += roots[1:] @ rows[1:]
+    if twiddle is not None:
+        z *= twiddle
+    np.fft.ifft(z, norm="forward", out=z)
+    b = z[index] * phi1(1j * lam * grid.dt)
     return close_history(samples[-1], samples[0] + b, lam, grid.n_steps * grid.dt)
 
 
@@ -257,10 +322,17 @@ def controllability_experiment(k_bar: int, epsilons, delta_direction: ControlTar
     log-log remainder slope estimates the quadratic-order of the rest term.
     """
     t_start = time.time()
-    _horizon_periods(grid.t_end)
+    n_periods = _horizon_periods(grid.t_end)
     norm = delta_direction.c.norm()
     if abs(norm - 1.0) > 1e-9:
         raise InputError("delta_direction must be normalized")
+    # a mode at or above the grid's Nyquist bin folds onto another frequency
+    harmonics = _odd_harmonics(delta_direction.k_max, n_periods)
+    aliased = np.flatnonzero((2 * harmonics >= grid.n_steps) & (delta_direction.c.a[0::2] != 0))
+    if aliased.size:
+        k, h = 2 * aliased[-1] + 1, harmonics[aliased[-1]]
+        raise InputError(f"target mode k={k} (k^2*N = {h}) is aliased on {grid.n_steps} steps; "
+                         f"it needs at least {2 * h + 1}")
     psi0 = SpectralCoefficients.unit(k_bar, delta_direction.k_max)
     free_final = free_evolve(psi0, grid.t_end)
     control_unit = synthesize_control(solve_moment(delta_direction, grid), k_bar)

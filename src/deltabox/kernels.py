@@ -215,11 +215,11 @@ def _numpy_blas() -> dict:
 
 
 @functools.cache
-def _bundled_trsv():
-    """scipy_cblas_ztrsv64_ of the OpenBLAS in numpy's wheel, or None if numpy has another BLAS.
+def _bundled_openblas():
+    """numpy's bundled 64-bit-integer OpenBLAS as a ctypes.CDLL, or None if numpy has another BLAS.
 
-    Only a scipy-openblas build with 64-bit integers exports this symbol with
-    int64 sizes; the library sits next to the numpy package (numpy.libs on
+    Only a scipy-openblas build with 64-bit integers exports scipy_cblas_ztrsv64_
+    with int64 sizes; the library sits next to the numpy package (numpy.libs on
     Linux and Windows, numpy/.dylibs on macOS) and is already loaded by numpy.
     """
     blas = _numpy_blas()
@@ -230,14 +230,31 @@ def _bundled_trsv():
     for folder in (os.path.join(here, os.pardir, "numpy.libs"), os.path.join(here, ".dylibs")):
         for path in sorted(glob.glob(os.path.join(folder, "libscipy_openblas64_*"))):
             try:
-                trsv = ctypes.CDLL(path).scipy_cblas_ztrsv64_
-            except (OSError, AttributeError):
+                lib = ctypes.CDLL(path)
+            except OSError:
                 continue
-            trsv.restype = None
-            trsv.argtypes = [ctypes.c_int] * 4 + [ctypes.c_int64, ctypes.c_void_p,
-                                                  ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64]
-            return trsv
+            if hasattr(lib, "scipy_cblas_ztrsv64_"):
+                return lib
     return None
+
+
+@functools.cache
+def _bundled_trsv():
+    """scipy_cblas_ztrsv64_ of `_bundled_openblas`, or None if numpy has another BLAS."""
+    lib = _bundled_openblas()
+    if lib is None:
+        return None
+    trsv = lib.scipy_cblas_ztrsv64_
+    trsv.restype = None
+    trsv.argtypes = [ctypes.c_int] * 4 + [ctypes.c_int64, ctypes.c_void_p,
+                                          ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64]
+    return trsv
+
+
+def _openblas_threads() -> str:
+    """Threads the bundled OpenBLAS runs with, or 'unknown' if numpy has another BLAS."""
+    get = getattr(_bundled_openblas(), "scipy_openblas_get_num_threads64_", None)
+    return "unknown" if get is None else str(get())
 
 
 def lower_solve(system: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -262,11 +279,12 @@ def lower_solve(system: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def runtime_record() -> dict:
-    """What ran the linear algebra: the triangular-solve path, numpy's BLAS and the thread
-    variables seen at import ('unset' when absent)."""
+    """What ran the linear algebra: the triangular-solve path, numpy's BLAS, the threads
+    OpenBLAS runs with and the thread variables seen at import ('unset' when absent)."""
     blas = _numpy_blas()
     return {"triangular_solve": "scipy" if _bundled_trsv() is None else "bundled-openblas",
-            "blas": f"{blas.get('name')} {blas.get('version')}", **_THREADS_AT_IMPORT}
+            "blas": f"{blas.get('name')} {blas.get('version')}",
+            "openblas_threads": _openblas_threads(), **_THREADS_AT_IMPORT}
 
 
 def discrete_h1_norm(values: np.ndarray, dt: float) -> float:

@@ -536,15 +536,15 @@ def check_gateaux_continuity(k_max, seed):
         us.append(u / discrete_h1_norm(u, grid.dt))
     base_amp = 0.3
     gaps = [0.2, 0.1, 0.05]
+    a1 = chg.CouplingProfile.sine_bump(base_amp, 1.0)
+    b1 = chg.solve_charge(a1, psi0, grid)
+    d1s = [ctl.apply_linearized(a1, u + 0j, psi0, grid, base_charge=b1) for u in us]
     sups = []
     for gap in gaps:
-        a1 = chg.CouplingProfile.sine_bump(base_amp, 1.0)
         a2 = chg.CouplingProfile.sine_bump(base_amp + gap, 1.0)
-        b1 = chg.solve_charge(a1, psi0, grid)
         b2 = chg.solve_charge(a2, psi0, grid)
         worst = 0.0
-        for u in us:
-            d1 = ctl.apply_linearized(a1, u + 0j, psi0, grid, base_charge=b1)
+        for u, d1 in zip(us, d1s):
             d2 = ctl.apply_linearized(a2, u + 0j, psi0, grid, base_charge=b2)
             worst = max(worst, d1.sub(d2).norm())
         sups.append(worst)

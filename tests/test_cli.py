@@ -31,7 +31,7 @@ def run_cli(args):
     return main(args)
 
 
-RUNTIME_KEYS = ["triangular_solve", "blas", *THREAD_VARIABLES]
+RUNTIME_KEYS = ["triangular_solve", "blas", "openblas_threads", *THREAD_VARIABLES]
 
 
 def manifest_section(path, name):
@@ -47,11 +47,14 @@ def assert_runtime_section(path):
         "scipy" if _bundled_trsv() is None else "bundled-openblas")
     assert runtime["blas"].split()[0] == np.show_config(mode="dicts")[
         "Build Dependencies"]["blas"]["name"]
+    threads = runtime["openblas_threads"]
+    assert (threads == "unknown") if _bundled_trsv() is None else (int(threads) >= 1)
 
 
-def run_python(args):
-    """A fresh interpreter with this deltabox on its path."""
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(deltabox.__file__)))
+def run_python(args, **variables):
+    """A fresh interpreter with this deltabox on its path and the given environment variables."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(deltabox.__file__)),
+               **variables)
     return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
                           timeout=120)
 
@@ -204,6 +207,9 @@ BAD_INPUTS = {
     "control-text-T": ["control", "--target", "{empty_target}", "--T", "abc"],
     "control-text-n-steps": ["control", "--target", "{empty_target}", "--n-steps", "1e3"],
     "control-text-k-bar": ["control", "--target", "{empty_target}", "--k-bar", "abc"],
+    # 1 step folds every bin onto 0: rho = 0 and a slope of 0.0000 before the check
+    "control-aliased-experiment": ["control", "--target", "{target}", "--experiment",
+                                   "--n-steps", "1"],
     "verify-text-seed": ["verify", "--seed", "abc"],
     "verify-text-kmax": ["verify", "--k-max", "abc"],
 }
@@ -220,8 +226,10 @@ class TestInputContracts:
         bad_target.write_text("k,re_c,im_c\n3,x,0\n")
         empty_target = tmp_path / "empty_target.csv"
         empty_target.write_text("k,re_c,im_c\n")
+        target = tmp_path / "target.csv"
+        target.write_text("k,re_c,im_c\n3,1.0,0.0\n")
         args = [a.format(state=state, bad_state=bad_state, bad_target=bad_target,
-                         empty_target=empty_target) for a in BAD_INPUTS[case]]
+                         empty_target=empty_target, target=target) for a in BAD_INPUTS[case]]
         if args[0] not in ("green", "verify"):  # these write no files and have no --outdir
             args += ["--outdir", str(tmp_path / "out")]
         code = run_cli(args)
@@ -582,6 +590,14 @@ class TestImportBudget:
                                  f"print(*(m for m in {absent!r} if m in sys.modules))"])
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == []
+
+    def test_openblas_threads_follow_the_environment(self):
+        # the thread count OpenBLAS reports at run time, not the variable it was given
+        proc = run_python(["-c", "from deltabox.kernels import runtime_record; "
+                                 "print(runtime_record()['openblas_threads'])"],
+                          OPENBLAS_NUM_THREADS="1")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == ("unknown" if _bundled_trsv() is None else "1")
 
     @pytest.mark.skipif(_bundled_trsv() is None, reason="numpy's BLAS is not OpenBLAS")
     def test_commands_load_no_scipy(self, tmp_path):

@@ -83,19 +83,45 @@ class TestSolveMoment:
         assert moment_residual(rho, t) < 1e-7
 
     def test_multiple_periods_match_direct_sum(self, rng):
-        # N = 3 on a step count that is not a multiple of N: the FFT bins
-        # (k^2*N) mod n against sin(lam_k t) summed mode by mode
-        k_max, n_periods = 101, 3
-        a = np.zeros(k_max, dtype=complex)
+        # the FFT bins (k^2*N) mod n against sin(lam_k t) summed mode by mode.
+        # N = 3 on 30001 steps, not a multiple of N, where gcd(n, 8) = 1.  On 24000
+        # steps gcd(n, 8) = 8: the classes N and -N mod 8 are 1 and 7, 2 and 6,
+        # 5 and 3 (two transforms), or coincide at 4 and 0 (one)
+        k_max = 101
         kk = np.arange(1, k_max + 1, 2)
-        a[0::2] = kk**-3.0 * np.exp(2j * np.pi * rng.random(kk.size))
-        grid = TimeGrid(n_periods * T8PI, 30001)
-        rho = solve_moment(ControlTarget(SpectralCoefficients(k_max, a), grid.t_end), grid)
-        times = grid.times
-        active = times <= T8PI * (1 + 1e-12)
-        direct = -np.sin(np.outer(times[active], kk**2 / 4.0)) @ a[0::2] / (4.0 * np.sqrt(np.pi))
-        assert np.max(np.abs(rho.u[active] - direct)) <= 1e-14
-        assert np.all(rho.u[~active] == 0)
+        for n_steps, n_periods in [(30001, 3), (24000, 1), (24000, 2), (24000, 4),
+                                   (24000, 5), (24000, 8)]:
+            a = np.zeros(k_max, dtype=complex)
+            a[0::2] = kk**-3.0 * np.exp(2j * np.pi * rng.random(kk.size))
+            grid = TimeGrid(n_periods * T8PI, n_steps)
+            rho = solve_moment(ControlTarget(SpectralCoefficients(k_max, a), grid.t_end), grid)
+            times = grid.times
+            active = times <= T8PI * (1 + 1e-12)
+            direct = -np.sin(np.outer(times[active], kk**2 / 4.0)) @ a[0::2] / (
+                4.0 * np.sqrt(np.pi))
+            assert np.max(np.abs(rho.u[active] - direct)) <= 1e-14, (n_steps, n_periods)
+            assert np.all(rho.u[~active] == 0)
+
+    @pytest.mark.parametrize("n_steps", [25133, 30001])
+    def test_unfolded_grid_is_one_full_fft(self, rng, n_steps):
+        # gcd(n, 8) = 1: the fold is the identity, and rho is the single in-place
+        # n-point inverse FFT of the whole bin spectrum, bit for bit
+        k_max = 401
+        kk = np.arange(1, k_max + 1, 2, dtype=np.int64)
+        for n_periods in (1, 3):
+            a = np.zeros(k_max, dtype=complex)
+            a[0::2] = kk**-3.0 * np.exp(2j * np.pi * rng.random(kk.size))
+            grid = TimeGrid(n_periods * T8PI, n_steps)
+            rho = solve_moment(ControlTarget(SpectralCoefficients(k_max, a), grid.t_end), grid)
+            ref = np.zeros(n_steps + 1, dtype=complex)
+            bins = (kk**2 * n_periods) % n_steps
+            np.add.at(ref, bins, a[0::2] / 2j)
+            np.add.at(ref, (-bins) % n_steps, -a[0::2] / 2j)
+            np.fft.ifft(ref[:n_steps], norm="forward", out=ref[:n_steps])
+            ref *= -1.0 / (4.0 * np.sqrt(np.pi))
+            ref[grid.times > T8PI * (1 + 1e-12)] = 0.0
+            ref[n_steps] = 0.0
+            assert np.array_equal(rho.u, ref)
 
     def test_residual_of_construction(self):
         t = target_on(1)
@@ -134,6 +160,26 @@ class TestMomentResidual:
              * (samples[0] + np.sum(slope_moments(samples, grid.dt, l)))) / (1j * l)
             for l in lam])
         assert np.max(np.abs(got - direct)) < 1e-10
+
+
+    @pytest.mark.parametrize("n_steps", [1001, 1002, 1004, 1000, 4096])
+    def test_folded_bins_match_full_fft(self, rng, n_steps):
+        # gcd(n, 8) = 1, 2, 4, 8, 8: the fold against the plain n-point FFT of the
+        # increments, closed the same way; the bound is set by the dtype before measuring
+        from deltabox.control import _pl_end_history
+        from deltabox.kernels import close_history, odd_eigenvalues, phi1
+
+        lam = odd_eigenvalues(101)
+        for n_periods in range(1, 6):
+            grid = TimeGrid(n_periods * T8PI, n_steps)
+            samples = rng.standard_normal(n_steps + 1) + 1j * rng.standard_normal(n_steps + 1)
+            inc = np.diff(samples)
+            bins = np.round(lam * grid.t_end / (2 * np.pi)).astype(np.int64) % n_steps
+            b = np.fft.ifft(inc, norm="forward")[bins] * phi1(1j * lam * grid.dt)
+            ref = close_history(samples[-1], samples[0] + b, lam, grid.t_end)
+            bound = 8 * np.finfo(float).eps * np.log2(n_steps) * np.linalg.norm(inc) / lam[0]
+            got = _pl_end_history(samples, grid, lam)
+            assert np.max(np.abs(got - ref)) <= bound, n_periods
 
 
 class TestSynthesizeControl:
@@ -278,6 +324,11 @@ class TestControllabilityExperiment:
         grid = TimeGrid(T8PI, 4096)
         with pytest.raises(InputError):
             controllability_experiment(1, [1e-2], target_on(3, value=0.5), grid)
+
+    def test_aliased_mode_rejected(self):
+        # k = 9 on 8*pi needs n > 2*81 steps; 162 steps fold it onto its negative
+        with pytest.raises(InputError, match="k=9 .* at least 163"):
+            controllability_experiment(1, [1e-2], target_on(9, k_max=21), TimeGrid(T8PI, 162))
 
     def test_small_experiment(self):
         grid = TimeGrid(T8PI, 6283)
