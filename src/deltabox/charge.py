@@ -17,8 +17,8 @@ discrete convolution in time, so each block of TIME_BLOCK steps costs one
 small lower-triangular solve plus two O(TIME_BLOCK*k_max) products with the
 table of block-relative phases from `kernels.block_phases`.  The march
 solves v = f - phi*(i/pi) U v and nothing else: the physical charge takes
-f = -alpha*e^{it*Lap}psi0(0), the linearization its own source, and the
-general scheme folds its Green-source term into f.
+f = -alpha*e^{it*Lap}psi0(0), the linearization its own sources (a block of
+them in one march), and the general scheme folds its Green-source term into f.
 
 The bracket is i*lam_k times the causal mode integral h_k.  Off the march, U
 is one lag sum (kernels.lag_sums) of the block-start slope-moment sums of
@@ -218,9 +218,16 @@ def initial_charge(f0: complex, phi0: complex, shift: SpectralShift = SpectralSh
     return complex(f0) / den
 
 
-def _march(f_nodes: np.ndarray, phi_nodes: np.ndarray, v0: complex, grid: TimeGrid,
-           k_max: int) -> ChargeTrajectory:
+def _march(f_nodes: np.ndarray, phi_nodes: np.ndarray, v0, grid: TimeGrid,
+           k_max: int) -> ChargeTrajectory | list[ChargeTrajectory]:
     """Product-integration march for v = f - phi*(i/pi) U v with v(0) = v0.
+
+    f_nodes is one source (n+1,) with a scalar v0, or a block of R sources
+    (n+1, R) with v0 of shape (R,).  The equation is linear in its source, so
+    every column shares the phase table, kappa, the lag matrix, the step
+    denominators and each block's system; the history terms of all columns
+    are one matrix product per block, and each column has its own solve.
+    Returns one ChargeTrajectory, or a list of R for a block of sources.
 
     The history part of U at t_n is the discrete convolution
     w_n = w0_n + sum_{m<n} (v_m - v_{m-1}) kappa(n-m+1),
@@ -255,21 +262,29 @@ def _march(f_nodes: np.ndarray, phi_nodes: np.ndarray, v0: complex, grid: TimeGr
         raise StepSingularityError(n, n * dt, float(abs(d[n - 1])), complex(phi_nodes[n]))
     lower = lag_matrix(np.concatenate(([0.0], np.diff(kappa))))
 
-    q = np.empty(n_steps + 1, dtype=complex)
+    f = np.asarray(f_nodes, dtype=complex)
+    sources = f.reshape(n_steps + 1, -1)  # one column per source
+    phi_col = phi_nodes[:, None]
+    q = np.empty(sources.shape, dtype=complex)
     q[0] = v0
-    acc = np.full(lam.size, v0, dtype=complex)
+    acc = np.tile(q[0, :, None], lam.size)  # one row per source
     for b, s in enumerate(range(1, n_steps + 1, block)):
         m = min(block, n_steps + 1 - s)
         nodes = slice(s, s + m)
         anchor = anchors[b]  # e^{-i lam t_{s-1}}
-        history = phases[1:m + 1] @ (anchor * (-acc / lam)) / np.pi
-        rhs = f_nodes[nodes] - phi_nodes[nodes] * history + coupling[nodes] * kappa[:m] * q[s - 1]
+        history = phases[1:m + 1] @ (anchor * (-acc / lam)).T / np.pi
+        rhs = (sources[nodes] - phi_col[nodes] * history
+               + (coupling[nodes] * kappa[:m])[:, None] * q[s - 1])
         system = coupling[nodes, None] * lower[:m, :m]
         system.flat[::m + 1] = d[s - 1:s - 1 + m]
-        q[nodes] = lower_solve(system, rhs)
-        acc += p1 * np.conj(anchor * (np.conj(np.diff(q[s - 1:s + m])) @ phases[:m]))
+        for j, column in enumerate(rhs.T):
+            q[nodes, j] = lower_solve(system, column)
+        increments = q[s:s + m] - q[s - 1:s + m - 1]
+        acc += p1 * np.conj(anchor * (np.conj(increments).T @ phases[:m]))
 
-    return ChargeTrajectory(grid, q, k_max, close_history(q[-1], acc, lam, n_steps * dt))
+    end = close_history(q[-1, :, None], acc, lam, n_steps * dt)
+    trajs = [ChargeTrajectory(grid, q[:, j], k_max, end[j]) for j in range(q.shape[1])]
+    return trajs if f.ndim == 2 else trajs[0]
 
 
 def solve_charge_general(f, phi: CouplingProfile, shift: SpectralShift, grid: TimeGrid,

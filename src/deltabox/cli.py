@@ -22,6 +22,7 @@ from . import __version__
 from .charge import CouplingProfile
 from .control import (
     ControlTarget,
+    check_resolved,
     controllability_experiment,
     moment_residual,
     solve_moment,
@@ -228,6 +229,14 @@ def cmd_control(args) -> int:
     rho = solve_moment(target)
     residual = moment_residual(rho, target)
     control = synthesize_control(rho, args.k_bar)
+    if args.experiment:
+        # checked before anything is written: a configuration error leaves the outdir alone
+        grid = TimeGrid(t_end, args.n_steps)
+        norm = target_c.norm()
+        if norm == 0:
+            raise InputError("experiment needs a nonzero target direction")
+        direction = ControlTarget(target_c.scaled(1.0 / norm), t_end)
+        check_resolved(direction, grid.n_steps)
     outdir = _outdir(args.outdir)
     os.makedirs(outdir, exist_ok=True)
     upath = os.path.join(outdir, "control.csv")
@@ -240,11 +249,6 @@ def cmd_control(args) -> int:
         f"realness_defect {control.realness_defect!r}",
     ]
     if args.experiment:
-        grid = TimeGrid(t_end, args.n_steps)
-        norm = target_c.norm()
-        if norm == 0:
-            raise InputError("experiment needs a nonzero target direction")
-        direction = ControlTarget(target_c.scaled(1.0 / norm), t_end)
         rep = controllability_experiment(args.k_bar, [1e-1, 3e-2, 1e-2], direction, grid)
         report_lines.append(rep.to_text())
     report = "\n".join(report_lines) + "\n"

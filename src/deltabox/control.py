@@ -30,7 +30,8 @@ import numpy as np
 
 from .charge import ChargeTrajectory, CouplingProfile, _march, apply_U, solve_charge
 from .errors import InputError, UnsupportedHorizonError
-from .kernels import close_history, fit_loglog_slope, history_at_end, odd_eigenvalues, phi1
+from .kernels import (block_phases, close_history, fit_loglog_slope, history_at_end,
+                      odd_eigenvalues, phi1)
 from .propagator import assemble_F, end_state, initial_coefficients
 from .spectral import (
     INV_SQRT_PI,
@@ -95,34 +96,37 @@ def gamma(alpha: CouplingProfile, psi0, grid: TimeGrid) -> SpectralCoefficients:
     return end_state(initial_coefficients(psi0), solve_charge(alpha, psi0, grid))
 
 
-def apply_linearized(alpha: CouplingProfile, u, psi0: SpectralCoefficients, grid: TimeGrid,
-                     base_charge: ChargeTrajectory | None = None) -> SpectralCoefficients:
+def apply_linearized(alpha: CouplingProfile, u, psi0: SpectralCoefficients,
+                     grid: TimeGrid) -> SpectralCoefficients | list[SpectralCoefficients]:
     """Directional derivative of Gamma at alpha in the direction u.
 
-    u may be a CouplingProfile or complex node samples.  The linear charge is
-    marched with the same kernels as the nonlinear solve, with source
-    f = -u * (e^{it*Lap}psi0(0) + (i/pi) U q_alpha) and qdot(0) = f(0), so the
-    result is the exact derivative of the discrete map, at psi0's truncation.
-    At alpha = 0 the march is the identity: the linear charge is f, and only
-    its end history (kernels.history_at_end) is computed.
+    u may be a CouplingProfile, complex node samples (n+1,), or a stack of R
+    directions (R, n+1), for which the result is a list of R states, one per
+    row.  The linear charge is marched with the same kernels as the nonlinear
+    solve, with source f = -u * (e^{it*Lap}psi0(0) + (i/pi) U q_alpha) and
+    qdot(0) = f(0), so the result is the exact derivative of the discrete map,
+    at psi0's truncation.  The source's factor in brackets is formed once, and
+    a stack is one march of R sources.  At alpha = 0 the march is the
+    identity: the linear charge is f, and only its end history
+    (kernels.history_at_end) is computed.
     """
     times = grid.times
     if isinstance(u, CouplingProfile):
         u_nodes = np.asarray(u.values_on(grid), dtype=complex)
     else:
         u_nodes = np.asarray(u, dtype=complex)
-        if u_nodes.shape != times.shape:
+        if u_nodes.shape[-1:] != times.shape or u_nodes.ndim > 2:
             raise InputError("u samples must match the grid nodes")
 
     source = free_origin_series(psi0, times)
     if alpha_is_zero(alpha):
-        return assemble_F(ChargeTrajectory(grid, -u_nodes * source, psi0.k_max))
-    if base_charge is None:
-        base_charge = solve_charge(alpha, psi0, grid)
-    f_nodes = -u_nodes * (source + (1j / np.pi) * apply_U(base_charge))
+        states = [assemble_F(ChargeTrajectory(grid, -row * source, psi0.k_max))
+                  for row in np.atleast_2d(u_nodes)]
+        return states if u_nodes.ndim == 2 else states[0]
+    f_nodes = (-u_nodes * (source + (1j / np.pi) * apply_U(solve_charge(alpha, psi0, grid)))).T
     alpha_nodes = np.real(np.atleast_1d(alpha.values_on(grid))).astype(complex)
     qdot = _march(f_nodes, alpha_nodes, f_nodes[0], grid, psi0.k_max)
-    return assemble_F(qdot)
+    return [assemble_F(q) for q in qdot] if u_nodes.ndim == 2 else assemble_F(qdot)
 
 
 def alpha_is_zero(alpha: CouplingProfile) -> bool:
@@ -153,12 +157,29 @@ def _fold(n: int, bins: np.ndarray):
 
     Returns f, r, the roots e^{2*pi*i*r*p/f} (p < f), the twiddles e^{2*pi*i*r*m/n}
     (m < M; None when r = 0, where they are exactly 1) and each bin's index j.
+    The twiddles are the phases of one frequency on the grid m*(2*pi*r/n), as
+    anchor x table from kernels.block_phases: about M/TIME_BLOCK + TIME_BLOCK
+    exps, not M.
     """
     f = int(np.gcd.reduce(np.concatenate(([n, 8], bins - bins[:1]))))
     r = int(bins[0]) % f if bins.size else 0
     roots = _EIGHTH_ROOTS[(8 // f) * r * np.arange(f) % 8]
-    twiddle = np.exp(2j * np.pi * r / n * np.arange(n // f)) if r else None
+    twiddle = None
+    if r:
+        table, anchors = block_phases(np.array([-1.0]), 2.0 * np.pi * r / n, n // f - 1)
+        twiddle = (anchors * table[:-1, 0]).reshape(-1)[:n // f]
     return f, r, roots, twiddle, (bins - r) // f
+
+
+def check_resolved(target: ControlTarget, n_steps: int) -> None:
+    """Refuse a nonzero target mode at or above the Nyquist bin of n_steps on T = 8*pi*N:
+    its harmonic k^2*N folds onto another frequency of the grid."""
+    harmonics = _odd_harmonics(target.k_max, _horizon_periods(target.t_end))
+    aliased = np.flatnonzero((2 * harmonics >= n_steps) & (target.c.a[0::2] != 0))
+    if aliased.size:
+        k, h = 2 * aliased[-1] + 1, harmonics[aliased[-1]]
+        raise InputError(f"target mode k={k} (k^2*N = {h}) is aliased on {n_steps} steps; "
+                         f"it needs at least {2 * h + 1}")
 
 
 def solve_moment(target: ControlTarget, grid: TimeGrid | None = None) -> SynthesizedControl:
@@ -179,6 +200,7 @@ def solve_moment(target: ControlTarget, grid: TimeGrid | None = None) -> Synthes
     elif abs(grid.t_end - target.t_end) > 1e-9:
         raise InputError("control grid horizon must match the target horizon")
 
+    check_resolved(target, grid.n_steps)
     c_odd = target.c.a[0::2]
     n = grid.n_steps
     bins = _odd_harmonics(target.k_max, n_periods) % n
@@ -322,17 +344,9 @@ def controllability_experiment(k_bar: int, epsilons, delta_direction: ControlTar
     log-log remainder slope estimates the quadratic-order of the rest term.
     """
     t_start = time.time()
-    n_periods = _horizon_periods(grid.t_end)
     norm = delta_direction.c.norm()
     if abs(norm - 1.0) > 1e-9:
         raise InputError("delta_direction must be normalized")
-    # a mode at or above the grid's Nyquist bin folds onto another frequency
-    harmonics = _odd_harmonics(delta_direction.k_max, n_periods)
-    aliased = np.flatnonzero((2 * harmonics >= grid.n_steps) & (delta_direction.c.a[0::2] != 0))
-    if aliased.size:
-        k, h = 2 * aliased[-1] + 1, harmonics[aliased[-1]]
-        raise InputError(f"target mode k={k} (k^2*N = {h}) is aliased on {grid.n_steps} steps; "
-                         f"it needs at least {2 * h + 1}")
     psi0 = SpectralCoefficients.unit(k_bar, delta_direction.k_max)
     free_final = free_evolve(psi0, grid.t_end)
     control_unit = synthesize_control(solve_moment(delta_direction, grid), k_bar)

@@ -152,9 +152,10 @@ def galerkin_evolution(a0: np.ndarray, alpha_value, t_end: float, k_max: int) ->
     alphas = np.asarray(alpha_value(times), dtype=float)
     coupling = -1j * alphas / (np.pi + alphas * tail_deficit(k_max))
     phases = np.exp(1j * np.outer(times, lam))
+    conj_phases = np.conj(phases)
 
     def rate(j, b):
-        return (coupling[j] * (np.conj(phases[j]) @ b)) * phases[j]
+        return (coupling[j] * (conj_phases[j] @ b)) * phases[j]
 
     b = a0[0::2].copy()
     for n in range(n_steps):

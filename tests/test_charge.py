@@ -280,6 +280,28 @@ class TestBlockMarch:
         assert np.array_equal(bundled.q, fallback.q)
         assert np.array_equal(bundled.end_history, fallback.end_history)
 
+    @pytest.mark.parametrize("solve", ["bundled", "scipy"])
+    @pytest.mark.parametrize("n_sources", [1, 3])
+    def test_block_of_sources_matches_single_marches(self, rng, monkeypatch, solve, n_sources):
+        # column j of one march of a (n+1, R) source block is the march of column j
+        # alone: the products over modes are one GEMM instead of R GEMVs, so the
+        # columns agree to rounding, not bit for bit
+        if solve == "scipy":
+            monkeypatch.setattr(kernels, "_bundled_trsv", lambda: None)
+        elif kernels._bundled_trsv() is None:
+            pytest.skip("numpy's BLAS is not OpenBLAS")
+        n_steps = 2 * TIME_BLOCK + 7
+        grid = TimeGrid(2.0, n_steps)
+        f = rng.standard_normal((n_steps + 1, n_sources)) + 1j * rng.standard_normal(
+            (n_steps + 1, n_sources))
+        phi = 0.5 * (rng.standard_normal(n_steps + 1) + 1j * rng.standard_normal(n_steps + 1))
+        block = _march(f, phi, f[0], grid, 101)
+        assert len(block) == n_sources
+        for j, traj in enumerate(block):
+            single = _march(f[:, j], phi, f[0, j], grid, 101)
+            assert np.max(np.abs(traj.q - single.q)) <= 1e-13
+            assert np.max(np.abs(traj.end_history - single.end_history)) <= 1e-13
+
     def test_simulate_size(self, rng):
         # k_max = 401, T = 8*pi, n = 25133: a unit-norm state with a_k ~ k^-3 and
         # random phases, coupled by a sum of three sines bounded by 0.5

@@ -238,6 +238,21 @@ class TestInputContracts:
         assert err.startswith("configuration error:")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("mode, extra", [
+        (201, ["--k-max", "401"]),  # k^2 = 40401 is past the Nyquist bin of 2^15 steps
+        (3, ["--experiment", "--n-steps", "1"]),  # the experiment's own grid aliases k = 3
+    ])
+    def test_aliased_control_writes_nothing(self, mode, extra, tmp_path, capsys):
+        target = tmp_path / "target.csv"
+        target.write_text(f"k,re_c,im_c\n{mode},1.0,0.0\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        code = run_cli(["control", "--target", str(target), *extra, "--outdir", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("configuration error:") and f"k={mode} " in err
+        assert list(out.iterdir()) == []
+
     @pytest.mark.parametrize("times, code", [
         (np.linspace(0.0, 2.0, 5), 0),  # t_n = n*T/N: accepted
         (np.linspace(0.0, 1.0, 5), 1),  # spans [0, 1] under T = 2

@@ -86,13 +86,15 @@ class TestSolveMoment:
         # the FFT bins (k^2*N) mod n against sin(lam_k t) summed mode by mode.
         # N = 3 on 30001 steps, not a multiple of N, where gcd(n, 8) = 1.  On 24000
         # steps gcd(n, 8) = 8: the classes N and -N mod 8 are 1 and 7, 2 and 6,
-        # 5 and 3 (two transforms), or coincide at 4 and 0 (one)
+        # 5 and 3 (two transforms), or coincide at 4 and 0 (one).  Modes at or
+        # above the Nyquist bin are refused, so they are left out of the target
         k_max = 101
         kk = np.arange(1, k_max + 1, 2)
         for n_steps, n_periods in [(30001, 3), (24000, 1), (24000, 2), (24000, 4),
                                    (24000, 5), (24000, 8)]:
             a = np.zeros(k_max, dtype=complex)
             a[0::2] = kk**-3.0 * np.exp(2j * np.pi * rng.random(kk.size))
+            a[0::2][2 * kk**2 * n_periods >= n_steps] = 0.0
             grid = TimeGrid(n_periods * T8PI, n_steps)
             rho = solve_moment(ControlTarget(SpectralCoefficients(k_max, a), grid.t_end), grid)
             times = grid.times
@@ -105,12 +107,14 @@ class TestSolveMoment:
     @pytest.mark.parametrize("n_steps", [25133, 30001])
     def test_unfolded_grid_is_one_full_fft(self, rng, n_steps):
         # gcd(n, 8) = 1: the fold is the identity, and rho is the single in-place
-        # n-point inverse FFT of the whole bin spectrum, bit for bit
+        # n-point inverse FFT of the whole bin spectrum, bit for bit.  The modes
+        # past the Nyquist bin are zero, and their bins still wrap mod n
         k_max = 401
         kk = np.arange(1, k_max + 1, 2, dtype=np.int64)
         for n_periods in (1, 3):
             a = np.zeros(k_max, dtype=complex)
             a[0::2] = kk**-3.0 * np.exp(2j * np.pi * rng.random(kk.size))
+            a[0::2][2 * kk**2 * n_periods >= n_steps] = 0.0
             grid = TimeGrid(n_periods * T8PI, n_steps)
             rho = solve_moment(ControlTarget(SpectralCoefficients(k_max, a), grid.t_end), grid)
             ref = np.zeros(n_steps + 1, dtype=complex)
@@ -126,6 +130,25 @@ class TestSolveMoment:
     def test_residual_of_construction(self):
         t = target_on(1)
         assert moment_residual(solve_moment(t), t) < 1e-8
+
+    def test_aliased_mode_rejected_on_default_grid(self):
+        # 2^15 steps on 8*pi put k^2 < 2^14 below the Nyquist bin: k = 127 is
+        # accepted, k = 129 folds onto another frequency
+        assert solve_moment(target_on(127)).grid.n_steps == 1 << 15
+        with pytest.raises(InputError, match="k=129 .* at least 33283"):
+            solve_moment(target_on(129))
+
+    @pytest.mark.parametrize("n", [1 << 15, 1 << 19])
+    def test_fold_twiddles_match_direct_exp(self, n):
+        # the twiddles come from block_phases (anchor x table), the reference
+        # is one exp per point; every class r of f = gcd(n, 8) = 8
+        from deltabox.control import _fold
+
+        for r in range(1, 8):
+            f, r_got, _, twiddle, _ = _fold(n, np.array([r, r + 8 * 5], dtype=np.int64))
+            assert (f, r_got) == (8, r)
+            direct = np.exp(2j * np.pi * r / n * np.arange(n // 8))
+            assert np.max(np.abs(twiddle - direct)) <= 1e-15, r
 
 
 class TestMomentResidual:
@@ -304,6 +327,19 @@ class TestApplyLinearized:
         assert np.array_equal(marched.q, f)
         out = apply_linearized(CouplingProfile.zero(2.0), u, psi0, grid)
         assert np.max(np.abs(out.a - assemble_F(marched).a)) < 1e-13
+
+    @pytest.mark.parametrize("alpha", [CouplingProfile.zero(1.0),
+                                       CouplingProfile.sine_bump(0.3, 1.0)])
+    def test_stack_matches_single_directions(self, rng, alpha):
+        # one state per row of an (R, n+1) stack, as from R separate calls
+        grid = TimeGrid(1.0, 300)
+        psi0 = SpectralCoefficients.unit(1, 51).add(SpectralCoefficients.unit(3, 51))
+        us = rng.standard_normal((3, 301)) + 1j * rng.standard_normal((3, 301))
+        stacked = apply_linearized(alpha, us, psi0, grid)
+        assert len(stacked) == 3
+        for u, out in zip(us, stacked):
+            single = apply_linearized(alpha, u, psi0, grid)
+            assert np.max(np.abs(out.a - single.a)) <= 1e-13
 
     def test_linearity(self):
         assert_check(verify.check_linearized_linearity)
