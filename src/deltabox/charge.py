@@ -66,11 +66,13 @@ BOUNDARY_COMPAT_TOL = 1e-9
 
 @dataclass(frozen=True)
 class CouplingProfile:
-    """Coupling strength alpha(t) on [0, t_end] with pointwise value and derivative.
+    """Real coupling strength alpha(t) on [0, t_end] with pointwise value and derivative.
 
     kinds: 'constant' (value amplitude), 'sine_bump' (amplitude*sin(pi t/T),
     vanishing at both ends), 'piecewise_linear' (node samples on a uniform
-    grid).
+    grid).  H_alpha is self-adjoint only for real alpha, so the profile is real
+    by construction: piecewise-linear samples are stored as float64, a complex
+    sample with a nonzero imaginary part is refused, and every value is float.
     """
 
     kind: str
@@ -86,12 +88,14 @@ class CouplingProfile:
         if self.kind == "piecewise_linear":
             if self.samples is None:
                 raise InputError("piecewise_linear profile needs samples")
-            arr = np.ascontiguousarray(self.samples, dtype=complex)
+            arr = np.asarray(self.samples, dtype=complex)
             if arr.ndim != 1 or arr.size < 2:
                 raise InputError("samples must be a 1-d array with at least two nodes")
-            if not (np.all(np.isfinite(arr.real)) and np.all(np.isfinite(arr.imag))):
+            if not np.all(np.isfinite(arr)):
                 raise InputError("samples must be finite")
-            arr = arr.copy()
+            if np.any(arr.imag != 0):
+                raise InputError("the physical coupling must be real-valued")
+            arr = arr.real.copy()
             arr.flags.writeable = False
             object.__setattr__(self, "samples", arr)
         elif not np.isfinite(self.amplitude):
@@ -111,22 +115,16 @@ class CouplingProfile:
 
     @classmethod
     def piecewise_linear(cls, grid: TimeGrid, samples) -> "CouplingProfile":
-        arr = np.asarray(samples, dtype=complex)
+        arr = np.asarray(samples)
         if arr.shape != (grid.n_steps + 1,):
             raise InputError("samples must match the grid nodes")
         return cls("piecewise_linear", grid.t_end, 0.0, arr)
-
-    @property
-    def is_real(self) -> bool:
-        if self.kind == "piecewise_linear":
-            return bool(np.all(self.samples.imag == 0))
-        return True
 
     def _check_time(self, t: np.ndarray):
         if np.any(t < -1e-12) or np.any(t > self.t_end * (1 + 1e-12) + 1e-12):
             raise InputError("profile evaluated outside [0, t_end]")
 
-    def value(self, t) -> np.ndarray | complex:
+    def value(self, t) -> np.ndarray | float:
         ta = np.asarray(t, dtype=float)
         self._check_time(ta)
         if self.kind == "constant":
@@ -135,12 +133,10 @@ class CouplingProfile:
             out = self.amplitude * np.sin(np.pi * ta / self.t_end)
         else:
             nodes = np.linspace(0.0, self.t_end, self.samples.size)
-            out = np.interp(ta, nodes, self.samples.real).astype(complex)
-            if not self.is_real:
-                out = out + 1j * np.interp(ta, nodes, self.samples.imag)
+            out = np.interp(ta, nodes, self.samples)
         return out if np.ndim(t) else out[()]
 
-    def derivative(self, t) -> np.ndarray | complex:
+    def derivative(self, t) -> np.ndarray | float:
         ta = np.asarray(t, dtype=float)
         self._check_time(ta)
         if self.kind == "constant":
@@ -287,21 +283,23 @@ def _march(f_nodes: np.ndarray, phi_nodes: np.ndarray, v0, grid: TimeGrid,
     return trajs if f.ndim == 2 else trajs[0]
 
 
-def solve_charge_general(f, phi: CouplingProfile, shift: SpectralShift, grid: TimeGrid,
-                         k_max: int = DEFAULT_K_MAX, v0: complex | None = None) -> ChargeTrajectory:
+def solve_charge_general(f: np.ndarray, phi: np.ndarray, shift: SpectralShift,
+                         grid: TimeGrid, k_max: int = DEFAULT_K_MAX,
+                         v0: complex | None = None) -> ChargeTrajectory:
     """Grid solution of v = f - phi*(v(0)*g(t) + (i/pi) U v), g the Green origin series.
 
     g(t) = (1/pi) sum_k e^{-i*lam_k*t}/(lam_k + lam) is the origin series of the
     freely evolved Green state G^lam(., 0); the Green-source term is folded
     into the source, so the march solves v = f - phi*v0*g - phi*(i/pi) U v.
-    f may be a node-sample array or a callable of t.  When v0 is not supplied
-    it comes from initial_charge with the closed-form Green value.
+    f and phi are node samples (n+1,); phi may be complex, as the scheme is not
+    tied to a self-adjoint coupling.  When v0 is not supplied it comes from
+    initial_charge with the closed-form Green value.
     """
     times = grid.times
-    f_nodes = np.asarray(f(times) if callable(f) else f, dtype=complex)
-    if f_nodes.shape != times.shape:
-        raise InputError("f samples must match the grid nodes")
-    phi_nodes = np.atleast_1d(np.asarray(phi.values_on(grid)))
+    f_nodes = np.asarray(f, dtype=complex)
+    phi_nodes = np.asarray(phi)
+    if f_nodes.shape != times.shape or phi_nodes.shape != times.shape:
+        raise InputError("f and phi samples must match the grid nodes")
     if v0 is None:
         v0 = initial_charge(f_nodes[0], phi_nodes[0], shift)
     v0 = complex(v0)
@@ -319,10 +317,8 @@ def solve_charge(alpha: CouplingProfile, psi0, grid: TimeGrid) -> ChargeTrajecto
     state, whose Green part needs no separate source term, so the resolvent
     shift of the split drops out.
     """
-    if not alpha.is_real:
-        raise InputError("the physical coupling must be real-valued")
     times = grid.times
-    alpha_nodes = np.real(alpha.values_on(grid))
+    alpha_nodes = alpha.values_on(grid)
 
     if isinstance(psi0, SpectralCoefficients):
         full = psi0
@@ -336,7 +332,7 @@ def solve_charge(alpha: CouplingProfile, psi0, grid: TimeGrid) -> ChargeTrajecto
                 f"initial state violates -q = alpha*psi(0) by {resid:.3e}")
 
     f_nodes = -alpha_nodes * free_origin_series(full, times)
-    return _march(f_nodes, alpha_nodes.astype(complex), q0, grid, full.k_max)
+    return _march(f_nodes, alpha_nodes, q0, grid, full.k_max)
 
 
 def lipschitz_probe(alpha: CouplingProfile, alpha_tilde: CouplingProfile, psi0,
@@ -345,7 +341,5 @@ def lipschitz_probe(alpha: CouplingProfile, alpha_tilde: CouplingProfile, psi0,
     qa = solve_charge(alpha, psi0, grid)
     qb = solve_charge(alpha_tilde, psi0, grid)
     dq = discrete_h1_norm(qa.q - qb.q, grid.dt)
-    da = discrete_h1_norm(
-        np.asarray(alpha.values_on(grid), dtype=complex)
-        - np.asarray(alpha_tilde.values_on(grid), dtype=complex), grid.dt)
+    da = discrete_h1_norm(alpha.values_on(grid) - alpha_tilde.values_on(grid), grid.dt)
     return dq, da

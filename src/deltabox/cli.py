@@ -24,6 +24,7 @@ from .control import (
     ControlTarget,
     check_resolved,
     controllability_experiment,
+    moment_errors,
     moment_residual,
     solve_moment,
     synthesize_control,
@@ -47,13 +48,16 @@ from .iofiles import (
 )
 from .kernels import runtime_record
 from .propagator import DomainState, diagnostics, evolve
-from .spectral import DEFAULT_K_MAX, SpectralCoefficients, TimeGrid
+from .spectral import DEFAULT_K_MAX, SpectralCoefficients, TimeGrid, eigenvalue
 # verify (and through it oracles) is imported eagerly although only `verify`
 # runs it: perfbench/tracer.py looks both up in sys.modules right after this
 # module is imported.  Both need numpy alone, so they are cheap.
 from .verify import run_checks
 
 EXIT_OK, EXIT_CONFIG, EXIT_SOLVER, EXIT_IO = 0, 1, 2, 3
+# `control` fails (exit 2, after writing its artifacts) when the moment residual
+# exceeds this fraction of the target's largest |c_k|
+CONTROL_RESIDUAL_REL = 1e-2
 
 _SIMULATE_KEYS = {"psi0", "alpha", "T", "n_steps", "k_max", "outdir",
                   "tol_norm_drift", "tol_boundary"}
@@ -110,7 +114,7 @@ def _parse_alpha(descriptor: str, t_end: float) -> CouplingProfile:
         if not np.max(np.abs(samples[:, 0] - grid.times)) <= 1e-9 * t_end:  # NaN fails too
             raise InputError(f"{rest}: the t column must be the uniform grid "
                              f"t_n = n*T/N on [0, T={t_end!r}]")
-        return CouplingProfile.piecewise_linear(grid, samples[:, 1] + 0j)
+        return CouplingProfile.piecewise_linear(grid, samples[:, 1])
     raise InputError(f"unknown alpha descriptor {descriptor!r} "
                      "(use zero | const:A | bump:A | pl:FILE)")
 
@@ -126,19 +130,14 @@ def _by_contents(descriptor: str) -> str:
         return f"{kind}:{hashlib.sha256(fh.read()).hexdigest()}{sep}{fields}"
 
 
-def _load_config(path: str, allowed: set[str]) -> dict:
-    with open(path) as fh:
-        return parse_config_text(fh.read(), allowed, source=path)
-
-
 def cmd_simulate(args) -> int:
     cfg = {
         "psi0": args.psi0, "alpha": args.alpha, "T": repr(args.T),
         "n_steps": str(args.n_steps), "k_max": str(args.k_max),
     }
     if args.config:
-        file_cfg = _load_config(args.config, _SIMULATE_KEYS)
-        cfg.update(file_cfg)
+        with open(args.config) as fh:
+            cfg.update(parse_config_text(fh.read(), _SIMULATE_KEYS, source=args.config))
     t_end, n_steps, k_max = (
         parse_number(cfg[key], kind, key) for key, kind in
         (("T", float), ("n_steps", int), ("k_max", int)))
@@ -223,7 +222,7 @@ def cmd_green(args) -> int:
 
 
 def cmd_control(args) -> int:
-    t_end = args.T * np.pi if args.T_in_pi else args.T
+    t_end = args.T * np.pi
     target_c = load_target_csv(args.target, args.k_max)
     target = ControlTarget(target_c, t_end)
     rho = solve_moment(target)
@@ -259,6 +258,18 @@ def cmd_control(args) -> int:
                            "runtime": runtime_record()})
     print(report, end="")
     print(f"wrote {upath}, {rpath}, {mpath}")
+
+    bound = CONTROL_RESIDUAL_REL * float(np.max(np.abs(target_c.a)))
+    if residual > bound:
+        # each mode's moment is its target times the piecewise-linear quadrature
+        # factor sinc^2(lam_k*dt/2), which falls from 1 towards the Nyquist bin
+        k = 2 * int(np.argmax(moment_errors(rho, target))) + 1
+        factor = np.sinc(eigenvalue(k) * rho.grid.dt / (2.0 * np.pi)) ** 2
+        print(f"control misses its target: moment_residual {residual:.6e} > "
+              f"{CONTROL_RESIDUAL_REL:g} * max|c_k| = {bound:.6e}; worst mode k={k}, "
+              f"quadrature factor sinc^2(lam_k*dt/2) = {factor:.6f} on {rho.grid.n_steps} steps",
+              file=sys.stderr)
+        return EXIT_SOLVER
     return EXIT_OK
 
 
@@ -337,9 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("control", help="moment-problem control synthesis")
     p.add_argument("--target", required=True, help="CSV k,re_c,im_c")
     p.add_argument("--k-bar", default=1, dest="k_bar")
-    p.add_argument("--T", default=8.0, help="horizon (in pi units by default)")
-    p.add_argument("--T-in-pi", action=argparse.BooleanOptionalAction, default=True,
-                   dest="T_in_pi")
+    p.add_argument("--T", default=8.0, help="horizon in pi units")
     p.add_argument("--k-max", default=DEFAULT_K_MAX, dest="k_max")
     p.add_argument("--n-steps", default=25133, dest="n_steps")
     p.add_argument("--experiment", action="store_true",

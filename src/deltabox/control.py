@@ -30,8 +30,7 @@ import numpy as np
 
 from .charge import ChargeTrajectory, CouplingProfile, _march, apply_U, solve_charge
 from .errors import InputError, UnsupportedHorizonError
-from .kernels import (block_phases, close_history, fit_loglog_slope, history_at_end,
-                      odd_eigenvalues, phi1)
+from .kernels import block_phases, close_history, fit_loglog_slope, odd_eigenvalues, phi1
 from .propagator import assemble_F, end_state, initial_coefficients
 from .spectral import (
     INV_SQRT_PI,
@@ -65,6 +64,11 @@ class ControlTarget:
     def k_max(self) -> int:
         return self.c.k_max
 
+    def check_grid(self, grid: TimeGrid) -> None:
+        """Refuse a control grid whose horizon differs from the target's by more than 1e-9."""
+        if abs(grid.t_end - self.t_end) > 1e-9:
+            raise InputError("control grid horizon must match the target horizon")
+
 
 @dataclass(frozen=True)
 class SynthesizedControl:
@@ -76,9 +80,6 @@ class SynthesizedControl:
     @property
     def realness_defect(self) -> float:
         return float(np.max(np.abs(self.u.imag)))
-
-    def profile(self) -> CouplingProfile:
-        return CouplingProfile.piecewise_linear(self.grid, self.u)
 
 
 def _horizon_periods(t_end: float) -> int:
@@ -100,39 +101,30 @@ def apply_linearized(alpha: CouplingProfile, u, psi0: SpectralCoefficients,
                      grid: TimeGrid) -> SpectralCoefficients | list[SpectralCoefficients]:
     """Directional derivative of Gamma at alpha in the direction u.
 
-    u may be a CouplingProfile, complex node samples (n+1,), or a stack of R
-    directions (R, n+1), for which the result is a list of R states, one per
-    row.  The linear charge is marched with the same kernels as the nonlinear
-    solve, with source f = -u * (e^{it*Lap}psi0(0) + (i/pi) U q_alpha) and
+    u is node samples (n+1,), real or complex, or a stack of R directions
+    (R, n+1), for which the result is a list of R states, one per row.  The
+    linear charge is marched with the same kernels as the nonlinear solve,
+    with source f = -u * (e^{it*Lap}psi0(0) + (i/pi) U q_alpha) and
     qdot(0) = f(0), so the result is the exact derivative of the discrete map,
     at psi0's truncation.  The source's factor in brackets is formed once, and
-    a stack is one march of R sources.  At alpha = 0 the march is the
-    identity: the linear charge is f, and only its end history
+    a stack is one march of R sources.  Where alpha vanishes on every node the
+    march is the identity: the linear charge is f, and only its end history
     (kernels.history_at_end) is computed.
     """
     times = grid.times
-    if isinstance(u, CouplingProfile):
-        u_nodes = np.asarray(u.values_on(grid), dtype=complex)
-    else:
-        u_nodes = np.asarray(u, dtype=complex)
-        if u_nodes.shape[-1:] != times.shape or u_nodes.ndim > 2:
-            raise InputError("u samples must match the grid nodes")
+    u_nodes = np.asarray(u, dtype=complex)
+    if u_nodes.shape[-1:] != times.shape or u_nodes.ndim > 2:
+        raise InputError("u samples must match the grid nodes")
 
     source = free_origin_series(psi0, times)
-    if alpha_is_zero(alpha):
+    alpha_nodes = alpha.values_on(grid)
+    if not np.any(alpha_nodes):
         states = [assemble_F(ChargeTrajectory(grid, -row * source, psi0.k_max))
                   for row in np.atleast_2d(u_nodes)]
         return states if u_nodes.ndim == 2 else states[0]
     f_nodes = (-u_nodes * (source + (1j / np.pi) * apply_U(solve_charge(alpha, psi0, grid)))).T
-    alpha_nodes = np.real(np.atleast_1d(alpha.values_on(grid))).astype(complex)
     qdot = _march(f_nodes, alpha_nodes, f_nodes[0], grid, psi0.k_max)
     return [assemble_F(q) for q in qdot] if u_nodes.ndim == 2 else assemble_F(qdot)
-
-
-def alpha_is_zero(alpha: CouplingProfile) -> bool:
-    if alpha.kind == "piecewise_linear":
-        return bool(np.all(alpha.samples == 0))
-    return alpha.amplitude == 0.0
 
 
 def _odd_harmonics(k_max: int, n_periods: int) -> np.ndarray:
@@ -197,8 +189,7 @@ def solve_moment(target: ControlTarget, grid: TimeGrid | None = None) -> Synthes
     n_periods = _horizon_periods(target.t_end)
     if grid is None:
         grid = TimeGrid(target.t_end, DEFAULT_CONTROL_STEPS * n_periods)
-    elif abs(grid.t_end - target.t_end) > 1e-9:
-        raise InputError("control grid horizon must match the target horizon")
+    target.check_grid(grid)
 
     check_resolved(target, grid.n_steps)
     c_odd = target.c.a[0::2]
@@ -242,18 +233,15 @@ def solve_moment(target: ControlTarget, grid: TimeGrid | None = None) -> Synthes
     return SynthesizedControl(grid, rho)
 
 
-def _pl_end_history(samples: np.ndarray, grid: TimeGrid, lam: np.ndarray) -> np.ndarray:
-    """End history h(T) = int_0^T rho_PL(s) e^{-i*lam*(T-s)} ds per frequency: history_at_end,
-    or, when every lam*T is a multiple of 2*pi, slope-moment sums B taken as
-    Fourier bins of the increments with one n/f-point FFT of their fold (`_fold`)
-    and closed by close_history.
+def _pl_end_history(samples: np.ndarray, grid: TimeGrid, k_max: int) -> np.ndarray:
+    """End history h(T) = int_0^T rho_PL(s) e^{-i*lam_k*(T-s)} ds over odd k <= k_max on
+    T = 8*pi*N.  The slope-moment sums B are the Fourier bins (k^2*N) mod n of the
+    increments, the bins of solve_moment, taken with one n/f-point FFT of their fold
+    (`_fold`) and closed by close_history.
     """
-    bins = lam * grid.t_end / (2.0 * np.pi)
-    bins_round = np.round(bins)
-    if not np.all(np.abs(bins - bins_round) < 1e-9):
-        return history_at_end(samples, grid.dt, lam)
+    lam = odd_eigenvalues(k_max)
     n = grid.n_steps
-    f, r, roots, twiddle, index = _fold(n, bins_round.astype(np.int64) % n)
+    f, r, roots, twiddle, index = _fold(n, _odd_harmonics(k_max, _horizon_periods(grid.t_end)) % n)
     inc = np.diff(samples)
     # bin j: sum_m inc_m e^{+2*pi*i*j*m/n}.  The fold accumulates in inc's first
     # row, transformed in place as in solve_moment (inc is complex)
@@ -268,15 +256,21 @@ def _pl_end_history(samples: np.ndarray, grid: TimeGrid, lam: np.ndarray) -> np.
     return close_history(samples[-1], samples[0] + b, lam, grid.n_steps * grid.dt)
 
 
-def moment_residual(rho: SynthesizedControl, target: ControlTarget) -> float:
-    """max_k |c_k - (i/sqrt(pi)) int_0^T rho(s) e^{-i*lam_k*(T-s)} ds| over odd k.
+def moment_errors(rho: SynthesizedControl, target: ControlTarget) -> np.ndarray:
+    """|c_k - (i/sqrt(pi)) int_0^T rho(s) e^{-i*lam_k*(T-s)} ds| for each odd k.
 
     The moments are the odd part of assemble_F of rho: each segment of the piecewise-linear
-    control is integrated exactly, independently of how rho was constructed.
+    control is integrated exactly, independently of how rho was constructed.  rho's grid
+    must span the target's horizon T = 8*pi*N, as in solve_moment.
     """
-    lam = odd_eigenvalues(target.k_max)
-    h = _pl_end_history(np.asarray(rho.u, dtype=complex), rho.grid, lam)
-    return float(np.max(np.abs(target.c.a[0::2] - 1j * INV_SQRT_PI * h)))
+    target.check_grid(rho.grid)
+    h = _pl_end_history(np.asarray(rho.u, dtype=complex), rho.grid, target.k_max)
+    return np.abs(target.c.a[0::2] - 1j * INV_SQRT_PI * h)
+
+
+def moment_residual(rho: SynthesizedControl, target: ControlTarget) -> float:
+    """max_k of moment_errors: the largest moment defect of rho over the odd modes."""
+    return float(np.max(moment_errors(rho, target)))
 
 
 def synthesize_control(rho: SynthesizedControl, k_bar: int) -> SynthesizedControl:
@@ -352,8 +346,7 @@ def controllability_experiment(k_bar: int, epsilons, delta_direction: ControlTar
     control_unit = synthesize_control(solve_moment(delta_direction, grid), k_bar)
 
     # at alpha = 0 the linearization is linear in u: one solve serves every eps
-    linear_unit = apply_linearized(CouplingProfile.zero(grid.t_end),
-                                   CouplingProfile.piecewise_linear(grid, control_unit.u.real),
+    linear_unit = apply_linearized(CouplingProfile.zero(grid.t_end), control_unit.u.real,
                                    psi0, grid)
     remainders = []
     disp_errors = []

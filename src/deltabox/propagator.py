@@ -244,7 +244,7 @@ def evolve(psi0, alpha: CouplingProfile, grid: TimeGrid) -> EvolutionResult:
     full = initial_coefficients(psi0)
     a0 = full.a
     q = traj.q
-    alpha_nodes = np.real(np.atleast_1d(alpha.values_on(grid)))
+    alpha_nodes = alpha.values_on(grid)
 
     norm2, h1_form, origin_sum = _odd_sector(traj, a0[0::2])
     # even modes evolve freely: their |a_k|^2 never changes
@@ -307,7 +307,7 @@ def diagnostics(result: EvolutionResult, alpha: CouplingProfile) -> DiagnosticsR
     times = result.charge.grid.times
     dt = result.charge.grid.dt
     energy = result.energy
-    drive = np.real(np.atleast_1d(alpha.derivative(times))) * np.abs(result.origin_values) ** 2
+    drive = alpha.derivative(times) * np.abs(result.origin_values) ** 2
     if times.size >= 3:
         de = (energy[2:] - energy[:-2]) / (2.0 * dt)
         resid = float(np.max(np.abs(de - drive[1:-1])))

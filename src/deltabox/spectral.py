@@ -190,6 +190,15 @@ def evaluate_state(c: SpectralCoefficients, xs) -> np.ndarray:
     return INV_SQRT_PI * out
 
 
+def box_trapezoid(panels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and trapezoid weights of `panels` equal panels on the box [-pi, pi]."""
+    xs = np.linspace(-BOX_HALF_WIDTH, BOX_HALF_WIDTH, panels + 1)
+    w = np.full(xs.size, 2.0 * BOX_HALF_WIDTH / panels)
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    return xs, w
+
+
 def project_function(f, k_max: int = DEFAULT_K_MAX, resolution: int = 4096) -> SpectralCoefficients:
     """Coefficients (psi_k, f) by trapezoid quadrature on a uniform grid.
 
@@ -199,10 +208,7 @@ def project_function(f, k_max: int = DEFAULT_K_MAX, resolution: int = 4096) -> S
     if resolution < 2 * k_max:
         raise AliasingError(
             f"resolution {resolution} < 2*k_max = {2 * k_max}: mode sums would alias")
-    xs = np.linspace(-BOX_HALF_WIDTH, BOX_HALF_WIDTH, resolution + 1)
-    w = np.full(xs.size, 2.0 * BOX_HALF_WIDTH / resolution)
-    w[0] *= 0.5
-    w[-1] *= 0.5
+    xs, w = box_trapezoid(resolution)
     try:
         fx = np.asarray(f(xs), dtype=complex)
         if fx.shape != xs.shape:

@@ -47,11 +47,8 @@ def _result(module, name, measured, threshold, comparator="<=", detail=""):
 # ---------------------------------------------------------------- spectral
 
 def check_orthonormality(k_max, seed):
-    n_modes, samples = 64, 4096
-    xs = np.linspace(-np.pi, np.pi, samples + 1)
-    w = np.full(xs.size, 2 * np.pi / samples)
-    w[0] *= 0.5
-    w[-1] *= 0.5
+    n_modes = 64
+    xs, w = spectral.box_trapezoid(4096)
     modes = np.array([spectral.eigenmode_value(k, xs) for k in range(1, n_modes + 1)])
     gram = (modes * w) @ modes.T
     dev = float(np.max(np.abs(gram - np.eye(n_modes))))
@@ -62,11 +59,7 @@ def check_parseval(k_max, seed):
     rng = np.random.default_rng(seed)
     k_use = 64
     c = SpectralCoefficients(k_use, rng.standard_normal(k_use) + 1j * rng.standard_normal(k_use))
-    samples = 8192
-    xs = np.linspace(-np.pi, np.pi, samples + 1)
-    w = np.full(xs.size, 2 * np.pi / samples)
-    w[0] *= 0.5
-    w[-1] *= 0.5
+    xs, w = spectral.box_trapezoid(8192)
     vals = spectral.evaluate_state(c, xs)
     quad = float(np.sum(w * np.abs(vals) ** 2))
     dev = abs(quad - c.norm() ** 2)
@@ -105,6 +98,10 @@ def check_origin_trace_series(k_max, seed):
 # ---------------------------------------------------------------- greens
 
 def check_series_closed_order(k_max, seed):
+    # statistics, not np.median, which imports numpy.ma; imported here, as it
+    # loads fractions and decimal (about 4 ms), which no other path needs
+    import statistics
+
     rng = np.random.default_rng(seed + 3)
     pts = [(rng.uniform(-3, 3), rng.uniform(-3, 3),
             complex(rng.uniform(0.1, 5), rng.uniform(-2, 2))) for _ in range(20)]
@@ -113,7 +110,7 @@ def check_series_closed_order(k_max, seed):
     for kk in ks:
         errs = [abs(greens.green_series(x, xp, z, kk) - greens.green_closed(x, xp, z))
                 for x, xp, z in pts]
-        medians.append(float(np.median(errs)))
+        medians.append(statistics.median(errs))
     slope = -fit_loglog_slope(ks, medians)
     return _result("greens", "series-closed-order", slope, 0.9, ">=",
                    detail=f"median errors {medians}")
@@ -257,8 +254,8 @@ def check_conjugation_reversal(k_max, seed):
         psi0 = SpectralCoefficients(k_use, a)
         traj = chg.solve_charge(alpha, psi0, grid)
         src = spectral.free_origin_series(psi0, fgrid.times)
-        av = np.real(alpha.values_on(fgrid))
-        q_rev = oracles.picard_charge(np.conj(-av * src), av.astype(complex),
+        av = alpha.values_on(fgrid)
+        q_rev = oracles.picard_charge(np.conj(-av * src), av,
                                       np.conj(-av[0] * spectral.origin_trace(psi0)),
                                       0.0, greens.SpectralShift(), fgrid, k_use,
                                       kernel_sign=+1.0)
@@ -284,8 +281,8 @@ def check_picard_oracle(k_max, seed):
     traj = chg.solve_charge(alpha, psi0, grid)
     fgrid = TimeGrid(2.0, 8000)
     src = spectral.free_origin_series(psi0, fgrid.times)
-    av = np.real(alpha.values_on(fgrid))
-    q_oracle = oracles.picard_charge(-av * src, av.astype(complex),
+    av = alpha.values_on(fgrid)
+    q_oracle = oracles.picard_charge(-av * src, av,
                                      -av[0] * spectral.origin_trace(psi0), 0.0,
                                      greens.SpectralShift(), fgrid, k_use)
     dev = float(np.max(np.abs(traj.q - q_oracle[::4])))
@@ -297,14 +294,13 @@ def check_general_scheme_picard(k_max, seed):
     # fixed-point oracle on a 4x finer grid
     k_use = 15
     grid = TimeGrid(2.0, 2000)
-    shift = greens.SpectralShift()
-    f = lambda t: np.exp(-0.3 * t) * (1.2 + 0.5j * np.sin(2 * t))
-    phi = chg.CouplingProfile.sine_bump(0.8, 2.0)
-    traj = chg.solve_charge_general(f, phi, shift, grid, k_use)
     fgrid = TimeGrid(2.0, 8000)
-    v0 = chg.initial_charge(f(0.0), 0.0, shift)
-    q_oracle = oracles.picard_charge(f(fgrid.times), np.real(phi.values_on(fgrid)).astype(complex),
-                                     v0, v0, shift, fgrid, k_use)
+    shift = greens.SpectralShift()
+    f, f_fine = (np.exp(-0.3 * t) * (1.2 + 0.5j * np.sin(2 * t)) for t in (grid.times, fgrid.times))
+    phi = chg.CouplingProfile.sine_bump(0.8, 2.0)
+    traj = chg.solve_charge_general(f, phi.values_on(grid), shift, grid, k_use)
+    v0 = chg.initial_charge(f_fine[0], 0.0, shift)
+    q_oracle = oracles.picard_charge(f_fine, phi.values_on(fgrid), v0, v0, shift, fgrid, k_use)
     dev = float(np.max(np.abs(traj.q - q_oracle[::4])))
     return _result("charge", "general-scheme-picard", dev, 1e-6)
 
@@ -317,7 +313,7 @@ def check_galerkin_ode_oracle(k_max, seed):
     k_use = 25
     grid, psi0, alpha = _bump_run(k_use, 2000)
     res = propagator.evolve(psi0, alpha, grid)
-    ref = oracles.galerkin_evolution(psi0.a, lambda t: alpha.value(t), grid.t_end, k_use)
+    ref = oracles.galerkin_evolution(psi0.a, alpha.value, grid.t_end, k_use)
     dev = float(np.max(np.abs(res.final_state.a - ref)))
     return _result("propagator", "galerkin-ode-oracle", dev, 1e-6)
 
@@ -501,7 +497,7 @@ def check_sector_closure(k_max, seed):
     psi0 = SpectralCoefficients(k_use, a)
     alpha = chg.CouplingProfile.sine_bump(0.4, 1.0)
     final = ctl.gamma(alpha, psi0, grid)
-    lin = ctl.apply_linearized(alpha, np.sin(np.pi * grid.times) + 0j, psi0, grid)
+    lin = ctl.apply_linearized(alpha, np.sin(np.pi * grid.times), psi0, grid)
     dev = max(final.even_sector_defect(), lin.even_sector_defect())
     return _result("control", "even-sector-closure", dev, 0.0)
 
@@ -556,11 +552,10 @@ def check_frechet_order(k_max, seed):
     worst_slope = np.inf
     for base in (chg.CouplingProfile.zero(2.0), chg.CouplingProfile.sine_bump(0.3, 2.0)):
         g0 = ctl.gamma(base, psi0, grid)
-        d = ctl.apply_linearized(base, u + 0j, psi0, grid)
+        d = ctl.apply_linearized(base, u, psi0, grid)
         eps_list, rems = [1e-1, 1e-2, 1e-3], []
         for eps in eps_list:
-            vals = np.real(np.atleast_1d(base.values_on(grid))) + eps * u
-            pert = chg.CouplingProfile.piecewise_linear(grid, vals + 0j)
+            pert = chg.CouplingProfile.piecewise_linear(grid, base.values_on(grid) + eps * u)
             rems.append(ctl.gamma(pert, psi0, grid).sub(g0).sub(d.scaled(eps)).norm())
         worst_slope = min(worst_slope, fit_loglog_slope(eps_list, rems))
     return _result("control", "frechet-order", worst_slope, 1.9, ">=")

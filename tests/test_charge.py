@@ -74,6 +74,20 @@ class TestCouplingProfile:
         with pytest.raises(InputError):
             CouplingProfile("gaussian", 1.0, 1.0)
 
+    def test_values_are_real_for_every_kind(self):
+        grid = TimeGrid(1.0, 4)
+        for p in (CouplingProfile.constant(0.3, 1.0), CouplingProfile.sine_bump(0.5, 1.0),
+                  CouplingProfile.piecewise_linear(grid, [0.0, 1.0, 0.5, 0.5, 0.0])):
+            assert p.values_on(grid).dtype == np.float64, p.kind
+            assert p.derivative(grid.times).dtype == np.float64, p.kind
+
+    def test_complex_samples_with_zero_imaginary_part_accepted(self):
+        grid = TimeGrid(1.0, 4)
+        samples = np.array([0.0, 1.0, -0.5, 0.5, 0.0])
+        p = CouplingProfile.piecewise_linear(grid, samples + 0j)
+        assert p.samples.dtype == np.float64
+        assert np.array_equal(p.values_on(grid), samples)
+
 
 class TestApplyU:
     def test_zero_charge(self):
@@ -197,9 +211,7 @@ def _assert_matches_reference(f, phi, v0, green_source, shift, grid, k_max, tol=
     """`_march` against the step reference; with green_source the general
     scheme, whose Green-source term v0*g(t) is folded into the march's source."""
     if green_source:
-        profile = CouplingProfile.piecewise_linear(grid, phi)
-        phi = profile.values_on(grid)
-        traj = solve_charge_general(f, profile, shift, grid, k_max, v0=v0)
+        traj = solve_charge_general(f, phi, shift, grid, k_max, v0=v0)
     else:
         traj = _march(f, phi, v0, grid, k_max)
     q, end_history = reference_march(f, phi, v0, v0 if green_source else 0.0, shift, grid,
@@ -338,14 +350,14 @@ class TestInitialCharge:
 class TestSolveChargeGeneral:
     def test_zero_source(self):
         grid = TimeGrid(1.0, 100)
-        phi = CouplingProfile.sine_bump(0.7, 1.0)
+        phi = CouplingProfile.sine_bump(0.7, 1.0).values_on(grid)
         traj = solve_charge_general(np.zeros(101, dtype=complex), phi, SpectralShift(), grid, 51)
         assert np.all(traj.q == 0)
 
     def test_zero_coupling_returns_source(self, rng):
         grid = TimeGrid(1.0, 100)
         f = rng.standard_normal(101) + 1j * rng.standard_normal(101)
-        traj = solve_charge_general(f, CouplingProfile.zero(1.0), SpectralShift(), grid, 51)
+        traj = solve_charge_general(f, np.zeros(101), SpectralShift(), grid, 51)
         assert np.max(np.abs(traj.q - f)) == 0.0
 
     def test_generic_against_picard_oracle(self):
@@ -412,9 +424,8 @@ class TestSolveCharge:
         # general scheme with the exactly-critical complex coupling
         grid = TimeGrid(1.0, 100)
         phi_bad = self._critical_coupling(grid, 401)
-        prof = CouplingProfile.piecewise_linear(grid, np.full(101, phi_bad, dtype=complex))
         with pytest.raises(StepSingularityError) as err:
-            solve_charge_general(np.ones(101, dtype=complex), prof,
+            solve_charge_general(np.ones(101, dtype=complex), np.full(101, phi_bad),
                                  SpectralShift(), grid, 401)
         assert err.value.n == 1
         assert err.value.t == pytest.approx(grid.dt)
@@ -462,10 +473,10 @@ class TestSolveCharge:
         assert traj.q[0] == pytest.approx(q)
 
     def test_complex_coupling_rejected(self):
+        # refused when the profile is built, before any solve
         grid = TimeGrid(1.0, 10)
-        prof = CouplingProfile.piecewise_linear(grid, np.linspace(0, 1, 11) * (1 + 1j))
-        with pytest.raises(InputError):
-            solve_charge(prof, SpectralCoefficients.unit(1, 51), grid)
+        with pytest.raises(InputError, match="must be real-valued"):
+            CouplingProfile.piecewise_linear(grid, np.linspace(0, 1, 11) * (1 + 1j))
 
 
 class TestLipschitzProbe:
@@ -496,8 +507,6 @@ class TestErrorPropagation:
         # the general scheme as the initial-charge singularity
         grid = TimeGrid(1.0, 50)
         phi0 = -1.0 / complex(green_origin(1.0)).real
-        prof = CouplingProfile.piecewise_linear(
-            grid, np.full(51, phi0, dtype=complex))
         with pytest.raises(SingularityError):
-            solve_charge_general(np.ones(51, dtype=complex), prof,
+            solve_charge_general(np.ones(51, dtype=complex), np.full(51, phi0, dtype=complex),
                                  SpectralShift(), grid, 51)

@@ -523,6 +523,22 @@ class TestControlCommand:
             "control": str(out / "control.csv"), "report": str(out / "control_report.txt")}
         assert_runtime_section(out / "manifest.txt")
 
+    @pytest.mark.parametrize("k, code", [(127, 2), (41, 0)])
+    def test_missed_target_exits_2_after_writing(self, k, code, tmp_path, capsys):
+        # on the default 2^15 steps mode k reaches the fraction sinc^2(lam_k*dt/2) of its
+        # target: a residual of 0.582 at k = 127 fails, 8.6e-3 at k = 41 passes
+        target = tmp_path / "target.csv"
+        target.write_text(f"k,re_c,im_c\n{k},1.0,0.0\n")
+        out = tmp_path / "ctl"
+        assert run_cli(["control", "--target", str(target), "--outdir", str(out)]) == code
+        for name in ("control.csv", "control_report.txt", "manifest.txt"):
+            assert (out / name).is_file()
+        err = capsys.readouterr().err
+        if code:
+            assert "worst mode k=127" in err and "factor sinc^2(lam_k*dt/2) = 0.4179" in err
+        else:
+            assert err == ""
+
     def test_even_target_rejected(self, tmp_path):
         target = tmp_path / "target.csv"
         target.write_text("k,re_c,im_c\n2,1.0,0.0\n")
@@ -613,6 +629,24 @@ class TestImportBudget:
                           OPENBLAS_NUM_THREADS="1")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == ("unknown" if _bundled_trsv() is None else "1")
+
+    def test_workloads_leave_numpy_ma_unloaded(self, tmp_path):
+        # simulate, the steering experiment and the verify battery; np.median would load it
+        target = tmp_path / "target.csv"
+        target.write_text("k,re_c,im_c\n3,1.0,0.0\n")
+        out = str(tmp_path / "out")
+        commands = [
+            ["simulate", "--alpha", "bump:0.5", "--T", "1.0", "--n-steps", "300",
+             "--k-max", "41", "--outdir", out],
+            ["control", "--target", str(target), "--k-max", "21", "--experiment",
+             "--n-steps", "2000", "--outdir", out],
+            ["verify"],
+        ]
+        proc = run_python(["-c", "import sys, deltabox.cli as cli; "
+                                 f"codes = [cli.main(args) for args in {commands!r}]; "
+                                 "print('RESULT', codes, 'numpy.ma' in sys.modules)"])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "RESULT [0, 0, 0] False"
 
     @pytest.mark.skipif(_bundled_trsv() is None, reason="numpy's BLAS is not OpenBLAS")
     def test_commands_load_no_scipy(self, tmp_path):

@@ -168,6 +168,17 @@ class TestMomentResidual:
     def test_random_targets_battery(self):
         assert_check(verify.check_moment_exactness)
 
+    def test_grid_horizon_must_match_target(self):
+        # solve_moment's rule: the grid spans the target's horizon to within 1e-9
+        t = target_on(1)
+        rho = solve_moment(t)
+        other = ControlTarget(t.c, 2 * T8PI)
+        with pytest.raises(InputError, match="horizon must match"):
+            moment_residual(rho, other)
+        shifted = SynthesizedControl(TimeGrid(T8PI + 1e-8, rho.grid.n_steps), rho.u)
+        with pytest.raises(InputError, match="horizon must match"):
+            moment_residual(shifted, t)
+
     def test_fft_matches_direct_segment_sum(self, rng):
         # the FFT bin evaluation is the same per-segment exact quadrature:
         # h(T) = (rho_T - e^{-i*lam*T}(rho_0 + B))/(i*lam), B the summed slope moments
@@ -177,7 +188,7 @@ class TestMomentResidual:
         grid = TimeGrid(T8PI, 512)
         samples = rng.standard_normal(513) + 1j * rng.standard_normal(513)
         lam = odd_eigenvalues(25)
-        got = _pl_end_history(samples, grid, lam)
+        got = _pl_end_history(samples, grid, 25)
         direct = np.array([
             (samples[-1] - np.exp(-1j * l * T8PI)
              * (samples[0] + np.sum(slope_moments(samples, grid.dt, l)))) / (1j * l)
@@ -201,7 +212,7 @@ class TestMomentResidual:
             b = np.fft.ifft(inc, norm="forward")[bins] * phi1(1j * lam * grid.dt)
             ref = close_history(samples[-1], samples[0] + b, lam, grid.t_end)
             bound = 8 * np.finfo(float).eps * np.log2(n_steps) * np.linalg.norm(inc) / lam[0]
-            got = _pl_end_history(samples, grid, lam)
+            got = _pl_end_history(samples, grid, 101)
             assert np.max(np.abs(got - ref)) <= bound, n_periods
 
 
@@ -233,7 +244,7 @@ class TestSynthesizeControl:
         t = target_on(3, k_max=k_max, value=0.5)
         u = synthesize_control(solve_moment(t, grid), 1)
         psi0 = SpectralCoefficients.unit(1, k_max)
-        out = apply_linearized(CouplingProfile.zero(T8PI), u.profile(), psi0, grid)
+        out = apply_linearized(CouplingProfile.zero(T8PI), u.u, psi0, grid)
         assert out.sub(t.c).norm() < 1e-6
 
 

@@ -6,6 +6,7 @@ from deltabox.greens import green_closed
 from deltabox.spectral import (
     SpectralCoefficients,
     TimeGrid,
+    box_trapezoid,
     eigenmode_value,
     eigenvalue,
     evaluate_state,
@@ -168,6 +169,12 @@ class TestProjectFunction:
     def test_aliasing_guard(self):
         with pytest.raises(AliasingError):
             project_function(lambda x: np.cos(x), k_max=64, resolution=100)
+
+    def test_box_trapezoid_rule(self):
+        # panels + 1 nodes spanning the box, half weights at the two walls
+        xs, w = box_trapezoid(8)
+        assert xs.size == 9 and xs[0] == -np.pi and xs[-1] == np.pi
+        assert w[0] == w[-1] == np.pi / 8 and np.all(w[1:-1] == np.pi / 4)
 
 
 class TestInvariants:
