@@ -21,7 +21,6 @@ from .charge import (
 )
 from .control import (
     ControlTarget,
-    SynthesizedControl,
     apply_linearized,
     controllability_experiment,
     gamma,
@@ -68,7 +67,6 @@ __all__ = [
     "EvolutionResult",
     "SpectralCoefficients",
     "SpectralShift",
-    "SynthesizedControl",
     "TimeGrid",
     "apply_U",
     "apply_hamiltonian",

@@ -18,13 +18,16 @@ particular solution respecting rho(0) = rho(T) = 0 is the sine superposition
 
 extended by zero up to T.  (Orthogonality over [0, 8*pi] forces the 1/(8*pi)
 normalization; the moment-residual quadrature below is the independent check
-pinning it.)
+pinning it.)  The control is the real coupling alpha = 2*Re(u_c) built from such
+a rho (`synthesize_control`): its conjugate half couples the mode pairs
+j^2 + k^2 = 2*k_bar^2, and `real_moments` chooses the moments that reach the
+part of the target a real control can reach.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,7 +45,6 @@ from .spectral import (
 )
 
 BASE_HORIZON = 8.0 * np.pi
-DEFAULT_CONTROL_STEPS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -68,18 +70,6 @@ class ControlTarget:
         """Refuse a control grid whose horizon differs from the target's by more than 1e-9."""
         if abs(grid.t_end - self.t_end) > 1e-9:
             raise InputError("control grid horizon must match the target horizon")
-
-
-@dataclass(frozen=True)
-class SynthesizedControl:
-    """Grid samples of a synthesized complex control profile."""
-
-    grid: TimeGrid
-    u: np.ndarray = field(repr=False)
-
-    @property
-    def realness_defect(self) -> float:
-        return float(np.max(np.abs(self.u.imag)))
 
 
 def _horizon_periods(t_end: float) -> int:
@@ -174,8 +164,9 @@ def check_resolved(target: ControlTarget, n_steps: int) -> None:
                          f"it needs at least {2 * h + 1}")
 
 
-def solve_moment(target: ControlTarget, grid: TimeGrid | None = None) -> SynthesizedControl:
-    """Particular moment-problem solution rho with rho(0) = rho(T) = 0.
+def solve_moment(target: ControlTarget, grid: TimeGrid | None = None) -> np.ndarray:
+    """Particular moment-problem solution rho with rho(0) = rho(T) = 0, on grid's nodes
+    (2^15*N steps when no grid is given; every program path passes its grid).
 
     Requires T = 8*pi*N.  On [0, 8*pi] the solution is the sine superposition
     described in the module docstring, zero after 8*pi.  With n steps,
@@ -188,7 +179,7 @@ def solve_moment(target: ControlTarget, grid: TimeGrid | None = None) -> Synthes
     """
     n_periods = _horizon_periods(target.t_end)
     if grid is None:
-        grid = TimeGrid(target.t_end, DEFAULT_CONTROL_STEPS * n_periods)
+        grid = TimeGrid(target.t_end, (1 << 15) * n_periods)
     target.check_grid(grid)
 
     check_resolved(target, grid.n_steps)
@@ -230,7 +221,7 @@ def solve_moment(target: ControlTarget, grid: TimeGrid | None = None) -> Synthes
     first = n // n_periods
     rho[first:][grid.dt * np.arange(first, n + 1) > BASE_HORIZON * (1 + 1e-12)] = 0.0
     rho[n] = 0.0  # sin(2*pi*k^2) = 0 exactly at t = 8*pi
-    return SynthesizedControl(grid, rho)
+    return rho
 
 
 def _pl_end_history(samples: np.ndarray, grid: TimeGrid, k_max: int) -> np.ndarray:
@@ -256,34 +247,69 @@ def _pl_end_history(samples: np.ndarray, grid: TimeGrid, k_max: int) -> np.ndarr
     return close_history(samples[-1], samples[0] + b, lam, grid.n_steps * grid.dt)
 
 
-def moment_errors(rho: SynthesizedControl, target: ControlTarget) -> np.ndarray:
+def moment_errors(samples, target: ControlTarget) -> np.ndarray:
     """|c_k - (i/sqrt(pi)) int_0^T rho(s) e^{-i*lam_k*(T-s)} ds| for each odd k.
 
-    The moments are the odd part of assemble_F of rho: each segment of the piecewise-linear
-    control is integrated exactly, independently of how rho was constructed.  rho's grid
-    must span the target's horizon T = 8*pi*N, as in solve_moment.
+    samples are rho on the n+1 nodes of the uniform grid over the target's horizon
+    T = 8*pi*N, as from solve_moment.  The moments are the odd part of assemble_F
+    of rho: each segment of the piecewise-linear rho is integrated exactly,
+    independently of how rho was constructed.
     """
-    target.check_grid(rho.grid)
-    h = _pl_end_history(np.asarray(rho.u, dtype=complex), rho.grid, target.k_max)
+    rho = np.asarray(samples, dtype=complex)
+    h = _pl_end_history(rho, TimeGrid(target.t_end, rho.size - 1), target.k_max)
     return np.abs(target.c.a[0::2] - 1j * INV_SQRT_PI * h)
 
 
-def moment_residual(rho: SynthesizedControl, target: ControlTarget) -> float:
+def moment_residual(samples, target: ControlTarget) -> float:
     """max_k of moment_errors: the largest moment defect of rho over the odd modes."""
-    return float(np.max(moment_errors(rho, target)))
+    return float(np.max(moment_errors(samples, target)))
 
 
-def synthesize_control(rho: SynthesizedControl, k_bar: int) -> SynthesizedControl:
-    """First-order control for steering psi_kbar by a target at alpha = 0.
+def real_moments(target: ControlTarget, k_bar: int, grid: TimeGrid):
+    """Moments m over the odd modes whose real control reaches the target from psi_kbar
+    on grid, and the part c - s*p of the target that no real control reaches.
 
-    Inverts the linearized charge relation -qdot = u(t) e^{-i*lam_kbar*t}/sqrt(pi):
-    u(t) = -sqrt(pi) * rho(t) * e^{i*lam_kbar*t} with rho the target's solve_moment.
+    u_c = -sqrt(pi) * rho * e^{i*lam_kbar*t} puts the moments m of rho on the
+    linear charge; the real alpha = u_c + conj(u_c) adds conj(rho)*e^{-2i*lam_kbar*t},
+    which on T = 8*pi*N (e^{-i*lam_k*T} = 1) meets mode k only where a mode j has
+    j^2 + k^2 = 2*k_bar^2: the pairs of _frequency_collisions and the anchor pair
+    (k_bar, k_bar).  There mode k receives m_k - conj(m_j).  The march sees the
+    piecewise-linear interpolant of the samples, which scales mode k by
+    s_k = sinc^2(lam_k*dt/2) = sinc^2(pi*k^2*N/n), so the target is compensated to
+    q = c/s (check_resolved keeps k^2*N < n/2, where 1/s_k <= pi^2/4).  On each pair
+    q is projected onto what a real control reaches, p_j = (q_j - conj(q_k))/2 and
+    p_k = (q_k - conj(q_j))/2, whose moments are m = p/2; elsewhere m = p = q.
     """
-    if k_bar % 2 == 0:
-        raise InputError("the anchor eigenstate must be an even-sector mode (odd k)")
-    lam_bar = eigenvalue(k_bar)
-    u = -np.sqrt(np.pi) * rho.u * np.exp(1j * lam_bar * rho.grid.times)
-    return SynthesizedControl(rho.grid, u)
+    if k_bar % 2 == 0 or not 1 <= k_bar <= target.k_max:
+        raise InputError(f"the anchor eigenstate k_bar={k_bar} must be an even-sector "
+                         f"mode (odd k) in 1..{target.k_max}")
+    check_resolved(target, grid.n_steps)
+    c = target.c.a[0::2]
+    s = np.sinc(_odd_harmonics(target.k_max, _horizon_periods(target.t_end))
+                / grid.n_steps) ** 2
+    q = np.divide(c, s, out=np.zeros_like(c), where=c != 0)  # s_k may be 0 where c_k = 0
+    j, k = np.array(_frequency_collisions(k_bar, target.k_max) + [(k_bar, k_bar)]).T // 2
+    p = q.copy()
+    p[j], p[k] = (q[j] - q[k].conj()) / 2, (q[k] - q[j].conj()) / 2
+    unreachable = s * (q - p)
+    p[np.concatenate((j, k))] /= 2  # m = p/2; the anchor's index, listed twice, is halved once
+    return p, unreachable
+
+
+def synthesize_control(target: ControlTarget, k_bar: int, grid: TimeGrid) -> CouplingProfile:
+    """Real first-order control alpha = 2*Re(u_c) on grid for steering psi_kbar by the
+    target at alpha = 0, u_c = -sqrt(pi) * rho * e^{i*lam_kbar*t}.
+
+    rho is solve_moment of the moments of real_moments, so dGamma_0(alpha) is the
+    reachable part of the target (all of it off the collision pairs) up to rounding.
+    A partner mode that the grid aliases is refused by solve_moment's check_resolved.
+    """
+    m = real_moments(target, k_bar, grid)[0]
+    a = np.zeros(target.k_max, dtype=complex)
+    a[0::2] = m
+    rho = solve_moment(ControlTarget(SpectralCoefficients(target.k_max, a), target.t_end), grid)
+    rho *= np.exp(1j * eigenvalue(k_bar) * grid.times)
+    return CouplingProfile.piecewise_linear(grid, -2.0 * np.sqrt(np.pi) * rho.real)
 
 
 @dataclass(frozen=True)
@@ -295,18 +321,14 @@ class SteeringReport:
     remainders: tuple
     displacement_errors: tuple  # |Gamma(a) - free - dGamma(a)| / |dGamma(a)|
     remainder_slope: float
-    realness_defects: tuple
     collision_note: str
     runtime_seconds: float
 
     def to_text(self) -> str:
         lines = [f"steering anchor k_bar={self.k_bar}",
                  f"remainder slope (log-log): {self.remainder_slope:.4f}"]
-        for eps, r, d, rd in zip(self.epsilons, self.remainders,
-                                 self.displacement_errors, self.realness_defects):
-            lines.append(
-                f"  eps={eps:<8g} remainder={r:.6e} displacement_rel_err={d:.6e} "
-                f"im_defect={rd:.3e}")
+        for eps, r, d in zip(self.epsilons, self.remainders, self.displacement_errors):
+            lines.append(f"  eps={eps:<8g} remainder={r:.6e} displacement_rel_err={d:.6e}")
         lines.append(self.collision_note)
         lines.append(f"runtime: {self.runtime_seconds:.1f} s")
         return "\n".join(lines)
@@ -327,49 +349,45 @@ def _frequency_collisions(k_bar: int, k_max: int) -> list[tuple[int, int]]:
     return pairs
 
 
-def controllability_experiment(k_bar: int, epsilons, delta_direction: ControlTarget,
-                               grid: TimeGrid) -> SteeringReport:
-    """Nonlinear steering test around psi_kbar with the real part of the
-    synthesized control, at the truncation of delta_direction.
+def controllability_experiment(k_bar: int, epsilons, target: ControlTarget,
+                               control: CouplingProfile) -> SteeringReport:
+    """Nonlinear steering test around psi_kbar, at the truncation of the target, with
+    the real control synthesized for it (synthesize_control).
 
-    For each eps the control for eps*delta_direction is synthesized, its real
-    part drives the full evolution, and the remainder against the first-order
-    prediction e^{-i*lam_kbar*T}psi_kbar + dGamma_0(alpha) is recorded; the
-    log-log remainder slope estimates the quadratic-order of the rest term.
+    For each eps the control scaled by eps/|target| drives the full evolution, so
+    eps is the size of the step in the target's direction, and the remainder
+    against the first-order prediction e^{-i*lam_kbar*T}psi_kbar + dGamma_0(alpha)
+    is recorded; the log-log remainder slope estimates the quadratic order of the
+    rest term.
     """
     t_start = time.time()
-    norm = delta_direction.c.norm()
-    if abs(norm - 1.0) > 1e-9:
-        raise InputError("delta_direction must be normalized")
-    psi0 = SpectralCoefficients.unit(k_bar, delta_direction.k_max)
+    norm = target.c.norm()
+    if norm == 0:
+        raise InputError("the steering experiment needs a nonzero target")
+    grid = TimeGrid(control.t_end, control.samples.size - 1)
+    psi0 = SpectralCoefficients.unit(k_bar, target.k_max)
     free_final = free_evolve(psi0, grid.t_end)
-    control_unit = synthesize_control(solve_moment(delta_direction, grid), k_bar)
+    unit = control.samples / norm
 
-    # at alpha = 0 the linearization is linear in u: one solve serves every eps
-    linear_unit = apply_linearized(CouplingProfile.zero(grid.t_end), control_unit.u.real,
-                                   psi0, grid)
+    # at alpha = 0 the linearization is linear in the control: one solve serves every eps
+    linear_unit = apply_linearized(CouplingProfile.zero(grid.t_end), unit, psi0, grid)
     remainders = []
     disp_errors = []
-    defects = []
     for eps in epsilons:
-        u_scaled = control_unit.u * eps
-        alpha_re = CouplingProfile.piecewise_linear(grid, u_scaled.real)
-        final = gamma(alpha_re, psi0, grid)
+        final = gamma(CouplingProfile.piecewise_linear(grid, eps * unit), psi0, grid)
         linear = linear_unit.scaled(eps)
         predicted = free_final.add(linear)
         remainders.append(final.sub(predicted).norm())
         disp = final.sub(free_final)
         lin_norm = linear.norm()
         disp_errors.append(disp.sub(linear).norm() / lin_norm if lin_norm > 0 else np.inf)
-        defects.append(float(np.max(np.abs(u_scaled.imag))))
 
     slope = fit_loglog_slope(list(epsilons), remainders)
-    pairs = _frequency_collisions(k_bar, delta_direction.k_max)
+    pairs = _frequency_collisions(k_bar, target.k_max)
     note = ("frequency collisions (j^2+k^2=2*k_bar^2): none" if not pairs
             else f"frequency collisions (j^2+k^2=2*k_bar^2): {pairs} "
-                 "(real controls couple these pairs; not resolved here)")
+                 "(a real control reaches their projection; the rest is unreachable)")
     return SteeringReport(
         k_bar=k_bar, epsilons=tuple(epsilons), remainders=tuple(remainders),
         displacement_errors=tuple(disp_errors), remainder_slope=slope,
-        realness_defects=tuple(defects), collision_note=note,
-        runtime_seconds=time.time() - t_start)
+        collision_note=note, runtime_seconds=time.time() - t_start)

@@ -15,7 +15,7 @@ import tempfile
 import numpy as np
 
 from .errors import InputError
-from .spectral import SpectralCoefficients
+from .spectral import SpectralCoefficients, TimeGrid
 
 CONFIG_VERSION = "1"
 
@@ -93,25 +93,24 @@ def _header_comments(fields: dict) -> list[str]:
     return [f"# {key}={value}" for key, value in fields.items()]
 
 
-def _save_series_csv(path: str, columns: str, times, values, fields: dict) -> None:
-    """Header comments, the column line, then one 't,re,im' row per node.
+def _save_series_csv(path: str, columns: str, table, fields: dict) -> None:
+    """Header comments, the column line, then one row per node of table's float columns.
 
     Rows are formatted from Python floats (.tolist()), a chunk of rows at a
     time so that few float objects are alive at once.
     """
-    times = np.asarray(times, dtype=float)
-    values = np.asarray(values, dtype=complex)
+    table = [np.asarray(column, dtype=float) for column in table]
     lines = _header_comments(fields)
     lines.append(columns)
-    for start in range(0, times.size, 1024):
-        rows = slice(start, start + 1024)
-        lines += [f"{t!r},{re!r},{im!r}" for t, re, im in zip(
-            times[rows].tolist(), values.real[rows].tolist(), values.imag[rows].tolist())]
+    for start in range(0, table[0].size, 1024):
+        lines += map(",".join, zip(*(map(repr, column[start:start + 1024].tolist())
+                                     for column in table)))
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def save_trajectory_csv(path: str, times: np.ndarray, q: np.ndarray, fields: dict) -> None:
-    _save_series_csv(path, "t,re_q,im_q", times, q, fields)
+    q = np.asarray(q, dtype=complex)
+    _save_series_csv(path, "t,re_q,im_q", (times, q.real, q.imag), fields)
 
 
 def save_spectrum_csv(path: str, eigs: list[tuple[float, str]], fields: dict) -> None:
@@ -122,8 +121,11 @@ def save_spectrum_csv(path: str, eigs: list[tuple[float, str]], fields: dict) ->
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def save_control_csv(path: str, times: np.ndarray, u: np.ndarray, fields: dict) -> None:
-    _save_series_csv(path, "t,re_u,im_u", times, u, fields)
+def save_control_csv(path: str, alpha, fields: dict) -> None:
+    """A piecewise-linear charge.CouplingProfile in the `pl:` format: header comments,
+    the column line '# t,alpha', then one 't,alpha' row per node t_n = n*T/N."""
+    grid = TimeGrid(alpha.t_end, alpha.samples.size - 1)
+    _save_series_csv(path, "# t,alpha", (grid.times, alpha.samples), fields)
 
 
 def load_target_csv(path: str, k_max: int) -> SpectralCoefficients:

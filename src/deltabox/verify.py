@@ -7,26 +7,27 @@ deterministic given the seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import charge as chg
 from . import control as ctl
 from . import convergence, greens, oracles, propagator, spectral
+from .errors import InputError
 from .kernels import discrete_h1_norm, fit_loglog_slope, odd_eigenvalues, segment_moments
 from .spectral import SpectralCoefficients, TimeGrid
 
 
 @dataclass(frozen=True)
 class CheckResult:
-    module: str
-    name: str
     passed: bool
     measured: float
     threshold: float
     comparator: str = "<="
     detail: str = ""
+    module: str = ""  # the check's registry key and name, set by run_checks
+    name: str = ""
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -35,13 +36,9 @@ class CheckResult:
         return out + (f"  [{self.detail}]" if self.detail else "")
 
 
-def _result(module, name, measured, threshold, comparator="<=", detail=""):
-    if comparator == "<=":
-        ok = measured <= threshold
-    else:
-        ok = measured >= threshold
-    return CheckResult(module, name, bool(ok), float(measured), float(threshold),
-                       comparator, detail)
+def _result(measured, threshold, comparator="<=", detail=""):
+    ok = measured <= threshold if comparator == "<=" else measured >= threshold
+    return CheckResult(bool(ok), float(measured), float(threshold), comparator, detail)
 
 
 # ---------------------------------------------------------------- spectral
@@ -52,7 +49,7 @@ def check_orthonormality(k_max, seed):
     modes = np.array([spectral.eigenmode_value(k, xs) for k in range(1, n_modes + 1)])
     gram = (modes * w) @ modes.T
     dev = float(np.max(np.abs(gram - np.eye(n_modes))))
-    return _result("spectral", "orthonormality", dev, 1e-10)
+    return _result(dev, 1e-10)
 
 
 def check_parseval(k_max, seed):
@@ -63,7 +60,7 @@ def check_parseval(k_max, seed):
     vals = spectral.evaluate_state(c, xs)
     quad = float(np.sum(w * np.abs(vals) ** 2))
     dev = abs(quad - c.norm() ** 2)
-    return _result("spectral", "parseval", dev, 1e-8)
+    return _result(dev, 1e-8)
 
 
 def check_free_evolve_group(k_max, seed):
@@ -81,7 +78,7 @@ def check_free_evolve_group(k_max, seed):
         bound = 8.0 * eps * max(1.0, lam_max * (t + s))
         dev = float(np.max(np.abs(one.a - two.a) / np.abs(c.a)))
         worst = max(worst, dev / bound)
-    return _result("spectral", "free-evolve-group", worst, 1.0,
+    return _result(worst, 1.0,
                    detail="relative error over 8*eps*lam_max*(t+s) phase-rounding bound")
 
 
@@ -92,7 +89,7 @@ def check_origin_trace_series(k_max, seed):
     series = spectral.free_origin_series(c, ts)
     direct = np.array([spectral.origin_trace(spectral.free_evolve(c, t)) for t in ts])
     dev = float(np.max(np.abs(series - direct)))
-    return _result("spectral", "origin-trace-series", dev, 1e-12)
+    return _result(dev, 1e-12)
 
 
 # ---------------------------------------------------------------- greens
@@ -112,8 +109,7 @@ def check_series_closed_order(k_max, seed):
                 for x, xp, z in pts]
         medians.append(statistics.median(errs))
     slope = -fit_loglog_slope(ks, medians)
-    return _result("greens", "series-closed-order", slope, 0.9, ">=",
-                   detail=f"median errors {medians}")
+    return _result(slope, 0.9, ">=", detail=f"median errors {medians}")
 
 
 def check_derivative_jump(k_max, seed):
@@ -127,7 +123,7 @@ def check_derivative_jump(k_max, seed):
         right = (-3 * g(xp) + 4 * g(xp + h) - g(xp + 2 * h)) / (2 * h)
         left = (3 * g(xp) - 4 * g(xp - h) + g(xp - 2 * h)) / (2 * h)
         worst = max(worst, abs((right - left) + 1.0))
-    return _result("greens", "derivative-jump", worst, 1e-6)
+    return _result(worst, 1e-6)
 
 
 def check_pole_bracketing(k_max, seed):
@@ -145,8 +141,7 @@ def check_pole_bracketing(k_max, seed):
             a, b = 0.25 * j * j, 0.25 * (j + 2) * (j + 2)
             if len([e for e in eigs if a < e < b]) != 1:
                 measured = 1.0
-    return _result("greens", "pole-bracketing", measured, -1.0,
-                   comparator="<=", detail="sign flip across poles, one root per gap")
+    return _result(measured, -1.0, detail="sign flip across poles, one root per gap")
 
 
 def check_fd_oracle(k_max, seed):
@@ -155,7 +150,7 @@ def check_fd_oracle(k_max, seed):
         mine = [e for e, _ in greens.static_eigenvalues(alpha, (-10.0, 10.0))][:3]
         ref = oracles.fd_spectrum(alpha, n_eigen=3)
         worst = max(worst, float(np.max(np.abs(np.array(mine) - ref))))
-    return _result("greens", "fd-oracle", worst, 1e-3)
+    return _result(worst, 1e-3)
 
 
 # ---------------------------------------------------------------- charge
@@ -170,11 +165,10 @@ def _bump_run(k_max_run, n_steps, t_end=2.0):
 def check_dt_self_convergence(k_max, seed):
     # k_max = 25: all retained mode periods resolved on the coarsest grid
     rows, slope = convergence.charge_dt_sweep((4e-3, 2e-3, 1e-3))
-    return _result("charge", "dt-self-convergence", slope, 1.9, ">=",
-                   detail=f"errors {[err for _, err in rows]}")
+    return _result(slope, 1.9, ">=", detail=f"errors {[err for _, err in rows]}")
 
 
-def check_kmax_truncation(k_max, seed):
+def check_kmax_truncation_decay(k_max, seed):
     grid = TimeGrid(2.0, 1000)
     alpha = chg.CouplingProfile.sine_bump(0.5, 2.0)
     qs = {}
@@ -185,8 +179,7 @@ def check_kmax_truncation(k_max, seed):
     slope = fit_loglog_slope(ks[:-1], diffs)
     ok_monotone = all(d2 < d1 for d1, d2 in zip(diffs[:-1], diffs[1:]))
     measured = slope if ok_monotone else 0.0
-    return _result("charge", "kmax-truncation-decay", measured, -1.0, "<=",
-                   detail=f"sup diffs on doubling {diffs}")
+    return _result(measured, -1.0, "<=", detail=f"sup diffs on doubling {diffs}")
 
 
 def check_u_zero_at_start(k_max, seed):
@@ -195,7 +188,7 @@ def check_u_zero_at_start(k_max, seed):
     q = rng.standard_normal(65) + 1j * rng.standard_normal(65)
     traj = chg.ChargeTrajectory(grid, q, 51)
     val = abs(chg.apply_U(traj)[0])
-    return _result("charge", "u-zero-at-start", val, 0.0)
+    return _result(val, 0.0)
 
 
 def check_u_integration_by_parts(k_max, seed):
@@ -211,7 +204,7 @@ def check_u_integration_by_parts(k_max, seed):
         c_nodes = np.concatenate(([0.0], np.cumsum(segment_moments(q, grid.dt, lam_k))))
         direct += np.exp(-1j * lam_k * ts) * c_nodes
     dev = float(np.max(np.abs(integrated - direct)))
-    return _result("charge", "u-integration-by-parts", dev, 1e-12)
+    return _result(dev, 1e-12)
 
 
 def check_u_constant_analytic(k_max, seed):
@@ -223,7 +216,7 @@ def check_u_constant_analytic(k_max, seed):
     exact = np.sum((1 - np.exp(-1j * lam[None, :] * t)) / (1j * lam[None, :]), axis=1)
     exact[0] = 0.0
     dev = float(np.max(np.abs(got - exact)))
-    return _result("charge", "u-constant-analytic", dev, 1e-10)
+    return _result(dev, 1e-10)
 
 
 def check_u_linearity(k_max, seed):
@@ -235,7 +228,7 @@ def check_u_linearity(k_max, seed):
     u2 = chg.apply_U(chg.ChargeTrajectory(grid, q2, 101))
     u12 = chg.apply_U(chg.ChargeTrajectory(grid, q1 + q2, 101))
     dev = float(np.max(np.abs(u12 - u1 - u2)))
-    return _result("charge", "u-linearity", dev, 1e-12)
+    return _result(dev, 1e-12)
 
 
 def check_conjugation_reversal(k_max, seed):
@@ -260,19 +253,18 @@ def check_conjugation_reversal(k_max, seed):
                                       0.0, greens.SpectralShift(), fgrid, k_use,
                                       kernel_sign=+1.0)
         worst = max(worst, float(np.max(np.abs(np.conj(traj.q) - q_rev[::4]))))
-    return _result("charge", "conjugation-reversal", worst, 1e-5)
+    return _result(worst, 1e-5)
 
 
-def check_large_amplitude(k_max, seed):
+def check_large_amplitude_wellposed(k_max, seed):
     grid = TimeGrid(1.0, 1000)
     psi0 = SpectralCoefficients.unit(1, 101)
     for profile in (chg.CouplingProfile.constant(10.0, 1.0),
                     chg.CouplingProfile.sine_bump(10.0, 1.0)):
         traj = chg.solve_charge(profile, psi0, grid)
         if not np.all(np.isfinite(traj.q.real)):
-            return _result("charge", "large-amplitude-wellposed", 1.0, 0.0)
-    return _result("charge", "large-amplitude-wellposed", 0.0, 0.0,
-                   detail="no step singularity for A=10, dt=1e-3")
+            return _result(1.0, 0.0)
+    return _result(0.0, 0.0, detail="no step singularity for A=10, dt=1e-3")
 
 
 def check_picard_oracle(k_max, seed):
@@ -286,7 +278,7 @@ def check_picard_oracle(k_max, seed):
                                      -av[0] * spectral.origin_trace(psi0), 0.0,
                                      greens.SpectralShift(), fgrid, k_use)
     dev = float(np.max(np.abs(traj.q - q_oracle[::4])))
-    return _result("charge", "picard-oracle", dev, 1e-6)
+    return _result(dev, 1e-6)
 
 
 def check_general_scheme_picard(k_max, seed):
@@ -302,7 +294,7 @@ def check_general_scheme_picard(k_max, seed):
     v0 = chg.initial_charge(f_fine[0], 0.0, shift)
     q_oracle = oracles.picard_charge(f_fine, phi.values_on(fgrid), v0, v0, shift, fgrid, k_use)
     dev = float(np.max(np.abs(traj.q - q_oracle[::4])))
-    return _result("charge", "general-scheme-picard", dev, 1e-6)
+    return _result(dev, 1e-6)
 
 
 # ---------------------------------------------------------------- propagator
@@ -315,7 +307,7 @@ def check_galerkin_ode_oracle(k_max, seed):
     res = propagator.evolve(psi0, alpha, grid)
     ref = oracles.galerkin_evolution(psi0.a, alpha.value, grid.t_end, k_use)
     dev = float(np.max(np.abs(res.final_state.a - ref)))
-    return _result("propagator", "galerkin-ode-oracle", dev, 1e-6)
+    return _result(dev, 1e-6)
 
 
 def check_unitarity_dt_order(k_max, seed):
@@ -325,8 +317,7 @@ def check_unitarity_dt_order(k_max, seed):
         res = propagator.evolve(psi0, alpha, grid)
         drifts.append(res.norm_drift())
     slope = fit_loglog_slope(dts, drifts)
-    return _result("propagator", "unitarity-dt-order", slope, 1.9, ">=",
-                   detail=f"drifts {drifts}")
+    return _result(slope, 1.9, ">=", detail=f"drifts {drifts}")
 
 
 def check_unitarity_kmax_bound(k_max, seed):
@@ -339,8 +330,7 @@ def check_unitarity_kmax_bound(k_max, seed):
         grid, psi0, alpha = _bump_run(kk, 4000, t_end=1.0)
         res = propagator.evolve(psi0, alpha, grid)
         drifts.append(res.norm_drift())
-    return _result("propagator", "unitarity-kmax-bound", max(drifts), 1e-8,
-                   detail=f"drifts over k_max {ks}: {drifts}")
+    return _result(max(drifts), 1e-8, detail=f"drifts over k_max {ks}: {drifts}")
 
 
 def check_mild_odd_support(k_max, seed):
@@ -351,7 +341,7 @@ def check_mild_odd_support(k_max, seed):
         free = spectral.free_evolve(psi0, grid.times[n])
         diff = res.state_at(n).a - free.a
         worst = max(worst, float(np.max(np.abs(diff[1::2]))))
-    return _result("propagator", "mild-odd-support", worst, 0.0)
+    return _result(worst, 0.0)
 
 
 def check_boundary_equivalence(k_max, seed):
@@ -359,7 +349,7 @@ def check_boundary_equivalence(k_max, seed):
     psi0 = SpectralCoefficients.unit(1, k_max)
     alpha = chg.CouplingProfile.sine_bump(1.0, 1.0)
     res = propagator.evolve(psi0, alpha, grid)
-    return _result("propagator", "boundary-equivalence", res.max_boundary_residual(), 1e-8)
+    return _result(res.max_boundary_residual(), 1e-8)
 
 
 def check_phi4_identity(k_max, seed):
@@ -386,7 +376,7 @@ def check_phi4_identity(k_max, seed):
         lhs = lam_all * (f_w.a - w[-1] * green.a)
         rhs = 1j * fprime + shift.lam * w[-1] * green.a
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return _result("propagator", "phi4-identity", worst, 1e-8)
+    return _result(worst, 1e-8)
 
 
 def check_green_difference_sign(k_max, seed):
@@ -406,7 +396,7 @@ def check_green_difference_sign(k_max, seed):
     minus = (1 - phase) * shift.lam / (lam_odd * (lam_odd - shift.lam)) / np.sqrt(np.pi)
     dev_plus = float(np.max(np.abs(direct - plus)))
     dev_minus = float(np.max(np.abs(direct - minus)))
-    return _result("propagator", "green-difference-sign", dev_plus, 1e-12,
+    return _result(dev_plus, 1e-12,
                    detail=f"(lam+lam0) matches; (lam-lam0) deviates by {dev_minus:.2e}")
 
 
@@ -431,7 +421,7 @@ def check_eigenstate_rotation(k_max, seed):
     overlap = np.vdot(state.a, final.a)
     fidelity_defect = abs(1.0 - abs(overlap) / (state.norm() * final.norm()))
     vec_err = float(np.linalg.norm(final.a - np.exp(-1j * energy * grid.t_end) * state.a))
-    return _result("propagator", "eigenstate-rotation", max(fidelity_defect, vec_err), 1e-5,
+    return _result(max(fidelity_defect, vec_err), 1e-5,
                    detail=f"fidelity defect {fidelity_defect:.2e}, vector err {vec_err:.2e}")
 
 
@@ -440,10 +430,10 @@ def check_hamiltonian_eigenstate(k_max, seed):
     ds = propagator.decompose(state, scale)  # q = 1 before normalization
     out = propagator.apply_hamiltonian(ds)
     dev = float(np.max(np.abs(out.a - energy * state.a)))
-    return _result("propagator", "hamiltonian-eigenstate", dev, 1e-6)
+    return _result(dev, 1e-6)
 
 
-def check_regular_tail(k_max, seed):
+def check_regular_part_h2_tail(k_max, seed):
     grid, psi0, alpha = _bump_run(k_max, 2000)
     res = propagator.evolve(psi0, alpha, grid)
     q_end = res.charge.q[-1]
@@ -452,25 +442,24 @@ def check_regular_tail(k_max, seed):
     tails = [ds.h2_tail(c) for c in cuts]
     slope = fit_loglog_slope(cuts, tails)
     ok = all(t2 < t1 for t1, t2 in zip(tails[:-1], tails[1:]))
-    return _result("propagator", "regular-part-h2-tail", slope if ok else 0.0, -1.0, "<=",
-                   detail=f"tails {tails}")
+    return _result(slope if ok else 0.0, -1.0, "<=", detail=f"tails {tails}")
 
 
-def check_energy_constant(k_max, seed):
+def check_energy_constant_static(k_max, seed):
     alpha_c = 0.5
     _, state, _ = _coupled_eigenstate(alpha_c, k_max)
     ds = propagator.decompose(state, -alpha_c * spectral.origin_trace(state))
     alpha = chg.CouplingProfile.constant(alpha_c, 1.0)
     res = propagator.evolve(ds, alpha, TimeGrid(1.0, 1000))
     rep = propagator.diagnostics(res, alpha)
-    return _result("propagator", "energy-constant-static", rep.energy_drift, 1e-5)
+    return _result(rep.energy_drift, 1e-5)
 
 
 def check_energy_balance(k_max, seed):
     grid, psi0, alpha = _bump_run(k_max, 2000)
     res = propagator.evolve(psi0, alpha, grid)
     rep = propagator.diagnostics(res, alpha)
-    return _result("propagator", "energy-balance", rep.energy_balance_relative, 1e-3)
+    return _result(rep.energy_balance_relative, 1e-3)
 
 
 # ---------------------------------------------------------------- control
@@ -485,10 +474,10 @@ def check_linearized_linearity(k_max, seed):
     u2 = np.sin(2 * np.pi * t) * (0.3 - 0.2j) + np.sin(np.pi * t)
     d1, d2, d12 = ctl.apply_linearized(alpha, np.stack((u1, u2, u1 + u2)), psi0, grid)
     dev = d12.sub(d1.add(d2)).norm()
-    return _result("control", "linearized-linearity", dev, 1e-10)
+    return _result(dev, 1e-10)
 
 
-def check_sector_closure(k_max, seed):
+def check_even_sector_closure(k_max, seed):
     grid = TimeGrid(1.0, 500)
     k_use = 101
     a = np.zeros(k_use, dtype=complex)
@@ -499,7 +488,7 @@ def check_sector_closure(k_max, seed):
     final = ctl.gamma(alpha, psi0, grid)
     lin = ctl.apply_linearized(alpha, np.sin(np.pi * grid.times), psi0, grid)
     dev = max(final.even_sector_defect(), lin.even_sector_defect())
-    return _result("control", "even-sector-closure", dev, 0.0)
+    return _result(dev, 0.0)
 
 
 def check_moment_exactness(k_max, seed):
@@ -514,7 +503,7 @@ def check_moment_exactness(k_max, seed):
         target = ctl.ControlTarget(SpectralCoefficients(k_max, c), t_end)
         rho = ctl.solve_moment(target, fine)
         worst = max(worst, ctl.moment_residual(rho, target))
-    return _result("control", "moment-exactness", worst, 1e-8)
+    return _result(worst, 1e-8)
 
 
 def check_gateaux_continuity(k_max, seed):
@@ -538,8 +527,7 @@ def check_gateaux_continuity(k_max, seed):
         d2s = ctl.apply_linearized(a2, us, psi0, grid)
         sups.append(max(d1.sub(d2).norm() for d1, d2 in zip(d1s, d2s)))
     monotone = all(s2 < s1 for s1, s2 in zip(sups[:-1], sups[1:]))
-    return _result("control", "gateaux-continuity", 0.0 if monotone else 1.0, 0.0,
-                   detail=f"operator gaps {sups}")
+    return _result(0.0 if monotone else 1.0, 0.0, detail=f"operator gaps {sups}")
 
 
 def check_frechet_order(k_max, seed):
@@ -558,7 +546,7 @@ def check_frechet_order(k_max, seed):
             pert = chg.CouplingProfile.piecewise_linear(grid, base.values_on(grid) + eps * u)
             rems.append(ctl.gamma(pert, psi0, grid).sub(g0).sub(d.scaled(eps)).norm())
         worst_slope = min(worst_slope, fit_loglog_slope(eps_list, rems))
-    return _result("control", "frechet-order", worst_slope, 1.9, ">=")
+    return _result(worst_slope, 1.9, ">=")
 
 
 def check_lipschitz_ratio(k_max, seed):
@@ -571,10 +559,11 @@ def check_lipschitz_ratio(k_max, seed):
         b = chg.CouplingProfile.sine_bump(amp * 1.001, 2.0)
         dq, da = chg.lipschitz_probe(a, b, psi0, grid)
         ratios.append(dq / da)
-    return _result("control", "lipschitz-ratio", max(ratios), 10.0,
-                   detail=f"ratios {ratios}")
+    return _result(max(ratios), 10.0, detail=f"ratios {ratios}")
 
 
+# module -> its checks; a check's name is its function's name without `check_`,
+# with dashes, on its PASS and FAIL lines alike
 _CHECK_MODULES = {
     "spectral": [
         check_orthonormality,
@@ -590,13 +579,13 @@ _CHECK_MODULES = {
     ],
     "charge": [
         check_dt_self_convergence,
-        check_kmax_truncation,
+        check_kmax_truncation_decay,
         check_u_zero_at_start,
         check_u_integration_by_parts,
         check_u_constant_analytic,
         check_u_linearity,
         check_conjugation_reversal,
-        check_large_amplitude,
+        check_large_amplitude_wellposed,
         check_picard_oracle,
         check_general_scheme_picard,
     ],
@@ -610,13 +599,13 @@ _CHECK_MODULES = {
         check_green_difference_sign,
         check_eigenstate_rotation,
         check_hamiltonian_eigenstate,
-        check_regular_tail,
-        check_energy_constant,
+        check_regular_part_h2_tail,
+        check_energy_constant_static,
         check_energy_balance,
     ],
     "control": [
         check_linearized_linearity,
-        check_sector_closure,
+        check_even_sector_closure,
         check_moment_exactness,
         check_gateaux_continuity,
         check_frechet_order,
@@ -630,10 +619,10 @@ CHECKS = [fn for fns in _CHECK_MODULES.values() for fn in fns]
 def run_checks(module_filter: str | None = None, k_max: int = spectral.DEFAULT_K_MAX,
                seed: int = 20260809) -> list[CheckResult]:
     if module_filter is not None and module_filter not in _CHECK_MODULES:
-        from .errors import InputError
-
         raise InputError(f"unknown module filter {module_filter!r}; "
                          f"choose from {sorted(_CHECK_MODULES)}")
+    if seed < 0:
+        raise InputError(f"--seed must be a non-negative integer, got {seed}")
     results = []
     for module, fns in _CHECK_MODULES.items():
         if module_filter and module != module_filter:
@@ -641,9 +630,8 @@ def run_checks(module_filter: str | None = None, k_max: int = spectral.DEFAULT_K
         for fn in fns:
             name = fn.__name__.removeprefix("check_").replace("_", "-")
             try:
-                res = fn(k_max, seed)
+                res = replace(fn(k_max, seed), module=module, name=name)
             except Exception as exc:  # a crashed check is a failed check
-                res = CheckResult(module, name, False, float("nan"), 0.0, "<=",
-                                  f"error: {exc}")
+                res = CheckResult(False, float("nan"), 0.0, "<=", f"error: {exc}", module, name)
             results.append(res)
     return results

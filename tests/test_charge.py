@@ -402,13 +402,13 @@ class TestSolveCharge:
         assert_check(verify.check_dt_self_convergence)
 
     def test_truncation_decay(self):
-        assert_check(verify.check_kmax_truncation)
+        assert_check(verify.check_kmax_truncation_decay)
 
     def test_conjugation_reversal(self):
         assert_check(verify.check_conjugation_reversal)
 
     def test_large_amplitude_wellposed(self):
-        assert_check(verify.check_large_amplitude)
+        assert_check(verify.check_large_amplitude_wellposed)
 
     @staticmethod
     def _critical_coupling(grid, k_max):

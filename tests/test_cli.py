@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import deltabox
+from deltabox.charge import CouplingProfile
 from deltabox.cli import _SIMULATE_KEYS, _parse_alpha, _parse_psi0, main
+from deltabox.control import ControlTarget, apply_linearized, synthesize_control
 from deltabox.kernels import THREAD_VARIABLES, _bundled_trsv
 from deltabox.iofiles import (
     config_hash,
@@ -211,6 +213,7 @@ BAD_INPUTS = {
     "control-aliased-experiment": ["control", "--target", "{target}", "--experiment",
                                    "--n-steps", "1"],
     "verify-text-seed": ["verify", "--seed", "abc"],
+    "verify-negative-seed": ["verify", "--seed", "-1"],
     "verify-text-kmax": ["verify", "--k-max", "abc"],
 }
 
@@ -239,8 +242,9 @@ class TestInputContracts:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("mode, extra", [
-        (201, ["--k-max", "401"]),  # k^2 = 40401 is past the Nyquist bin of 2^15 steps
-        (3, ["--experiment", "--n-steps", "1"]),  # the experiment's own grid aliases k = 3
+        (201, ["--k-max", "401"]),  # k^2 = 40401 is past the Nyquist bin of 25133 steps
+        (3, ["--experiment", "--n-steps", "1"]),  # 1 step aliases k = 3
+        (127, []),  # 2*127^2 = 32258 >= 25133, the default --n-steps
     ])
     def test_aliased_control_writes_nothing(self, mode, extra, tmp_path, capsys):
         target = tmp_path / "target.csv"
@@ -251,6 +255,19 @@ class TestInputContracts:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("configuration error:") and f"k={mode} " in err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("extra", [[], ["--experiment"]])
+    def test_anchor_outside_the_truncation_writes_nothing(self, extra, tmp_path, capsys):
+        target = tmp_path / "target.csv"
+        target.write_text("k,re_c,im_c\n3,1.0,0.0\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        code = run_cli(["control", "--target", str(target), "--k-bar", "403", "--k-max", "401",
+                        *extra, "--outdir", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("configuration error:") and "k_bar=403" in err
         assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("times, code", [
@@ -433,8 +450,7 @@ class TestInputProperties:
 
 
 class TestSeriesCsv:
-    @pytest.mark.parametrize("writer, columns", [(save_trajectory_csv, "t,re_q,im_q"),
-                                                 (save_control_csv, "t,re_u,im_u")])
+    @pytest.mark.parametrize("writer, columns", [(save_trajectory_csv, "t,re_q,im_q")])
     def test_bytes_match_per_row_format(self, tmp_path, writer, columns):
         times = np.array([0.0, 0.1, 5e-324, 1e300, 2.5])
         values = np.array([-0.0 + 0.0j, complex(-0.0, -0.0), 1e300 - 2.2250738585072014e-308j,
@@ -446,6 +462,16 @@ class TestSeriesCsv:
         expected = "\n".join(["# config_hash=abc", "# k_max=5", columns, *rows]) + "\n"
         assert path.read_bytes() == expected.encode()
         assert "-0.0,-0.0" in expected and "5e-324" in expected
+
+    def test_control_csv_is_a_pl_file(self, tmp_path):
+        # save_control_csv writes a coupling in the format that --alpha pl: reads
+        grid = TimeGrid(2.5, 4)
+        alpha = CouplingProfile.piecewise_linear(grid, [-0.0, 5e-324, 1e300, -1.0 / 3.0, 0.1])
+        path = tmp_path / "control.csv"
+        save_control_csv(str(path), alpha, {"k_bar": 1})
+        rows = [f"{t!r},{a!r}" for t, a in zip(grid.times.tolist(), alpha.samples.tolist())]
+        assert path.read_text() == "\n".join(["# k_bar=1", "# t,alpha", *rows]) + "\n"
+        assert np.array_equal(_parse_alpha(f"pl:{path}", 2.5).samples, alpha.samples)
 
 
 class TestSpectrumCommand:
@@ -479,6 +505,22 @@ class TestVerifyCommand:
     def test_unknown_filter(self):
         assert run_cli(["verify", "--filter", "nonsense"]) == 1
 
+    def test_crashed_check_reports_under_its_pass_name(self, monkeypatch):
+        # every check raises where it would return its result: each FAIL line
+        # names the check as its PASS line does
+        from deltabox import verify
+
+        passed = [r.line().split()[:2] for r in verify.run_checks()]
+
+        def crash(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(verify, "_result", crash)
+        crashed = verify.run_checks()
+        assert [r.line().split()[:2] for r in crashed] == [
+            ["FAIL", name] for status, name in passed if status == "PASS"]
+        assert all(r.detail == "error: boom" for r in crashed)
+
 
 class TestSweepCommand:
     def test_green_sweep(self, tmp_path):
@@ -507,7 +549,7 @@ class TestSweepCommand:
 class TestControlCommand:
     def test_synthesis_artifacts(self, tmp_path):
         target = tmp_path / "target.csv"
-        target.write_text("k,re_c,im_c\n1,1.0,0.0\n")
+        target.write_text("k,re_c,im_c\n1,0.0,1.0\n")
         out = tmp_path / "ctl"
         code = run_cli(["control", "--target", str(target), "--k-bar", "1",
                         "--k-max", "101", "--outdir", str(out)])
@@ -516,28 +558,36 @@ class TestControlCommand:
         assert "moment_residual" in report
         residual = float(report.splitlines()[1].split()[1])
         assert residual < 1e-8
-        body = [ln for ln in (out / "control.csv").read_text().splitlines()
-                if not ln.startswith("#")]
-        assert body[0] == "t,re_u,im_u"
+        assert report.splitlines()[2] == "unreachable 0.0"
+        lines = (out / "control.csv").read_text().splitlines()
+        assert lines[:3] == ["# k_bar=1", f"# T={8 * math.pi!r}", "# t,alpha"]
+        assert len(lines) == 3 + 25134
         assert manifest_section(out / "manifest.txt", "outputs") == {
             "control": str(out / "control.csv"), "report": str(out / "control_report.txt")}
         assert_runtime_section(out / "manifest.txt")
 
-    @pytest.mark.parametrize("k, code", [(127, 2), (41, 0)])
+    @pytest.mark.parametrize("k, code", [(7, 2), (41, 0)])
     def test_missed_target_exits_2_after_writing(self, k, code, tmp_path, capsys):
-        # on the default 2^15 steps mode k reaches the fraction sinc^2(lam_k*dt/2) of its
-        # target: a residual of 0.582 at k = 127 fails, 8.6e-3 at k = 41 passes
+        # k_bar = 5 pairs mode 7 with mode 1 (1 + 49 = 2*25): a real control reaches
+        # half of a real target on 7 and puts -1/2 on mode 1 (times s_1/s_7, the ratio
+        # of their factors sinc^2(lam_k*dt/2)), which is unreachable, and the run
+        # fails; mode 41 is in no pair and is reached
         target = tmp_path / "target.csv"
         target.write_text(f"k,re_c,im_c\n{k},1.0,0.0\n")
         out = tmp_path / "ctl"
-        assert run_cli(["control", "--target", str(target), "--outdir", str(out)]) == code
+        assert run_cli(["control", "--target", str(target), "--k-bar", "5",
+                        "--outdir", str(out)]) == code
         for name in ("control.csv", "control_report.txt", "manifest.txt"):
             assert (out / name).is_file()
+        unreachable = float((out / "control_report.txt").read_text().splitlines()[2].split()[1])
         err = capsys.readouterr().err
         if code:
-            assert "worst mode k=127" in err and "factor sinc^2(lam_k*dt/2) = 0.4179" in err
+            assert unreachable == pytest.approx(0.5 * (np.sinc(1 / 25133)
+                                                       / np.sinc(49 / 25133)) ** 2)
+            assert "worst mode k=" in err
+            assert "unreachable pairs (j^2+k^2=2*k_bar^2): [(1, 7)]" in err
         else:
-            assert err == ""
+            assert unreachable == 0.0 and err == ""
 
     def test_even_target_rejected(self, tmp_path):
         target = tmp_path / "target.csv"
@@ -545,6 +595,44 @@ class TestControlCommand:
         code = run_cli(["control", "--target", str(target), "--outdir",
                         str(tmp_path / "o")])
         assert code == 1
+
+    def test_written_control_replays_with_simulate(self, tmp_path):
+        # control.csv is a pl: coupling file on the grid of the run that wrote it
+        target = tmp_path / "target.csv"
+        target.write_text("k,re_c,im_c\n3,1.0,0.0\n")
+        out = tmp_path / "ctl"
+        assert run_cli(["control", "--target", str(target), "--outdir", str(out)]) == 0
+        assert run_cli(["simulate", "--psi0", "eig:1", "--alpha", f"pl:{out / 'control.csv'}",
+                        "--T", "25.132741228718345", "--n-steps", "25133",
+                        "--outdir", str(tmp_path / "sim")]) == 0
+
+    def test_written_control_reaches_every_admitted_target(self, tmp_path):
+        # each unit target k <= 111 (2*k^2 < 25133) at k_bar = 1, and i on the anchor
+        # mode, whose real part no real control reaches, through the linearization at
+        # alpha = 0, on every odd mode.  control.csv, read back, holds synthesize_control's
+        # samples bit for bit (checked at both ends of the range)
+        grid = TimeGrid(8 * np.pi, 25133)
+        targets = [(1, 1j)] + [(k, 1.0) for k in range(3, 112, 2)]
+        samples = []
+        for k, value in targets:
+            a = np.zeros(401, dtype=complex)
+            a[k - 1] = value
+            samples.append(synthesize_control(ControlTarget(SpectralCoefficients(401, a),
+                                                            grid.t_end), 1, grid).samples)
+        for i in (0, -1):
+            k, value = targets[i]
+            target = tmp_path / "target.csv"
+            target.write_text(f"k,re_c,im_c\n{k},{value.real!r},{value.imag!r}\n")
+            out = tmp_path / "ctl"
+            assert run_cli(["control", "--target", str(target), "--outdir", str(out)]) == 0
+            written = _parse_alpha(f"pl:{out / 'control.csv'}", grid.t_end).samples
+            assert np.array_equal(written, samples[i]), k
+        reached = apply_linearized(CouplingProfile.zero(grid.t_end), np.array(samples),
+                                   SpectralCoefficients.unit(1, 401), grid)
+        for (k, value), state in zip(targets, reached):
+            expected = np.zeros(401, dtype=complex)
+            expected[k - 1] = value
+            assert np.max(np.abs(state.a - expected)) <= 1e-11, k
 
 
 class TestConfigHash:

@@ -4,12 +4,12 @@ import pytest
 from deltabox.charge import CouplingProfile, _march, lipschitz_probe, solve_charge
 from deltabox.control import (
     ControlTarget,
-    SynthesizedControl,
     _frequency_collisions,
     apply_linearized,
     controllability_experiment,
     gamma,
     moment_residual,
+    real_moments,
     solve_moment,
     synthesize_control,
 )
@@ -28,6 +28,7 @@ from deltabox import verify
 from conftest import assert_check
 
 T8PI = 8.0 * np.pi
+GRID_2_15 = TimeGrid(T8PI, 1 << 15)
 
 
 def target_on(k, k_max=401, value=1.0, t_end=T8PI):
@@ -51,35 +52,35 @@ class TestControlTarget:
 class TestSolveMoment:
     def test_zero_target(self):
         t = target_on(1, value=0.0)
-        rho = solve_moment(t)
-        assert np.all(rho.u == 0)
+        rho = solve_moment(t, GRID_2_15)
+        assert np.all(rho == 0)
 
     def test_mode_one_closed_form(self):
         t = target_on(1)
-        rho = solve_moment(t)
-        ts = rho.grid.times
+        rho = solve_moment(t, GRID_2_15)
+        ts = GRID_2_15.times
         expected = -np.sin(ts / 4.0) / (4.0 * np.sqrt(np.pi))
-        assert np.max(np.abs(rho.u - expected)) < 1e-10
+        assert np.max(np.abs(rho - expected)) < 1e-10
 
     def test_boundary_values(self, rng):
         k_max = 101
         a = np.zeros(k_max, dtype=complex)
         kk = np.arange(1, k_max + 1, 2)
         a[0::2] = kk**-3.0 * np.exp(2j * np.pi * rng.random(kk.size))
-        rho = solve_moment(ControlTarget(SpectralCoefficients(k_max, a), T8PI))
-        assert abs(rho.u[0]) < 1e-12
-        assert abs(rho.u[-1]) < 1e-12
+        rho = solve_moment(ControlTarget(SpectralCoefficients(k_max, a), T8PI), GRID_2_15)
+        assert abs(rho[0]) < 1e-12
+        assert abs(rho[-1]) < 1e-12
 
     def test_unsupported_horizon(self):
         with pytest.raises(UnsupportedHorizonError):
-            solve_moment(target_on(1, t_end=7.0))
+            solve_moment(target_on(1, t_end=7.0), TimeGrid(7.0, 1 << 15))
 
     def test_multiple_period_extension(self):
         t = target_on(1, t_end=2 * T8PI)
-        rho = solve_moment(t, TimeGrid(2 * T8PI, 1 << 16))
-        times = rho.grid.times
-        beyond = times > T8PI + 1e-9
-        assert np.all(rho.u[beyond] == 0)
+        grid = TimeGrid(2 * T8PI, 1 << 16)
+        rho = solve_moment(t, grid)
+        beyond = grid.times > T8PI + 1e-9
+        assert np.all(rho[beyond] == 0)
         assert moment_residual(rho, t) < 1e-7
 
     def test_multiple_periods_match_direct_sum(self, rng):
@@ -101,8 +102,8 @@ class TestSolveMoment:
             active = times <= T8PI * (1 + 1e-12)
             direct = -np.sin(np.outer(times[active], kk**2 / 4.0)) @ a[0::2] / (
                 4.0 * np.sqrt(np.pi))
-            assert np.max(np.abs(rho.u[active] - direct)) <= 1e-14, (n_steps, n_periods)
-            assert np.all(rho.u[~active] == 0)
+            assert np.max(np.abs(rho[active] - direct)) <= 1e-14, (n_steps, n_periods)
+            assert np.all(rho[~active] == 0)
 
     @pytest.mark.parametrize("n_steps", [25133, 30001])
     def test_unfolded_grid_is_one_full_fft(self, rng, n_steps):
@@ -125,18 +126,18 @@ class TestSolveMoment:
             ref *= -1.0 / (4.0 * np.sqrt(np.pi))
             ref[grid.times > T8PI * (1 + 1e-12)] = 0.0
             ref[n_steps] = 0.0
-            assert np.array_equal(rho.u, ref)
+            assert np.array_equal(rho, ref)
 
     def test_residual_of_construction(self):
         t = target_on(1)
-        assert moment_residual(solve_moment(t), t) < 1e-8
+        assert moment_residual(solve_moment(t, GRID_2_15), t) < 1e-8
 
     def test_aliased_mode_rejected_on_default_grid(self):
         # 2^15 steps on 8*pi put k^2 < 2^14 below the Nyquist bin: k = 127 is
         # accepted, k = 129 folds onto another frequency
-        assert solve_moment(target_on(127)).grid.n_steps == 1 << 15
+        assert solve_moment(target_on(127), GRID_2_15).shape == ((1 << 15) + 1,)
         with pytest.raises(InputError, match="k=129 .* at least 33283"):
-            solve_moment(target_on(129))
+            solve_moment(target_on(129), GRID_2_15)
 
     @pytest.mark.parametrize("n", [1 << 15, 1 << 19])
     def test_fold_twiddles_match_direct_exp(self, n):
@@ -154,30 +155,27 @@ class TestSolveMoment:
 class TestMomentResidual:
     def test_zero_control_gives_target_norm(self):
         t = target_on(3, value=0.7)
-        grid = TimeGrid(T8PI, 4096)
-        zero = SynthesizedControl(grid, np.zeros(4097, dtype=complex))
+        zero = np.zeros(4097, dtype=complex)
         assert moment_residual(zero, t) == pytest.approx(0.7)
 
     def test_joint_scaling(self):
         t = target_on(1)
-        rho = solve_moment(t)
+        rho = solve_moment(t, GRID_2_15)
         t2 = target_on(1, value=2.0)
-        rho2 = SynthesizedControl(rho.grid, rho.u * 2.0)
-        assert moment_residual(rho2, t2) == pytest.approx(2 * moment_residual(rho, t), abs=1e-12)
+        assert moment_residual(rho * 2.0, t2) == pytest.approx(2 * moment_residual(rho, t),
+                                                              abs=1e-12)
 
     def test_random_targets_battery(self):
         assert_check(verify.check_moment_exactness)
 
     def test_grid_horizon_must_match_target(self):
-        # solve_moment's rule: the grid spans the target's horizon to within 1e-9
+        # solve_moment's rule: the grid spans the target's horizon to within 1e-9.
+        # The residual takes node samples on the target's own horizon
         t = target_on(1)
-        rho = solve_moment(t)
-        other = ControlTarget(t.c, 2 * T8PI)
         with pytest.raises(InputError, match="horizon must match"):
-            moment_residual(rho, other)
-        shifted = SynthesizedControl(TimeGrid(T8PI + 1e-8, rho.grid.n_steps), rho.u)
+            solve_moment(ControlTarget(t.c, 2 * T8PI), GRID_2_15)
         with pytest.raises(InputError, match="horizon must match"):
-            moment_residual(shifted, t)
+            synthesize_control(t, 1, TimeGrid(T8PI + 1e-8, 1 << 15))
 
     def test_fft_matches_direct_segment_sum(self, rng):
         # the FFT bin evaluation is the same per-segment exact quadrature:
@@ -218,34 +216,71 @@ class TestMomentResidual:
 
 class TestSynthesizeControl:
     def test_zero_target(self):
-        u = synthesize_control(solve_moment(target_on(1, value=0.0)), 1)
-        assert np.all(u.u == 0)
+        alpha = synthesize_control(target_on(1, value=0.0), 1, GRID_2_15)
+        assert np.all(alpha.samples == 0)
 
     def test_mode_one_closed_form(self):
-        u = synthesize_control(solve_moment(target_on(1)), 1)
-        ts = u.grid.times
-        expected = 0.25 * np.sin(ts / 4.0) * np.exp(1j * ts / 4.0)
-        assert np.max(np.abs(u.u - expected)) < 1e-10
+        # i on the anchor mode: q = i/s_1, its pair projection is q itself, the
+        # moment i/(2*s_1), and 2*Re(u_c) = -sin^2(t/4)/(4*s_1)
+        s1 = np.sinc(1.0 / (1 << 15)) ** 2
+        alpha = synthesize_control(target_on(1, value=1j), 1, GRID_2_15)
+        expected = -np.sin(GRID_2_15.times / 4.0) ** 2 / (4.0 * s1)
+        assert np.max(np.abs(alpha.samples - expected)) < 1e-10
 
     def test_modulus_matches_rho(self):
+        # off the pairs alpha = -2*sqrt(pi)*Re(rho*e^{i*lam_1*t}) with rho the moment
+        # solution of the compensated target c_k/sinc^2(lam_k*dt/2)
         t = target_on(3)
-        rho = solve_moment(t)
-        u = synthesize_control(rho, 1)
-        assert np.max(np.abs(np.abs(u.u) - np.sqrt(np.pi) * np.abs(rho.u))) < 1e-12
+        alpha = synthesize_control(t, 1, GRID_2_15)
+        rho = solve_moment(target_on(3, value=1.0 / np.sinc(9.0 / (1 << 15)) ** 2), GRID_2_15)
+        assert np.all(np.abs(alpha.samples) <= 2 * np.sqrt(np.pi) * np.abs(rho) + 1e-15)
+        expected = -2 * np.sqrt(np.pi) * (rho * np.exp(0.25j * GRID_2_15.times)).real
+        assert np.max(np.abs(alpha.samples - expected)) < 1e-12
 
     def test_even_anchor_rejected(self):
         with pytest.raises(InputError):
-            synthesize_control(solve_moment(target_on(1)), 2)
+            synthesize_control(target_on(1), 2, GRID_2_15)
+
+    @pytest.mark.parametrize("k_bar", [0, 403])
+    def test_anchor_outside_the_truncation_rejected(self, k_bar):
+        with pytest.raises(InputError, match=f"k_bar={k_bar} .* in 1..401"):
+            synthesize_control(target_on(3), k_bar, GRID_2_15)
 
     def test_linearized_round_trip(self):
         # the synthesized control reaches its target through the linearized map
         k_max = 101
         grid = TimeGrid(T8PI, 20000)
         t = target_on(3, k_max=k_max, value=0.5)
-        u = synthesize_control(solve_moment(t, grid), 1)
+        alpha = synthesize_control(t, 1, grid)
         psi0 = SpectralCoefficients.unit(1, k_max)
-        out = apply_linearized(CouplingProfile.zero(T8PI), u.u, psi0, grid)
+        out = apply_linearized(CouplingProfile.zero(T8PI), alpha.samples, psi0, grid)
         assert out.sub(t.c).norm() < 1e-6
+
+    @pytest.mark.parametrize("k_bar, target", [
+        (5, {7: 1.0}),  # pair (1, 7)
+        (5, {1: 0.3, 5: 0.4 + 0.1j, 7: 0.2j, 9: 1.0}),  # pair (1, 7) and the anchor
+        (25, {3: 0.5, 5: 1.0, 17: 0.2, 35: 0.3j}),  # pairs (5, 35) and (17, 31)
+    ])
+    def test_reachable_part_is_reached(self, k_bar, target):
+        # a real control reaches c - unreachable, the target's projection on the pairs
+        # j^2 + k^2 = 2*k_bar^2, and exactly nothing of the rest
+        grid = TimeGrid(T8PI, 25133)
+        a = np.zeros(401, dtype=complex)
+        for k, value in target.items():
+            a[k - 1] = value
+        t = ControlTarget(SpectralCoefficients(401, a), T8PI)
+        alpha = synthesize_control(t, k_bar, grid)
+        reach = apply_linearized(CouplingProfile.zero(T8PI), alpha.samples,
+                                 SpectralCoefficients.unit(k_bar, 401), grid)
+        unreachable = real_moments(t, k_bar, grid)[1]
+        assert np.max(np.abs(a[0::2] - unreachable - reach.a[0::2])) <= 1e-12
+        assert np.max(np.abs(unreachable)) > 0.1
+
+    def test_aliased_partner_rejected(self):
+        # k_bar = 5 pairs mode 1 with mode 7: on 97 steps 7 is past the Nyquist bin
+        # (2*49 >= 97) while the target's mode 1 is not
+        with pytest.raises(InputError, match="k=7 .* at least 99"):
+            synthesize_control(target_on(1, k_max=9), 5, TimeGrid(T8PI, 97))
 
 
 class TestGamma:
@@ -256,7 +291,7 @@ class TestGamma:
         assert np.max(np.abs(out.a - free_evolve(psi0, 1.0).a)) == 0.0
 
     def test_even_sector_closure(self):
-        assert_check(verify.check_sector_closure)
+        assert_check(verify.check_even_sector_closure)
 
     @pytest.mark.parametrize("domain", [False, True])
     def test_evolve_final_state_is_gamma(self, domain):
@@ -369,17 +404,19 @@ class TestControllabilityExperiment:
 
     def test_zero_direction_rejected(self):
         grid = TimeGrid(T8PI, 4096)
+        t = target_on(3, value=0.0)
         with pytest.raises(InputError):
-            controllability_experiment(1, [1e-2], target_on(3, value=0.5), grid)
+            controllability_experiment(1, [1e-2], t, synthesize_control(t, 1, grid))
 
     def test_aliased_mode_rejected(self):
         # k = 9 on 8*pi needs n > 2*81 steps; 162 steps fold it onto its negative
         with pytest.raises(InputError, match="k=9 .* at least 163"):
-            controllability_experiment(1, [1e-2], target_on(9, k_max=21), TimeGrid(T8PI, 162))
+            synthesize_control(target_on(9, k_max=21), 1, TimeGrid(T8PI, 162))
 
     def test_small_experiment(self):
         grid = TimeGrid(T8PI, 6283)
-        rep = controllability_experiment(1, [3e-2, 1e-2], target_on(3, k_max=51), grid)
+        t = target_on(3, k_max=51)
+        rep = controllability_experiment(1, [3e-2, 1e-2], t, synthesize_control(t, 1, grid))
         assert rep.remainder_slope > 1.8
         assert all(np.isfinite(rep.remainders))
         assert "none" in rep.collision_note

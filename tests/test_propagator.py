@@ -222,7 +222,7 @@ class TestRegularPart:
         assert np.max(np.abs(out.a)) < 1e-16
 
     def test_evolved_tail_is_h2(self):
-        assert_check(verify.check_regular_tail)
+        assert_check(verify.check_regular_part_h2_tail)
 
 
 class TestApplyHamiltonian:
@@ -254,7 +254,7 @@ class TestDiagnostics:
         assert rep.energy_drift < 1e-14
 
     def test_static_coupling_conserves_energy(self):
-        assert_check(verify.check_energy_constant)
+        assert_check(verify.check_energy_constant_static)
 
     def test_energy_balance_on_bump(self):
         assert_check(verify.check_energy_balance)
