@@ -15,7 +15,10 @@ as piecewise linear in time and every per-mode oscillatory integral is done
 in closed form per segment (product integration).  The history of U is then a
 discrete convolution in time, so each block of TIME_BLOCK steps costs one
 small lower-triangular solve plus two O(TIME_BLOCK*k_max) products with the
-table of block-relative phases from `kernels.block_phases`.  The march
+table of block-relative phases from `kernels.block_phases`.  The solve is
+row-scaled: every block shares one persistent lag matrix and writes only its
+diagonal, and a block holding a zero or tiny coupling falls back to its dense
+system (see `_march`).  The march
 solves v = f - phi*(i/pi) U v and nothing else: the physical charge takes
 f = -alpha*e^{it*Lap}psi0(0), the linearization its own sources (a block of
 them in one march), and the general scheme folds its Green-source term into f.
@@ -61,6 +64,9 @@ from .spectral import (
 )
 
 STEP_SINGULARITY_MARGIN = 1e-12
+# a block with a coupling |c_n| below this keeps its dense system: above it,
+# 1/c_n and rhs/c_n stay far from overflow and keep full precision
+ROW_SCALE_FLOOR = np.sqrt(np.finfo(float).tiny)
 BOUNDARY_COMPAT_TOL = 1e-9
 
 
@@ -234,7 +240,14 @@ def _march(f_nodes: np.ndarray, phi_nodes: np.ndarray, v0, grid: TimeGrid,
                                              + phi_n*(i/pi)*kappa(n-s+1)*v_{s-1}
 
     with d_n = 1 + phi_n*(pi^2/2 + i*kappa(1))/pi the per-step denominator and
-    L[n, m] = kappa(n-m+1) - kappa(n-m) below the diagonal.  Older history
+    L[n, m] = kappa(n-m+1) - kappa(n-m) below the diagonal.  With c_n =
+    phi_n*i/pi the system is diag(c) (L + diag(d/c)) wherever no c_n of the
+    block is zero, so the march keeps one copy of L, writes d_n/c_n on its
+    diagonal per block and solves it against the right-hand side over c: no
+    (m, m) system is built per block.  A block that holds a coupling below
+    ROW_SCALE_FLOOR (a node where alpha vanishes, or a subnormal one, where
+    1/c_n would overflow or lose bits) builds the dense system above instead.
+    Older history
     enters through the modal accumulator acc_k = v0 + B_k(t_{s-1}): the
     right-hand side's history terms and the update of acc are each one product
     with the block-relative phases e^{-i*lam_k*r*dt}, r <= TIME_BLOCK,
@@ -256,23 +269,33 @@ def _march(f_nodes: np.ndarray, phi_nodes: np.ndarray, v0, grid: TimeGrid,
     if bad.size:
         n = int(bad[0]) + 1
         raise StepSingularityError(n, n * dt, float(abs(d[n - 1])), complex(phi_nodes[n]))
-    lower = lag_matrix(np.concatenate(([0.0], np.diff(kappa))))
+    # L with its diagonal free: row-scaled blocks write d/c there, dense ones overwrite it
+    lower = np.array(lag_matrix(np.concatenate(([0.0], np.diff(kappa)))))
+    diagonal = lower.reshape(-1)[::block + 1]
+    dense_blocks = set((np.flatnonzero(np.abs(coupling[1:]) < ROW_SCALE_FLOOR) // block).tolist())
 
     f = np.asarray(f_nodes, dtype=complex)
     sources = f.reshape(n_steps + 1, -1)  # one column per source
-    phi_col = phi_nodes[:, None]
     q = np.empty(sources.shape, dtype=complex)
     q[0] = v0
     acc = np.tile(q[0, :, None], lam.size)  # one row per source
+    weight = -1j / lam
     for b, s in enumerate(range(1, n_steps + 1, block)):
         m = min(block, n_steps + 1 - s)
         nodes = slice(s, s + m)
         anchor = anchors[b]  # e^{-i lam t_{s-1}}
-        history = phases[1:m + 1] @ (anchor * (-acc / lam)).T / np.pi
-        rhs = (sources[nodes] - phi_col[nodes] * history
-               + (coupling[nodes] * kappa[:m])[:, None] * q[s - 1])
-        system = coupling[nodes, None] * lower[:m, :m]
-        system.flat[::m + 1] = d[s - 1:s - 1 + m]
+        c = coupling[nodes, None]
+        # the right-hand side is sources + c*history, history = kappa*v_{s-1} - w_old
+        history = phases[1:m + 1] @ (anchor * acc * weight).T
+        history += kappa[:m, None] * q[s - 1]
+        if b in dense_blocks:
+            system = c * lower[:m, :m]
+            system.flat[::m + 1] = d[s - 1:s - 1 + m]
+            rhs = sources[nodes] + c * history
+        else:
+            diagonal[:m] = d[s - 1:s - 1 + m] / c[:, 0]
+            system = lower[:m, :m]
+            rhs = sources[nodes] / c + history
         for j, column in enumerate(rhs.T):
             q[nodes, j] = lower_solve(system, column)
         increments = q[s:s + m] - q[s - 1:s + m - 1]

@@ -238,7 +238,8 @@ def cmd_control(args) -> int:
         f"unreachable {float(np.max(unreachable))!r}",
     ]
     if args.experiment:
-        rep = controllability_experiment(args.k_bar, [1e-1, 3e-2, 1e-2], target, alpha)
+        rep = controllability_experiment(args.k_bar, [1e-1, 3e-2, 1e-2], target, alpha,
+                                         reach)
         report_lines.append(rep.to_text())
     outdir = _outdir(args.outdir)
     os.makedirs(outdir, exist_ok=True)

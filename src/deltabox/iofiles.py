@@ -97,15 +97,17 @@ def _save_series_csv(path: str, columns: str, table, fields: dict) -> None:
     """Header comments, the column line, then one row per node of table's float columns.
 
     Rows are formatted from Python floats (.tolist()), a chunk of rows at a
-    time so that few float objects are alive at once.
+    time, and each chunk is joined into one string at once, so that neither
+    many float objects nor one string per row are alive at a time.
     """
     table = [np.asarray(column, dtype=float) for column in table]
-    lines = _header_comments(fields)
-    lines.append(columns)
+    chunks = _header_comments(fields)
+    chunks.append(columns)
     for start in range(0, table[0].size, 1024):
-        lines += map(",".join, zip(*(map(repr, column[start:start + 1024].tolist())
-                                     for column in table)))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+        rows = zip(*(map(repr, column[start:start + 1024].tolist()) for column in table))
+        chunks.append("\n".join(map(",".join, rows)))
+    chunks.append("")  # the final newline
+    atomic_write_text(path, "\n".join(chunks))
 
 
 def save_trajectory_csv(path: str, times: np.ndarray, q: np.ndarray, fields: dict) -> None:

@@ -25,7 +25,10 @@ by the block's own increments only, so a per-node sum over modes is a lag sum
 every node.  `history_at_end` and the charge march close S(T) with
 `close_history`.  Every kernel shares one set of phases on the uniform grid,
 `block_phases`: e^{-i*lam*(b*B + r)*dt} is an exact anchor per block b times a
-table of block-relative phases, so no node-by-mode exp is evaluated.
+table of block-relative phases, so no node-by-mode exp is evaluated.  The
+table is memoized per grid (lam, dt, n_steps) and read-only: the march, the
+origin series, the block-start sums and the moment fold of one run compute
+each grid's phases once.
 
 The march's one triangular solve per block is `lower_solve`: OpenBLAS's
 cblas_ztrsv from the library numpy itself links, called through ctypes, so no
@@ -53,6 +56,10 @@ MODE_BLOCK = 64
 # nodes per block on the uniform time grid: one triangular solve of this size per
 # block of the charge march, and the length of the phase table every kernel shares
 TIME_BLOCK = 128
+
+# grids whose phase tables `block_phases` keeps: a run marches, rebuilds and
+# folds on a few grids, each visited several times
+PHASE_TABLES = 4
 
 _PHI_SERIES_CUTOFF = 0.25
 _PHI_SERIES_TERMS = 18
@@ -128,10 +135,22 @@ def block_phases(lam: np.ndarray, dt: float, n_steps: int) -> tuple[np.ndarray, 
     With B = min(TIME_BLOCK, n_steps) (at least 1) and n = b*B + r, 0 <= r <= B:
     table[r] = e^{-i*lam*r*dt} (shape (B+1, K)) and anchors[b] =
     exp(-1j*lam*(b*B*dt)), one exact exp per block, for b = 0..n_steps//B.
+    The pair is memoized on (lam, dt, n_steps) for the PHASE_TABLES grids used
+    last, so the march and the kernels that rebuild its history share one table;
+    both arrays are read-only.
     """
+    lam = np.ascontiguousarray(lam, dtype=float)
+    return _phase_table(lam.tobytes(), float(dt), int(n_steps))
+
+
+@functools.lru_cache(maxsize=PHASE_TABLES)
+def _phase_table(lam_bytes: bytes, dt: float, n_steps: int) -> tuple[np.ndarray, np.ndarray]:
+    lam = np.frombuffer(lam_bytes)
     block = max(1, min(TIME_BLOCK, n_steps))
     table = np.exp(-1j * dt * np.outer(np.arange(block + 1), lam))
     anchors = np.exp(-1j * np.outer(dt * (block * np.arange(n_steps // block + 1)), lam))
+    table.flags.writeable = False
+    anchors.flags.writeable = False
     return table, anchors
 
 

@@ -194,7 +194,10 @@ def test_criterion_9_local_steering():
     a[2] = 1.0
     direction = ControlTarget(SpectralCoefficients(k_max, a), t_end)
     eps = (1e-1, 3e-2, 1e-2)
-    rep = controllability_experiment(1, eps, direction, synthesize_control(direction, 1, grid))
+    alpha = synthesize_control(direction, 1, grid)
+    reach = apply_linearized(CouplingProfile.zero(t_end), alpha.samples,
+                             SpectralCoefficients.unit(1, k_max), grid)
+    rep = controllability_experiment(1, eps, direction, alpha, reach)
     elapsed = time.perf_counter() - t0
     disp_ok = all(d <= 10 * e for d, e in zip(rep.displacement_errors, eps))
     ok = rep.remainder_slope >= 1.9 and disp_ok and elapsed < 600.0

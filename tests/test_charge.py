@@ -21,7 +21,7 @@ from deltabox.errors import (
     StepSingularityError,
 )
 from deltabox.greens import SpectralShift, green_coefficients, green_origin
-from deltabox import kernels
+from deltabox import charge, kernels
 from deltabox.kernels import (
     ODD_INVERSE_EIGENVALUE_SUM,
     TIME_BLOCK,
@@ -314,6 +314,68 @@ class TestBlockMarch:
             assert np.max(np.abs(traj.q - single.q)) <= 1e-13
             assert np.max(np.abs(traj.end_history - single.end_history)) <= 1e-13
 
+    @pytest.mark.parametrize("case", ["zero-mid-block", "zero-last-node", "zero-1-step-block",
+                                      "subnormal", "near-floor"])
+    def test_row_scaled_and_dense_blocks_match_step_reference(self, rng, case):
+        # a block with a zero or tiny coupling keeps the dense system; every other
+        # block solves the row-scaled one.  Both match the step reference
+        n_steps = {"zero-1-step-block": TIME_BLOCK + 1}.get(case, 2 * TIME_BLOCK + 7)
+        f = rng.standard_normal(n_steps + 1) + 1j * rng.standard_normal(n_steps + 1)
+        phi = 0.5 * (rng.standard_normal(n_steps + 1) + 1j * rng.standard_normal(n_steps + 1))
+        if case == "zero-mid-block":
+            phi[TIME_BLOCK + 40] = 0.0
+        elif case in ("zero-last-node", "zero-1-step-block"):
+            phi[-1] = 0.0
+        elif case == "subnormal":
+            phi[[3, TIME_BLOCK + 40, -1]] = 5e-324, -5e-324j, 1e-310
+        else:  # either side of ROW_SCALE_FLOOR ~ 1.5e-154
+            phi[[3, TIME_BLOCK + 40]] = 1e-160, 1e-150j
+        for shift in (SpectralShift(), SpectralShift(2.5 - 0.3j)):
+            _assert_matches_reference(f, phi, f[0], False, shift, TimeGrid(2.0, n_steps), 101)
+            _assert_matches_reference(f, phi, f[0], True, shift, TimeGrid(2.0, n_steps), 101)
+
+    def test_row_scaled_block_of_sources_matches_step_reference(self, rng):
+        # every column of a block of R sources against its own step reference,
+        # with one dense block (a zero coupling mid-block) among row-scaled ones
+        n_steps, n_sources = 2 * TIME_BLOCK + 7, 3
+        grid = TimeGrid(2.0, n_steps)
+        f = rng.standard_normal((n_steps + 1, n_sources)) + 1j * rng.standard_normal(
+            (n_steps + 1, n_sources))
+        phi = 0.5 * (rng.standard_normal(n_steps + 1) + 1j * rng.standard_normal(n_steps + 1))
+        phi[TIME_BLOCK + 40] = 0.0
+        for j, traj in enumerate(_march(f, phi, f[0], grid, 101)):
+            q, end_history = reference_march(f[:, j], phi, f[0, j], 0.0, SpectralShift(), grid,
+                                             101)
+            assert np.max(np.abs(traj.q - q)) <= 1e-13
+            assert np.max(np.abs(traj.end_history - end_history)) <= 1e-13
+
+    def test_dense_system_only_where_a_coupling_is_tiny(self, rng, monkeypatch):
+        # a block whose couplings are all away from zero solves on the one unscaled
+        # lag matrix L (d/c on its diagonal); only the block holding a zero
+        # coupling builds diag(c) L
+        n_steps = 3 * TIME_BLOCK
+        grid = TimeGrid(2.0, n_steps)
+        f = rng.standard_normal(n_steps + 1) + 1j * rng.standard_normal(n_steps + 1)
+        phi = 0.5 + rng.random(n_steps + 1)
+        phi[TIME_BLOCK + 40] = 0.0  # node s + 39 of block 1, which starts at s = TIME_BLOCK + 1
+        systems = []
+
+        def spy(system, rhs):
+            systems.append(np.tril(system, -1))
+            return lower_solve(system, rhs)
+
+        monkeypatch.setattr(charge, "lower_solve", spy)
+        _march(f, phi, f[0], grid, 101)
+        lam = odd_eigenvalues(101)
+        table, _ = block_phases(lam, grid.dt, n_steps)
+        kappa = table[1:] @ (1j * phi1(1j * lam * grid.dt) / lam)
+        lower = lag_matrix(np.concatenate(([0.0], np.diff(kappa))))
+        assert len(systems) == 3
+        for b in (0, 2):
+            assert np.array_equal(systems[b], lower)
+        nodes = slice(TIME_BLOCK + 1, 2 * TIME_BLOCK + 1)
+        assert np.array_equal(systems[1], np.tril(phi[nodes, None] * (1j / np.pi) * lower, -1))
+
     def test_simulate_size(self, rng):
         # k_max = 401, T = 8*pi, n = 25133: a unit-norm state with a_k ~ k^-3 and
         # random phases, coupled by a sum of three sines bounded by 0.5
@@ -326,6 +388,34 @@ class TestBlockMarch:
         f = -alpha * free_origin_series(psi0, grid.times)
         _assert_matches_reference(f, alpha.astype(complex), -alpha[0] * origin_trace(psi0),
                                   False, SpectralShift(), grid, k_max)
+
+
+class TestPhaseTable:
+    def test_cached_table_is_the_fresh_one_and_read_only(self):
+        lam = odd_eigenvalues(51)
+        kernels._phase_table.cache_clear()
+        fresh = kernels._phase_table.__wrapped__(lam.tobytes(), 0.01, 300)
+        first = block_phases(lam, 0.01, 300)
+        again = block_phases(lam.copy(), 0.01, 300)
+        assert kernels._phase_table.cache_info().hits == 1
+        for cached, new, computed in zip(first, again, fresh):
+            assert cached is new
+            assert np.array_equal(cached, computed)
+            with pytest.raises(ValueError):
+                cached[0, 0] = 0.0
+
+    def test_keys_do_not_collide(self):
+        # each variant's table differs from the base one, so a shared cache entry
+        # would show; each equals its own fresh computation
+        lam = odd_eigenvalues(51)
+        other = lam.copy()
+        other[7] += 1.0
+        base = block_phases(lam, 0.01, 300)
+        for args in ((lam, 0.02, 300), (lam, 0.01, 400), (other, 0.01, 300)):
+            got = block_phases(*args)
+            fresh = kernels._phase_table.__wrapped__(args[0].tobytes(), *args[1:])
+            assert all(np.array_equal(g, h) for g, h in zip(got, fresh))
+            assert not all(np.array_equal(g, h) for g, h in zip(fresh, base))
 
 
 class TestInitialCharge:

@@ -463,6 +463,17 @@ class TestSeriesCsv:
         assert path.read_bytes() == expected.encode()
         assert "-0.0,-0.0" in expected and "5e-324" in expected
 
+    @pytest.mark.parametrize("n_rows", [0, 1, 1024, 2500])
+    def test_chunked_rows_match_one_line_per_row(self, tmp_path, rng, n_rows):
+        # rows are joined a chunk of 1024 at a time; the file is the same as one
+        # line per row, with one final newline, at and across the chunk edges
+        times = np.linspace(0.0, 3.0, n_rows)
+        values = rng.standard_normal(n_rows) + 1j * rng.standard_normal(n_rows)
+        path = tmp_path / "series.csv"
+        save_trajectory_csv(str(path), times, values, {"k_max": 5})
+        rows = [f"{t!r},{v.real!r},{v.imag!r}" for t, v in zip(times.tolist(), values.tolist())]
+        assert path.read_text() == "\n".join(["# k_max=5", "t,re_q,im_q", *rows]) + "\n"
+
     def test_control_csv_is_a_pl_file(self, tmp_path):
         # save_control_csv writes a coupling in the format that --alpha pl: reads
         grid = TimeGrid(2.5, 4)
@@ -562,6 +573,8 @@ class TestControlCommand:
         lines = (out / "control.csv").read_text().splitlines()
         assert lines[:3] == ["# k_bar=1", f"# T={8 * math.pi!r}", "# t,alpha"]
         assert len(lines) == 3 + 25134
+        # rho(0) = rho(T) = 0 exactly, written without a sign
+        assert lines[3] == "0.0,0.0" and lines[-1] == f"{8 * math.pi!r},0.0"
         assert manifest_section(out / "manifest.txt", "outputs") == {
             "control": str(out / "control.csv"), "report": str(out / "control_report.txt")}
         assert_runtime_section(out / "manifest.txt")

@@ -37,6 +37,14 @@ def target_on(k, k_max=401, value=1.0, t_end=T8PI):
     return ControlTarget(SpectralCoefficients(k_max, a), t_end)
 
 
+def steer(target, grid, epsilons, k_bar=1):
+    """controllability_experiment with the control and the reach the control command passes."""
+    alpha = synthesize_control(target, k_bar, grid)
+    reach = apply_linearized(CouplingProfile.zero(grid.t_end), alpha.samples,
+                             SpectralCoefficients.unit(k_bar, target.k_max), grid)
+    return controllability_experiment(k_bar, epsilons, target, alpha, reach)
+
+
 class TestControlTarget:
     def test_rejects_even_support(self):
         a = np.zeros(9, dtype=complex)
@@ -125,7 +133,7 @@ class TestSolveMoment:
             np.fft.ifft(ref[:n_steps], norm="forward", out=ref[:n_steps])
             ref *= -1.0 / (4.0 * np.sqrt(np.pi))
             ref[grid.times > T8PI * (1 + 1e-12)] = 0.0
-            ref[n_steps] = 0.0
+            ref[0] = ref[n_steps] = 0.0
             assert np.array_equal(rho, ref)
 
     def test_residual_of_construction(self):
@@ -406,7 +414,7 @@ class TestControllabilityExperiment:
         grid = TimeGrid(T8PI, 4096)
         t = target_on(3, value=0.0)
         with pytest.raises(InputError):
-            controllability_experiment(1, [1e-2], t, synthesize_control(t, 1, grid))
+            steer(t, grid, [1e-2])
 
     def test_aliased_mode_rejected(self):
         # k = 9 on 8*pi needs n > 2*81 steps; 162 steps fold it onto its negative
@@ -416,10 +424,21 @@ class TestControllabilityExperiment:
     def test_small_experiment(self):
         grid = TimeGrid(T8PI, 6283)
         t = target_on(3, k_max=51)
-        rep = controllability_experiment(1, [3e-2, 1e-2], t, synthesize_control(t, 1, grid))
+        rep = steer(t, grid, [3e-2, 1e-2])
         assert rep.remainder_slope > 1.8
         assert all(np.isfinite(rep.remainders))
         assert "none" in rep.collision_note
+
+    def test_reach_is_scaled_to_the_step(self):
+        # the prediction for each eps is the passed reach times eps/|c|: on a target
+        # of norm 0.76 a missing or doubled scale would leave O(1) displacement errors
+        grid = TimeGrid(T8PI, 2000)
+        a = np.zeros(25, dtype=complex)
+        a[2], a[4] = 0.7, 0.3j
+        eps = [3e-2, 1e-2]
+        rep = steer(ControlTarget(SpectralCoefficients(25, a), T8PI), grid, eps)
+        assert rep.remainder_slope > 1.9
+        assert all(d <= 10 * e for d, e in zip(rep.displacement_errors, eps))
 
     def test_zero_amplitude_limit(self):
         # with no control the final state is exactly the free phase rotation
