@@ -126,6 +126,11 @@ class CouplingProfile:
             raise InputError("samples must match the grid nodes")
         return cls("piecewise_linear", grid.t_end, 0.0, arr)
 
+    @property
+    def grid(self) -> TimeGrid:
+        """The uniform grid whose nodes carry a piecewise-linear profile's samples."""
+        return TimeGrid(self.t_end, self.samples.size - 1)
+
     def _check_time(self, t: np.ndarray):
         if np.any(t < -1e-12) or np.any(t > self.t_end * (1 + 1e-12) + 1e-12):
             raise InputError("profile evaluated outside [0, t_end]")
@@ -138,8 +143,7 @@ class CouplingProfile:
         elif self.kind == "sine_bump":
             out = self.amplitude * np.sin(np.pi * ta / self.t_end)
         else:
-            nodes = np.linspace(0.0, self.t_end, self.samples.size)
-            out = np.interp(ta, nodes, self.samples)
+            out = np.interp(ta, self.grid.times, self.samples)
         return out if np.ndim(t) else out[()]
 
     def derivative(self, t) -> np.ndarray | float:
@@ -150,7 +154,7 @@ class CouplingProfile:
         elif self.kind == "sine_bump":
             out = self.amplitude * np.pi / self.t_end * np.cos(np.pi * ta / self.t_end)
         else:
-            dt = self.t_end / (self.samples.size - 1)
+            dt = self.grid.dt
             slopes = np.diff(self.samples) / dt
             idx = np.clip((ta / dt).astype(int), 0, slopes.size - 1)
             out = slopes[idx]
@@ -168,7 +172,7 @@ class ChargeTrajectory:
 
     grid: TimeGrid
     q: np.ndarray = field(repr=False)
-    k_max: int = DEFAULT_K_MAX
+    k_max: int
     end_history: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):

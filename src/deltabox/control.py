@@ -26,6 +26,7 @@ part of the target a real control can reach.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -65,11 +66,6 @@ class ControlTarget:
     @property
     def k_max(self) -> int:
         return self.c.k_max
-
-    def check_grid(self, grid: TimeGrid) -> None:
-        """Refuse a control grid whose horizon differs from the target's by more than 1e-9."""
-        if abs(grid.t_end - self.t_end) > 1e-9:
-            raise InputError("control grid horizon must match the target horizon")
 
 
 def _horizon_periods(t_end: float) -> int:
@@ -127,30 +123,31 @@ _EIGHTH_ROOTS = np.array([1, np.sqrt(0.5) * (1 + 1j), 1j, np.sqrt(0.5) * (-1 + 1
                           -1, -np.sqrt(0.5) * (1 + 1j), -1j, np.sqrt(0.5) * (1 - 1j)])
 
 
-def _fold(n: int, bins: np.ndarray):
-    """Prune the n-point sums X_b = sum_m x_m e^{2*pi*i*b*m/n} to the residue class of `bins`.
+def _fold(grid: TimeGrid, k_max: int):
+    """The lattice of the moment bins (k^2*N) mod n, odd k <= k_max, on n steps of T = 8*pi*N.
 
-    f is the largest divisor of gcd(n, 8) with every bin = r (mod f).  Every odd k
-    has k^2 = 1 (mod 8), so the moment bins (k^2*N) mod n give f = gcd(n, 8) and
-    r = N mod f.  With M = n/f, bin f*j + r of the n-point sum is bin j of the
-    M-point sum of the folded, twisted samples
+    Every odd k has k^2 = 1 (mod 8), so with f = gcd(n, 8) every bin is r = N (mod f).
+    With M = n/f, bin f*j + r of an n-point sum X_b = sum_t x_t e^{2*pi*i*b*t/n} is
+    bin j of the M-point sum of the folded, twisted samples
 
         z_m = e^{2*pi*i*r*m/n} * sum_{p<f} e^{2*pi*i*r*p/f} x_{m+p*M},    m < M.
 
-    Returns f, r, the roots e^{2*pi*i*r*p/f} (p < f), the twiddles e^{2*pi*i*r*m/n}
-    (m < M; None when r = 0, where they are exactly 1) and each bin's index j.
+    Returns the roots e^{2*pi*i*r*p/f} (p < f, so f is their number), the twiddles
+    e^{2*pi*i*r*m/n} (m < M; the scalar 1 when r = 0) and each mode's bin index j.
     The twiddles are the phases of one frequency on the grid m*(2*pi*r/n), as
     anchor x table from kernels.block_phases: about M/TIME_BLOCK + TIME_BLOCK
     exps, not M.
     """
-    f = int(np.gcd.reduce(np.concatenate(([n, 8], bins - bins[:1]))))
-    r = int(bins[0]) % f if bins.size else 0
+    n = grid.n_steps
+    n_periods = _horizon_periods(grid.t_end)
+    f = math.gcd(n, 8)
+    r = n_periods % f
     roots = _EIGHTH_ROOTS[(8 // f) * r * np.arange(f) % 8]
-    twiddle = None
+    twiddle = 1.0
     if r:
         table, anchors = block_phases(np.array([-1.0]), 2.0 * np.pi * r / n, n // f - 1)
         twiddle = (anchors * table[:-1, 0]).reshape(-1)[:n // f]
-    return f, r, roots, twiddle, (bins - r) // f
+    return roots, twiddle, (_odd_harmonics(k_max, n_periods) % n - r) // f
 
 
 def check_resolved(target: ControlTarget, n_steps: int) -> None:
@@ -168,53 +165,38 @@ def solve_moment(target: ControlTarget, grid: TimeGrid | None = None) -> np.ndar
     """Particular moment-problem solution rho with rho(0) = rho(T) = 0, on grid's nodes
     (2^15*N steps when no grid is given; every program path passes its grid).
 
-    Requires T = 8*pi*N.  On [0, 8*pi] the solution is the sine superposition
-    described in the module docstring, zero after 8*pi.  With n steps,
-    lam_k*t_j = 2*pi*(k^2*N)*j/n, so every sin(lam_k t) is a harmonic of the
-    grid, at the bins (k^2*N) mod n and -(k^2*N) mod n.  These lie in the
-    classes N and -N mod f = gcd(n, 8) (`_fold`), so rho is synthesized by the
-    transpose of the fold: one n/f-point inverse FFT of the class-N spectrum
-    and, when -N is another class, one n/f-point FFT of the -bins at the same
-    indices, spread over the f rows of rho's own buffer.
+    Requires T = 8*pi*N and a grid spanning the target's horizon to within 1e-9.
+    On [0, 8*pi] the solution is the sine superposition described in the module
+    docstring, zero after 8*pi.  With n steps, lam_k*t_j = 2*pi*(k^2*N)*j/n, so
+    sin(lam_k t) is the grid harmonic at the bins (k^2*N) mod n, less its mirror
+    at the bins -(k^2*N) mod n.  rho is synthesized by the transpose of the fold
+    (`_fold`): one n/f-point inverse FFT A of the mode spectrum at the bins'
+    indices, whose mirror bins are the same sums read backwards, A[-m mod M].
+    Row p of rho's (f, M) buffer, t = m + p*M, is
+    roots[p]*twiddle*A[m] - conj(roots[p]*twiddle)*A[-m mod M].
     """
     n_periods = _horizon_periods(target.t_end)
     if grid is None:
         grid = TimeGrid(target.t_end, (1 << 15) * n_periods)
-    target.check_grid(grid)
-
+    if abs(grid.t_end - target.t_end) > 1e-9:
+        raise InputError("control grid horizon must match the target horizon")
     check_resolved(target, grid.n_steps)
-    c_odd = target.c.a[0::2]
     n = grid.n_steps
-    bins = _odd_harmonics(target.k_max, n_periods) % n
-    f, r, roots, twiddle, index = _fold(n, bins)
-    # rho[:n] as f rows, t = m + p*n/f.  Row 0 holds the class-N spectrum, then its
-    # transform, in place: the synthesis adds no full-length array to rho
+    roots, twiddle, index = _fold(grid, target.k_max)
+    # rho[:n] as f rows, t = m + p*M.  Row 0 holds the spectrum, then its transform
+    # A in place: the synthesis adds one M-point array, A[-m mod M], to rho
     rho = np.zeros(n + 1, dtype=complex)
-    rows = rho[:n].reshape(f, n // f)
+    rows = rho[:n].reshape(roots.size, -1)
     a = rows[0]
-    np.add.at(a, index, c_odd / 2j)
-    if 2 * r % f == 0:  # -N = N (mod f): one class, r = 0 or f/2, roots +-1
-        np.add.at(a, ((-bins) % n - r) // f, -c_odd / 2j)
-        np.fft.ifft(a, norm="forward", out=a)
-        if twiddle is not None:
-            a *= twiddle
-        np.multiply(roots[1:, None], a, out=rows[1:])
-    else:
-        # bin n - b of class -N is e^{-2*pi*i*b*t/n}: a forward FFT at b's index, in row 1
-        b = rows[1]
-        np.add.at(b, index, -c_odd / 2j)
-        np.fft.ifft(a, norm="forward", out=a)
-        np.fft.fft(b, out=b)
-        a *= twiddle
-        b *= twiddle.conj()
-        # row p = roots[p]*a + conj(roots[p])*b; rows 0 and 1 last, as they hold a and b.
-        # (A matmul here pages in OpenBLAS's GEMM buffer early: the steering run's peak RSS rose.)
-        for p in range(f - 1, 1, -1):
-            np.multiply(a, roots[p], out=rows[p])
-            rows[p] += roots[p].conj() * b
-        row1 = roots[1] * a + roots[1].conj() * b
-        a += b
-        rows[1] = row1
+    np.add.at(a, index, target.c.a[0::2] / 2j)
+    np.fft.ifft(a, norm="forward", out=a)
+    b = np.concatenate((a[:1], a[:0:-1]))  # A[-m mod M]
+    a *= twiddle
+    b *= np.conj(twiddle)
+    for p in range(1, roots.size):
+        np.multiply(a, roots[p], out=rows[p])
+        rows[p] -= roots[p].conj() * b
+    a -= b  # row 0 last, as it holds a; roots[0] = 1
     rho *= -INV_SQRT_PI / 4.0  # -(sqrt(pi)/(4*pi))
     # zero after 8*pi: the nodes j*dt > 8*pi*(1 + 1e-12), all at or after node
     # n // N, since every earlier node lies at least dt inside 8*pi
@@ -227,28 +209,26 @@ def solve_moment(target: ControlTarget, grid: TimeGrid | None = None) -> np.ndar
 def _pl_end_history(samples: np.ndarray, grid: TimeGrid, k_max: int) -> np.ndarray:
     """End history h(T) = int_0^T rho_PL(s) e^{-i*lam_k*(T-s)} ds over odd k <= k_max on
     T = 8*pi*N.  The slope-moment sums B are the Fourier bins (k^2*N) mod n of the
-    increments, the bins of solve_moment, taken with one n/f-point FFT of their fold
-    (`_fold`) and closed by close_history.
+    increments, the bins of solve_moment, taken with one n/f-point inverse FFT of
+    their fold (`_fold`) and closed by close_history.
     """
     lam = odd_eigenvalues(k_max)
-    n = grid.n_steps
-    f, r, roots, twiddle, index = _fold(n, _odd_harmonics(k_max, _horizon_periods(grid.t_end)) % n)
+    roots, twiddle, index = _fold(grid, k_max)
     inc = np.diff(samples)
     # bin j: sum_m inc_m e^{+2*pi*i*j*m/n}.  The fold accumulates in inc's first
     # row, transformed in place as in solve_moment (inc is complex)
-    rows = inc.reshape(f, n // f)
+    rows = inc.reshape(roots.size, -1)
     z = rows[0]
-    if f > 1:
+    if roots.size > 1:
         z += roots[1:] @ rows[1:]
-    if twiddle is not None:
-        z *= twiddle
+    z *= twiddle
     np.fft.ifft(z, norm="forward", out=z)
     b = z[index] * phi1(1j * lam * grid.dt)
     return close_history(samples[-1], samples[0] + b, lam, grid.n_steps * grid.dt)
 
 
-def moment_errors(samples, target: ControlTarget) -> np.ndarray:
-    """|c_k - (i/sqrt(pi)) int_0^T rho(s) e^{-i*lam_k*(T-s)} ds| for each odd k.
+def moment_residual(samples, target: ControlTarget) -> float:
+    """max_k |c_k - (i/sqrt(pi)) int_0^T rho(s) e^{-i*lam_k*(T-s)} ds| over the odd modes.
 
     samples are rho on the n+1 nodes of the uniform grid over the target's horizon
     T = 8*pi*N, as from solve_moment.  The moments are the odd part of assemble_F
@@ -257,12 +237,7 @@ def moment_errors(samples, target: ControlTarget) -> np.ndarray:
     """
     rho = np.asarray(samples, dtype=complex)
     h = _pl_end_history(rho, TimeGrid(target.t_end, rho.size - 1), target.k_max)
-    return np.abs(target.c.a[0::2] - 1j * INV_SQRT_PI * h)
-
-
-def moment_residual(samples, target: ControlTarget) -> float:
-    """max_k of moment_errors: the largest moment defect of rho over the odd modes."""
-    return float(np.max(moment_errors(samples, target)))
+    return float(np.max(np.abs(target.c.a[0::2] - 1j * INV_SQRT_PI * h)))
 
 
 def real_moments(target: ControlTarget, k_bar: int, grid: TimeGrid):
@@ -369,7 +344,7 @@ def controllability_experiment(k_bar: int, epsilons, target: ControlTarget,
     norm = target.c.norm()
     if norm == 0:
         raise InputError("the steering experiment needs a nonzero target")
-    grid = TimeGrid(control.t_end, control.samples.size - 1)
+    grid = control.grid
     psi0 = SpectralCoefficients.unit(k_bar, target.k_max)
     free_final = free_evolve(psi0, grid.t_end)
     unit = control.samples / norm

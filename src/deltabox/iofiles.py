@@ -15,7 +15,7 @@ import tempfile
 import numpy as np
 
 from .errors import InputError
-from .spectral import SpectralCoefficients, TimeGrid
+from .spectral import SpectralCoefficients
 
 CONFIG_VERSION = "1"
 
@@ -47,8 +47,10 @@ def parse_number(text: str, kind: type, what: str):
 
 
 def _mode_coefficients(path: str, lines, k_max: int, what: str) -> SpectralCoefficients:
-    """Coefficient vector from 'k,re,im' lines, 1 <= k <= k_max; unlisted modes are 0."""
+    """Coefficient vector from 'k,re,im' lines, 1 <= k <= k_max, each k at most once;
+    unlisted modes are 0."""
     a = np.zeros(k_max, dtype=complex)
+    listed = set()
     for ln in lines:
         parts = ln.split(",")
         if len(parts) != 3:
@@ -56,6 +58,9 @@ def _mode_coefficients(path: str, lines, k_max: int, what: str) -> SpectralCoeff
         k = parse_number(parts[0], int, f"{path}: mode index")
         if not 1 <= k <= k_max:
             raise InputError(f"{path}: mode index {k} outside 1..{k_max}")
+        if k in listed:
+            raise InputError(f"{path}: mode index {k} listed twice")
+        listed.add(k)
         re_v, im_v = (parse_number(v, float, f"{path}: {what} line {ln!r}") for v in parts[1:])
         a[k - 1] = complex(re_v, im_v)
     return SpectralCoefficients(k_max, a)
@@ -128,8 +133,7 @@ def save_spectrum_csv(path: str, eigs: list[tuple[float, str]], fields: dict) ->
 def save_control_csv(path: str, alpha, fields: dict) -> None:
     """A piecewise-linear charge.CouplingProfile in the `pl:` format: header comments,
     the column line '# t,alpha', then one 't,alpha' row per node t_n = n*T/N."""
-    grid = TimeGrid(alpha.t_end, alpha.samples.size - 1)
-    _save_series_csv(path, "# t,alpha", (grid.times, alpha.samples), fields)
+    _save_series_csv(path, "# t,alpha", (alpha.grid.times, alpha.samples), fields)
 
 
 def load_target_csv(path: str, k_max: int) -> SpectralCoefficients:

@@ -465,7 +465,6 @@ def check_energy_balance(k_max, seed):
 # ---------------------------------------------------------------- control
 
 def check_linearized_linearity(k_max, seed):
-    rng = np.random.default_rng(seed + 9)
     grid = TimeGrid(1.0, 500)
     psi0 = SpectralCoefficients.unit(1, 101)
     alpha = chg.CouplingProfile.sine_bump(0.3, 1.0)

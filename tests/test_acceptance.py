@@ -99,8 +99,8 @@ def test_criterion_5_charge_solver_order():
     traj = solve_charge(alpha, psi0, grid)
     fgrid = TimeGrid(2.0, 8000)
     src = free_origin_series(psi0, fgrid.times)
-    av = np.real(alpha.values_on(fgrid))
-    oracle = picard_charge(-av * src, av.astype(complex),
+    av = alpha.values_on(fgrid)
+    oracle = picard_charge(-av * src, av,
                            -av[0] * origin_trace(psi0), 0.0,
                            SpectralShift(), fgrid, k_use)
     agreement = float(np.max(np.abs(traj.q - oracle[::4])))
@@ -171,13 +171,13 @@ def test_criterion_8_frechet_derivative():
     worst_slope = np.inf
     for base in (CouplingProfile.zero(2.0), CouplingProfile.sine_bump(0.3, 2.0)):
         g0 = gamma(base, psi0, grid)
-        base_vals = np.real(np.atleast_1d(base.values_on(grid)))
+        base_vals = base.values_on(grid)
         for _ in range(3):
             u = random_unit_bump()
-            d = apply_linearized(base, u + 0j, psi0, grid)
+            d = apply_linearized(base, u, psi0, grid)
             eps_list, rems = [1e-1, 1e-2, 1e-3], []
             for eps in eps_list:
-                pert = CouplingProfile.piecewise_linear(grid, base_vals + eps * u + 0j)
+                pert = CouplingProfile.piecewise_linear(grid, base_vals + eps * u)
                 rems.append(gamma(pert, psi0, grid).sub(g0).sub(d.scaled(eps)).norm())
             worst_slope = min(worst_slope, fit_loglog_slope(eps_list, rems))
     record(8, "Frechet remainder order of the end-time map",

@@ -479,9 +479,9 @@ class TestSolveCharge:
 
         fgrid = TimeGrid(2.0, 8000)
         src = free_origin_series(psi0, fgrid.times)
-        av = np.real(alpha.values_on(fgrid))
+        av = alpha.values_on(fgrid)
         v0 = -av[0] * origin_trace(psi0)
-        q_oracle = picard_charge(-av * src, av.astype(complex), v0, 0.0,
+        q_oracle = picard_charge(-av * src, av, v0, 0.0,
                                  SpectralShift(), fgrid, k_use)
         assert np.max(np.abs(traj.q - q_oracle[::4])) < 1e-6
 

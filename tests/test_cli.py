@@ -180,6 +180,8 @@ BAD_INPUTS = {
     "spectrum-window": ["spectrum", "--alpha", "1.0", "--window", "5"],
     "state-line": ["simulate", "--psi0", "file:{bad_state}", *SMALL_RUN],
     "target-line": ["control", "--target", "{bad_target}", "--k-max", "21"],
+    "state-repeated-mode": ["simulate", "--psi0", "file:{repeated_state}", *SMALL_RUN],
+    "target-repeated-mode": ["control", "--target", "{repeated_target}", "--k-max", "21"],
     "sweep-level": ["sweep", "--what", "green-kmax", "--levels", "nan,10,100"],
     "sweep-zero-kmax": ["sweep", "--what", "green-kmax", "--levels", "0,10,100"],
     "sweep-negative-level": ["sweep", "--what", "green-kmax", "--levels=-5,10,100"],
@@ -227,11 +229,16 @@ class TestInputContracts:
         bad_state.write_text("# k_max=21\n1,abc,0\n")
         bad_target = tmp_path / "bad_target.csv"
         bad_target.write_text("k,re_c,im_c\n3,x,0\n")
+        repeated_state = tmp_path / "repeated_state.txt"
+        repeated_state.write_text("# k_max=21\n1,1.0,0\n1,0.5,0\n")
+        repeated_target = tmp_path / "repeated_target.csv"
+        repeated_target.write_text("k,re_c,im_c\n3,1.0,0.0\n3,0.0,5.0\n")
         empty_target = tmp_path / "empty_target.csv"
         empty_target.write_text("k,re_c,im_c\n")
         target = tmp_path / "target.csv"
         target.write_text("k,re_c,im_c\n3,1.0,0.0\n")
         args = [a.format(state=state, bad_state=bad_state, bad_target=bad_target,
+                         repeated_state=repeated_state, repeated_target=repeated_target,
                          empty_target=empty_target, target=target) for a in BAD_INPUTS[case]]
         if args[0] not in ("green", "verify"):  # these write no files and have no --outdir
             args += ["--outdir", str(tmp_path / "out")]

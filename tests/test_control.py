@@ -45,6 +45,22 @@ def steer(target, grid, epsilons, k_bar=1):
     return controllability_experiment(k_bar, epsilons, target, alpha, reach)
 
 
+def resolved_target(rng, k_max, grid):
+    """Random odd-mode coefficients ~ k^-3, zero at and above grid's Nyquist bin."""
+    kk = np.arange(1, k_max + 1, 2)
+    a = np.zeros(k_max, dtype=complex)
+    a[0::2] = kk**-3.0 * np.exp(2j * np.pi * rng.random(kk.size))
+    a[0::2][2 * kk**2 * round(grid.t_end / T8PI) >= grid.n_steps] = 0.0
+    return a
+
+
+def direct_moment_solution(a, grid):
+    """-(sqrt(pi)/(4*pi)) * sum_k c_k sin(lam_k t), mode by mode, on grid's nodes t <= 8*pi."""
+    kk = np.arange(1, a.size + 1, 2)
+    times = grid.times[grid.times <= T8PI * (1 + 1e-12)]
+    return -np.sin(np.outer(times, kk**2 / 4.0)) @ a[0::2] / (4.0 * np.sqrt(np.pi))
+
+
 class TestControlTarget:
     def test_rejects_even_support(self):
         a = np.zeros(9, dtype=complex)
@@ -92,49 +108,39 @@ class TestSolveMoment:
         assert moment_residual(rho, t) < 1e-7
 
     def test_multiple_periods_match_direct_sum(self, rng):
-        # the FFT bins (k^2*N) mod n against sin(lam_k t) summed mode by mode.
-        # N = 3 on 30001 steps, not a multiple of N, where gcd(n, 8) = 1.  On 24000
-        # steps gcd(n, 8) = 8: the classes N and -N mod 8 are 1 and 7, 2 and 6,
-        # 5 and 3 (two transforms), or coincide at 4 and 0 (one).  Modes at or
-        # above the Nyquist bin are refused, so they are left out of the target
-        k_max = 101
-        kk = np.arange(1, k_max + 1, 2)
-        for n_steps, n_periods in [(30001, 3), (24000, 1), (24000, 2), (24000, 4),
-                                   (24000, 5), (24000, 8)]:
-            a = np.zeros(k_max, dtype=complex)
-            a[0::2] = kk**-3.0 * np.exp(2j * np.pi * rng.random(kk.size))
-            a[0::2][2 * kk**2 * n_periods >= n_steps] = 0.0
-            grid = TimeGrid(n_periods * T8PI, n_steps)
-            rho = solve_moment(ControlTarget(SpectralCoefficients(k_max, a), grid.t_end), grid)
-            times = grid.times
-            active = times <= T8PI * (1 + 1e-12)
-            direct = -np.sin(np.outer(times[active], kk**2 / 4.0)) @ a[0::2] / (
-                4.0 * np.sqrt(np.pi))
-            assert np.max(np.abs(rho[active] - direct)) <= 1e-14, (n_steps, n_periods)
-            assert np.all(rho[~active] == 0)
+        # the FFT bins (k^2*N) mod n against sin(lam_k t) summed mode by mode, on
+        # every class r = N mod f of f = gcd(n, 8): f = 1 on 30001 steps (N = 3, not
+        # a divisor of n), 2 on 24002, 4 on 24004 and 8 on 24000
+        for n_steps, periods in [(30001, [3]), (24002, [1, 2]), (24004, [1, 2, 3, 4]),
+                                 (24000, range(1, 9))]:
+            for n_periods in periods:
+                grid = TimeGrid(n_periods * T8PI, n_steps)
+                a = resolved_target(rng, 101, grid)
+                rho = solve_moment(ControlTarget(SpectralCoefficients(101, a), grid.t_end), grid)
+                active = grid.times <= T8PI * (1 + 1e-12)
+                assert np.max(np.abs(rho[active] - direct_moment_solution(a, grid))) <= 1e-14, (
+                    n_steps, n_periods)
+                assert np.all(rho[~active] == 0)
 
-    @pytest.mark.parametrize("n_steps", [25133, 30001])
-    def test_unfolded_grid_is_one_full_fft(self, rng, n_steps):
-        # gcd(n, 8) = 1: the fold is the identity, and rho is the single in-place
-        # n-point inverse FFT of the whole bin spectrum, bit for bit.  The modes
-        # past the Nyquist bin are zero, and their bins still wrap mod n
-        k_max = 401
-        kk = np.arange(1, k_max + 1, 2, dtype=np.int64)
+    @pytest.mark.parametrize("n_steps", [25133, 30001, 24002, 24004, 24000])
+    def test_one_inverse_fft_per_solve(self, rng, monkeypatch, n_steps):
+        # f = gcd(n, 8) = 1, 1, 2, 4, 8: rho is one n/f-point inverse FFT, whose
+        # mirror bins are read backwards, and no forward FFT.  The modes past the
+        # Nyquist bin are zero, and their bins still wrap mod n
+        calls = []
+        for name in ("fft", "ifft"):
+            def counted(x, *args, _name=name, _transform=getattr(np.fft, name), **kwargs):
+                calls.append((_name, len(x)))
+                return _transform(x, *args, **kwargs)
+            monkeypatch.setattr(np.fft, name, counted)
         for n_periods in (1, 3):
-            a = np.zeros(k_max, dtype=complex)
-            a[0::2] = kk**-3.0 * np.exp(2j * np.pi * rng.random(kk.size))
-            a[0::2][2 * kk**2 * n_periods >= n_steps] = 0.0
             grid = TimeGrid(n_periods * T8PI, n_steps)
-            rho = solve_moment(ControlTarget(SpectralCoefficients(k_max, a), grid.t_end), grid)
-            ref = np.zeros(n_steps + 1, dtype=complex)
-            bins = (kk**2 * n_periods) % n_steps
-            np.add.at(ref, bins, a[0::2] / 2j)
-            np.add.at(ref, (-bins) % n_steps, -a[0::2] / 2j)
-            np.fft.ifft(ref[:n_steps], norm="forward", out=ref[:n_steps])
-            ref *= -1.0 / (4.0 * np.sqrt(np.pi))
-            ref[grid.times > T8PI * (1 + 1e-12)] = 0.0
-            ref[0] = ref[n_steps] = 0.0
-            assert np.array_equal(rho, ref)
+            a = resolved_target(rng, 401, grid)
+            calls.clear()
+            rho = solve_moment(ControlTarget(SpectralCoefficients(401, a), grid.t_end), grid)
+            assert calls == [("ifft", n_steps // np.gcd(n_steps, 8))]
+            active = grid.times <= T8PI * (1 + 1e-12)
+            assert np.max(np.abs(rho[active] - direct_moment_solution(a, grid))) <= 1e-14
 
     def test_residual_of_construction(self):
         t = target_on(1)
@@ -149,15 +155,19 @@ class TestSolveMoment:
 
     @pytest.mark.parametrize("n", [1 << 15, 1 << 19])
     def test_fold_twiddles_match_direct_exp(self, n):
-        # the twiddles come from block_phases (anchor x table), the reference
-        # is one exp per point; every class r of f = gcd(n, 8) = 8
+        # N = r periods on n steps put the bins in class r of f = gcd(n, 8) = 8.  The
+        # twiddles come from block_phases (anchor x table), the reference is one exp
+        # per point; at r = 0 the twiddle is exactly 1
         from deltabox.control import _fold
 
-        for r in range(1, 8):
-            f, r_got, _, twiddle, _ = _fold(n, np.array([r, r + 8 * 5], dtype=np.int64))
-            assert (f, r_got) == (8, r)
+        for r in range(8):
+            n_periods = r or 8
+            roots, twiddle, index = _fold(TimeGrid(n_periods * T8PI, n), 9)
+            np.testing.assert_allclose(roots, np.exp(2j * np.pi * (r * np.arange(8) % 8) / 8),
+                                       rtol=0, atol=1e-15)
             direct = np.exp(2j * np.pi * r / n * np.arange(n // 8))
             assert np.max(np.abs(twiddle - direct)) <= 1e-15, r
+            assert np.array_equal(8 * index + r, np.array([1, 9, 25, 49, 81]) * n_periods % n)
 
 
 class TestMomentResidual:

@@ -133,7 +133,7 @@ def node_by_node_diagnostics(psi0, alpha, grid, q):
     even = np.abs(psi0.a[1::2]) ** 2
     norm2 += np.sum(even)
     h1 += np.sum(eigenvalues(k_max)[1::2] * even)
-    alpha_nodes = np.real(alpha.values_on(grid))
+    alpha_nodes = alpha.values_on(grid)
     tail = tail_deficit(k_max) / np.pi
     origin_values = INV_SQRT_PI * origin + tail * q
     energy = h1 + tail * np.abs(q) ** 2 + alpha_nodes * np.abs(origin_values) ** 2
