@@ -5,7 +5,7 @@ Exit codes: 0 success, 1 configuration/validation problem, 2 solver failure,
 numeric field of user input goes through iofiles.parse_number, so a malformed
 value is a configuration error, never a traceback: numeric flags are read as
 text and converted in `main` (each subcommand lists its own in `numbers`);
-simulate's tolerances, which a config file may also set, in `cmd_simulate`.
+simulate's, which a config file may also set, in `cmd_simulate` after the merge.
 """
 
 from __future__ import annotations
@@ -130,18 +130,21 @@ def _by_contents(descriptor: str) -> str:
 
 
 def cmd_simulate(args) -> int:
-    cfg = {
-        "psi0": args.psi0, "alpha": args.alpha, "T": repr(args.T),
-        "n_steps": str(args.n_steps), "k_max": str(args.k_max),
-    }
+    cfg = {"psi0": args.psi0, "alpha": args.alpha, "T": str(args.T),
+           "n_steps": str(args.n_steps), "k_max": str(args.k_max)}
+    from_file = {}
     if args.config:
         with open(args.config) as fh:
-            cfg.update(parse_config_text(fh.read(), _SIMULATE_KEYS, source=args.config))
-    t_end, n_steps, k_max = (
-        parse_number(cfg[key], kind, key) for key, kind in
-        (("T", float), ("n_steps", int), ("k_max", int)))
-    tol_norm, tol_boundary = (parse_number(str(cfg.get(key, getattr(args, key))), float, key)
-                              for key in ("tol_norm_drift", "tol_boundary"))
+            from_file = parse_config_text(fh.read(), _SIMULATE_KEYS, source=args.config)
+        cfg.update(from_file)
+    # each number is parsed once, and an error names the config key or flag that set it
+    names = {key: f"{args.config}: {key}" if key in from_file else "--" + key.replace("_", "-")
+             for key in ("T", "n_steps", "k_max", "tol_norm_drift", "tol_boundary")}
+    t_end, n_steps, k_max, tol_norm, tol_boundary = (
+        parse_number(str(cfg.get(key, getattr(args, key))), kind, names[key])
+        for key, kind in zip(names, (float, int, int, float, float)))
+    if k_max < 1:
+        raise InputError(f"{names['k_max']} must be at least 1, got {k_max}")
     if not (t_end > 0 and np.isfinite(t_end)):
         raise InputError("T must be positive and finite")
     grid = TimeGrid(t_end, n_steps)
@@ -195,6 +198,8 @@ def cmd_spectrum(args) -> int:
     if args.window:
         window = tuple(parse_number(v, float, "window LO:HI")
                        for v in args.window.partition(":")[::2])
+        if not window[0] < window[1]:
+            raise InputError(f"--window {args.window!r} is empty: HI must exceed LO")
     eigs = static_eigenvalues(args.alpha, window)
     outdir = _outdir(args.outdir)
     os.makedirs(outdir, exist_ok=True)
@@ -320,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol-norm-drift", default=1e-6, dest="tol_norm_drift")
     p.add_argument("--tol-boundary", default=1e-8, dest="tol_boundary")
     p.add_argument("--config", help="key=value config file (version=1)")
-    p.set_defaults(func=cmd_simulate, numbers={"T": float, "n_steps": int, "k_max": int})
+    p.set_defaults(func=cmd_simulate, numbers={})  # parsed after the config merge
 
     p = sub.add_parser("spectrum", help="static eigenvalues of the coupled box")
     p.add_argument("--alpha", required=True)
@@ -376,7 +381,7 @@ def main(argv=None) -> int:
         for dest, kind in args.numbers.items():
             flag = "--" + dest.replace("_", "-")
             setattr(args, dest, parse_number(getattr(args, dest), kind, flag))
-        if getattr(args, "k_max", 1) < 1:
+        if "k_max" in args.numbers and args.k_max < 1:
             raise InputError(f"--k-max must be at least 1, got {args.k_max}")
         return args.func(args)
     except InputError as exc:

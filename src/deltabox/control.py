@@ -62,19 +62,23 @@ class ControlTarget:
                 f"target must be supported on the even sector (odd k); even-k defect {defect:g}")
         if not np.isfinite(self.t_end) or self.t_end <= 0:
             raise InputError("horizon must be positive and finite")
+        if self.periods < 1 or abs(self.t_end / BASE_HORIZON - self.periods) > 1e-9:
+            raise UnsupportedHorizonError(
+                f"horizon {self.t_end} is not a positive integer multiple of 8*pi")
 
     @property
     def k_max(self) -> int:
         return self.c.k_max
 
+    @property
+    def periods(self) -> int:
+        """N of the horizon T = 8*pi*N."""
+        return int(round(self.t_end / BASE_HORIZON))
 
-def _horizon_periods(t_end: float) -> int:
-    n = t_end / BASE_HORIZON
-    n_round = int(round(n))
-    if n_round < 1 or abs(n - n_round) > 1e-9:
-        raise UnsupportedHorizonError(
-            f"horizon {t_end} is not a positive integer multiple of 8*pi")
-    return n_round
+    @property
+    def harmonics(self) -> np.ndarray:
+        """k^2*N for the odd modes k <= k_max: lam_k*t_j = 2*pi*(k^2*N)*j/n on n steps of T."""
+        return np.arange(1, self.k_max + 1, 2, dtype=np.int64) ** 2 * self.periods
 
 
 def gamma(alpha: CouplingProfile, psi0, grid: TimeGrid) -> SpectralCoefficients:
@@ -113,18 +117,13 @@ def apply_linearized(alpha: CouplingProfile, u, psi0: SpectralCoefficients,
     return [assemble_F(q) for q in qdot] if u_nodes.ndim == 2 else assemble_F(qdot)
 
 
-def _odd_harmonics(k_max: int, n_periods: int) -> np.ndarray:
-    """k^2*N for the odd modes k <= k_max: lam_k*t_j = 2*pi*(k^2*N)*j/n on n steps of 8*pi*N."""
-    return np.arange(1, k_max + 1, 2, dtype=np.int64) ** 2 * n_periods
-
-
 # e^{2*pi*i*p/8}, exact where the value is representable
 _EIGHTH_ROOTS = np.array([1, np.sqrt(0.5) * (1 + 1j), 1j, np.sqrt(0.5) * (-1 + 1j),
                           -1, -np.sqrt(0.5) * (1 + 1j), -1j, np.sqrt(0.5) * (1 - 1j)])
 
 
-def _fold(grid: TimeGrid, k_max: int):
-    """The lattice of the moment bins (k^2*N) mod n, odd k <= k_max, on n steps of T = 8*pi*N.
+def _fold(target: ControlTarget, n: int):
+    """The lattice of the target's moment bins (k^2*N) mod n on n steps of its horizon T = 8*pi*N.
 
     Every odd k has k^2 = 1 (mod 8), so with f = gcd(n, 8) every bin is r = N (mod f).
     With M = n/f, bin f*j + r of an n-point sum X_b = sum_t x_t e^{2*pi*i*b*t/n} is
@@ -134,29 +133,25 @@ def _fold(grid: TimeGrid, k_max: int):
 
     Returns the roots e^{2*pi*i*r*p/f} (p < f, so f is their number), the twiddles
     e^{2*pi*i*r*m/n} (m < M; the scalar 1 when r = 0) and each mode's bin index j.
-    The twiddles are the phases of one frequency on the grid m*(2*pi*r/n), as
-    anchor x table from kernels.block_phases: about M/TIME_BLOCK + TIME_BLOCK
-    exps, not M.
+    The twiddles, the phases of one frequency on m*(2*pi*r/n), are anchor x table
+    from kernels.block_phases: about M/TIME_BLOCK + TIME_BLOCK exps, not M.
     """
-    n = grid.n_steps
-    n_periods = _horizon_periods(grid.t_end)
     f = math.gcd(n, 8)
-    r = n_periods % f
+    r = target.periods % f
     roots = _EIGHTH_ROOTS[(8 // f) * r * np.arange(f) % 8]
     twiddle = 1.0
     if r:
         table, anchors = block_phases(np.array([-1.0]), 2.0 * np.pi * r / n, n // f - 1)
         twiddle = (anchors * table[:-1, 0]).reshape(-1)[:n // f]
-    return roots, twiddle, (_odd_harmonics(k_max, n_periods) % n - r) // f
+    return roots, twiddle, (target.harmonics % n - r) // f
 
 
 def check_resolved(target: ControlTarget, n_steps: int) -> None:
     """Refuse a nonzero target mode at or above the Nyquist bin of n_steps on T = 8*pi*N:
     its harmonic k^2*N folds onto another frequency of the grid."""
-    harmonics = _odd_harmonics(target.k_max, _horizon_periods(target.t_end))
-    aliased = np.flatnonzero((2 * harmonics >= n_steps) & (target.c.a[0::2] != 0))
+    aliased = np.flatnonzero((2 * target.harmonics >= n_steps) & (target.c.a[0::2] != 0))
     if aliased.size:
-        k, h = 2 * aliased[-1] + 1, harmonics[aliased[-1]]
+        k, h = 2 * aliased[-1] + 1, target.harmonics[aliased[-1]]
         raise InputError(f"target mode k={k} (k^2*N = {h}) is aliased on {n_steps} steps; "
                          f"it needs at least {2 * h + 1}")
 
@@ -165,24 +160,23 @@ def solve_moment(target: ControlTarget, grid: TimeGrid | None = None) -> np.ndar
     """Particular moment-problem solution rho with rho(0) = rho(T) = 0, on grid's nodes
     (2^15*N steps when no grid is given; every program path passes its grid).
 
-    Requires T = 8*pi*N and a grid spanning the target's horizon to within 1e-9.
+    Requires a grid spanning the target's horizon T = 8*pi*N to within 1e-9.
     On [0, 8*pi] the solution is the sine superposition described in the module
-    docstring, zero after 8*pi.  With n steps, lam_k*t_j = 2*pi*(k^2*N)*j/n, so
-    sin(lam_k t) is the grid harmonic at the bins (k^2*N) mod n, less its mirror
-    at the bins -(k^2*N) mod n.  rho is synthesized by the transpose of the fold
-    (`_fold`): one n/f-point inverse FFT A of the mode spectrum at the bins'
-    indices, whose mirror bins are the same sums read backwards, A[-m mod M].
+    docstring, zero on the nodes j > n/N (t_j > 8*pi).  With n steps, lam_k*t_j =
+    2*pi*(k^2*N)*j/n, so sin(lam_k t) is the grid harmonic at the bins (k^2*N) mod n,
+    less its mirror at the bins -(k^2*N) mod n.  rho is synthesized by the transpose
+    of the fold (`_fold`): one n/f-point inverse FFT A of the mode spectrum at the
+    bins' indices, whose mirror bins are the same sums read backwards, A[-m mod M].
     Row p of rho's (f, M) buffer, t = m + p*M, is
     roots[p]*twiddle*A[m] - conj(roots[p]*twiddle)*A[-m mod M].
     """
-    n_periods = _horizon_periods(target.t_end)
     if grid is None:
-        grid = TimeGrid(target.t_end, (1 << 15) * n_periods)
+        grid = TimeGrid(target.t_end, (1 << 15) * target.periods)
     if abs(grid.t_end - target.t_end) > 1e-9:
         raise InputError("control grid horizon must match the target horizon")
     check_resolved(target, grid.n_steps)
     n = grid.n_steps
-    roots, twiddle, index = _fold(grid, target.k_max)
+    roots, twiddle, index = _fold(target, n)
     # rho[:n] as f rows, t = m + p*M.  Row 0 holds the spectrum, then its transform
     # A in place: the synthesis adds one M-point array, A[-m mod M], to rho
     rho = np.zeros(n + 1, dtype=complex)
@@ -198,29 +192,29 @@ def solve_moment(target: ControlTarget, grid: TimeGrid | None = None) -> np.ndar
         rows[p] -= roots[p].conj() * b
     a -= b  # row 0 last, as it holds a; roots[0] = 1
     rho *= -INV_SQRT_PI / 4.0  # -(sqrt(pi)/(4*pi))
-    # zero after 8*pi: the nodes j*dt > 8*pi*(1 + 1e-12), all at or after node
-    # n // N, since every earlier node lies at least dt inside 8*pi
-    first = n // n_periods
-    rho[first:][grid.dt * np.arange(first, n + 1) > BASE_HORIZON * (1 + 1e-12)] = 0.0
+    rho[n // target.periods + 1:] = 0.0  # t_j > 8*pi
     rho[0] = rho[n] = 0.0  # sin(0) = sin(2*pi*k^2) = 0 exactly at t = 0 and t = 8*pi
     return rho
 
 
-def _pl_end_history(samples: np.ndarray, grid: TimeGrid, k_max: int) -> np.ndarray:
-    """End history h(T) = int_0^T rho_PL(s) e^{-i*lam_k*(T-s)} ds over odd k <= k_max on
-    T = 8*pi*N.  The slope-moment sums B are the Fourier bins (k^2*N) mod n of the
-    increments, the bins of solve_moment, taken with one n/f-point inverse FFT of
-    their fold (`_fold`) and closed by close_history.
+def _pl_end_history(samples: np.ndarray, target: ControlTarget) -> np.ndarray:
+    """End history h(T) = int_0^T rho_PL(s) e^{-i*lam_k*(T-s)} ds over the target's odd
+    modes of complex samples on the n+1 nodes of its horizon T = 8*pi*N.  The sums B
+    are the Fourier bins (k^2*N) mod n of the increments, solve_moment's bins, taken
+    with one n/f-point inverse FFT of their fold (`_fold`), closed by close_history.
     """
-    lam = odd_eigenvalues(k_max)
-    roots, twiddle, index = _fold(grid, k_max)
-    inc = np.diff(samples)
-    # bin j: sum_m inc_m e^{+2*pi*i*j*m/n}.  The fold accumulates in inc's first
-    # row, transformed in place as in solve_moment (inc is complex)
-    rows = inc.reshape(roots.size, -1)
-    z = rows[0]
-    if roots.size > 1:
-        z += roots[1:] @ rows[1:]
+    grid = TimeGrid(target.t_end, samples.size - 1)
+    lam = odd_eigenvalues(target.k_max)
+    roots, twiddle, index = _fold(target, grid.n_steps)
+    # bin j: sum_m inc_m e^{+2*pi*i*j*m/n}.  The increments are formed one fold
+    # row at a time, so no n-point array is made beside the samples unless f = 1
+    hi, lo = (s.reshape(roots.size, -1) for s in (samples[1:], samples[:-1]))
+    z = hi[0] - lo[0]
+    buf = np.empty_like(z) if roots.size > 1 else None
+    for p in range(1, roots.size):
+        np.subtract(hi[p], lo[p], out=buf)
+        buf *= roots[p]
+        z += buf
     z *= twiddle
     np.fft.ifft(z, norm="forward", out=z)
     b = z[index] * phi1(1j * lam * grid.dt)
@@ -235,8 +229,7 @@ def moment_residual(samples, target: ControlTarget) -> float:
     of rho: each segment of the piecewise-linear rho is integrated exactly,
     independently of how rho was constructed.
     """
-    rho = np.asarray(samples, dtype=complex)
-    h = _pl_end_history(rho, TimeGrid(target.t_end, rho.size - 1), target.k_max)
+    h = _pl_end_history(np.asarray(samples, dtype=complex), target)
     return float(np.max(np.abs(target.c.a[0::2] - 1j * INV_SQRT_PI * h)))
 
 
@@ -260,8 +253,7 @@ def real_moments(target: ControlTarget, k_bar: int, grid: TimeGrid):
                          f"mode (odd k) in 1..{target.k_max}")
     check_resolved(target, grid.n_steps)
     c = target.c.a[0::2]
-    s = np.sinc(_odd_harmonics(target.k_max, _horizon_periods(target.t_end))
-                / grid.n_steps) ** 2
+    s = np.sinc(target.harmonics / grid.n_steps) ** 2
     q = np.divide(c, s, out=np.zeros_like(c), where=c != 0)  # s_k may be 0 where c_k = 0
     j, k = np.array(_frequency_collisions(k_bar, target.k_max) + [(k_bar, k_bar)]).T // 2
     p = q.copy()
@@ -355,11 +347,9 @@ def controllability_experiment(k_bar: int, epsilons, target: ControlTarget,
     for eps in epsilons:
         final = gamma(CouplingProfile.piecewise_linear(grid, eps * unit), psi0, grid)
         linear = linear_unit.scaled(eps)
-        predicted = free_final.add(linear)
-        remainders.append(final.sub(predicted).norm())
-        disp = final.sub(free_final)
+        remainders.append(final.sub(free_final).sub(linear).norm())
         lin_norm = linear.norm()
-        disp_errors.append(disp.sub(linear).norm() / lin_norm if lin_norm > 0 else np.inf)
+        disp_errors.append(remainders[-1] / lin_norm if lin_norm > 0 else np.inf)
 
     slope = fit_loglog_slope(list(epsilons), remainders)
     pairs = _frequency_collisions(k_bar, target.k_max)

@@ -148,11 +148,10 @@ def green_origin_real(E: float) -> float:
     return float(np.pi / 2)
 
 
-def green_coefficients(shift: SpectralShift | complex, k_max: int = DEFAULT_K_MAX) -> SpectralCoefficients:
+def green_coefficients(shift: SpectralShift, k_max: int = DEFAULT_K_MAX) -> SpectralCoefficients:
     """Eigenbasis coefficients of G^lam(., 0): (1/sqrt(pi))/(lam_k + lam) on odd k."""
-    lam = shift.lam if isinstance(shift, SpectralShift) else complex(shift)
     a = np.zeros(k_max, dtype=complex)
-    a[0::2] = INV_SQRT_PI / (odd_eigenvalues(k_max) + lam)
+    a[0::2] = INV_SQRT_PI / (odd_eigenvalues(k_max) + shift.lam)
     return SpectralCoefficients(k_max, a)
 
 

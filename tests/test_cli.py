@@ -178,6 +178,8 @@ BAD_INPUTS = {
     "domain-charge": ["simulate", "--psi0", "domain:{state}:x:0", *SMALL_RUN],
     "domain-shift": ["simulate", "--psi0", "domain:{state}:0:0:y", *SMALL_RUN],
     "spectrum-window": ["spectrum", "--alpha", "1.0", "--window", "5"],
+    "spectrum-reversed-window": ["spectrum", "--alpha", "1.0", "--window=5:-5"],
+    "config-kmax-zero": ["simulate", "--config", "{kmax_zero_config}"],
     "state-line": ["simulate", "--psi0", "file:{bad_state}", *SMALL_RUN],
     "target-line": ["control", "--target", "{bad_target}", "--k-max", "21"],
     "state-repeated-mode": ["simulate", "--psi0", "file:{repeated_state}", *SMALL_RUN],
@@ -237,9 +239,12 @@ class TestInputContracts:
         empty_target.write_text("k,re_c,im_c\n")
         target = tmp_path / "target.csv"
         target.write_text("k,re_c,im_c\n3,1.0,0.0\n")
+        kmax_zero_config = tmp_path / "kmax_zero.cfg"
+        kmax_zero_config.write_text("version=1\nT=0.5\nn_steps=10\nk_max=0\n")
         args = [a.format(state=state, bad_state=bad_state, bad_target=bad_target,
                          repeated_state=repeated_state, repeated_target=repeated_target,
-                         empty_target=empty_target, target=target) for a in BAD_INPUTS[case]]
+                         empty_target=empty_target, target=target,
+                         kmax_zero_config=kmax_zero_config) for a in BAD_INPUTS[case]]
         if args[0] not in ("green", "verify"):  # these write no files and have no --outdir
             args += ["--outdir", str(tmp_path / "out")]
         code = run_cli(args)
@@ -247,6 +252,39 @@ class TestInputContracts:
         assert code == 1
         assert err.startswith("configuration error:")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("config, flags, message", [
+        # one k_max rule for flags and config files, named after its source
+        ("k_max=0", [], "sim.cfg: k_max must be at least 1, got 0"),
+        ("k_max=-4\npsi0=file:{state}", [], "sim.cfg: k_max must be at least 1, got -4"),
+        (None, ["--k-max", "0"], "--k-max must be at least 1, got 0"),
+        ("T=abc", [], "sim.cfg: T: expected a finite number, got 'abc'"),
+        ("tol_boundary=x", [], "sim.cfg: tol_boundary: expected a finite number, got 'x'"),
+        (None, ["--tol-boundary", "x"], "--tol-boundary: expected a finite number, got 'x'"),
+    ])
+    def test_simulate_numbers_named_after_their_source(self, config, flags, message, tmp_path,
+                                                       capsys):
+        state = tmp_path / "state.txt"
+        save_state(str(state), SpectralCoefficients.unit(1, 3))
+        args = ["simulate", *SMALL_RUN, *flags, "--outdir", str(tmp_path / "out")]
+        if config is not None:
+            cfg = tmp_path / "sim.cfg"
+            cfg.write_text(f"version=1\n{config.format(state=state)}\n")
+            args += ["--config", str(cfg)]
+        code = run_cli(args)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("configuration error:") and message in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("window", ["5:-5", "3:3"])
+    def test_empty_spectrum_window_writes_nothing(self, window, tmp_path, capsys):
+        code = run_cli(["spectrum", "--alpha", "1", f"--window={window}",
+                        "--outdir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("configuration error:") and repr(window) in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("mode, extra", [
         (201, ["--k-max", "401"]),  # k^2 = 40401 is past the Nyquist bin of 25133 steps

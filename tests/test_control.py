@@ -72,6 +72,26 @@ class TestControlTarget:
         t = target_on(3, k_max=9)
         assert t.k_max == 9
 
+    @pytest.mark.parametrize("t_end", [7.0, T8PI * (1 + 1e-8)])
+    def test_refuses_a_horizon_off_the_lattice(self, t_end):
+        with pytest.raises(UnsupportedHorizonError,
+                           match=r"is not a positive integer multiple of 8\*pi"):
+            target_on(1, t_end=t_end)
+
+    @pytest.mark.parametrize("t_end", [np.nan, -T8PI])
+    def test_refuses_a_horizon_that_is_not_positive(self, t_end):
+        with pytest.raises(InputError, match="horizon must be positive and finite") as exc:
+            target_on(1, t_end=t_end)
+        assert type(exc.value) is InputError
+
+    def test_periods_and_harmonics_are_exact(self):
+        kk = np.arange(1, 402, 2)
+        for n_periods in range(1, 9):
+            t = target_on(1, t_end=n_periods * T8PI)
+            assert type(t.periods) is int and t.periods == n_periods
+            assert t.harmonics.dtype == np.int64
+            assert np.array_equal(t.harmonics, kk**2 * n_periods)
+
 
 class TestSolveMoment:
     def test_zero_target(self):
@@ -142,6 +162,18 @@ class TestSolveMoment:
             active = grid.times <= T8PI * (1 + 1e-12)
             assert np.max(np.abs(rho[active] - direct_moment_solution(a, grid))) <= 1e-14
 
+    @pytest.mark.parametrize("n_steps, n_periods", [
+        (1001, 2), (3001, 4), (24001, 7), (24000, 8), (1000, 4)])
+    def test_integer_zeroing_matches_the_float_rule(self, rng, n_steps, n_periods):
+        # rho vanishes after 8*pi on the nodes j > n/N, the nodes t_j > 8*pi*(1 + 1e-12),
+        # where N divides n and where it does not
+        grid = TimeGrid(n_periods * T8PI, n_steps)
+        beyond = np.flatnonzero(grid.times > T8PI * (1 + 1e-12))
+        assert np.array_equal(beyond, np.arange(n_steps // n_periods + 1, n_steps + 1))
+        a = resolved_target(rng, 101, grid)
+        rho = solve_moment(ControlTarget(SpectralCoefficients(101, a), grid.t_end), grid)
+        assert np.all(rho[beyond] == 0) and np.count_nonzero(rho[1:beyond[0] - 1]) > 0
+
     def test_residual_of_construction(self):
         t = target_on(1)
         assert moment_residual(solve_moment(t, GRID_2_15), t) < 1e-8
@@ -162,7 +194,7 @@ class TestSolveMoment:
 
         for r in range(8):
             n_periods = r or 8
-            roots, twiddle, index = _fold(TimeGrid(n_periods * T8PI, n), 9)
+            roots, twiddle, index = _fold(target_on(1, k_max=9, t_end=n_periods * T8PI), n)
             np.testing.assert_allclose(roots, np.exp(2j * np.pi * (r * np.arange(8) % 8) / 8),
                                        rtol=0, atol=1e-15)
             direct = np.exp(2j * np.pi * r / n * np.arange(n // 8))
@@ -195,6 +227,21 @@ class TestMomentResidual:
         with pytest.raises(InputError, match="horizon must match"):
             synthesize_control(t, 1, TimeGrid(T8PI + 1e-8, 1 << 15))
 
+    def test_residual_forms_no_full_length_increments(self):
+        # on 2^19 steps (f = 8) the increments are formed one fold row of 2^16 points at
+        # a time; one 2^19-point complex array alone would take 8.4 MB
+        import tracemalloc
+
+        t = target_on(3)
+        rho = solve_moment(t, TimeGrid(T8PI, 1 << 19))
+        tracemalloc.start()
+        try:
+            moment_residual(rho, t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+
     def test_fft_matches_direct_segment_sum(self, rng):
         # the FFT bin evaluation is the same per-segment exact quadrature:
         # h(T) = (rho_T - e^{-i*lam*T}(rho_0 + B))/(i*lam), B the summed slope moments
@@ -204,7 +251,7 @@ class TestMomentResidual:
         grid = TimeGrid(T8PI, 512)
         samples = rng.standard_normal(513) + 1j * rng.standard_normal(513)
         lam = odd_eigenvalues(25)
-        got = _pl_end_history(samples, grid, 25)
+        got = _pl_end_history(samples, target_on(1, k_max=25))
         direct = np.array([
             (samples[-1] - np.exp(-1j * l * T8PI)
              * (samples[0] + np.sum(slope_moments(samples, grid.dt, l)))) / (1j * l)
@@ -228,7 +275,7 @@ class TestMomentResidual:
             b = np.fft.ifft(inc, norm="forward")[bins] * phi1(1j * lam * grid.dt)
             ref = close_history(samples[-1], samples[0] + b, lam, grid.t_end)
             bound = 8 * np.finfo(float).eps * np.log2(n_steps) * np.linalg.norm(inc) / lam[0]
-            got = _pl_end_history(samples, grid, 101)
+            got = _pl_end_history(samples, target_on(1, k_max=101, t_end=grid.t_end))
             assert np.max(np.abs(got - ref)) <= bound, n_periods
 
 
