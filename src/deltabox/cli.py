@@ -51,7 +51,7 @@ from .spectral import DEFAULT_K_MAX, SpectralCoefficients, TimeGrid
 # verify (and through it oracles) is imported eagerly although only `verify`
 # runs it: perfbench/tracer.py looks both up in sys.modules right after this
 # module is imported.  Both need numpy alone, so they are cheap.
-from .verify import run_checks
+from .verify import CHECKS, DEFAULT_SEED, run_checks
 
 EXIT_OK, EXIT_CONFIG, EXIT_SOLVER, EXIT_IO = 0, 1, 2, 3
 # `control` fails (exit 2, after writing its artifacts) when the written control's
@@ -284,8 +284,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    outdir = _outdir(args.outdir)
-    os.makedirs(outdir, exist_ok=True)
     if args.what == "charge-dt":
         sweep, header, min_slope = charge_dt_sweep, "dt,sup_error", 1.9
     elif args.what == "green-kmax":
@@ -298,6 +296,8 @@ def cmd_sweep(args) -> int:
         rows, slope = sweep([parse_number(x, float, "levels") for x in args.levels.split(",")])
     else:
         rows, slope = sweep()
+    outdir = _outdir(args.outdir)  # created only once the sweep has run
+    os.makedirs(outdir, exist_ok=True)
     path = os.path.join(outdir, f"sweep_{args.what}.csv")
     lines = [f"# slope={slope!r}", header]
     lines += [f"{level!r},{err!r}" for level, err in rows]
@@ -357,8 +357,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the invariant battery")
     p.add_argument("--filter", help="restrict to one module")
-    p.add_argument("--k-max", default=DEFAULT_K_MAX, dest="k_max")
-    p.add_argument("--seed", default=20260809)
+    reach = {name: "read only by " + ", ".join(f"{fn.module}.{fn.name}" for fn in CHECKS
+                                              if name in fn.inputs) for name in ("k_max", "seed")}
+    p.add_argument("--k-max", default=DEFAULT_K_MAX, dest="k_max", help=reach["k_max"])
+    p.add_argument("--seed", default=DEFAULT_SEED, help=reach["seed"])
     p.add_argument("--out", help="write the report to this path")
     p.set_defaults(func=cmd_verify, numbers={"k_max": int, "seed": int})
 

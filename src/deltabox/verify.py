@@ -7,6 +7,7 @@ deterministic given the seed.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -26,7 +27,8 @@ class CheckResult:
     threshold: float
     comparator: str = "<="
     detail: str = ""
-    module: str = ""  # the check's registry key and name, set by run_checks
+    # the check's module and report name, which run_checks copies from its @check registration
+    module: str = ""
     name: str = ""
 
     def line(self) -> str:
@@ -41,9 +43,29 @@ def _result(measured, threshold, comparator="<=", detail=""):
     return CheckResult(bool(ok), float(measured), float(threshold), comparator, detail)
 
 
-# ---------------------------------------------------------------- spectral
+DEFAULT_SEED = 20260809
+CHECKS = []  # every check, in report order
 
-def check_orthonormality(k_max, seed):
+
+def check(module):
+    """Register a check of `module`, reported (PASS or FAIL) as its function's name without
+    `check_`, with dashes.  It is given the inputs its parameters name: `k_max`, `seed`."""
+    def register(fn):
+        fn.module = module
+        fn.name = fn.__name__.removeprefix("check_").replace("_", "-")
+        fn.inputs = tuple(inspect.signature(fn).parameters)
+        CHECKS.append(fn)
+        return fn
+    return register
+
+
+def call_check(fn, **inputs) -> CheckResult:
+    """A registered check's result, given only the inputs that it names."""
+    return fn(**{name: inputs[name] for name in fn.inputs})
+
+
+@check("spectral")
+def check_orthonormality():
     n_modes = 64
     xs, w = spectral.box_trapezoid(4096)
     modes = np.array([spectral.eigenmode_value(k, xs) for k in range(1, n_modes + 1)])
@@ -52,7 +74,8 @@ def check_orthonormality(k_max, seed):
     return _result(dev, 1e-10)
 
 
-def check_parseval(k_max, seed):
+@check("spectral")
+def check_parseval(seed):
     rng = np.random.default_rng(seed)
     k_use = 64
     c = SpectralCoefficients(k_use, rng.standard_normal(k_use) + 1j * rng.standard_normal(k_use))
@@ -63,6 +86,7 @@ def check_parseval(k_max, seed):
     return _result(dev, 1e-8)
 
 
+@check("spectral")
 def check_free_evolve_group(k_max, seed):
     # exact per-entry phase product; the float bound is set by the rounding of
     # the phase arguments lam_k*(t+s), a few ulps of the largest phase
@@ -82,6 +106,7 @@ def check_free_evolve_group(k_max, seed):
                    detail="relative error over 8*eps*lam_max*(t+s) phase-rounding bound")
 
 
+@check("spectral")
 def check_origin_trace_series(k_max, seed):
     rng = np.random.default_rng(seed + 2)
     c = SpectralCoefficients(k_max, rng.standard_normal(k_max) + 1j * rng.standard_normal(k_max))
@@ -92,9 +117,8 @@ def check_origin_trace_series(k_max, seed):
     return _result(dev, 1e-12)
 
 
-# ---------------------------------------------------------------- greens
-
-def check_series_closed_order(k_max, seed):
+@check("greens")
+def check_series_closed_order(seed):
     # statistics, not np.median, which imports numpy.ma; imported here, as it
     # loads fractions and decimal (about 4 ms), which no other path needs
     import statistics
@@ -112,7 +136,8 @@ def check_series_closed_order(k_max, seed):
     return _result(slope, 0.9, ">=", detail=f"median errors {medians}")
 
 
-def check_derivative_jump(k_max, seed):
+@check("greens")
+def check_derivative_jump(seed):
     rng = np.random.default_rng(seed + 4)
     worst = 0.0
     h = 1e-5
@@ -126,7 +151,8 @@ def check_derivative_jump(k_max, seed):
     return _result(worst, 1e-6)
 
 
-def check_pole_bracketing(k_max, seed):
+@check("greens")
+def check_pole_bracketing():
     # green_origin(-E) must flip sign across every odd-sector pole, and the
     # root finder must place exactly one even root per inter-pole gap
     measured = -1.0
@@ -144,7 +170,8 @@ def check_pole_bracketing(k_max, seed):
     return _result(measured, -1.0, detail="sign flip across poles, one root per gap")
 
 
-def check_fd_oracle(k_max, seed):
+@check("greens")
+def check_fd_oracle():
     worst = 0.0
     for alpha in (-2.0, -0.5, 0.5, 2.0):
         mine = [e for e, _ in greens.static_eigenvalues(alpha, (-10.0, 10.0))][:3]
@@ -153,8 +180,6 @@ def check_fd_oracle(k_max, seed):
     return _result(worst, 1e-3)
 
 
-# ---------------------------------------------------------------- charge
-
 def _bump_run(k_max_run, n_steps, t_end=2.0):
     grid = TimeGrid(t_end, n_steps)
     psi0 = SpectralCoefficients.unit(1, k_max_run)
@@ -162,13 +187,15 @@ def _bump_run(k_max_run, n_steps, t_end=2.0):
     return grid, psi0, alpha
 
 
-def check_dt_self_convergence(k_max, seed):
+@check("charge")
+def check_dt_self_convergence():
     # k_max = 25: all retained mode periods resolved on the coarsest grid
     rows, slope = convergence.charge_dt_sweep((4e-3, 2e-3, 1e-3))
     return _result(slope, 1.9, ">=", detail=f"errors {[err for _, err in rows]}")
 
 
-def check_kmax_truncation_decay(k_max, seed):
+@check("charge")
+def check_kmax_truncation_decay():
     grid = TimeGrid(2.0, 1000)
     alpha = chg.CouplingProfile.sine_bump(0.5, 2.0)
     qs = {}
@@ -182,7 +209,8 @@ def check_kmax_truncation_decay(k_max, seed):
     return _result(measured, -1.0, "<=", detail=f"sup diffs on doubling {diffs}")
 
 
-def check_u_zero_at_start(k_max, seed):
+@check("charge")
+def check_u_zero_at_start(seed):
     rng = np.random.default_rng(seed + 5)
     grid = TimeGrid(1.0, 64)
     q = rng.standard_normal(65) + 1j * rng.standard_normal(65)
@@ -191,7 +219,8 @@ def check_u_zero_at_start(k_max, seed):
     return _result(val, 0.0)
 
 
-def check_u_integration_by_parts(k_max, seed):
+@check("charge")
+def check_u_integration_by_parts():
     # integrated form (with the q(0) boundary term) against the direct
     # per-mode quadrature of the raw causal integrals, on a smooth charge
     grid = TimeGrid(1.5, 600)
@@ -207,7 +236,8 @@ def check_u_integration_by_parts(k_max, seed):
     return _result(dev, 1e-12)
 
 
-def check_u_constant_analytic(k_max, seed):
+@check("charge")
+def check_u_constant_analytic():
     grid = TimeGrid(1.0, 400)
     traj = chg.ChargeTrajectory(grid, np.ones(401, dtype=complex), 51)
     got = chg.apply_U(traj, analytic_tail=False)
@@ -219,7 +249,8 @@ def check_u_constant_analytic(k_max, seed):
     return _result(dev, 1e-10)
 
 
-def check_u_linearity(k_max, seed):
+@check("charge")
+def check_u_linearity(seed):
     rng = np.random.default_rng(seed + 6)
     grid = TimeGrid(1.0, 128)
     q1 = rng.standard_normal(129) + 1j * rng.standard_normal(129)
@@ -231,7 +262,8 @@ def check_u_linearity(k_max, seed):
     return _result(dev, 1e-12)
 
 
-def check_conjugation_reversal(k_max, seed):
+@check("charge")
+def check_conjugation_reversal(seed):
     # for real alpha and real-coefficient psi0, conj(q) solves the equation
     # with the conjugated (time-reversed) kernel; the reversed solve goes
     # through the independent Picard path
@@ -256,7 +288,8 @@ def check_conjugation_reversal(k_max, seed):
     return _result(worst, 1e-5)
 
 
-def check_large_amplitude_wellposed(k_max, seed):
+@check("charge")
+def check_large_amplitude_wellposed():
     grid = TimeGrid(1.0, 1000)
     psi0 = SpectralCoefficients.unit(1, 101)
     for profile in (chg.CouplingProfile.constant(10.0, 1.0),
@@ -267,7 +300,8 @@ def check_large_amplitude_wellposed(k_max, seed):
     return _result(0.0, 0.0, detail="no step singularity for A=10, dt=1e-3")
 
 
-def check_picard_oracle(k_max, seed):
+@check("charge")
+def check_picard_oracle():
     k_use = 25
     grid, psi0, alpha = _bump_run(k_use, 2000)
     traj = chg.solve_charge(alpha, psi0, grid)
@@ -281,7 +315,8 @@ def check_picard_oracle(k_max, seed):
     return _result(dev, 1e-6)
 
 
-def check_general_scheme_picard(k_max, seed):
+@check("charge")
+def check_general_scheme_picard():
     # generic (f, phi) pair for the charge-like scheme, against the same
     # fixed-point oracle on a 4x finer grid
     k_use = 15
@@ -297,9 +332,8 @@ def check_general_scheme_picard(k_max, seed):
     return _result(dev, 1e-6)
 
 
-# ---------------------------------------------------------------- propagator
-
-def check_galerkin_ode_oracle(k_max, seed):
+@check("propagator")
+def check_galerkin_ode_oracle():
     # the full charge+assembly pipeline against direct adaptive ODE
     # integration of the equivalent truncated mode system
     k_use = 25
@@ -310,7 +344,8 @@ def check_galerkin_ode_oracle(k_max, seed):
     return _result(dev, 1e-6)
 
 
-def check_unitarity_dt_order(k_max, seed):
+@check("propagator")
+def check_unitarity_dt_order():
     dts, drifts = [4e-3, 2e-3, 1e-3], []
     for dt in dts:
         grid, psi0, alpha = _bump_run(25, int(round(2.0 / dt)))
@@ -320,7 +355,8 @@ def check_unitarity_dt_order(k_max, seed):
     return _result(slope, 1.9, ">=", detail=f"drifts {drifts}")
 
 
-def check_unitarity_kmax_bound(k_max, seed):
+@check("propagator")
+def check_unitarity_kmax_bound():
     # the truncation contribution to the norm drift sits below the dt^2 floor
     # at every k_max (the tail-corrected truncated system is effectively a
     # projected self-adjoint dynamics), so the k_max branch of the tolerance
@@ -333,7 +369,8 @@ def check_unitarity_kmax_bound(k_max, seed):
     return _result(max(drifts), 1e-8, detail=f"drifts over k_max {ks}: {drifts}")
 
 
-def check_mild_odd_support(k_max, seed):
+@check("propagator")
+def check_mild_odd_support():
     grid, psi0, alpha = _bump_run(101, 500, t_end=1.0)
     res = propagator.evolve(psi0, alpha, grid)
     worst = 0.0
@@ -344,7 +381,8 @@ def check_mild_odd_support(k_max, seed):
     return _result(worst, 0.0)
 
 
-def check_boundary_equivalence(k_max, seed):
+@check("propagator")
+def check_boundary_equivalence(k_max):
     grid = TimeGrid(1.0, 1000)
     psi0 = SpectralCoefficients.unit(1, k_max)
     alpha = chg.CouplingProfile.sine_bump(1.0, 1.0)
@@ -352,7 +390,8 @@ def check_boundary_equivalence(k_max, seed):
     return _result(res.max_boundary_residual(), 1e-8)
 
 
-def check_phi4_identity(k_max, seed):
+@check("propagator")
+def check_phi4_identity(seed):
     # -d2/dx2[F(w,t) - w(t)G] = i F(w',t) + lam w(t) G, coefficientwise, for
     # piecewise-linear w with w(0)=0; also pins the (lam_k + lam) sign of the
     # Green-difference expansion
@@ -379,7 +418,8 @@ def check_phi4_identity(k_max, seed):
     return _result(worst, 1e-8)
 
 
-def check_green_difference_sign(k_max, seed):
+@check("propagator")
+def check_green_difference_sign():
     # Q(t) = (e^{itLap}-1)G + F(1,t) expands with denominator lam_k(lam_k + lam);
     # the (lam_k - lam) variant does not match
     k_use = 101
@@ -411,7 +451,8 @@ def _coupled_eigenstate(alpha_c, k_max):
     return energy, state.scaled(scale), scale
 
 
-def check_eigenstate_rotation(k_max, seed):
+@check("propagator")
+def check_eigenstate_rotation(k_max):
     alpha_c = 0.5
     energy, state, _ = _coupled_eigenstate(alpha_c, k_max)
     ds = propagator.decompose(state, -alpha_c * spectral.origin_trace(state))
@@ -425,7 +466,8 @@ def check_eigenstate_rotation(k_max, seed):
                    detail=f"fidelity defect {fidelity_defect:.2e}, vector err {vec_err:.2e}")
 
 
-def check_hamiltonian_eigenstate(k_max, seed):
+@check("propagator")
+def check_hamiltonian_eigenstate(k_max):
     energy, state, scale = _coupled_eigenstate(-1.5, k_max)
     ds = propagator.decompose(state, scale)  # q = 1 before normalization
     out = propagator.apply_hamiltonian(ds)
@@ -433,7 +475,8 @@ def check_hamiltonian_eigenstate(k_max, seed):
     return _result(dev, 1e-6)
 
 
-def check_regular_part_h2_tail(k_max, seed):
+@check("propagator")
+def check_regular_part_h2_tail(k_max):
     grid, psi0, alpha = _bump_run(k_max, 2000)
     res = propagator.evolve(psi0, alpha, grid)
     q_end = res.charge.q[-1]
@@ -445,7 +488,8 @@ def check_regular_part_h2_tail(k_max, seed):
     return _result(slope if ok else 0.0, -1.0, "<=", detail=f"tails {tails}")
 
 
-def check_energy_constant_static(k_max, seed):
+@check("propagator")
+def check_energy_constant_static(k_max):
     alpha_c = 0.5
     _, state, _ = _coupled_eigenstate(alpha_c, k_max)
     ds = propagator.decompose(state, -alpha_c * spectral.origin_trace(state))
@@ -455,16 +499,16 @@ def check_energy_constant_static(k_max, seed):
     return _result(rep.energy_drift, 1e-5)
 
 
-def check_energy_balance(k_max, seed):
+@check("propagator")
+def check_energy_balance(k_max):
     grid, psi0, alpha = _bump_run(k_max, 2000)
     res = propagator.evolve(psi0, alpha, grid)
     rep = propagator.diagnostics(res, alpha)
     return _result(rep.energy_balance_relative, 1e-3)
 
 
-# ---------------------------------------------------------------- control
-
-def check_linearized_linearity(k_max, seed):
+@check("control")
+def check_linearized_linearity():
     grid = TimeGrid(1.0, 500)
     psi0 = SpectralCoefficients.unit(1, 101)
     alpha = chg.CouplingProfile.sine_bump(0.3, 1.0)
@@ -476,7 +520,8 @@ def check_linearized_linearity(k_max, seed):
     return _result(dev, 1e-10)
 
 
-def check_even_sector_closure(k_max, seed):
+@check("control")
+def check_even_sector_closure():
     grid = TimeGrid(1.0, 500)
     k_use = 101
     a = np.zeros(k_use, dtype=complex)
@@ -490,6 +535,7 @@ def check_even_sector_closure(k_max, seed):
     return _result(dev, 0.0)
 
 
+@check("control")
 def check_moment_exactness(k_max, seed):
     rng = np.random.default_rng(seed + 10)
     t_end = 8.0 * np.pi
@@ -505,7 +551,8 @@ def check_moment_exactness(k_max, seed):
     return _result(worst, 1e-8)
 
 
-def check_gateaux_continuity(k_max, seed):
+@check("control")
+def check_gateaux_continuity(seed):
     rng = np.random.default_rng(seed + 11)
     grid = TimeGrid(1.0, 500)
     psi0 = SpectralCoefficients.unit(1, 101)
@@ -529,8 +576,8 @@ def check_gateaux_continuity(k_max, seed):
     return _result(0.0 if monotone else 1.0, 0.0, detail=f"operator gaps {sups}")
 
 
-def check_frechet_order(k_max, seed):
-    rng = np.random.default_rng(seed + 12)
+@check("control")
+def check_frechet_order():
     grid = TimeGrid(2.0, 1000)
     psi0 = SpectralCoefficients.unit(1, 101)
     t = grid.times
@@ -548,7 +595,8 @@ def check_frechet_order(k_max, seed):
     return _result(worst_slope, 1.9, ">=")
 
 
-def check_lipschitz_ratio(k_max, seed):
+@check("control")
+def check_lipschitz_ratio():
     grid = TimeGrid(2.0, 1000)
     psi0 = SpectralCoefficients.unit(1, 101)
     amps = [0.08, 0.10, 0.12, 0.14, 0.16]
@@ -561,76 +609,21 @@ def check_lipschitz_ratio(k_max, seed):
     return _result(max(ratios), 10.0, detail=f"ratios {ratios}")
 
 
-# module -> its checks; a check's name is its function's name without `check_`,
-# with dashes, on its PASS and FAIL lines alike
-_CHECK_MODULES = {
-    "spectral": [
-        check_orthonormality,
-        check_parseval,
-        check_free_evolve_group,
-        check_origin_trace_series,
-    ],
-    "greens": [
-        check_series_closed_order,
-        check_derivative_jump,
-        check_pole_bracketing,
-        check_fd_oracle,
-    ],
-    "charge": [
-        check_dt_self_convergence,
-        check_kmax_truncation_decay,
-        check_u_zero_at_start,
-        check_u_integration_by_parts,
-        check_u_constant_analytic,
-        check_u_linearity,
-        check_conjugation_reversal,
-        check_large_amplitude_wellposed,
-        check_picard_oracle,
-        check_general_scheme_picard,
-    ],
-    "propagator": [
-        check_galerkin_ode_oracle,
-        check_unitarity_dt_order,
-        check_unitarity_kmax_bound,
-        check_mild_odd_support,
-        check_boundary_equivalence,
-        check_phi4_identity,
-        check_green_difference_sign,
-        check_eigenstate_rotation,
-        check_hamiltonian_eigenstate,
-        check_regular_part_h2_tail,
-        check_energy_constant_static,
-        check_energy_balance,
-    ],
-    "control": [
-        check_linearized_linearity,
-        check_even_sector_closure,
-        check_moment_exactness,
-        check_gateaux_continuity,
-        check_frechet_order,
-        check_lipschitz_ratio,
-    ],
-}
-
-CHECKS = [fn for fns in _CHECK_MODULES.values() for fn in fns]
-
-
 def run_checks(module_filter: str | None = None, k_max: int = spectral.DEFAULT_K_MAX,
-               seed: int = 20260809) -> list[CheckResult]:
-    if module_filter is not None and module_filter not in _CHECK_MODULES:
+               seed: int = DEFAULT_SEED) -> list[CheckResult]:
+    modules = {fn.module for fn in CHECKS}
+    if module_filter is not None and module_filter not in modules:
         raise InputError(f"unknown module filter {module_filter!r}; "
-                         f"choose from {sorted(_CHECK_MODULES)}")
+                         f"choose from {sorted(modules)}")
     if seed < 0:
         raise InputError(f"--seed must be a non-negative integer, got {seed}")
     results = []
-    for module, fns in _CHECK_MODULES.items():
-        if module_filter and module != module_filter:
+    for fn in CHECKS:
+        if module_filter and fn.module != module_filter:
             continue
-        for fn in fns:
-            name = fn.__name__.removeprefix("check_").replace("_", "-")
-            try:
-                res = replace(fn(k_max, seed), module=module, name=name)
-            except Exception as exc:  # a crashed check is a failed check
-                res = CheckResult(False, float("nan"), 0.0, "<=", f"error: {exc}", module, name)
-            results.append(res)
+        try:
+            res = replace(call_check(fn, k_max=k_max, seed=seed), module=fn.module, name=fn.name)
+        except Exception as exc:  # a crashed check is a failed check
+            res = CheckResult(False, float("nan"), 0.0, "<=", f"error: {exc}", fn.module, fn.name)
+        results.append(res)
     return results

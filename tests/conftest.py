@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from deltabox.kernels import slope_moments
-
-SEED = 20260809
+from deltabox.spectral import DEFAULT_K_MAX
+from deltabox.verify import DEFAULT_SEED as SEED, call_check
 
 
 @pytest.fixture
@@ -11,9 +11,10 @@ def rng():
     return np.random.default_rng(SEED)
 
 
-def assert_check(check_fn, k_max=401, seed=SEED):
-    """Run a verify-battery check and assert it passed, showing its report line."""
-    result = check_fn(k_max, seed)
+def assert_check(check_fn, k_max=DEFAULT_K_MAX, seed=SEED):
+    """Run a verify-battery check, given the inputs it names as `deltabox verify` gives
+    them, and assert it passed, showing its report line."""
+    result = call_check(check_fn, k_max=k_max, seed=seed)
     assert result.passed, result.line()
     return result
 

@@ -32,7 +32,7 @@ from deltabox.spectral import (
     origin_trace,
 )
 
-SEED = 20260809
+from conftest import SEED
 
 
 def record(number: int, description: str, ok: bool, detail: str):

@@ -1,5 +1,8 @@
+import functools
+import inspect
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -191,6 +194,7 @@ BAD_INPUTS = {
     "sweep-repeated-level": ["sweep", "--levels=1e-3,1e-3,1e-3"],
     "sweep-nan-min-slope": ["sweep", "--what", "green-kmax", "--min-slope", "nan"],
     "sweep-inf-min-slope": ["sweep", "--what", "green-kmax", "--min-slope", "inf"],
+    "sweep-unknown-what": ["sweep", "--what", "bogus"],
     "domain-zero-charge": ["simulate", "--psi0", "domain:{state}:0:0", "--alpha", "const:1",
                            *SMALL_RUN],
     "control-zero-kmax": ["control", "--target", "{empty_target}", "--k-max", "0"],
@@ -252,6 +256,7 @@ class TestInputContracts:
         assert code == 1
         assert err.startswith("configuration error:")
         assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()  # a refused command writes nothing
 
     @pytest.mark.parametrize("config, flags, message", [
         # one k_max rule for flags and config files, named after its source
@@ -576,6 +581,61 @@ class TestVerifyCommand:
         assert [r.line().split()[:2] for r in crashed] == [
             ["FAIL", name] for status, name in passed if status == "PASS"]
         assert all(r.detail == "error: boom" for r in crashed)
+
+    def test_each_check_registered_once_where_defined(self):
+        from deltabox import verify
+
+        defined = [fn for name, fn in vars(verify).items() if name.startswith("check_")]
+        assert len(verify.CHECKS) == len(set(verify.CHECKS)) == len(defined) == 36
+        assert set(verify.CHECKS) == set(defined)
+        names = [f"{fn.module}.{fn.name}" for fn in verify.CHECKS]
+        assert len(set(names)) == len(names)
+
+    def test_registry_order_and_inputs(self):
+        from deltabox import verify
+
+        modules = [fn.module for fn in verify.CHECKS]
+        order = ["spectral", "greens", "charge", "propagator", "control"]
+        assert list(dict.fromkeys(modules)) == order
+        assert modules == sorted(modules, key=order.index)  # each module's checks together
+        for fn in verify.CHECKS:
+            params = inspect.signature(fn).parameters
+            assert fn.inputs == tuple(params) and set(params) <= {"k_max", "seed"}, fn.name
+
+    @pytest.mark.parametrize("flag, dest, count", [("--k-max", "k_max", 9), ("--seed", "seed", 11)])
+    def test_help_names_the_checks_an_input_reaches(self, flag, dest, count, capsys):
+        from deltabox import verify
+
+        assert run_cli(["verify", "--help"]) == 0
+        # argparse wraps the help text, at hyphens too
+        text = " ".join(capsys.readouterr().out.split()).replace("- ", "-")
+        options = re.split(r" (?=--[a-z-]+ [A-Z_]+ )", text)
+        help_text = next(o for o in options if o.startswith(f"{flag} "))
+        named = re.findall(r"[a-z]+\.[a-z0-9-]*[a-z0-9]", help_text)
+        reads = [f"{fn.module}.{fn.name}" for fn in verify.CHECKS if dest in fn.inputs]
+        assert named == reads and len(reads) == count
+
+    def test_wrapped_check_gets_only_its_inputs(self, monkeypatch):
+        # as perfbench's tracer does: a functools.wraps wrapper stands in the registry
+        from deltabox import verify
+
+        calls = []
+
+        def traced(fn):
+            @functools.wraps(fn)
+            def wrapper(*args, **kwargs):
+                calls.append(kwargs)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        picked = [verify.check_pole_bracketing, verify.check_boundary_equivalence,
+                  verify.check_derivative_jump, verify.check_free_evolve_group]
+        monkeypatch.setattr(verify, "CHECKS", [traced(fn) for fn in picked])
+        results = verify.run_checks(k_max=21, seed=7)
+        assert calls == [{}, {"k_max": 21}, {"seed": 7}, {"k_max": 21, "seed": 7}]
+        assert [r.line().split()[1] for r in results] == [
+            "greens.pole-bracketing", "propagator.boundary-equivalence",
+            "greens.derivative-jump", "spectral.free-evolve-group"]
 
 
 class TestSweepCommand:
