@@ -1,7 +1,9 @@
 """Command-line front end: simulate, spectrum, green, control, verify, sweep.
 
 Exit codes: 0 success, 1 configuration/validation problem, 2 solver failure,
-3 file I/O failure.  DELTABOX_OUTDIR overrides the output directory.  Every
+3 file I/O failure.  simulate, spectrum, control and sweep compute first, then
+write once through `_write_run`: their artifacts in the output directory
+(DELTABOX_OUTDIR overrides it), then manifest.txt, last.  Every
 numeric field of user input goes through iofiles.parse_number, so a malformed
 value is a configuration error, never a traceback: numeric flags are read as
 text and converted in `main` (each subcommand lists its own in `numbers`);
@@ -14,6 +16,7 @@ import argparse
 import hashlib
 import os
 import sys
+import textwrap
 import warnings
 
 import numpy as np
@@ -60,10 +63,6 @@ CONTROL_RESIDUAL_REL = 1e-2
 
 _SIMULATE_KEYS = {"psi0", "alpha", "T", "n_steps", "k_max", "outdir",
                   "tol_norm_drift", "tol_boundary"}
-
-
-def _outdir(args_outdir: str) -> str:
-    return os.environ.get("DELTABOX_OUTDIR", args_outdir)
 
 
 def _parse_psi0(descriptor: str, k_max: int):
@@ -129,6 +128,20 @@ def _by_contents(descriptor: str) -> str:
         return f"{kind}:{hashlib.sha256(fh.read()).hexdigest()}{sep}{fields}"
 
 
+def _write_run(outdir: str, artifacts: dict, sections: dict) -> None:
+    """Every command's one write, after its computation: each artifact, file name ->
+    (writer, *args), as writer(path, *args) in outdir (or DELTABOX_OUTDIR), then
+    manifest.txt last (so a manifest means the run completed) with the command's
+    sections (`inputs` first, with its config_hash), `outputs` and `runtime`."""
+    outdir = os.environ.get("DELTABOX_OUTDIR", outdir)
+    paths = {name: os.path.join(outdir, name) for name in artifacts}
+    for name, (writer, *args) in artifacts.items():
+        writer(paths[name], *args)
+    write_manifest(os.path.join(outdir, "manifest.txt"),
+                   {**sections, "outputs": paths, "runtime": runtime_record()})
+    print(f"artifacts in {outdir} (config {sections['inputs']['config_hash']})")
+
+
 def cmd_simulate(args) -> int:
     cfg = {"psi0": args.psi0, "alpha": args.alpha, "T": str(args.T),
            "n_steps": str(args.n_steps), "k_max": str(args.k_max)}
@@ -150,7 +163,6 @@ def cmd_simulate(args) -> int:
     grid = TimeGrid(t_end, n_steps)
     psi0 = _parse_psi0(cfg["psi0"], k_max)
     alpha = _parse_alpha(cfg["alpha"], t_end)
-    outdir = _outdir(cfg.get("outdir", args.outdir))
     # only what decides the artifacts' numbers: not outdir, not the tolerances
     chash = config_hash({"psi0": _by_contents(cfg["psi0"]), "alpha": _by_contents(cfg["alpha"]),
                          "T": repr(t_end), "n_steps": repr(n_steps), "k_max": repr(k_max)})
@@ -158,27 +170,17 @@ def cmd_simulate(args) -> int:
     result = evolve(psi0, alpha, grid)
     report = diagnostics(result, alpha)
 
-    os.makedirs(outdir, exist_ok=True)
+    print(report.to_text())
     header = {"config_hash": chash, "dt": repr(grid.dt), "k_max": k_max,
               "alpha": cfg["alpha"], "tool_version": __version__}
-    traj_path = os.path.join(outdir, "trajectory.csv")
-    save_trajectory_csv(traj_path, grid.times, result.charge.q, header)
-    state_path = os.path.join(outdir, "final_state.txt")
-    save_state(state_path, result.final_state)
-    manifest_path = os.path.join(outdir, "manifest.txt")
-    write_manifest(manifest_path, {
-        "inputs": {**cfg, "config_hash": chash},
-        "outputs": {"trajectory": traj_path, "final_state": state_path},
-        "diagnostics": {
-            "norm_drift": repr(report.norm_drift),
-            "boundary_residual_max": repr(report.max_boundary_residual),
-            "energy_drift": repr(report.energy_drift),
-            "energy_balance_rel": repr(report.energy_balance_relative),
-        },
-        "runtime": runtime_record(),
-    })
-    print(report.to_text())
-    print(f"artifacts in {outdir} (config {chash})")
+    _write_run(cfg.get("outdir", args.outdir),
+               {"trajectory.csv": (save_trajectory_csv, grid.times, result.charge.q, header),
+                "final_state.txt": (save_state, result.final_state)},
+               {"inputs": {**cfg, "config_hash": chash}, "diagnostics": {
+                   "norm_drift": repr(report.norm_drift),
+                   "boundary_residual_max": repr(report.max_boundary_residual),
+                   "energy_drift": repr(report.energy_drift),
+                   "energy_balance_rel": repr(report.energy_balance_relative)}})
 
     code = EXIT_OK
     for name, value, tol, per_node in (
@@ -196,20 +198,20 @@ def cmd_simulate(args) -> int:
 def cmd_spectrum(args) -> int:
     window = default_window(args.k_max)
     if args.window:
-        window = tuple(parse_number(v, float, "window LO:HI")
-                       for v in args.window.partition(":")[::2])
-        if not window[0] < window[1]:
+        lo, hi = (parse_number(v, float, "window LO:HI") for v in args.window.partition(":")[::2])
+        if not lo < hi:
             raise InputError(f"--window {args.window!r} is empty: HI must exceed LO")
+        if hi > window[1]:  # the odd sector alone has a level at every m^2 <= HI
+            raise InputError(f"--window HI {hi!r} exceeds {window[1]!r}, the top of the "
+                             f"range that --k-max {args.k_max} resolves; raise --k-max")
+        window = (lo, hi)
     eigs = static_eigenvalues(args.alpha, window)
-    outdir = _outdir(args.outdir)
-    os.makedirs(outdir, exist_ok=True)
-    path = os.path.join(outdir, "spectrum.csv")
-    save_spectrum_csv(path, eigs, {"alpha": repr(args.alpha),
-                                   "window": f"{window[0]}:{window[1]}",
-                                   "k_max": args.k_max})
     for energy, sector in eigs:
         print(f"{energy!r},{sector}")
-    print(f"wrote {path}")
+    fields = {"alpha": repr(args.alpha), "window": f"{window[0]}:{window[1]}",
+              "k_max": args.k_max}
+    _write_run(args.outdir, {"spectrum.csv": (save_spectrum_csv, eigs, fields)},
+               {"inputs": {**fields, "config_hash": config_hash(fields)}})
     return EXIT_OK
 
 
@@ -229,35 +231,28 @@ def cmd_control(args) -> int:
     t_end = args.T * np.pi
     target = ControlTarget(load_target_csv(args.target, args.k_max), t_end)
     grid = TimeGrid(t_end, args.n_steps)
-    # everything is computed before anything is written: a configuration error
-    # leaves the outdir alone
     alpha = synthesize_control(target, args.k_bar, grid)
     unreachable = np.abs(real_moments(target, args.k_bar, grid)[1])
     reach = apply_linearized(CouplingProfile.zero(t_end), alpha.samples,
                              SpectralCoefficients.unit(args.k_bar, args.k_max), grid)
     errors = np.abs(target.c.a - reach.a)[0::2]
     residual = float(np.max(errors))
-    report_lines = [
-        f"horizon {t_end!r}",
-        f"moment_residual {residual!r}",
-        f"unreachable {float(np.max(unreachable))!r}",
-    ]
+    report_lines = [f"horizon {t_end!r}", f"moment_residual {residual!r}",
+                    f"unreachable {float(np.max(unreachable))!r}"]
     if args.experiment:
         rep = controllability_experiment(args.k_bar, [1e-1, 3e-2, 1e-2], target, alpha,
                                          reach)
         report_lines.append(rep.to_text())
-    outdir = _outdir(args.outdir)
-    os.makedirs(outdir, exist_ok=True)
-    upath = os.path.join(outdir, "control.csv")
-    save_control_csv(upath, alpha, {"k_bar": args.k_bar, "T": repr(t_end)})
     report = "\n".join(report_lines) + "\n"
-    rpath = os.path.join(outdir, "control_report.txt")
-    atomic_write_text(rpath, report)
-    mpath = os.path.join(outdir, "manifest.txt")
-    write_manifest(mpath, {"outputs": {"control": upath, "report": rpath},
-                           "runtime": runtime_record()})
     print(report, end="")
-    print(f"wrote {upath}, {rpath}, {mpath}")
+    inputs = {"target": args.target, "k_bar": args.k_bar, "T": repr(args.T),
+              "k_max": args.k_max, "n_steps": args.n_steps, "experiment": args.experiment}
+    # the target hashes by its bytes, as a simulate file: input does; outdir does not enter
+    chash = config_hash({**inputs, "target": _by_contents(f"file:{args.target}")})
+    _write_run(args.outdir,
+               {"control.csv": (save_control_csv, alpha, {"k_bar": args.k_bar, "T": repr(t_end)}),
+                "control_report.txt": (atomic_write_text, report)},
+               {"inputs": {**inputs, "config_hash": chash}})
 
     bound = CONTROL_RESIDUAL_REL * float(np.max(np.abs(target.c.a)))
     if residual > bound:
@@ -296,15 +291,15 @@ def cmd_sweep(args) -> int:
         rows, slope = sweep([parse_number(x, float, "levels") for x in args.levels.split(",")])
     else:
         rows, slope = sweep()
-    outdir = _outdir(args.outdir)  # created only once the sweep has run
-    os.makedirs(outdir, exist_ok=True)
-    path = os.path.join(outdir, f"sweep_{args.what}.csv")
     lines = [f"# slope={slope!r}", header]
     lines += [f"{level!r},{err!r}" for level, err in rows]
-    atomic_write_text(path, "\n".join(lines) + "\n")
-    for level, err in rows:
-        print(f"{level!r},{err!r}")
-    print(f"slope {slope!r} (minimum {min_slope}); wrote {path}")
+    print(*lines[2:], sep="\n")
+    print(f"slope {slope!r} (minimum {min_slope});", end=" ")  # the artifacts line follows
+    # the levels as swept (sorted, defaults filled in); --min-slope decides only the exit
+    inputs = {"what": args.what, "levels": ",".join(repr(level) for level, _ in rows)}
+    _write_run(args.outdir,
+               {f"sweep_{args.what}.csv": (atomic_write_text, "\n".join(lines) + "\n")},
+               {"inputs": {**inputs, "config_hash": config_hash(inputs)}})
     return EXIT_OK if slope >= min_slope else EXIT_SOLVER
 
 
@@ -355,10 +350,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_control, numbers={"k_bar": int, "T": float, "k_max": int,
                                               "n_steps": int})
 
-    p = sub.add_parser("verify", help="run the invariant battery")
+    # help wrapped here, not by argparse, so that no check name breaks at a hyphen
+    p = sub.add_parser("verify", help="run the invariant battery",
+                       formatter_class=argparse.RawTextHelpFormatter)
     p.add_argument("--filter", help="restrict to one module")
-    reach = {name: "read only by " + ", ".join(f"{fn.module}.{fn.name}" for fn in CHECKS
-                                              if name in fn.inputs) for name in ("k_max", "seed")}
+    reach = {name: textwrap.fill("read only by " + ", ".join(
+        f"{fn.module}.{fn.name}" for fn in CHECKS if name in fn.inputs), 54,
+        break_on_hyphens=False) for name in ("k_max", "seed")}
     p.add_argument("--k-max", default=DEFAULT_K_MAX, dest="k_max", help=reach["k_max"])
     p.add_argument("--seed", default=DEFAULT_SEED, help=reach["seed"])
     p.add_argument("--out", help="write the report to this path")

@@ -20,6 +20,7 @@ from deltabox.cli import _SIMULATE_KEYS, _parse_alpha, _parse_psi0, main
 from deltabox.control import ControlTarget, apply_linearized, synthesize_control
 from deltabox.kernels import THREAD_VARIABLES, _bundled_trsv
 from deltabox.iofiles import (
+    atomic_write_text,
     config_hash,
     load_state,
     load_target_csv,
@@ -121,14 +122,6 @@ class TestSimulate:
         assert code == 0
         assert peak < 64 * (n_steps + 1) * 16
 
-    def test_env_outdir_override(self, tmp_path, monkeypatch):
-        envdir = tmp_path / "envout"
-        monkeypatch.setenv("DELTABOX_OUTDIR", str(envdir))
-        code = run_cli(["simulate", "--psi0", "eig:1", "--alpha", "zero", "--T", "0.5",
-                        "--n-steps", "50", "--k-max", "21", "--outdir", str(tmp_path / "ig")])
-        assert code == 0
-        assert (envdir / "manifest.txt").exists()
-
     def test_domain_state_input(self, tmp_path, rng):
         # regular part on odd modes with zero charge, driven by a bump
         # (alpha(0) = 0 keeps the boundary relation trivially compatible)
@@ -182,6 +175,9 @@ BAD_INPUTS = {
     "domain-shift": ["simulate", "--psi0", "domain:{state}:0:0:y", *SMALL_RUN],
     "spectrum-window": ["spectrum", "--alpha", "1.0", "--window", "5"],
     "spectrum-reversed-window": ["spectrum", "--alpha", "1.0", "--window=5:-5"],
+    # HI past the range --k-max resolves: the odd sector alone would list every m^2 <= HI
+    "spectrum-unbounded-window": ["spectrum", "--alpha", "2", "--k-max", "3",
+                                  "--window=-5:1e308"],
     "config-kmax-zero": ["simulate", "--config", "{kmax_zero_config}"],
     "state-line": ["simulate", "--psi0", "file:{bad_state}", *SMALL_RUN],
     "target-line": ["control", "--target", "{bad_target}", "--k-max", "21"],
@@ -607,13 +603,22 @@ class TestVerifyCommand:
         from deltabox import verify
 
         assert run_cli(["verify", "--help"]) == 0
-        # argparse wraps the help text, at hyphens too
-        text = " ".join(capsys.readouterr().out.split()).replace("- ", "-")
+        text = " ".join(capsys.readouterr().out.split())
         options = re.split(r" (?=--[a-z-]+ [A-Z_]+ )", text)
         help_text = next(o for o in options if o.startswith(f"{flag} "))
         named = re.findall(r"[a-z]+\.[a-z0-9-]*[a-z0-9]", help_text)
         reads = [f"{fn.module}.{fn.name}" for fn in verify.CHECKS if dest in fn.inputs]
         assert named == reads and len(reads) == count
+
+    def test_help_keeps_check_names_whole(self, capsys):
+        # each name can be copied from the help as one token: no line breaks at its hyphens
+        from deltabox import verify
+
+        assert run_cli(["verify", "--help"]) == 0
+        tokens = {token.rstrip(",") for token in capsys.readouterr().out.split()}
+        for fn in verify.CHECKS:
+            if fn.inputs:
+                assert f"{fn.module}.{fn.name}" in tokens
 
     def test_wrapped_check_gets_only_its_inputs(self, monkeypatch):
         # as perfbench's tracer does: a functools.wraps wrapper stands in the registry
@@ -681,7 +686,8 @@ class TestControlCommand:
         # rho(0) = rho(T) = 0 exactly, written without a sign
         assert lines[3] == "0.0,0.0" and lines[-1] == f"{8 * math.pi!r},0.0"
         assert manifest_section(out / "manifest.txt", "outputs") == {
-            "control": str(out / "control.csv"), "report": str(out / "control_report.txt")}
+            "control.csv": str(out / "control.csv"),
+            "control_report.txt": str(out / "control_report.txt")}
         assert_runtime_section(out / "manifest.txt")
 
     @pytest.mark.parametrize("k, code", [(7, 2), (41, 0)])
@@ -753,6 +759,50 @@ class TestControlCommand:
             assert np.max(np.abs(state.a - expected)) <= 1e-11, k
 
 
+class TestWritePath:
+    # each writing command, its flags and its artifacts
+    COMMANDS = {
+        "simulate": (["simulate", "--T", "0.5", "--n-steps", "50", "--k-max", "21"],
+                     ["trajectory.csv", "final_state.txt"]),
+        "spectrum": (["spectrum", "--alpha", "2.0", "--window=-5:5"], ["spectrum.csv"]),
+        "control": (["control", "--target", "{target}", "--k-max", "21", "--n-steps", "2000"],
+                    ["control.csv", "control_report.txt"]),
+        "sweep": (["sweep", "--what", "green-kmax"], ["sweep_green-kmax.csv"]),
+    }
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_one_write_path(self, command, tmp_path, monkeypatch):
+        target = tmp_path / "target.csv"
+        target.write_text("k,re_c,im_c\n3,1.0,0.0\n")
+        args, artifacts = self.COMMANDS[command]
+        args = [a.format(target=target) for a in args]
+        written = []
+
+        def recording(path, text):
+            written.append(os.path.basename(path))
+            atomic_write_text(path, text)
+
+        # every writer ends in atomic_write_text; the report is written through cli's name
+        monkeypatch.setattr(deltabox.iofiles, "atomic_write_text", recording)
+        monkeypatch.setattr(deltabox.cli, "atomic_write_text", recording)
+        assert run_cli([*args, "--outdir", str(tmp_path / "out")]) == 0
+        assert written == [*artifacts, "manifest.txt"]  # the manifest last
+        monkeypatch.setenv("DELTABOX_OUTDIR", str(tmp_path / "env"))
+        assert run_cli([*args, "--outdir", str(tmp_path / "ignored")]) == 0
+        assert not (tmp_path / "ignored").exists()
+        hashes = []
+        for outdir in (tmp_path / "out", tmp_path / "env"):
+            assert sorted(os.listdir(outdir)) == sorted([*artifacts, "manifest.txt"])
+            manifest = outdir / "manifest.txt"
+            assert manifest_section(manifest, "outputs") == {
+                name: str(outdir / name) for name in artifacts}
+            hashes.append(manifest_section(manifest, "inputs")["config_hash"])
+            assert_runtime_section(manifest)
+        assert hashes[0] == hashes[1] and len(hashes[0]) == 12
+        for name in artifacts:
+            assert (tmp_path / "out" / name).read_bytes() == (tmp_path / "env" / name).read_bytes()
+
+
 class TestConfigHash:
     SMALL = ["--T", "0.5", "--n-steps", "50", "--k-max", "21"]
 
@@ -793,6 +843,26 @@ class TestConfigHash:
             ["--psi0", psi0.format(state), "--alpha", f"pl:{alpha}", *self.SMALL],
             tmp_path / "out-changed")
         assert changed != hashes[1]
+
+    @staticmethod
+    def control_hash(target, outdir):
+        assert run_cli(["control", "--target", str(target), "--k-max", "21",
+                        "--n-steps", "2000", "--outdir", str(outdir)]) == 0
+        return manifest_section(outdir / "manifest.txt", "inputs")["config_hash"]
+
+    def test_control_target_hashes_by_contents(self, tmp_path):
+        rows = "k,re_c,im_c\n3,1.0,0.0\n5,0.0,0.5\n"
+        hashes = []
+        for name in ("a", "b"):
+            (tmp_path / name).mkdir()
+            target = tmp_path / name / "target.csv"
+            target.write_text(rows)
+            hashes.append(self.control_hash(target, tmp_path / f"out-{name}"))
+        assert hashes[0] == hashes[1]
+        assert self.control_hash(target, tmp_path / "out-again") == hashes[1]
+        # one coefficient changed at the same path
+        target.write_text(rows.replace("0.5", "0.25"))
+        assert self.control_hash(target, tmp_path / "out-changed") != hashes[1]
 
     def test_config_file_hashes_like_flags(self, tmp_path):
         flags = ["--psi0", "eig:1", "--alpha", "bump:0.4", *self.SMALL]
