@@ -27,7 +27,6 @@ part of the target a real control can reach.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -291,7 +290,6 @@ class SteeringReport:
     displacement_errors: tuple  # |Gamma(a) - free - dGamma(a)| / |dGamma(a)|
     remainder_slope: float
     collision_note: str
-    runtime_seconds: float
 
     def to_text(self) -> str:
         lines = [f"steering anchor k_bar={self.k_bar}",
@@ -299,7 +297,6 @@ class SteeringReport:
         for eps, r, d in zip(self.epsilons, self.remainders, self.displacement_errors):
             lines.append(f"  eps={eps:<8g} remainder={r:.6e} displacement_rel_err={d:.6e}")
         lines.append(self.collision_note)
-        lines.append(f"runtime: {self.runtime_seconds:.1f} s")
         return "\n".join(lines)
 
 
@@ -332,7 +329,6 @@ def controllability_experiment(k_bar: int, epsilons, target: ControlTarget,
     (apply_linearized) that the `control` command reports; it is linear in the
     control, so reach/|target| times eps predicts every step.
     """
-    t_start = time.time()
     norm = target.c.norm()
     if norm == 0:
         raise InputError("the steering experiment needs a nonzero target")
@@ -359,4 +355,4 @@ def controllability_experiment(k_bar: int, epsilons, target: ControlTarget,
     return SteeringReport(
         k_bar=k_bar, epsilons=tuple(epsilons), remainders=tuple(remainders),
         displacement_errors=tuple(disp_errors), remainder_slope=slope,
-        collision_note=note, runtime_seconds=time.time() - t_start)
+        collision_note=note)

@@ -22,7 +22,7 @@ from deltabox.convergence import charge_dt_sweep, green_kmax_sweep
 from deltabox.greens import green_series, static_eigenvalues
 from deltabox.kernels import discrete_h1_norm, fit_loglog_slope
 from deltabox.oracles import fd_spectrum, picard_charge
-from deltabox.propagator import evolve
+from deltabox.propagator import diagnostics, evolve
 from deltabox.greens import SpectralShift
 from deltabox.spectral import (
     SpectralCoefficients,
@@ -67,8 +67,8 @@ def test_criterion_3_unitarity():
     alpha = CouplingProfile.sine_bump(0.5, 2.0)
     res = evolve(psi0, alpha, grid)
     elapsed = time.perf_counter() - t0
-    drift = res.norm_drift()
-    resid = res.max_boundary_residual()
+    rep = diagnostics(res, alpha)
+    drift, resid = rep["norm_drift"], rep["boundary_residual_max"]
     ok = drift <= 1e-6 and resid <= 1e-8 and elapsed < 60.0
     record(3, "unitarity and boundary relation at defaults",
            ok, f"norm drift={drift:.3e}<=1e-6, boundary residual={resid:.3e}<=1e-8, "

@@ -1,11 +1,13 @@
 import functools
 import inspect
+import itertools
 import math
 import os
 import re
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 
 import numpy as np
@@ -30,6 +32,7 @@ from deltabox.iofiles import (
     save_trajectory_csv,
 )
 from deltabox.errors import InputError
+from deltabox.propagator import diagnostics, evolve
 from deltabox.spectral import SpectralCoefficients, TimeGrid
 
 
@@ -164,6 +167,30 @@ class TestSimulate:
                  if ln.startswith("norm_drift=")][0].split("=")[1]
         assert f"{float(drift):.6e}" in err
         assert "peak at node" in err and "(t=" in err and "Traceback" not in err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow that makes the NaN
+    def test_nan_diagnostic_fails_its_tolerance(self, tmp_path, capsys):
+        code = run_cli(["simulate", "--alpha", "const:1e155", "--T", "1", "--n-steps", "10",
+                        "--k-max", "5", "--tol-boundary", "1e300", "--outdir", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "diagnostic tolerance exceeded: norm_drift nan > tolerance 1.000000e-06" in err
+        assert "peak at node" in err and "boundary_residual_max" not in err
+
+    def test_diagnostics_named_once(self, tmp_path, capsys):
+        # stdout, the manifest and diagnostics() show the same names in the same order
+        args = ["--psi0", "eig:1", "--alpha", "bump:0.5", "--T", "1.0", "--n-steps", "200",
+                "--k-max", "21"]
+        assert run_cli(["simulate", *args, "--outdir", str(tmp_path)]) == 0
+        printed = [ln.split() for ln in capsys.readouterr().out.splitlines()[:5]]
+        recorded = manifest_section(tmp_path / "manifest.txt", "diagnostics")
+        alpha = _parse_alpha("bump:0.5", 1.0)
+        names = list(diagnostics(evolve(SpectralCoefficients.unit(1, 21), alpha,
+                                        TimeGrid(1.0, 200)), alpha))
+        assert [name for name, _ in printed] == list(recorded) == names == [
+            "norm_drift", "boundary_residual_max", "energy_drift", "energy_balance_resid",
+            "energy_balance_rel"]
+        assert [value for _, value in printed] == [f"{float(v):.6e}" for v in recorded.values()]
 
 
 SMALL_RUN = ["--T", "0.5", "--n-steps", "10", "--k-max", "21"]
@@ -712,6 +739,19 @@ class TestControlCommand:
             assert "unreachable pairs (j^2+k^2=2*k_bar^2): [(1, 7)]" in err
         else:
             assert unreachable == 0.0 and err == ""
+
+    def test_identical_runs_give_identical_artifacts(self, tmp_path, monkeypatch):
+        target = tmp_path / "target.csv"
+        target.write_text("k,re_c,im_c\n3,0.6,0.8\n")
+        args = ["control", "--target", str(target), "--experiment", "--n-steps", "2000",
+                "--k-max", "21"]
+        # the second run sees a clock that ticks twice as fast, as on a slower machine
+        for out, seconds_per_call in (("a", 1.0), ("b", 2.0)):
+            calls = itertools.count()
+            monkeypatch.setattr(time, "time", lambda: seconds_per_call * next(calls))
+            assert run_cli(args + ["--outdir", str(tmp_path / out)]) == 0
+        for name in ("control.csv", "control_report.txt"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_even_target_rejected(self, tmp_path):
         target = tmp_path / "target.csv"

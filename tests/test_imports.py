@@ -1,5 +1,6 @@
-"""Every name a module under src/ or tests/ imports is used in that module, and
-every function the benchmark tracer wraps exists."""
+"""Every name a module under src/ or tests/ imports is used in that module, every
+function the benchmark tracer wraps exists, and every check the benchmark gate
+requires is registered."""
 
 import ast
 import importlib
@@ -7,9 +8,12 @@ from pathlib import Path
 
 import pytest
 
+from deltabox.verify import CHECKS
+
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py"))
 TRACER = ROOT / "perfbench" / "tracer.py"
+GATE = ROOT / "perfbench" / "gate.py"
 
 
 def unused_imports(tree: ast.Module) -> list[str]:
@@ -79,3 +83,34 @@ def test_guard_finds_a_missing_traced_function():
     names = traced_names(tree)
     assert names == ["kernels.phi1", "kernels.gone", "charge.apply_U"]
     assert missing_names(names) == ["kernels.gone"]
+
+
+def gated_checks(tree: ast.Module) -> list[str]:
+    """The names of the module-level VERIFY_CHECKS tuple literal, read without
+    importing the module that holds it."""
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "VERIFY_CHECKS" for t in node.targets)):
+            return [elt.value for elt in node.value.elts]
+    raise LookupError("no VERIFY_CHECKS table")
+
+
+def unregistered_checks(names: list[str]) -> list[str]:
+    """The 'module.name' entries that no check in verify.CHECKS reports under."""
+    registered = {f"{fn.module}.{fn.name}" for fn in CHECKS}
+    return [name for name in names if name not in registered]
+
+
+def test_gated_checks_are_registered():
+    # the benchmark's verify gate fails an iteration on a check it does not find in the
+    # report, so a renamed or deleted check would surface only as a failed benchmark run
+    names = gated_checks(ast.parse(GATE.read_text(), str(GATE)))
+    assert names
+    assert unregistered_checks(names) == []
+
+
+def test_guard_finds_an_unregistered_gated_check():
+    tree = ast.parse("VERIFY_CHECKS = (\n    'spectral.parseval', 'spectral.gone',\n)\n")
+    names = gated_checks(tree)
+    assert names == ["spectral.parseval", "spectral.gone"]
+    assert unregistered_checks(names) == ["spectral.gone"]

@@ -68,10 +68,12 @@ class TestEvolve:
     def test_free_eigenstate_phase(self):
         grid = TimeGrid(1.0, 100)
         psi0 = SpectralCoefficients.unit(1, 51)
-        res = evolve(psi0, CouplingProfile.zero(1.0), grid)
+        alpha = CouplingProfile.zero(1.0)
+        res = evolve(psi0, alpha, grid)
         assert res.final_state.a[0] == pytest.approx(np.exp(-0.25j), abs=1e-15)
-        assert res.norm_drift() < 1e-15
-        assert res.max_boundary_residual() == 0.0
+        rep = diagnostics(res, alpha)
+        assert rep["norm_drift"] < 1e-15
+        assert rep["boundary_residual_max"] == 0.0
 
     def test_odd_state_free_evolution_exact(self):
         grid = TimeGrid(2.0, 500)
@@ -250,8 +252,18 @@ class TestDiagnostics:
         psi0 = SpectralCoefficients.unit(1, 51)
         alpha = CouplingProfile.zero(1.0)
         rep = diagnostics(evolve(psi0, alpha, grid), alpha)
-        assert rep.max_boundary_residual == 0.0
-        assert rep.energy_drift < 1e-14
+        assert rep["boundary_residual_max"] == 0.0
+        assert rep["energy_drift"] < 1e-14
+
+    def test_balance_ratio_undefined_without_a_source(self):
+        # a constant coupling has alpha' = 0, so the source alpha'|psi(0)|^2 vanishes on
+        # every node: the ratio is nan, while the residual keeps its absolute number
+        grid = TimeGrid(1.0, 10)
+        alpha = CouplingProfile.constant(0.5, 1.0)
+        rep = diagnostics(evolve(SpectralCoefficients.unit(1, 5), alpha, grid), alpha)
+        assert np.isnan(rep["energy_balance_rel"])
+        assert 0.0 < rep["energy_balance_resid"] < np.inf
+        assert rep["energy_drift"] > 0.0
 
     def test_static_coupling_conserves_energy(self):
         assert_check(verify.check_energy_constant_static)
