@@ -5,12 +5,14 @@ quadrature plus Picard fixed-point iteration instead of the
 product-integration march, the spectrum oracle discretizes the operator on a
 position grid instead of using the Green's-function condition, and the
 dynamic oracle integrates the truncated mode equations with classical
-Runge-Kutta.  They are slow and simple on purpose, and need nothing beyond
-numpy.  One piece is shared: the spectrum oracle finds its secular roots with
-greens.find_root, the bisection static_eigenvalues also uses, so a find_root
-fault could move both sides of that check alike.  The tests guard against it
-by checking fd_spectrum against scipy's eigh_tridiagonal and find_root (through
-static_eigenvalues) against brentq, and the RK4 oracle against DOP853.
+Runge-Kutta.  They need nothing beyond numpy, and take from the package only
+constants, eigenvalues, the analytic tail, the grid and the errors, never the
+march's kernels (tests/test_imports.py holds them to that list).  One piece is
+shared: the spectrum oracle finds its secular roots with greens.find_root, the
+bisection static_eigenvalues also uses, so a find_root fault could move both
+sides of that check alike.  The tests guard against it by checking fd_spectrum
+against scipy's eigh_tridiagonal and find_root (through static_eigenvalues)
+against brentq, and the RK4 oracle against DOP853.
 """
 
 from __future__ import annotations
@@ -44,34 +46,43 @@ def picard_charge(f_nodes: np.ndarray, phi_nodes: np.ndarray, v0: complex, g_coe
     raw causal integrals, plus the same analytic instantaneous-tail
     replacement the production solver uses, so both solve the identical
     equation by unrelated numerics.  kernel_sign=-1 gives the physical kernel
-    e^{-i*lam*(t-s)}; +1 solves the conjugated (time-reversed) variant.
+    e^{-i*lam*(t-s)}; +1 solves the conjugated (time-reversed) variant.  Each
+    sweep runs mode by mode in place, on weights formed once per solve.
     """
     times = grid.times
     dt = grid.dt
-    lam = odd_eigenvalues(k_max)
     sgn = 1j * kernel_sign
 
+    # kernel phases; their conjugates build g and, times dt/2, weight every sweep
+    phases, weights = [], []
     g_nodes = np.zeros(times.size, dtype=complex)
-    for lam_k in lam:
-        g_nodes += np.exp(sgn * lam_k * times) / (lam_k + shift.lam)
-    g_nodes /= np.pi
-
+    for lam_k in odd_eigenvalues(k_max):
+        phases.append(np.exp(-sgn * lam_k * times))
+        weight = np.conj(phases[-1])
+        g_nodes += weight / (lam_k + shift.lam)
+        weight *= 0.5 * dt
+        weights.append(weight[1:])
+    g_term = g_coeff * (g_nodes / np.pi)
     deficit = tail_deficit(k_max)
-    phases = [np.exp(-sgn * lam_k * times) for lam_k in lam]
 
     v = np.array(f_nodes, dtype=complex)
     v[0] = v0
+    work = np.empty(times.size, dtype=complex)
+    prefix = np.empty(times.size - 1, dtype=complex)
+    u_v = np.empty(times.size, dtype=complex)
     for _ in range(PICARD_MAX_ITER):
-        u_v = np.zeros(times.size, dtype=complex)
-        for lam_k, ph in zip(lam, phases):
-            integrand = v * ph
-            prefix = np.concatenate(
-                ([0.0], np.cumsum(0.5 * dt * (integrand[1:] + integrand[:-1]))))
-            u_v += np.conj(ph) * prefix
+        # sum_k conj(ph_k) * (cumulative trapezoid of v*ph_k)
+        u_v.fill(0.0)
+        for ph, weight in zip(phases, weights):
+            np.multiply(v, ph, out=work)
+            np.add(work[1:], work[:-1], out=prefix)
+            np.cumsum(prefix, out=prefix)
+            prefix *= weight
+            u_v[1:] += prefix
         u_v += sgn * deficit * v
         u_v[0] = 0.0
         # the i/pi prefactor conjugates along with the kernel
-        v_new = f_nodes - phi_nodes * (g_coeff * g_nodes + (-sgn / np.pi) * u_v)
+        v_new = f_nodes - phi_nodes * (g_term + (-sgn / np.pi) * u_v)
         v_new[0] = v0
         delta = float(np.max(np.abs(v_new - v)))
         v = v_new
@@ -143,6 +154,12 @@ def galerkin_evolution(a0: np.ndarray, alpha_value, t_end: float, k_max: int) ->
     GALERKIN_PHASE_STEP/lam_max.  That shares no numerics with the
     product-integration march.  alpha_value maps an array of times to the
     real coupling there.
+
+    The rate at node j is rank one, c_j p_j (conj(p_j) @ b) with p_j = e^{i*lam*t_j},
+    so each stage is a scalar on a phase row, and a stage's overlap with the previous
+    stage's row is a constant: sum_k e^{-i*lam_k*dt/2} one half step on, K on the
+    same row.  A step is one product for the overlaps conj(p) @ b at its three
+    nodes, four scalar stages, and one update b += (dt/6) [k1, 2(k2+k3), k4] @ p.
     """
     a0 = np.asarray(a0, dtype=complex)
     lam = odd_eigenvalues(k_max)
@@ -150,20 +167,24 @@ def galerkin_evolution(a0: np.ndarray, alpha_value, t_end: float, k_max: int) ->
     dt = t_end / n_steps
     times = 0.5 * dt * np.arange(2 * n_steps + 1)  # nodes and midpoints
     alphas = np.asarray(alpha_value(times), dtype=float)
-    coupling = -1j * alphas / (np.pi + alphas * tail_deficit(k_max))
+    coupling = (-1j * alphas / (np.pi + alphas * tail_deficit(k_max))).tolist()
     phases = np.exp(1j * np.outer(times, lam))
     conj_phases = np.conj(phases)
-
-    def rate(j, b):
-        return (coupling[j] * (conj_phases[j] @ b)) * phases[j]
+    # the overlaps of a stage's row with the previous stage's row
+    forward = complex(np.sum(np.exp(-0.5j * dt * lam)))
+    half_forward, half_same, full_forward = 0.5 * dt * forward, 0.5 * dt * lam.size, dt * forward
 
     b = a0[0::2].copy()
-    for n in range(n_steps):
-        k1 = rate(2 * n, b)
-        k2 = rate(2 * n + 1, b + 0.5 * dt * k1)
-        k3 = rate(2 * n + 1, b + 0.5 * dt * k2)
-        k4 = rate(2 * n + 2, b + dt * k3)
-        b = b + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    stages = np.empty(3, dtype=complex)
+    sixth, third = dt / 6.0, dt / 3.0
+    for j in range(0, 2 * n_steps, 2):
+        o0, o1, o2 = (conj_phases[j:j + 3] @ b).tolist()
+        k1 = coupling[j] * o0
+        k2 = coupling[j + 1] * (o1 + half_forward * k1)
+        k3 = coupling[j + 1] * (o1 + half_same * k2)
+        k4 = coupling[j + 2] * (o2 + full_forward * k3)
+        stages[0], stages[1], stages[2] = sixth * k1, third * (k2 + k3), sixth * k4
+        b += stages @ phases[j:j + 3]
     if not np.all(np.isfinite(b)):
         raise SolverError("reference ODE integration diverged")
     out = a0 * np.exp(-1j * eigenvalues(k_max) * t_end)

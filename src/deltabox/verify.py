@@ -272,6 +272,7 @@ def check_conjugation_reversal(seed):
     grid = TimeGrid(1.0, 1000)
     fgrid = TimeGrid(1.0, 4000)
     alpha = chg.CouplingProfile.sine_bump(0.4, 1.0)
+    av = alpha.values_on(fgrid)
     worst = 0.0
     for _ in range(5):
         a = np.zeros(k_use, dtype=complex)
@@ -279,7 +280,6 @@ def check_conjugation_reversal(seed):
         psi0 = SpectralCoefficients(k_use, a)
         traj = chg.solve_charge(alpha, psi0, grid)
         src = spectral.free_origin_series(psi0, fgrid.times)
-        av = alpha.values_on(fgrid)
         q_rev = oracles.picard_charge(np.conj(-av * src), av,
                                       np.conj(-av[0] * spectral.origin_trace(psi0)),
                                       0.0, greens.SpectralShift(), fgrid, k_use,

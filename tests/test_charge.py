@@ -44,7 +44,7 @@ from deltabox.spectral import (
 )
 from deltabox import verify
 
-from conftest import assert_check, slope_moment_history
+from conftest import assert_check, picard_reference, slope_moment_history
 
 
 class TestCouplingProfile:
@@ -452,6 +452,39 @@ class TestSolveChargeGeneral:
 
     def test_generic_against_picard_oracle(self):
         assert_check(verify.check_general_scheme_picard)
+
+
+def picard_inputs(case):
+    """picard_charge's arguments in the verify checks that call it."""
+    if case == "general-scheme-picard":  # g_coeff != 0
+        fgrid, shift = TimeGrid(2.0, 8000), SpectralShift()
+        f = np.exp(-0.3 * fgrid.times) * (1.2 + 0.5j * np.sin(2 * fgrid.times))
+        v0 = initial_charge(f[0], 0.0, shift)
+        return (f, CouplingProfile.sine_bump(0.8, 2.0).values_on(fgrid), v0, v0, shift, fgrid,
+                15)
+    if case == "picard-oracle":
+        fgrid, psi0, alpha = TimeGrid(2.0, 8000), *verify._bump_run(25, 2000)[1:]
+    else:  # conjugation-reversal: a real state, the conjugated source
+        fgrid, alpha = TimeGrid(1.0, 4000), CouplingProfile.sine_bump(0.4, 1.0)
+        a = np.zeros(25, dtype=complex)
+        a[0::2] = (np.random.default_rng(verify.DEFAULT_SEED + 7).standard_normal(13)
+                   / np.arange(1, 26, 2) ** 2)
+        psi0 = SpectralCoefficients(25, a)
+    av = alpha.values_on(fgrid)
+    f, v0 = -av * free_origin_series(psi0, fgrid.times), -av[0] * origin_trace(psi0)
+    if case == "conjugation-reversal":
+        f, v0 = np.conj(f), np.conj(v0)
+    return f, av, v0, 0.0, SpectralShift(), fgrid, 25
+
+
+class TestPicardOracle:
+    @pytest.mark.parametrize("case, kernel_sign", [("picard-oracle", -1.0),
+                                                    ("conjugation-reversal", 1.0),
+                                                    ("general-scheme-picard", -1.0)])
+    def test_in_place_sweep_matches_per_mode_trapezoid(self, case, kernel_sign):
+        args = picard_inputs(case)
+        ref = picard_reference(*args, kernel_sign=kernel_sign)
+        assert np.max(np.abs(picard_charge(*args, kernel_sign=kernel_sign) - ref)) <= 1e-13
 
 
 class TestSolveCharge:

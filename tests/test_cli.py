@@ -18,7 +18,7 @@ from hypothesis.extra import numpy as hnp
 
 import deltabox
 from deltabox.charge import CouplingProfile
-from deltabox.cli import _SIMULATE_KEYS, _parse_alpha, _parse_psi0, main
+from deltabox.cli import EXIT_SOLVER, _SIMULATE_KEYS, _parse_alpha, _parse_psi0, main
 from deltabox.control import ControlTarget, apply_linearized, synthesize_control
 from deltabox.kernels import THREAD_VARIABLES, _bundled_trsv
 from deltabox.iofiles import (
@@ -176,6 +176,18 @@ class TestSimulate:
         assert code == 2
         assert "diagnostic tolerance exceeded: norm_drift nan > tolerance 1.000000e-06" in err
         assert "peak at node" in err and "boundary_residual_max" not in err
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_coupling_reports_only_its_tolerance(self, tmp_path, capsys):
+        # the non-finite sums fail their tolerance; numpy's overflow warnings do not
+        # reach stderr on top (a warning would raise here)
+        code = run_cli(["simulate", "--psi0", "eig:1", "--alpha", "const:1e155", "--T", "1",
+                        "--n-steps", "10", "--k-max", "5", "--tol-boundary", "1e300",
+                        "--outdir", str(tmp_path)])
+        assert code == EXIT_SOLVER
+        assert capsys.readouterr().err == (
+            "diagnostic tolerance exceeded: norm_drift nan > tolerance 1.000000e-06, "
+            "peak at node 0 (t=0.0)\n")
 
     def test_diagnostics_named_once(self, tmp_path, capsys):
         # stdout, the manifest and diagnostics() show the same names in the same order

@@ -1,6 +1,6 @@
 """Every name a module under src/ or tests/ imports is used in that module, every
-function the benchmark tracer wraps exists, and every check the benchmark gate
-requires is registered."""
+function the benchmark tracer wraps exists, every check the benchmark gate
+requires is registered, and the oracles import nothing of the production numerics."""
 
 import ast
 import importlib
@@ -14,6 +14,13 @@ ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py"))
 TRACER = ROOT / "perfbench" / "tracer.py"
 GATE = ROOT / "perfbench" / "gate.py"
+ORACLES = ROOT / "src" / "deltabox" / "oracles.py"
+
+# what the independent oracles may take from the package: constants, the
+# eigenvalues, the analytic tail, the grid, the errors, and the shift and root
+# finder of the spectrum oracle; never the march's kernels (block_phases, lag_sums, _march)
+ORACLE_IMPORTS = {"SpectralShift", "find_root", "odd_eigenvalues", "tail_deficit",
+                  "BOX_HALF_WIDTH", "TimeGrid", "eigenvalues", "InputError", "SolverError"}
 
 
 def unused_imports(tree: ast.Module) -> list[str]:
@@ -114,3 +121,24 @@ def test_guard_finds_an_unregistered_gated_check():
     names = gated_checks(tree)
     assert names == ["spectral.parseval", "spectral.gone"]
     assert unregistered_checks(names) == ["spectral.gone"]
+
+
+def package_imports(tree: ast.Module) -> set[str]:
+    """The names bound by the relative (`from .x import ...`) imports of a module."""
+    return {alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level > 0 for alias in node.names}
+
+
+def test_oracles_share_no_numerics_with_the_march():
+    # an oracle that reused the production kernels would move with them, and its
+    # cross-check would no longer be independent
+    names = package_imports(ast.parse(ORACLES.read_text(), str(ORACLES)))
+    assert names
+    assert names - ORACLE_IMPORTS == set()
+
+
+def test_guard_finds_a_shared_kernel():
+    tree = ast.parse("import math\nfrom numpy import exp\n"
+                     "from .kernels import tail_deficit, lag_sums\nfrom . import charge\n"
+                     "def f():\n    from .charge import _march\n")
+    assert package_imports(tree) - ORACLE_IMPORTS == {"lag_sums", "charge", "_march"}

@@ -27,7 +27,7 @@ from deltabox.spectral import (
 )
 from deltabox import propagator, verify
 
-from conftest import assert_check, slope_moment_history
+from conftest import assert_check, galerkin_reference, slope_moment_history
 
 
 def pl_l2_norm(q, dt):
@@ -309,6 +309,18 @@ class TestIndependentDynamicOracle:
             ref = sol.y[:k_use, -1] + 1j * sol.y[k_use:, -1]
             mine = galerkin_evolution(psi0.a, alpha.value, t_end, k_use)
             assert np.max(np.abs(mine - ref)) <= 1e-9
+
+    @pytest.mark.parametrize("psi0", [SpectralCoefficients.unit(1, 25),
+                                      SpectralCoefficients(25, np.exp(0.3j * np.arange(25)) / 5.0)],
+                             ids=["galerkin-ode-oracle", "dop853-state"])
+    def test_rank_one_step_matches_dense_rk4(self, psi0):
+        # the rank-one RK4 step is the dense-rate method with the same steps and
+        # nodes: on the verify check's inputs and on a state filling every mode
+        from deltabox.oracles import galerkin_evolution
+
+        alpha = CouplingProfile.sine_bump(0.5, 2.0)
+        ref = galerkin_reference(psi0.a, alpha.value, 2.0, 25)
+        assert np.max(np.abs(galerkin_evolution(psi0.a, alpha.value, 2.0, 25) - ref)) <= 1e-13
 
     def test_order_against_ode_oracle(self):
         # halving dt quarters the deviation from the reference trajectory
