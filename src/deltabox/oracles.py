@@ -167,7 +167,7 @@ def galerkin_evolution(a0: np.ndarray, alpha_value, t_end: float, k_max: int) ->
     dt = t_end / n_steps
     times = 0.5 * dt * np.arange(2 * n_steps + 1)  # nodes and midpoints
     alphas = np.asarray(alpha_value(times), dtype=float)
-    coupling = (-1j * alphas / (np.pi + alphas * tail_deficit(k_max))).tolist()
+    coupling = -1j * alphas / (np.pi + alphas * tail_deficit(k_max))
     phases = np.exp(1j * np.outer(times, lam))
     conj_phases = np.conj(phases)
     # the overlaps of a stage's row with the previous stage's row
@@ -179,10 +179,11 @@ def galerkin_evolution(a0: np.ndarray, alpha_value, t_end: float, k_max: int) ->
     sixth, third = dt / 6.0, dt / 3.0
     for j in range(0, 2 * n_steps, 2):
         o0, o1, o2 = (conj_phases[j:j + 3] @ b).tolist()
-        k1 = coupling[j] * o0
-        k2 = coupling[j + 1] * (o1 + half_forward * k1)
-        k3 = coupling[j + 1] * (o1 + half_same * k2)
-        k4 = coupling[j + 2] * (o2 + full_forward * k3)
+        c0, c1, c2 = coupling[j:j + 3].tolist()
+        k1 = c0 * o0
+        k2 = c1 * (o1 + half_forward * k1)
+        k3 = c1 * (o1 + half_same * k2)
+        k4 = c2 * (o2 + full_forward * k3)
         stages[0], stages[1], stages[2] = sixth * k1, third * (k2 + k3), sixth * k4
         b += stages @ phases[j:j + 3]
     if not np.all(np.isfinite(b)):
