@@ -54,15 +54,15 @@ def picard_charge(f_nodes: np.ndarray, phi_nodes: np.ndarray, v0: complex, g_coe
     sgn = 1j * kernel_sign
 
     # kernel phases; their conjugates build g and, times dt/2, weight every sweep
-    phases, weights = [], []
+    lam = odd_eigenvalues(k_max)
+    phases = np.exp(-sgn * np.outer(lam, times))
+    weights = np.conj(phases)
     g_nodes = np.zeros(times.size, dtype=complex)
-    for lam_k in odd_eigenvalues(k_max):
-        phases.append(np.exp(-sgn * lam_k * times))
-        weight = np.conj(phases[-1])
+    for lam_k, weight in zip(lam, weights):
         g_nodes += weight / (lam_k + shift.lam)
-        weight *= 0.5 * dt
-        weights.append(weight[1:])
     g_term = g_coeff * (g_nodes / np.pi)
+    weights = weights[:, 1:]
+    weights *= 0.5 * dt
     deficit = tail_deficit(k_max)
 
     v = np.array(f_nodes, dtype=complex)
