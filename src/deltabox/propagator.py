@@ -242,28 +242,25 @@ def evolve(psi0, alpha: CouplingProfile, grid: TimeGrid) -> EvolutionResult:
     q = traj.q
     alpha_nodes = alpha.values_on(grid)
 
-    # a charge that overflows gives non-finite sums here, which fail their
-    # tolerances in diagnostics: no floating-point warning is needed on top
-    with np.errstate(over="ignore", invalid="ignore"):
-        norm2, h1_form, origin_sum = _odd_sector(traj, a0[0::2])
-        # even modes evolve freely: their |a_k|^2 never changes
-        mag2 = np.abs(a0[1::2]) ** 2
-        norm2 += np.sum(mag2)
-        h1_form += np.sum(eigenvalues(k_max)[1::2] * mag2)
+    norm2, h1_form, origin_sum = _odd_sector(traj, a0[0::2])
+    # even modes evolve freely: their |a_k|^2 never changes
+    mag2 = np.abs(a0[1::2]) ** 2
+    norm2 += np.sum(mag2)
+    h1_form += np.sum(eigenvalues(k_max)[1::2] * mag2)
 
-        # energy uses the tail-dressed origin at every node and the analytic mode
-        # tail of the quadratic form: for k > k_max the coefficients behave like
-        # q(t)/(sqrt(pi)*lam_k), adding |q|^2 * (pi^2/2 - truncated sum)/pi to
-        # sum_k lam_k |a_k|^2
-        tail = tail_deficit(k_max) / np.pi
-        origin_dressed = INV_SQRT_PI * origin_sum + tail * q
-        energy = h1_form + tail * np.abs(q) ** 2 + alpha_nodes * np.abs(origin_dressed) ** 2
-        # boundary residual checks the equation actually marched, whose U vanishes
-        # at the initial node (empty integral), so the tail term is left out there
-        origin_values = origin_dressed.copy()
-        origin_values[0] = INV_SQRT_PI * origin_sum[0]
-        boundary_residual = np.abs(q + alpha_nodes * origin_values)
-        norm = np.sqrt(norm2)
+    # energy uses the tail-dressed origin at every node and the analytic mode
+    # tail of the quadratic form: for k > k_max the coefficients behave like
+    # q(t)/(sqrt(pi)*lam_k), adding |q|^2 * (pi^2/2 - truncated sum)/pi to
+    # sum_k lam_k |a_k|^2
+    tail = tail_deficit(k_max) / np.pi
+    origin_dressed = INV_SQRT_PI * origin_sum + tail * q
+    energy = h1_form + tail * np.abs(q) ** 2 + alpha_nodes * np.abs(origin_dressed) ** 2
+    # boundary residual checks the equation actually marched, whose U vanishes
+    # at the initial node (empty integral), so the tail term is left out there
+    origin_values = origin_dressed.copy()
+    origin_values[0] = INV_SQRT_PI * origin_sum[0]
+    boundary_residual = np.abs(q + alpha_nodes * origin_values)
+    norm = np.sqrt(norm2)
 
     return EvolutionResult(
         charge=traj, initial_state=full, final_state=end_state(full, traj), norm=norm,
@@ -284,13 +281,12 @@ def diagnostics(result: EvolutionResult, alpha: CouplingProfile) -> dict:
     """
     grid = result.charge.grid
     energy = result.energy
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value fails its tolerance
-        drive = (alpha.derivative(grid.times) * np.abs(result.origin_values) ** 2)[1:-1]
-        resid = float(np.max(np.abs((energy[2:] - energy[:-2]) / (2.0 * grid.dt) - drive),
-                             initial=0.0))
-        scale = float(np.max(np.abs(drive), initial=0.0))
-        return {"norm_drift": float(np.max(np.abs(result.norm - result.norm[0]))),
-                "boundary_residual_max": float(np.max(result.boundary_residual)),
-                "energy_drift": float(np.max(np.abs(energy - energy[0]))),
-                "energy_balance_resid": resid,
-                "energy_balance_rel": resid / scale if scale > 0 else float("nan")}
+    drive = (alpha.derivative(grid.times) * np.abs(result.origin_values) ** 2)[1:-1]
+    resid = float(np.max(np.abs((energy[2:] - energy[:-2]) / (2.0 * grid.dt) - drive),
+                         initial=0.0))
+    scale = float(np.max(np.abs(drive), initial=0.0))
+    return {"norm_drift": float(np.max(np.abs(result.norm - result.norm[0]))),
+            "boundary_residual_max": float(np.max(result.boundary_residual)),
+            "energy_drift": float(np.max(np.abs(energy - energy[0]))),
+            "energy_balance_resid": resid,
+            "energy_balance_rel": resid / scale if scale > 0 else float("nan")}
