@@ -167,8 +167,7 @@ def cmd_simulate(args) -> int:
     chash = config_hash({"psi0": _by_contents(cfg["psi0"]), "alpha": _by_contents(cfg["alpha"]),
                          "T": repr(t_end), "n_steps": repr(n_steps), "k_max": repr(k_max)})
 
-    # an overflow shows as a non-finite diagnostic, which fails its tolerance below
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value fails its tolerance
         result = evolve(psi0, alpha, grid)
         report = diagnostics(result, alpha)
 
