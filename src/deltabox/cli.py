@@ -173,23 +173,24 @@ def cmd_simulate(args) -> int:
 
     for name, value in report.items():
         print(f"{name:<21} {value:.6e}")
-    header = {"config_hash": chash, "dt": repr(grid.dt), "k_max": k_max,
-              "alpha": cfg["alpha"], "tool_version": __version__}
-    _write_run(cfg.get("outdir", args.outdir),
-               {"trajectory.csv": (save_trajectory_csv, grid.times, result.charge.q, header),
-                "final_state.txt": (save_state, result.final_state)},
-               {"inputs": {**cfg, "config_hash": chash},
-                "diagnostics": {name: repr(value) for name, value in report.items()}})
-
-    code = EXIT_OK
+    exceeded = []
     for name, tol, per_node in (("norm_drift", tol_norm, np.abs(result.norm - result.norm[0])),
                                 ("boundary_residual_max", tol_boundary, result.boundary_residual)):
         if not report[name] <= tol:  # a NaN fails too, peaking at its first node
             n = int(np.argmax(per_node))
             print(f"diagnostic tolerance exceeded: {name} {report[name]:.6e} > tolerance "
                   f"{tol:.6e}, peak at node {n} (t={float(grid.times[n])!r})", file=sys.stderr)
-            code = EXIT_SOLVER
-    return code
+            exceeded.append(name)
+    diag = {name: repr(value) for name, value in report.items()}
+    if exceeded:  # so a failed run's manifest says which; a passing run's has no such key
+        diag["tolerance_exceeded"] = ",".join(exceeded)
+    header = {"config_hash": chash, "dt": repr(grid.dt), "k_max": k_max,
+              "alpha": cfg["alpha"], "tool_version": __version__}
+    _write_run(cfg.get("outdir", args.outdir),
+               {"trajectory.csv": (save_trajectory_csv, grid.times, result.charge.q, header),
+                "final_state.txt": (save_state, result.final_state)},
+               {"inputs": {**cfg, "config_hash": chash}, "diagnostics": diag})
+    return EXIT_SOLVER if exceeded else EXIT_OK
 
 
 def cmd_spectrum(args) -> int:

@@ -186,10 +186,15 @@ def solve_moment(target: ControlTarget, grid: TimeGrid | None = None) -> np.ndar
     b = np.concatenate((a[:1], a[:0:-1]))  # A[-m mod M]
     a *= twiddle
     b *= np.conj(twiddle)
-    for p in range(1, roots.size):
+    # roots[p + f/2] = (-1)^r*roots[p] exactly, so the rows p >= f/2 are signed copies
+    half = max(1, roots.size // 2)
+    buf = np.empty_like(b) if half > 1 else None
+    for p in range(1, half):
         np.multiply(a, roots[p], out=rows[p])
-        rows[p] -= roots[p].conj() * b
+        rows[p] -= np.multiply(roots[p].conj(), b, out=buf)
     a -= b  # row 0 last, as it holds a; roots[0] = 1
+    if half < roots.size:
+        np.multiply(rows[:half], roots[half].real, out=rows[half:])  # roots[f/2] = +-1
     rho *= -INV_SQRT_PI / 4.0  # -(sqrt(pi)/(4*pi))
     rho[n // target.periods + 1:] = 0.0  # t_j > 8*pi
     rho[0] = rho[n] = 0.0  # sin(0) = sin(2*pi*k^2) = 0 exactly at t = 0 and t = 8*pi

@@ -116,8 +116,10 @@ def green_series(x: float, x_prime: float, z: complex, k_max: int = DEFAULT_K_MA
     """Eigenfunction expansion of G^z(x, x') truncated at k_max; O(1/k_max) error."""
     _check_in_box((x, x_prime))
     z = _off_pole(z)
-    px, pxp = mode_table(range(1, k_max + 1), x), mode_table(range(1, k_max + 1), x_prime)
-    return complex(np.sum(px * pxp / (eigenvalues(k_max) + z)) / np.pi)
+    terms = mode_table(range(1, k_max + 1), x)
+    terms *= mode_table(range(1, k_max + 1), x_prime)
+    denom = eigenvalues(k_max) + z  # the one k_max-length complex array
+    return complex(np.sum(np.divide(terms, denom, out=denom)) / np.pi)
 
 
 def green_origin(z: complex) -> complex:

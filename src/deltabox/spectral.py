@@ -14,6 +14,7 @@ Units: hbar = 1 and the mass is scaled so the free Hamiltonian is -d^2/dx^2.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,8 +36,10 @@ def eigenvalue(k: int) -> float:
 
 def eigenvalues(k_max: int) -> np.ndarray:
     """Eigenvalues of modes 1..k_max."""
-    k = np.arange(1, k_max + 1, dtype=float)
-    return 0.25 * k**2
+    lam = np.arange(1, k_max + 1, dtype=float)
+    lam *= lam
+    lam *= 0.25
+    return lam
 
 
 def _check_in_box(x: np.ndarray) -> np.ndarray:
@@ -49,16 +52,26 @@ def _check_in_box(x: np.ndarray) -> np.ndarray:
 def mode_table(modes: range, x) -> np.ndarray:
     """sqrt(pi)*psi_k(x) for the consecutive k in modes: rows k, columns x.
 
-    Odd rows take cos(k*x/2) and even rows sin(k*x/2), each function evaluated
-    on its own rows only.  Callers apply 1/sqrt(pi) where their sums need it.
+    Odd rows are Re and even rows Im of e^{i*k*x/2} = anchor x table over even
+    blocks of B ~ sqrt(K) consecutive k: about 2*sqrt(K) cos/sin pairs per x, not
+    K, each row within a few eps*max(1, k*|x|/2) of cos/sin(k*x/2).  Callers apply
+    1/sqrt(pi) where their sums need it.
     """
     half_x = 0.5 * np.asarray(x, dtype=float)
-    ks = np.arange(modes.start, modes.stop)
-    table = np.empty((ks.size,) + half_x.shape)
-    odd = 1 - modes.start % 2  # row of the first odd k
-    table[odd::2] = np.cos(np.multiply.outer(ks[odd::2], half_x))
-    table[1 - odd::2] = np.sin(np.multiply.outer(ks[1 - odd::2], half_x))
-    return table
+    root = math.isqrt(max(len(modes) - 1, 0)) + 1  # ceil(sqrt(K))
+    block = root + root % 2
+    starts = modes.start + block * np.arange(-(-len(modes) // block))
+    tab = np.multiply.outer(np.arange(block), half_x)
+    anc = np.multiply.outer(starts, half_x)[:, None]
+    tab_cos, tab_sin, anc_cos, anc_sin = np.cos(tab), np.sin(tab), np.cos(anc), np.sin(anc)
+    out = np.empty((starts.size, block) + half_x.shape)
+    odd = 1 - modes.start % 2  # rows r of odd k
+    re, im = out[:, odd::2], out[:, 1 - odd::2]
+    np.multiply(anc_cos, tab_cos[odd::2], out=re)
+    re -= anc_sin * tab_sin[odd::2]
+    np.multiply(anc_sin, tab_cos[1 - odd::2], out=im)
+    im += anc_cos * tab_sin[1 - odd::2]
+    return out.reshape((-1,) + half_x.shape)[:len(modes)]
 
 
 def eigenmode_value(k: int, x) -> np.ndarray | float:

@@ -68,7 +68,7 @@ def call_check(fn, **inputs) -> CheckResult:
 def check_orthonormality():
     n_modes = 64
     xs, w = spectral.box_trapezoid(4096)
-    modes = np.array([spectral.eigenmode_value(k, xs) for k in range(1, n_modes + 1)])
+    modes = spectral.INV_SQRT_PI * spectral.mode_table(range(1, n_modes + 1), xs)  # psi_k rows
     gram = (modes * w) @ modes.T
     dev = float(np.max(np.abs(gram - np.eye(n_modes))))
     return _result(dev, 1e-10)

@@ -189,6 +189,19 @@ class TestSimulate:
             "diagnostic tolerance exceeded: norm_drift nan > tolerance 1.000000e-06, "
             "peak at node 0 (t=0.0)\n")
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_failed_tolerance_recorded_in_manifest(self, tmp_path):
+        # the manifest of a run that fails a tolerance names it; a passing run's
+        # [diagnostics] holds the five numbers alone
+        args = ["simulate", "--psi0", "eig:1", "--T", "1", "--n-steps", "10", "--k-max", "5"]
+        assert run_cli([*args, "--alpha", "const:1e155", "--tol-boundary", "1e300",
+                        "--outdir", str(tmp_path / "fail")]) == EXIT_SOLVER
+        failed = manifest_section(tmp_path / "fail" / "manifest.txt", "diagnostics")
+        assert failed["norm_drift"] == "nan" and failed["tolerance_exceeded"] == "norm_drift"
+        assert run_cli([*args, "--alpha", "const:0", "--outdir", str(tmp_path / "pass")]) == 0
+        passed = manifest_section(tmp_path / "pass" / "manifest.txt", "diagnostics")
+        assert list(passed) == list(failed)[:-1]
+
     def test_diagnostics_named_once(self, tmp_path, capsys):
         # stdout, the manifest and diagnostics() show the same names in the same order
         args = ["--psi0", "eig:1", "--alpha", "bump:0.5", "--T", "1.0", "--n-steps", "200",

@@ -142,6 +142,30 @@ class TestSolveMoment:
                     n_steps, n_periods)
                 assert np.all(rho[~active] == 0)
 
+    @pytest.mark.parametrize("n_steps, periods", [(30001, [3]), (24002, [1, 2]),
+                                                  (24004, [1, 2, 3, 4]), (24000, range(1, 9))])
+    def test_mirrored_rows_match_the_per_row_formula(self, rng, n_steps, periods):
+        # rows p >= f/2 of rho's (f, M) buffer are signed copies of rows p - f/2; the
+        # reference forms every row p as roots[p]*twiddle*A[m] - conj(...)*A[-m mod M]
+        from deltabox.control import _fold
+
+        for n_periods in periods:
+            grid = TimeGrid(n_periods * T8PI, n_steps)
+            target = ControlTarget(SpectralCoefficients(101, resolved_target(rng, 101, grid)),
+                                   grid.t_end)
+            roots, twiddle, index = _fold(target, n_steps)
+            spectrum = np.zeros(n_steps // roots.size, dtype=complex)
+            np.add.at(spectrum, index, target.c.a[0::2] / 2j)
+            fwd = np.fft.ifft(spectrum, norm="forward")
+            back = np.roll(fwd[::-1], 1)  # A[-m mod M]
+            ref = np.zeros(n_steps + 1, dtype=complex)
+            ref[:n_steps] = np.concatenate(
+                [p * twiddle * fwd - np.conj(p * twiddle) * back for p in roots])
+            ref *= -1.0 / (4.0 * np.sqrt(np.pi))
+            ref[0] = ref[n_steps // n_periods + 1:] = 0.0
+            rho = solve_moment(target, grid)
+            assert np.max(np.abs(rho - ref)) <= 1e-15 * np.max(np.abs(ref)), (n_steps, n_periods)
+
     @pytest.mark.parametrize("n_steps", [25133, 30001, 24002, 24004, 24000])
     def test_one_inverse_fft_per_solve(self, rng, monkeypatch, n_steps):
         # f = gcd(n, 8) = 1, 1, 2, 4, 8: rho is one n/f-point inverse FFT, whose

@@ -69,6 +69,21 @@ class TestGreenSeries:
     def test_convergence_order(self):
         assert_check(verify.check_series_closed_order)
 
+    @pytest.mark.parametrize("k_max", [1000, 100_000])
+    def test_matches_product_form(self, rng, k_max):
+        # against psi_k(x)*psi_k(x')/(lam_k + z) summed with one cos/sin per mode and
+        # point, to the rounding of the phases: a few eps*max(1, k*|x|/2) per term
+        ks = np.arange(1, k_max + 1)
+        lam = 0.25 * ks.astype(float) ** 2
+        for _ in range(5):
+            x, xp = rng.uniform(-np.pi, np.pi, 2)
+            z = complex(rng.uniform(0.1, 5), rng.uniform(-2, 2))
+            px, pxp = (np.where(ks % 2, np.cos(0.5 * ks * y), np.sin(0.5 * ks * y)) for y in (x, xp))
+            ref = np.sum(px * pxp / (lam + z)) / np.pi
+            bound = 8 * np.finfo(float).eps * np.sum(
+                np.maximum(1.0, 0.5 * ks * max(abs(x), abs(xp))) / np.abs(lam + z)) / np.pi
+            assert abs(green_series(x, xp, z, k_max) - ref) <= bound
+
 
 class TestGreenOrigin:
     def test_unit_shift(self):

@@ -13,6 +13,7 @@ from deltabox.spectral import (
     eigenvalues,
     free_evolve,
     free_origin_series,
+    mode_table,
     origin_trace,
     project_function,
 )
@@ -46,6 +47,23 @@ class TestEigenmodes:
     def test_bad_mode_index(self):
         with pytest.raises(InputError):
             eigenvalue(0)
+
+
+class TestModeTable:
+    # anchor x table against one cos/sin per (k, x): within a few eps of the phase
+    # argument k*|x|/2, on ranges that start on odd and on even k
+    @pytest.mark.parametrize("start", [1, 2, 63, 64])
+    @pytest.mark.parametrize("size", [1, 64, 100_000])
+    @pytest.mark.parametrize("x", [2.1, -np.pi, np.linspace(-np.pi, np.pi, 7)],
+                             ids=["scalar", "wall", "array"])
+    def test_matches_direct_trig(self, start, size, x):
+        ks = np.arange(start, start + size)
+        arg = np.multiply.outer(ks, 0.5 * np.asarray(x))
+        odd = (ks % 2 == 1).reshape((-1,) + (1,) * np.ndim(x))
+        direct = np.where(odd, np.cos(arg), np.sin(arg))
+        table = mode_table(range(start, start + size), x)
+        assert table.shape == direct.shape
+        assert np.all(np.abs(table - direct) <= 4 * np.finfo(float).eps * np.maximum(1.0, np.abs(arg)))
 
 
 class TestOriginTrace:
