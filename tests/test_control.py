@@ -160,7 +160,7 @@ class TestSolveMoment:
             back = np.roll(fwd[::-1], 1)  # A[-m mod M]
             ref = np.zeros(n_steps + 1, dtype=complex)
             ref[:n_steps] = np.concatenate(
-                [p * twiddle * fwd - np.conj(p * twiddle) * back for p in roots])
+                [root * twiddle * fwd - np.conj(root * twiddle) * back for root in roots])
             ref *= -1.0 / (4.0 * np.sqrt(np.pi))
             ref[0] = ref[n_steps // n_periods + 1:] = 0.0
             rho = solve_moment(target, grid)

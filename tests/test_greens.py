@@ -78,7 +78,8 @@ class TestGreenSeries:
         for _ in range(5):
             x, xp = rng.uniform(-np.pi, np.pi, 2)
             z = complex(rng.uniform(0.1, 5), rng.uniform(-2, 2))
-            px, pxp = (np.where(ks % 2, np.cos(0.5 * ks * y), np.sin(0.5 * ks * y)) for y in (x, xp))
+            px, pxp = (np.where(ks % 2, np.cos(0.5 * ks * y), np.sin(0.5 * ks * y))
+                       for y in (x, xp))
             ref = np.sum(px * pxp / (lam + z)) / np.pi
             bound = 8 * np.finfo(float).eps * np.sum(
                 np.maximum(1.0, 0.5 * ks * max(abs(x), abs(xp))) / np.abs(lam + z)) / np.pi

@@ -63,7 +63,8 @@ class TestModeTable:
         direct = np.where(odd, np.cos(arg), np.sin(arg))
         table = mode_table(range(start, start + size), x)
         assert table.shape == direct.shape
-        assert np.all(np.abs(table - direct) <= 4 * np.finfo(float).eps * np.maximum(1.0, np.abs(arg)))
+        bound = 4 * np.finfo(float).eps * np.maximum(1.0, np.abs(arg))
+        assert np.all(np.abs(table - direct) <= bound)
 
 
 class TestOriginTrace:
