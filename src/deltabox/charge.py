@@ -132,7 +132,13 @@ class CouplingProfile:
         return TimeGrid(self.t_end, self.samples.size - 1)
 
     def _check_time(self, t: np.ndarray):
-        if np.any(t < -1e-12) or np.any(t > self.t_end * (1 + 1e-12) + 1e-12):
+        lo, hi = -1e-12, self.t_end * (1 + 1e-12) + 1e-12
+        if t.ndim == 0:  # compared as a float: np.any on a 0-d array costs ~7 us
+            t = t.item()
+            outside = t < lo or t > hi
+        else:
+            outside = np.any(t < lo) or np.any(t > hi)
+        if outside:
             raise InputError("profile evaluated outside [0, t_end]")
 
     def value(self, t) -> np.ndarray | float:
@@ -161,6 +167,8 @@ class CouplingProfile:
         return out if np.ndim(t) else out[()]
 
     def values_on(self, grid: TimeGrid) -> np.ndarray:
+        if self.kind == "piecewise_linear" and grid == self.grid:
+            return self.samples  # read-only, and the bits np.interp gives at the nodes
         return np.atleast_1d(self.value(grid.times))
 
 

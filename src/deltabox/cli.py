@@ -48,7 +48,7 @@ from .iofiles import (
     save_trajectory_csv,
     write_manifest,
 )
-from .kernels import runtime_record
+from .kernels import runtime_record, use_one_blas_thread
 from .propagator import DomainState, diagnostics, evolve
 from .spectral import DEFAULT_K_MAX, SpectralCoefficients, TimeGrid
 # verify (and through it oracles) is imported eagerly although only `verify`
@@ -370,6 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    use_one_blas_thread()  # the same artifacts at any OPENBLAS_NUM_THREADS
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

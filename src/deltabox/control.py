@@ -176,12 +176,13 @@ def solve_moment(target: ControlTarget, grid: TimeGrid | None = None) -> np.ndar
     check_resolved(target, grid.n_steps)
     n = grid.n_steps
     roots, twiddle, index = _fold(target, n)
-    # rho[:n] as f rows, t = m + p*M.  Row 0 holds the spectrum, then its transform
-    # A in place: the synthesis adds one M-point array, A[-m mod M], to rho
-    rho = np.zeros(n + 1, dtype=complex)
+    # rho[:n] as f rows, t = m + p*M.  Row 0 holds the spectrum times -(sqrt(pi)/(4*pi)),
+    # then its transform A in place; the synthesis adds one M-point array, A[-m mod M]
+    rho = np.empty(n + 1, dtype=complex)
     rows = rho[:n].reshape(roots.size, -1)
     a = rows[0]
-    np.add.at(a, index, target.c.a[0::2] / 2j)
+    a.fill(0.0)
+    np.add.at(a, index, target.c.a[0::2] * (-INV_SQRT_PI / 4.0) / 2j)
     np.fft.ifft(a, norm="forward", out=a)
     b = np.concatenate((a[:1], a[:0:-1]))  # A[-m mod M]
     a *= twiddle
@@ -195,7 +196,6 @@ def solve_moment(target: ControlTarget, grid: TimeGrid | None = None) -> np.ndar
     a -= b  # row 0 last, as it holds a; roots[0] = 1
     if half < roots.size:
         np.multiply(rows[:half], roots[half].real, out=rows[half:])  # roots[f/2] = +-1
-    rho *= -INV_SQRT_PI / 4.0  # -(sqrt(pi)/(4*pi))
     rho[n // target.periods + 1:] = 0.0  # t_j > 8*pi
     rho[0] = rho[n] = 0.0  # sin(0) = sin(2*pi*k^2) = 0 exactly at t = 0 and t = 8*pi
     return rho
@@ -210,15 +210,10 @@ def _pl_end_history(samples: np.ndarray, target: ControlTarget) -> np.ndarray:
     grid = TimeGrid(target.t_end, samples.size - 1)
     lam = odd_eigenvalues(target.k_max)
     roots, twiddle, index = _fold(target, grid.n_steps)
-    # bin j: sum_m inc_m e^{+2*pi*i*j*m/n}.  The increments are formed one fold
-    # row at a time, so no n-point array is made beside the samples unless f = 1
-    hi, lo = (s.reshape(roots.size, -1) for s in (samples[1:], samples[:-1]))
-    z = hi[0] - lo[0]
-    buf = np.empty_like(z) if roots.size > 1 else None
-    for p in range(1, roots.size):
-        np.subtract(hi[p], lo[p], out=buf)
-        buf *= roots[p]
-        z += buf
+    # bin j: sum_m inc_m e^{+2*pi*i*j*m/n}.  The increments' fold is two products over
+    # (f, M) views of the samples, so no n-point array is made beside them unless f = 1
+    z = roots @ samples[1:].reshape(roots.size, -1)
+    z -= roots @ samples[:-1].reshape(roots.size, -1)
     z *= twiddle
     np.fft.ifft(z, norm="forward", out=z)
     b = z[index] * phi1(1j * lam * grid.dt)

@@ -74,13 +74,6 @@ def _pole_index(z: complex, odd_only: bool) -> int:
     return k_near if abs(z.real + 0.25 * k_near**2) <= POLE_MARGIN else 0
 
 
-def _cexpm1(u: np.ndarray | complex) -> np.ndarray:
-    """Complex expm1 built from the real expm1 so small |u| keeps full precision."""
-    u = np.asarray(u, dtype=complex)
-    x, y = u.real, u.imag
-    return np.expm1(x) * np.cos(y) - 2.0 * np.sin(0.5 * y) ** 2 + 1j * np.exp(x) * np.sin(y)
-
-
 def _off_pole(z: complex) -> complex:
     """z as a complex; InputError if it is not finite (`_pole_index`),
     SingularityError within POLE_MARGIN of a resolvent pole."""
@@ -104,9 +97,10 @@ def green_closed(x: float, x_prime: float, z: complex) -> complex:
     b = w * (BOX_HALF_WIDTH - hi)
     c = 2.0 * BOX_HALF_WIDTH * w
     # sinh(a)sinh(b)/sinh(c) = e^{a+b-c} (1-e^{-2a})(1-e^{-2b}) / (2(1-e^{-2c}))
-    # with a+b-c = -w|x-x'|; every exponent has nonpositive real part.
-    num = np.exp(-w * (hi - lo)) * _cexpm1(-2.0 * a) * _cexpm1(-2.0 * b)
-    den = -2.0 * w * _cexpm1(-2.0 * c)
+    # with a+b-c = -w|x-x'|; every exponent has nonpositive real part.  numpy's complex
+    # expm1 forms Re as expm1(x)*cos(y) - 2*sin(y/2)^2, so small |a|, |b| keep full precision
+    num = np.exp(-w * (hi - lo)) * np.expm1(-2.0 * a) * np.expm1(-2.0 * b)
+    den = -2.0 * w * np.expm1(-2.0 * c)
     if den == 0:
         raise SingularityError(f"z={z} is numerically at a resolvent pole")
     return complex(num / den)
@@ -118,8 +112,16 @@ def green_series(x: float, x_prime: float, z: complex, k_max: int = DEFAULT_K_MA
     z = _off_pole(z)
     terms = mode_table(range(1, k_max + 1), x)
     terms *= mode_table(range(1, k_max + 1), x_prime)
-    denom = eigenvalues(k_max) + z  # the one k_max-length complex array
-    return complex(np.sum(np.divide(terms, denom, out=denom)) / np.pi)
+    # 1/(lam_k + z) = (d_k - i*Im z)/(d_k^2 + Im z^2), d_k = lam_k + Re z: the sum is
+    # two real reductions of the weights terms/(d_k^2 + Im z^2)
+    d = eigenvalues(k_max)
+    d += z.real
+    denom = d * d
+    denom += z.imag**2
+    terms /= denom
+    im = -z.imag * np.sum(terms)
+    terms *= d
+    return complex(np.sum(terms), im) / np.pi
 
 
 def green_origin(z: complex) -> complex:

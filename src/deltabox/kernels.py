@@ -6,9 +6,9 @@ are the standard exponential-integrator coefficients
 
     phi1(u) = (e^u - 1)/u,        phi2(u) = (e^u - 1 - u)/u^2,
 
-evaluated through a series branch for small |u| so they stay accurate down to
-u = 0.  With them, a linear segment q(s) = q_a + r*(s - t_a) on [t_a, t_a+h]
-integrates exactly:
+phi1 from the complex expm1 and phi2 through a series branch for small |u|, so
+both stay accurate down to u = 0.  With them, a linear segment
+q(s) = q_a + r*(s - t_a) on [t_a, t_a+h] integrates exactly:
 
     int e^{i*lam*s} q(s) ds = h*e^{i*lam*t_a} * (q_a*phi1(u) + (q_b-q_a)*(phi1(u)-phi2(u)))
 
@@ -66,16 +66,10 @@ _PHI_SERIES_TERMS = 18
 
 
 def phi1(u: np.ndarray | complex) -> np.ndarray:
-    """(e^u - 1)/u with a series branch for small |u| (phi1(0) = 1)."""
+    """(e^u - 1)/u with phi1(0) = 1, from numpy's complex expm1: its real part
+    expm1(x)*cos(y) - 2*sin(y/2)^2 keeps full relative precision as u -> 0."""
     u = np.asarray(u, dtype=complex)
-    small = np.abs(u) < _PHI_SERIES_CUTOFF
-    safe = np.where(small, 1.0, u)
-    direct = (np.exp(safe) - 1.0) / safe
-    # Horner on sum_{m>=0} u^m/(m+1)!
-    acc = np.full_like(u, 1.0 / math.factorial(_PHI_SERIES_TERMS + 1))
-    for m in range(_PHI_SERIES_TERMS, 0, -1):
-        acc = acc * u + 1.0 / math.factorial(m)
-    return np.where(small, acc, direct)
+    return np.divide(np.expm1(u), u, out=np.ones_like(u), where=u != 0)
 
 
 def phi2(u: np.ndarray | complex) -> np.ndarray:
@@ -274,6 +268,14 @@ def _openblas_threads() -> str:
     """Threads the bundled OpenBLAS runs with, or 'unknown' if numpy has another BLAS."""
     get = getattr(_bundled_openblas(), "scipy_openblas_get_num_threads64_", None)
     return "unknown" if get is None else str(get())
+
+
+def use_one_blas_thread() -> None:
+    """Run numpy's bundled OpenBLAS (if numpy has it) on one thread, so that no output
+    bit depends on the thread count through a product's summation order."""
+    set_threads = getattr(_bundled_openblas(), "scipy_openblas_set_num_threads64_", None)
+    if set_threads is not None:
+        set_threads(1)
 
 
 def lower_solve(system: np.ndarray, rhs: np.ndarray) -> np.ndarray:

@@ -46,14 +46,16 @@ def picard_charge(f_nodes: np.ndarray, phi_nodes: np.ndarray, v0: complex, g_coe
     raw causal integrals, plus the same analytic instantaneous-tail
     replacement the production solver uses, so both solve the identical
     equation by unrelated numerics.  kernel_sign=-1 gives the physical kernel
-    e^{-i*lam*(t-s)}; +1 solves the conjugated (time-reversed) variant.  Each
-    sweep runs mode by mode in place, on weights formed once per solve.
+    e^{-i*lam*(t-s)}; +1 solves the conjugated (time-reversed) variant.  The
+    trapezoid of w = v*ph_k to node n is dt*(S_n - (v_0 + w_n)/2), S the prefix sum
+    of w: each mode adds dt*conj(ph_k)*S, and the end terms of all K modes are
+    -dt/2*(v_0*sum_k conj(ph_k) + K*v).
     """
     times = grid.times
     dt = grid.dt
     sgn = 1j * kernel_sign
 
-    # kernel phases; their conjugates build g and, times dt/2, weight every sweep
+    # kernel phases; their conjugates build g and, times dt, weight every sweep
     lam = odd_eigenvalues(k_max)
     phases = np.exp(-sgn * np.outer(lam, times))
     weights = np.conj(phases)
@@ -61,25 +63,24 @@ def picard_charge(f_nodes: np.ndarray, phi_nodes: np.ndarray, v0: complex, g_coe
     for lam_k, weight in zip(lam, weights):
         g_nodes += weight / (lam_k + shift.lam)
     g_term = g_coeff * (g_nodes / np.pi)
-    weights = weights[:, 1:]
-    weights *= 0.5 * dt
-    deficit = tail_deficit(k_max)
+    start_term = (-0.5 * dt * v0) * weights.sum(axis=0)
+    weights *= dt
+    # the instantaneous tail and the K end terms conj(ph_k)*w_n = v_n, both multiples of v
+    diagonal = sgn * tail_deficit(k_max) - 0.5 * dt * lam.size
 
     v = np.array(f_nodes, dtype=complex)
     v[0] = v0
     work = np.empty(times.size, dtype=complex)
-    prefix = np.empty(times.size - 1, dtype=complex)
     u_v = np.empty(times.size, dtype=complex)
     for _ in range(PICARD_MAX_ITER):
         # sum_k conj(ph_k) * (cumulative trapezoid of v*ph_k)
-        u_v.fill(0.0)
+        np.multiply(v, diagonal, out=u_v)
+        u_v += start_term
         for ph, weight in zip(phases, weights):
             np.multiply(v, ph, out=work)
-            np.add(work[1:], work[:-1], out=prefix)
-            np.cumsum(prefix, out=prefix)
-            prefix *= weight
-            u_v[1:] += prefix
-        u_v += sgn * deficit * v
+            np.cumsum(work, out=work)
+            work *= weight
+            u_v += work
         u_v[0] = 0.0
         # the i/pi prefactor conjugates along with the kernel
         v_new = f_nodes - phi_nodes * (g_term + (-sgn / np.pi) * u_v)

@@ -199,7 +199,8 @@ def evaluate_state(c: SpectralCoefficients, xs) -> np.ndarray:
     out = np.zeros(xa.shape, dtype=complex)
     for j in range(0, c.k_max, MODE_BLOCK):
         modes = mode_table(range(j + 1, min(j + MODE_BLOCK, c.k_max) + 1), xa)
-        out += modes.T @ c.a[j:j + MODE_BLOCK]
+        out.real += c.a[j:j + MODE_BLOCK].real @ modes  # by parts: modes stays float
+        out.imag += c.a[j:j + MODE_BLOCK].imag @ modes
     return INV_SQRT_PI * out
 
 

@@ -63,6 +63,19 @@ def galerkin_reference(a0, alpha_value, t_end, k_max):
     return out
 
 
+def phi1_reference(u):
+    """(e^u - 1)/u as kernels.phi1 formed it before it took numpy's expm1: an 18-term
+    Horner series below |u| = 0.25, the direct quotient above."""
+    u = np.asarray(u, dtype=complex)
+    small = np.abs(u) < 0.25
+    safe = np.where(small, 1.0, u)
+    direct = (np.exp(safe) - 1.0) / safe
+    acc = np.full_like(u, 1.0 / math.factorial(19))  # sum_{m>=0} u^m/(m+1)!
+    for m in range(18, 0, -1):
+        acc = acc * u + 1.0 / math.factorial(m)
+    return np.where(small, acc, direct)
+
+
 def picard_reference(f_nodes, phi_nodes, v0, g_coeff, shift, grid, k_max, kernel_sign=-1.0):
     """oracles.picard_charge with a fresh cumulative trapezoid per mode and sweep, and g
     from its own exponentials: the reference for the in-place sweep."""

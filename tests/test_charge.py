@@ -44,7 +44,7 @@ from deltabox.spectral import (
 )
 from deltabox import verify
 
-from conftest import assert_check, picard_reference, slope_moment_history
+from conftest import assert_check, phi1_reference, picard_reference, slope_moment_history
 
 
 class TestCouplingProfile:
@@ -67,8 +67,14 @@ class TestCouplingProfile:
         assert p.derivative(0.3) == pytest.approx(-2.0)
 
     def test_outside_domain(self):
-        with pytest.raises(InputError):
-            CouplingProfile.sine_bump(1.0, 1.0).value(1.5)
+        # scalar times are checked as floats, arrays as arrays; both refuse either side
+        grid = TimeGrid(1.0, 4)
+        for p in (CouplingProfile.sine_bump(1.0, 1.0),
+                  CouplingProfile.piecewise_linear(grid, [0.0, 1.0, 0.5, 0.5, 0.0])):
+            for t in (1.5, -1e-9, 1.0 + 1e-9, np.float64(-0.5), [0.5, 1.5], [-0.1, 0.5]):
+                with pytest.raises(InputError):
+                    p.value(t)
+            p.value(1.0 + 1e-13)  # inside the tolerance
 
     def test_unknown_kind(self):
         with pytest.raises(InputError):
@@ -80,6 +86,19 @@ class TestCouplingProfile:
                   CouplingProfile.piecewise_linear(grid, [0.0, 1.0, 0.5, 0.5, 0.0])):
             assert p.values_on(grid).dtype == np.float64, p.kind
             assert p.derivative(grid.times).dtype == np.float64, p.kind
+
+    def test_values_on_own_grid_are_the_interpolated_bits(self, rng):
+        # a piecewise-linear profile's own grid gives its samples, the bits np.interp gives
+        # at the nodes (signed zeros too); another grid interpolates
+        grid = TimeGrid(2.0, 1000)
+        samples = rng.standard_normal(1001)
+        samples[::7] = -0.0
+        p = CouplingProfile.piecewise_linear(grid, samples)
+        own = p.values_on(grid)
+        assert own.tobytes() == p.value(grid.times).tobytes()
+        assert not own.flags.writeable
+        other = TimeGrid(2.0, 700)
+        assert p.values_on(other).tobytes() == p.value(other.times).tobytes()
 
     def test_complex_samples_with_zero_imaginary_part_accepted(self):
         grid = TimeGrid(1.0, 4)
@@ -388,6 +407,25 @@ class TestBlockMarch:
         f = -alpha * free_origin_series(psi0, grid.times)
         _assert_matches_reference(f, alpha.astype(complex), -alpha[0] * origin_trace(psi0),
                                   False, SpectralShift(), grid, k_max)
+
+
+class TestPhi:
+    def test_phi1_matches_the_series_reference(self, rng):
+        # expm1(u)/u against the Horner series and direct quotient it replaced, for |u|
+        # from 1e-12 to 50 in random directions and on both axes.  Past the series
+        # range the direct quotient itself rounds by about eps*(1 + |e^u|)/|u|
+        mags = np.logspace(-12, np.log10(50.0), 500)
+        u = np.concatenate([mags * np.exp(2j * np.pi * rng.random(mags.size)),
+                            1j * mags, -1j * mags, mags, -mags])
+        ref = phi1_reference(u)
+        scale = np.abs(ref)
+        direct = np.abs(u) >= 0.25
+        scale[direct] = np.maximum(scale, (1.0 + np.abs(np.exp(u))) / np.abs(u))[direct]
+        assert np.all(np.abs(phi1(u) - ref) <= 4 * np.finfo(float).eps * scale)
+
+    def test_phi1_at_zero(self):
+        assert phi1(0.0) == 1.0
+        assert np.array_equal(phi1(np.array([0.0, 0.5j, 0.0]))[[0, 2]], [1.0, 1.0])
 
 
 class TestPhaseTable:

@@ -20,7 +20,7 @@ import deltabox
 from deltabox.charge import CouplingProfile
 from deltabox.cli import EXIT_SOLVER, _SIMULATE_KEYS, _parse_alpha, _parse_psi0, main
 from deltabox.control import ControlTarget, apply_linearized, synthesize_control
-from deltabox.kernels import THREAD_VARIABLES, _bundled_trsv
+from deltabox.kernels import THREAD_VARIABLES, _bundled_trsv, runtime_record
 from deltabox.iofiles import (
     atomic_write_text,
     config_hash,
@@ -970,6 +970,36 @@ class TestImportBudget:
                           OPENBLAS_NUM_THREADS="1")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == ("unknown" if _bundled_trsv() is None else "1")
+
+    def test_same_artifacts_at_one_and_two_threads(self, tmp_path):
+        # cli.main runs the bundled OpenBLAS on one thread: simulate on a dense state and
+        # the verify report come out byte-identical at OPENBLAS_NUM_THREADS=1 and 2, and
+        # the manifests differ only in the variable seen at import
+        if runtime_record()["openblas_threads"] == "unknown":
+            pytest.skip("numpy's BLAS is not the bundled OpenBLAS; its threads are unknown")
+        k = np.arange(1, 102)
+        psi0 = tmp_path / "psi0.txt"
+        save_state(str(psi0), SpectralCoefficients(101, np.exp(0.7j * k**2) / k**3.0))
+        out = tmp_path / "run"
+        commands = [["simulate", "--psi0", f"file:{psi0}", "--alpha", "bump:0.5", "--T", "2",
+                     "--n-steps", "2000", "--k-max", "101", "--outdir", str(out)],
+                    ["verify", "--out", str(out / "verify.txt")]]
+        runs = []
+        for threads in ("1", "2"):
+            for args in commands:
+                proc = run_python(["-m", "deltabox.cli", *args], OPENBLAS_NUM_THREADS=threads)
+                assert proc.returncode == 0, proc.stderr
+            runs.append({path.name: path.read_text() for path in sorted(out.iterdir())})
+            for path in out.iterdir():
+                path.unlink()
+        one, two = runs
+        assert list(one) == list(two) == ["final_state.txt", "manifest.txt", "trajectory.csv",
+                                          "verify.txt"]
+        manifests = [run.pop("manifest.txt").splitlines() for run in runs]
+        assert one == two
+        changed = [(a, b) for a, b in zip(*manifests) if a != b]
+        assert changed == [("OPENBLAS_NUM_THREADS=1", "OPENBLAS_NUM_THREADS=2")]
+        assert "openblas_threads=1" in manifests[1]
 
     def test_workloads_leave_numpy_ma_unloaded(self, tmp_path):
         # simulate, the steering experiment and the verify battery; np.median would load it

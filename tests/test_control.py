@@ -146,7 +146,8 @@ class TestSolveMoment:
                                                   (24004, [1, 2, 3, 4]), (24000, range(1, 9))])
     def test_mirrored_rows_match_the_per_row_formula(self, rng, n_steps, periods):
         # rows p >= f/2 of rho's (f, M) buffer are signed copies of rows p - f/2; the
-        # reference forms every row p as roots[p]*twiddle*A[m] - conj(...)*A[-m mod M]
+        # reference forms every row p as roots[p]*twiddle*A[m] - conj(...)*A[-m mod M],
+        # with the factor -(sqrt(pi)/(4*pi)) in the spectrum, as solve_moment has it
         from deltabox.control import _fold
 
         for n_periods in periods:
@@ -155,13 +156,12 @@ class TestSolveMoment:
                                    grid.t_end)
             roots, twiddle, index = _fold(target, n_steps)
             spectrum = np.zeros(n_steps // roots.size, dtype=complex)
-            np.add.at(spectrum, index, target.c.a[0::2] / 2j)
+            np.add.at(spectrum, index, target.c.a[0::2] * (-1.0 / (4.0 * np.sqrt(np.pi))) / 2j)
             fwd = np.fft.ifft(spectrum, norm="forward")
             back = np.roll(fwd[::-1], 1)  # A[-m mod M]
             ref = np.zeros(n_steps + 1, dtype=complex)
             ref[:n_steps] = np.concatenate(
                 [root * twiddle * fwd - np.conj(root * twiddle) * back for root in roots])
-            ref *= -1.0 / (4.0 * np.sqrt(np.pi))
             ref[0] = ref[n_steps // n_periods + 1:] = 0.0
             rho = solve_moment(target, grid)
             assert np.max(np.abs(rho - ref)) <= 1e-15 * np.max(np.abs(ref)), (n_steps, n_periods)
@@ -282,6 +282,41 @@ class TestMomentResidual:
             for l in lam])
         assert np.max(np.abs(got - direct)) < 1e-10
 
+
+    @pytest.mark.parametrize("n_steps, periods", [(30001, [3]), (24002, [1, 2]),
+                                                  (24004, [1, 2, 3, 4]), (24000, range(1, 9))])
+    def test_two_product_fold_matches_the_per_row_loop(self, rng, monkeypatch, n_steps,
+                                                       periods):
+        # the fold roots @ hi - roots @ lo over (f, M) views of the samples, as the inverse
+        # FFT receives it, against the increments folded row by row, for f = gcd(n, 8) =
+        # 1, 2, 4, 8 and every class r = N mod f, on solve_moment's samples (increments
+        # far below the samples) and random ones.  Each side sums f terms of at most
+        # 2*max|samples| each, so they differ by at most 4*f*eps*max|samples|
+        from deltabox.control import _fold, _pl_end_history
+
+        folds, ifft = [], np.fft.ifft
+
+        def recorded(x, *args, **kwargs):
+            folds.append(x.copy())
+            return ifft(x, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "ifft", recorded)
+        for n_periods in periods:
+            grid = TimeGrid(n_periods * T8PI, n_steps)
+            target = ControlTarget(SpectralCoefficients(101, resolved_target(rng, 101, grid)),
+                                   grid.t_end)
+            roots, twiddle, _ = _fold(target, n_steps)
+            noise = rng.standard_normal((2, n_steps + 1))
+            for samples in (solve_moment(target, grid), noise[0] + 1j * noise[1]):
+                inc = np.diff(samples).reshape(roots.size, -1)
+                ref = inc[0].copy()
+                for root, row in zip(roots[1:], inc[1:]):
+                    ref += root * row
+                ref *= twiddle
+                folds.clear()
+                _pl_end_history(samples, target)
+                bound = 4 * roots.size * np.finfo(float).eps * np.max(np.abs(samples))
+                assert np.max(np.abs(folds[0] - ref)) <= bound, (n_steps, n_periods)
 
     @pytest.mark.parametrize("n_steps", [1001, 1002, 1004, 1000, 4096])
     def test_folded_bins_match_full_fft(self, rng, n_steps):
