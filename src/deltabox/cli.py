@@ -48,7 +48,7 @@ from .iofiles import (
     save_trajectory_csv,
     write_manifest,
 )
-from .kernels import runtime_record, use_one_blas_thread
+from .kernels import keep_grid_arrays_on_heap, runtime_record, use_one_blas_thread
 from .propagator import DomainState, diagnostics, evolve
 from .spectral import DEFAULT_K_MAX, SpectralCoefficients, TimeGrid
 # verify (and through it oracles) is imported eagerly although only `verify`
@@ -371,6 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     use_one_blas_thread()  # the same artifacts at any OPENBLAS_NUM_THREADS
+    keep_grid_arrays_on_heap()  # whole-grid temporaries reuse the heap, not fresh mmaps
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -18,10 +18,17 @@ particular solution respecting rho(0) = rho(T) = 0 is the sine superposition
 
 extended by zero up to T.  (Orthogonality over [0, 8*pi] forces the 1/(8*pi)
 normalization; the moment-residual quadrature below is the independent check
-pinning it.)  The control is the real coupling alpha = 2*Re(u_c) built from such
-a rho (`synthesize_control`): its conjugate half couples the mode pairs
-j^2 + k^2 = 2*k_bar^2, and `real_moments` chooses the moments that reach the
-part of the target a real control can reach.
+pinning it.)  With n steps of T every phase is a lattice point,
+lam_k*t_j = 2*pi*((k^2*N*j) mod n)/n (kernels.lattice_angles), and `solve_moment`
+synthesizes rho on one of two paths, by a rule on the sizes alone: a sparse
+target (2 modes in the steering experiment) as the sine sum itself over its
+nonzero modes, a dense one as one folded inverse FFT.
+
+The control is the real coupling alpha = 2*Re(u_c) built from such a rho
+(`synthesize_control`), with the carrier e^{i*lam_kbar*t_j} on the same lattice:
+its conjugate half couples the mode pairs j^2 + k^2 = 2*k_bar^2, and
+`real_moments` chooses the moments that reach the part of the target a real
+control can reach.
 """
 
 from __future__ import annotations
@@ -33,13 +40,19 @@ import numpy as np
 
 from .charge import ChargeTrajectory, CouplingProfile, _march, apply_U, solve_charge
 from .errors import InputError, UnsupportedHorizonError
-from .kernels import block_phases, close_history, fit_loglog_slope, odd_eigenvalues, phi1
+from .kernels import (
+    block_phases,
+    close_history,
+    fit_loglog_slope,
+    lattice_angles,
+    odd_eigenvalues,
+    phi1,
+)
 from .propagator import assemble_F, end_state, initial_coefficients
 from .spectral import (
     INV_SQRT_PI,
     SpectralCoefficients,
     TimeGrid,
-    eigenvalue,
     free_evolve,
     free_origin_series,
 )
@@ -162,12 +175,19 @@ def solve_moment(target: ControlTarget, grid: TimeGrid | None = None) -> np.ndar
     Requires a grid spanning the target's horizon T = 8*pi*N to within 1e-9.
     On [0, 8*pi] the solution is the sine superposition described in the module
     docstring, zero on the nodes j > n/N (t_j > 8*pi).  With n steps, lam_k*t_j =
-    2*pi*(k^2*N)*j/n, so sin(lam_k t) is the grid harmonic at the bins (k^2*N) mod n,
-    less its mirror at the bins -(k^2*N) mod n.  rho is synthesized by the transpose
-    of the fold (`_fold`): one n/f-point inverse FFT A of the mode spectrum at the
-    bins' indices, whose mirror bins are the same sums read backwards, A[-m mod M].
-    Row p of rho's (f, M) buffer, t = m + p*M, is
-    roots[p]*twiddle*A[m] - conj(roots[p]*twiddle)*A[-m mod M].
+    2*pi*(k^2*N)*j/n, and rho has two syntheses of the same sum:
+
+    - `_direct_synthesis` sums the sines of the K nonzero modes on the nodes
+      t_j <= 8*pi, from their exact lattice phases: at most K*n sines;
+    - `_folded_synthesis` takes one inverse FFT of length M = n/f, f = gcd(n, 8),
+      whose work grows as M*log2(M).
+
+    The direct sum is taken when K*n <= M*log2(M).  Grids of the control command
+    need the rule: its default n = 25133 = 41*613 has a large prime factor, where
+    numpy's FFT falls back to Bluestein's algorithm (several power-of-two FFTs of
+    length at least 2*M) and one transform costs several times a 2-mode sine sum.
+    Dense targets, as in verify's moment-exactness (201 modes on 2^19 steps), keep
+    the FFT.
     """
     if grid is None:
         grid = TimeGrid(target.t_end, (1 << 15) * target.periods)
@@ -175,6 +195,34 @@ def solve_moment(target: ControlTarget, grid: TimeGrid | None = None) -> np.ndar
         raise InputError("control grid horizon must match the target horizon")
     check_resolved(target, grid.n_steps)
     n = grid.n_steps
+    fft_size = n // math.gcd(n, 8)
+    direct = np.count_nonzero(target.c.a[0::2]) * n <= fft_size * math.log2(fft_size)
+    rho = (_direct_synthesis if direct else _folded_synthesis)(target, n)
+    rho[n // target.periods + 1:] = 0.0  # t_j > 8*pi
+    rho[0] = rho[n] = 0.0  # sin(0) = sin(2*pi*k^2) = 0 exactly at t = 0 and t = 8*pi
+    return rho
+
+
+def _direct_synthesis(target: ControlTarget, n: int) -> np.ndarray:
+    """rho on the n+1 nodes as the sine sum itself over the target's nonzero modes, on the
+    nodes j <= n/N (t_j <= 8*pi), each sine of its lattice phase (kernels.lattice_angles)."""
+    rho = np.zeros(n + 1, dtype=complex)
+    count = n // target.periods + 1
+    c = target.c.a[0::2] * (-INV_SQRT_PI / 4.0)
+    for k in np.flatnonzero(c):
+        rho[:count] += c[k] * np.sin(lattice_angles(target.harmonics[k], n, count))
+    return rho
+
+
+def _folded_synthesis(target: ControlTarget, n: int) -> np.ndarray:
+    """rho on the first n nodes by the transpose of the fold (`_fold`), rho[n] unset.
+
+    sin(lam_k t) is the grid harmonic at the bins (k^2*N) mod n, less its mirror at
+    the bins -(k^2*N) mod n: one n/f-point inverse FFT A of the mode spectrum at the
+    bins' indices, whose mirror bins are the same sums read backwards, A[-m mod M].
+    Row p of rho's (f, M) buffer, t = m + p*M, is
+    roots[p]*twiddle*A[m] - conj(roots[p]*twiddle)*A[-m mod M].
+    """
     roots, twiddle, index = _fold(target, n)
     # rho[:n] as f rows, t = m + p*M.  Row 0 holds the spectrum times -(sqrt(pi)/(4*pi)),
     # then its transform A in place; the synthesis adds one M-point array, A[-m mod M]
@@ -196,8 +244,6 @@ def solve_moment(target: ControlTarget, grid: TimeGrid | None = None) -> np.ndar
     a -= b  # row 0 last, as it holds a; roots[0] = 1
     if half < roots.size:
         np.multiply(rows[:half], roots[half].real, out=rows[half:])  # roots[f/2] = +-1
-    rho[n // target.periods + 1:] = 0.0  # t_j > 8*pi
-    rho[0] = rho[n] = 0.0  # sin(0) = sin(2*pi*k^2) = 0 exactly at t = 0 and t = 8*pi
     return rho
 
 
@@ -268,13 +314,15 @@ def synthesize_control(target: ControlTarget, k_bar: int, grid: TimeGrid) -> Cou
 
     rho is solve_moment of the moments of real_moments, so dGamma_0(alpha) is the
     reachable part of the target (all of it off the collision pairs) up to rounding.
+    The carrier's phase lam_kbar*t_j is the lattice point of the harmonic k_bar^2*N
+    (kernels.lattice_angles), within a few eps of the exact one at any k_bar.
     A partner mode that the grid aliases is refused by solve_moment's check_resolved.
     """
     m = real_moments(target, k_bar, grid)[0]
     a = np.zeros(target.k_max, dtype=complex)
     a[0::2] = m
     rho = solve_moment(ControlTarget(SpectralCoefficients(target.k_max, a), target.t_end), grid)
-    rho *= np.exp(1j * eigenvalue(k_bar) * grid.times)
+    rho *= np.exp(1j * lattice_angles(target.harmonics[k_bar // 2], grid.n_steps, rho.size))
     alpha = -2.0 * np.sqrt(np.pi) * rho.real
     alpha += 0.0  # rho's exact zeros give -0.0; the control file shows them as 0.0
     return CouplingProfile.piecewise_linear(grid, alpha)

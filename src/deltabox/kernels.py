@@ -30,10 +30,22 @@ table is memoized per grid (lam, dt, n_steps) and read-only: the march, the
 origin series, the block-start sums and the moment fold of one run compute
 each grid's phases once.
 
+On a horizon T = 8*pi*N the phases are exact lattice points, lam_k*t_j =
+2*pi*((k^2*N*j) mod n)/n: `lattice_angles` reduces the integer product in int64
+and scales it once, so a phase is within pi*eps of the exact one at any k and j
+(the float product lam_k*t_j is off by about eps*lam_k*t_j).  The moment
+solver's direct sine sum and the control's carrier read it.
+
 The march's one triangular solve per block is `lower_solve`: OpenBLAS's
 cblas_ztrsv from the library numpy itself links, called through ctypes, so no
 command needs scipy.  Where numpy's BLAS is not that library, the solve is
 scipy.linalg.solve_triangular, imported on first use.
+
+The CLI also sets the process up before it runs: `use_one_blas_thread` (the same
+bits at any thread count) and `keep_grid_arrays_on_heap`, which raises glibc's
+mmap and trim thresholds through mallopt so that whole-grid temporaries reuse
+the heap instead of each being a fresh mmap.  Library callers keep both defaults;
+`runtime_record` reports what ran.
 """
 
 from __future__ import annotations
@@ -146,6 +158,24 @@ def _phase_table(lam_bytes: bytes, dt: float, n_steps: int) -> tuple[np.ndarray,
     table.flags.writeable = False
     anchors.flags.writeable = False
     return table, anchors
+
+
+def lattice_angles(harmonic: int, n_steps: int, count: int) -> np.ndarray:
+    """Phases 2*pi*((harmonic*j) mod n_steps)/n_steps of the nodes j < count, in [-pi, pi).
+
+    On a horizon T = 8*pi*N every lam_k*t_j = 2*pi*(k^2*N)*j/n is a point of this
+    integer lattice.  The product is reduced in int64 (exact while
+    (harmonic mod n)*count < 2^63) and centred on zero before the one scaling by
+    2*pi/n, so every phase is within pi*eps of the exact one at any harmonic and
+    node; the float product lam*t_j is off by about eps*lam*t_j.
+    """
+    half = n_steps // 2
+    m = np.arange(count, dtype=np.int64)
+    m *= harmonic % n_steps
+    m += half
+    m %= n_steps
+    m -= half
+    return m * (2.0 * np.pi / n_steps)
 
 
 def lag_matrix(lags: np.ndarray) -> np.ndarray:
@@ -278,6 +308,37 @@ def use_one_blas_thread() -> None:
         set_threads(1)
 
 
+# glibc's mallopt parameters (malloc.h) and the thresholds `keep_grid_arrays_on_heap`
+# sets: every whole-grid array here is below 32 MiB
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+MMAP_THRESHOLD, TRIM_THRESHOLD = 32 << 20, 64 << 20
+_malloc_thresholds = "default"
+
+
+def keep_grid_arrays_on_heap() -> None:
+    """Set glibc's M_MMAP_THRESHOLD to 32 MiB and M_TRIM_THRESHOLD to 64 MiB, where libc
+    has mallopt (elsewhere a no-op).
+
+    A whole-grid temporary (25134 complex values, 402 KB) is above glibc's 128 KB
+    default threshold, so each one would be a fresh zero-filled mmap, faulted in
+    page by page and unmapped on free; on the heap it reuses freed memory.
+    glibc raises its threshold itself when an mmapped block is freed, so without
+    the fixed setting which arrays are mmapped depends on what was freed before.
+    `runtime_record` reports the outcome.
+    """
+    global _malloc_thresholds
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # no mallopt, or no C library handle
+        _malloc_thresholds = "unavailable"
+        return
+    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    set_ok = (mallopt(_M_MMAP_THRESHOLD, MMAP_THRESHOLD) == 1,
+              mallopt(_M_TRIM_THRESHOLD, TRIM_THRESHOLD) == 1)
+    _malloc_thresholds = (f"mmap {MMAP_THRESHOLD} trim {TRIM_THRESHOLD}" if all(set_ok)
+                          else "refused")
+
+
 def lower_solve(system: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """x with system @ x = rhs for a square lower-triangular complex system (upper part ignored).
 
@@ -301,11 +362,14 @@ def lower_solve(system: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 def runtime_record() -> dict:
     """What ran the linear algebra: the triangular-solve path, numpy's BLAS, the threads
-    OpenBLAS runs with and the thread variables seen at import ('unset' when absent)."""
+    OpenBLAS runs with and the thread variables seen at import ('unset' when absent);
+    and the malloc thresholds: 'default' unless `keep_grid_arrays_on_heap` ran, then
+    the thresholds it set, 'refused' if mallopt rejected one, or 'unavailable'."""
     blas = _numpy_blas()
     return {"triangular_solve": "scipy" if _bundled_trsv() is None else "bundled-openblas",
             "blas": f"{blas.get('name')} {blas.get('version')}",
-            "openblas_threads": _openblas_threads(), **_THREADS_AT_IMPORT}
+            "openblas_threads": _openblas_threads(), **_THREADS_AT_IMPORT,
+            "malloc_thresholds": _malloc_thresholds}
 
 
 def discrete_h1_norm(values: np.ndarray, dt: float) -> float:

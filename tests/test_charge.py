@@ -29,6 +29,7 @@ from deltabox.kernels import (
     discrete_h1_norm,
     history_at_end,
     lag_matrix,
+    lattice_angles,
     lower_solve,
     odd_eigenvalues,
     phi1,
@@ -454,6 +455,28 @@ class TestPhaseTable:
             fresh = kernels._phase_table.__wrapped__(args[0].tobytes(), *args[1:])
             assert all(np.array_equal(g, h) for g, h in zip(got, fresh))
             assert not all(np.array_equal(g, h) for g, h in zip(fresh, base))
+
+
+class TestLatticeAngles:
+    @pytest.mark.parametrize("harmonic, n_steps", [
+        (401**2 * 8, (1 << 19) + 3),  # k^2*N*j up to 6.7e11, an unreduced phase of 8.1e6
+        (111**2, 25133),  # the carrier of k_bar = 111 on the steering grid
+        (3 * 10**12 + 7, 30001),  # a harmonic far above the grid, reduced before the product
+    ])
+    def test_matches_the_exact_phase(self, harmonic, n_steps):
+        # 2*pi*frac(harmonic*j/n_steps) in [-pi, pi), from exact integers at 30 digits, on
+        # 400 nodes spread over the grid and its last node; the phase factor adds exp's rounding
+        mpmath = pytest.importorskip("mpmath")
+        nodes = np.unique(np.linspace(0, n_steps, 400).astype(np.int64))
+        angles = lattice_angles(harmonic, n_steps, n_steps + 1)[nodes]
+        eps = np.finfo(float).eps
+        with mpmath.workdps(30):
+            for j, got in zip(nodes.tolist(), angles):
+                turns = (harmonic * j + n_steps // 2) % n_steps - n_steps // 2
+                exact = 2 * mpmath.pi * mpmath.mpf(turns) / n_steps
+                assert -np.pi <= got < np.pi
+                assert abs(got - exact) <= np.pi * eps, j
+                assert abs(np.exp(1j * got) - complex(mpmath.expj(exact))) <= (np.pi + 1) * eps, j
 
 
 class TestInitialCharge:

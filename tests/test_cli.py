@@ -1,3 +1,4 @@
+import ctypes
 import functools
 import inspect
 import itertools
@@ -7,6 +8,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import textwrap
 import time
 import tracemalloc
 
@@ -17,6 +19,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import deltabox
+from deltabox import kernels
 from deltabox.charge import CouplingProfile
 from deltabox.cli import EXIT_SOLVER, _SIMULATE_KEYS, _parse_alpha, _parse_psi0, main
 from deltabox.control import ControlTarget, apply_linearized, synthesize_control
@@ -40,7 +43,10 @@ def run_cli(args):
     return main(args)
 
 
-RUNTIME_KEYS = ["triangular_solve", "blas", "openblas_threads", *THREAD_VARIABLES]
+RUNTIME_KEYS = ["triangular_solve", "blas", "openblas_threads", *THREAD_VARIABLES,
+                "malloc_thresholds"]
+# what the record reads once cli.main has set glibc's thresholds (kernels.keep_grid_arrays_on_heap)
+SET_THRESHOLDS = f"mmap {kernels.MMAP_THRESHOLD} trim {kernels.TRIM_THRESHOLD}"
 
 
 def manifest_section(path, name):
@@ -58,6 +64,7 @@ def assert_runtime_section(path):
         "Build Dependencies"]["blas"]["name"]
     threads = runtime["openblas_threads"]
     assert (threads == "unknown") if _bundled_trsv() is None else (int(threads) >= 1)
+    assert runtime["malloc_thresholds"] in (SET_THRESHOLDS, "unavailable")
 
 
 def run_python(args, **variables):
@@ -970,6 +977,59 @@ class TestImportBudget:
                           OPENBLAS_NUM_THREADS="1")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == ("unknown" if _bundled_trsv() is None else "1")
+
+    def test_two_mode_control_leaves_numpy_fft_unloaded(self, tmp_path):
+        # the steering experiment's 2-mode target takes the direct sine sum, not the FFT
+        target = tmp_path / "target.csv"
+        target.write_text("k,re_c,im_c\n3,0.6,0.0\n7,0.0,0.8\n")
+        args = ["control", "--target", str(target), "--k-max", "21", "--experiment",
+                "--outdir", str(tmp_path / "out")]
+        proc = run_python(["-c", "import sys, deltabox.cli as cli; "
+                                 f"code = cli.main({args!r}); "
+                                 "print('RESULT', code, 'numpy.fft' in sys.modules)"])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "RESULT 0 False"
+
+    def test_allocator_call_without_mallopt_is_a_noop(self, monkeypatch):
+        # a C library without mallopt (or no handle to one) leaves everything as it was
+        class NoMallopt:
+            pass
+
+        monkeypatch.setattr(kernels, "_malloc_thresholds", "default")
+        monkeypatch.setattr(kernels.ctypes, "CDLL", lambda name: NoMallopt())
+        kernels.keep_grid_arrays_on_heap()
+        assert runtime_record()["malloc_thresholds"] == "unavailable"
+
+    def test_import_leaves_the_allocator_at_its_defaults(self):
+        # glibc's mallinfo2 counts the bytes in mmapped blocks: after `import deltabox` a
+        # 16 MiB array is one (the default threshold is at most 32 MiB only once blocks
+        # that large were freed), and after the CLI's call it is on the heap
+        if not hasattr(ctypes.CDLL(None), "mallinfo2"):
+            pytest.skip("the C library has no mallinfo2 (glibc 2.33 or later)")
+        code = textwrap.dedent("""
+            import ctypes, numpy as np, deltabox
+            from deltabox import kernels
+
+            class Info(ctypes.Structure):
+                _fields_ = [(name, ctypes.c_size_t) for name in (
+                    "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks",
+                    "fsmblks", "uordblks", "fordblks", "keepcost")]
+
+            mallinfo2 = ctypes.CDLL(None).mallinfo2
+            mallinfo2.restype = Info
+
+            def mmapped(n_bytes):
+                before = mallinfo2().hblkhd
+                block = np.empty(n_bytes // 8)
+                return mallinfo2().hblkhd - before >= n_bytes
+
+            print(kernels.runtime_record()["malloc_thresholds"], mmapped(16 << 20))
+            kernels.keep_grid_arrays_on_heap()
+            print(kernels.runtime_record()["malloc_thresholds"], mmapped(16 << 20))
+        """)
+        proc = run_python(["-c", code])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["default True", f"{SET_THRESHOLDS} False"]
 
     def test_same_artifacts_at_one_and_two_threads(self, tmp_path):
         # cli.main runs the bundled OpenBLAS on one thread: simulate on a dense state and

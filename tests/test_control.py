@@ -168,9 +168,9 @@ class TestSolveMoment:
 
     @pytest.mark.parametrize("n_steps", [25133, 30001, 24002, 24004, 24000])
     def test_one_inverse_fft_per_solve(self, rng, monkeypatch, n_steps):
-        # f = gcd(n, 8) = 1, 1, 2, 4, 8: rho is one n/f-point inverse FFT, whose
-        # mirror bins are read backwards, and no forward FFT.  The modes past the
-        # Nyquist bin are zero, and their bins still wrap mod n
+        # f = gcd(n, 8) = 1, 1, 2, 4, 8: a dense target's rho is one n/f-point inverse
+        # FFT, whose mirror bins are read backwards, and no forward FFT.  The modes past
+        # the Nyquist bin are zero, and their bins still wrap mod n
         calls = []
         for name in ("fft", "ifft"):
             def counted(x, *args, _name=name, _transform=getattr(np.fft, name), **kwargs):
@@ -197,6 +197,48 @@ class TestSolveMoment:
         a = resolved_target(rng, 101, grid)
         rho = solve_moment(ControlTarget(SpectralCoefficients(101, a), grid.t_end), grid)
         assert np.all(rho[beyond] == 0) and np.count_nonzero(rho[1:beyond[0] - 1]) > 0
+
+    @pytest.mark.parametrize("n_steps", [25133, 24002, 24004, 24000])  # f = 1, 2, 4, 8
+    @pytest.mark.parametrize("n_periods", [1, 2, 3])
+    def test_direct_and_folded_synthesis_agree(self, rng, n_steps, n_periods):
+        # the sine sum on the lattice and the folded inverse FFT, each called directly, on
+        # 1- and 2-mode targets and a dense one, which lie on both sides of the rule
+        from deltabox.control import _direct_synthesis, _folded_synthesis
+
+        grid = TimeGrid(n_periods * T8PI, n_steps)
+        dense = resolved_target(rng, 101, grid)
+        sparse = np.zeros(101, dtype=complex)
+        sparse[[2, 6]] = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        active = slice(0, min(n_steps // n_periods + 1, n_steps))  # folded leaves rho[n] unset
+        for a in (sparse, dense, np.where(np.arange(101) == 4, 0.7j, 0.0)):
+            target = ControlTarget(SpectralCoefficients(101, a), grid.t_end)
+            direct, folded = _direct_synthesis(target, n_steps), _folded_synthesis(target, n_steps)
+            assert np.max(np.abs(direct[active] - folded[active])) <= (
+                1e-14 * np.max(np.abs(folded[active])))
+            assert np.all(direct[active.stop:] == 0)
+
+    @pytest.mark.parametrize("n_steps, k_max, modes, fft_calls", [
+        (25133, 401, 2, 0),  # the steering experiment
+        (25133, 401, 14, 0),  # 14*n <= M*log2(M) < 15*n, M = n = 25133
+        (25133, 401, 15, 1),
+        (1 << 15, 3, 1, 0),  # test_mode_one_closed_form: 1*n <= M*log2(M), M = n/8
+        (1 << 15, 3, 2, 1),
+        (1 << 19, 401, 201, 1),  # verify's moment-exactness
+    ])
+    def test_rule_takes_the_direct_sum_for_few_modes(self, rng, monkeypatch, n_steps, k_max,
+                                                     modes, fft_calls):
+        calls = []
+
+        def counted(x, *args, **kwargs):
+            calls.append(len(x))
+            return transform(x, *args, **kwargs)
+
+        transform = np.fft.ifft
+        monkeypatch.setattr(np.fft, "ifft", counted)
+        a = np.zeros(k_max, dtype=complex)
+        a[0:2 * modes:2] = np.exp(2j * np.pi * rng.random(modes))
+        solve_moment(ControlTarget(SpectralCoefficients(k_max, a), T8PI), TimeGrid(T8PI, n_steps))
+        assert len(calls) == fft_calls
 
     def test_residual_of_construction(self):
         t = target_on(1)
@@ -360,6 +402,24 @@ class TestSynthesizeControl:
         assert np.all(np.abs(alpha.samples) <= 2 * np.sqrt(np.pi) * np.abs(rho) + 1e-15)
         expected = -2 * np.sqrt(np.pi) * (rho * np.exp(0.25j * GRID_2_15.times)).real
         assert np.max(np.abs(alpha.samples - expected)) < 1e-12
+
+    @pytest.mark.parametrize("k_bar", [1, 111])
+    def test_carrier_is_on_the_lattice(self, k_bar):
+        # alpha = -2*sqrt(pi)*Re(rho*e^{i*lam_kbar*t_j}) with the carrier in clongdouble on
+        # lam_kbar*t_j = 2*pi*(k_bar^2*j mod n)/n.  The float product lam*t_j put it 1.9e-11
+        # off at k_bar = 111
+        grid = TimeGrid(T8PI, 25133)
+        t = target_on(3)
+        alpha = synthesize_control(t, k_bar, grid)
+        a = np.zeros(401, dtype=complex)
+        a[0::2] = real_moments(t, k_bar, grid)[0]
+        rho = solve_moment(ControlTarget(SpectralCoefficients(401, a), T8PI), grid)
+        turns = np.arange(grid.n_steps + 1) * k_bar**2 % grid.n_steps
+        pi = 4 * np.arctan(np.longdouble(1))
+        carrier = np.exp(2j * pi * turns.astype(np.longdouble) / grid.n_steps)
+        expected = (-2 * np.sqrt(np.pi) * (rho * carrier).real).astype(float)
+        bound = 4 * np.finfo(float).eps * np.max(np.abs(expected))
+        assert np.max(np.abs(alpha.samples - expected)) <= bound
 
     def test_even_anchor_rejected(self):
         with pytest.raises(InputError):
