@@ -50,7 +50,6 @@ from .spectral import (
     DEFAULT_K_MAX,
     SpectralCoefficients,
     TimeGrid,
-    eigenmode_value,
     eigenvalue,
     evaluate_state,
     free_evolve,
@@ -75,7 +74,6 @@ __all__ = [
     "controllability_experiment",
     "decompose",
     "diagnostics",
-    "eigenmode_value",
     "eigenvalue",
     "evaluate_state",
     "evolve",

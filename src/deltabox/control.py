@@ -40,14 +40,7 @@ import numpy as np
 
 from .charge import ChargeTrajectory, CouplingProfile, _march, apply_U, solve_charge
 from .errors import InputError, UnsupportedHorizonError
-from .kernels import (
-    block_phases,
-    close_history,
-    fit_loglog_slope,
-    lattice_angles,
-    odd_eigenvalues,
-    phi1,
-)
+from .kernels import TIME_BLOCK, fit_loglog_slope, lattice_angles, odd_eigenvalues, phi1
 from .propagator import assemble_F, end_state, initial_coefficients
 from .spectral import (
     INV_SQRT_PI,
@@ -129,11 +122,6 @@ def apply_linearized(alpha: CouplingProfile, u, psi0: SpectralCoefficients,
     return [assemble_F(q) for q in qdot] if u_nodes.ndim == 2 else assemble_F(qdot)
 
 
-# e^{2*pi*i*p/8}, exact where the value is representable
-_EIGHTH_ROOTS = np.array([1, np.sqrt(0.5) * (1 + 1j), 1j, np.sqrt(0.5) * (-1 + 1j),
-                          -1, -np.sqrt(0.5) * (1 + 1j), -1j, np.sqrt(0.5) * (1 - 1j)])
-
-
 def _fold(target: ControlTarget, n: int):
     """The lattice of the target's moment bins (k^2*N) mod n on n steps of its horizon T = 8*pi*N.
 
@@ -144,17 +132,18 @@ def _fold(target: ControlTarget, n: int):
         z_m = e^{2*pi*i*r*m/n} * sum_{p<f} e^{2*pi*i*r*p/f} x_{m+p*M},    m < M.
 
     Returns the roots e^{2*pi*i*r*p/f} (p < f, so f is their number), the twiddles
-    e^{2*pi*i*r*m/n} (m < M; the scalar 1 when r = 0) and each mode's bin index j.
-    The twiddles, the phases of one frequency on m*(2*pi*r/n), are anchor x table
-    from kernels.block_phases: about M/TIME_BLOCK + TIME_BLOCK exps, not M.
+    e^{2*pi*i*r*m/n} (m < M) and each mode's bin index j.  Every phase is a point of
+    the n-point lattice (kernels.lattice_angles): a root is the harmonic r*M at p, and
+    the twiddles are anchor x table, the harmonic r*B at every block b of B = TIME_BLOCK
+    points times the harmonic r at the block's m < B, about M/B + B exps, not M.
     """
     f = math.gcd(n, 8)
+    size = n // f
     r = target.periods % f
-    roots = _EIGHTH_ROOTS[(8 // f) * r * np.arange(f) % 8]
-    twiddle = 1.0
-    if r:
-        table, anchors = block_phases(np.array([-1.0]), 2.0 * np.pi * r / n, n // f - 1)
-        twiddle = (anchors * table[:-1, 0]).reshape(-1)[:n // f]
+    roots = np.exp(1j * lattice_angles(r * size, n, f))
+    anchors = np.exp(1j * lattice_angles(r * TIME_BLOCK, n, -(-size // TIME_BLOCK)))
+    table = np.exp(1j * lattice_angles(r, n, TIME_BLOCK))
+    twiddle = np.multiply.outer(anchors, table).reshape(-1)[:size]
     return roots, twiddle, (target.harmonics % n - r) // f
 
 
@@ -180,7 +169,8 @@ def solve_moment(target: ControlTarget, grid: TimeGrid | None = None) -> np.ndar
     - `_direct_synthesis` sums the sines of the K nonzero modes on the nodes
       t_j <= 8*pi, from their exact lattice phases: at most K*n sines;
     - `_folded_synthesis` takes one inverse FFT of length M = n/f, f = gcd(n, 8),
-      whose work grows as M*log2(M).
+      whose work grows as M*log2(M), and twists it by the fold's roots and twiddles
+      (`_fold`), which are lattice phases too: no path reads kernels.block_phases.
 
     The direct sum is taken when K*n <= M*log2(M).  Grids of the control command
     need the rule: its default n = 25133 = 41*613 has a large prime factor, where
@@ -235,7 +225,7 @@ def _folded_synthesis(target: ControlTarget, n: int) -> np.ndarray:
     b = np.concatenate((a[:1], a[:0:-1]))  # A[-m mod M]
     a *= twiddle
     b *= np.conj(twiddle)
-    # roots[p + f/2] = (-1)^r*roots[p] exactly, so the rows p >= f/2 are signed copies
+    # e^{2*pi*i*r*(p + f/2)/f} = (-1)^r*e^{2*pi*i*r*p/f}, so the rows p >= f/2 are signed copies
     half = max(1, roots.size // 2)
     buf = np.empty_like(b) if half > 1 else None
     for p in range(1, half):
@@ -243,7 +233,7 @@ def _folded_synthesis(target: ControlTarget, n: int) -> np.ndarray:
         rows[p] -= np.multiply(roots[p].conj(), b, out=buf)
     a -= b  # row 0 last, as it holds a; roots[0] = 1
     if half < roots.size:
-        np.multiply(rows[:half], roots[half].real, out=rows[half:])  # roots[f/2] = +-1
+        np.multiply(rows[:half], roots[half].real, out=rows[half:])  # Re roots[f/2] = +-1 exactly
     return rho
 
 
@@ -251,7 +241,8 @@ def _pl_end_history(samples: np.ndarray, target: ControlTarget) -> np.ndarray:
     """End history h(T) = int_0^T rho_PL(s) e^{-i*lam_k*(T-s)} ds over the target's odd
     modes of complex samples on the n+1 nodes of its horizon T = 8*pi*N.  The sums B
     are the Fourier bins (k^2*N) mod n of the increments, solve_moment's bins, taken
-    with one n/f-point inverse FFT of their fold (`_fold`), closed by close_history.
+    with one n/f-point inverse FFT of their fold (`_fold`).  On the lattice
+    e^{-i*lam_k*T} = 1 exactly, so h(T) = (rho(T) - rho(0) - B)/(i*lam_k).
     """
     grid = TimeGrid(target.t_end, samples.size - 1)
     lam = odd_eigenvalues(target.k_max)
@@ -263,7 +254,7 @@ def _pl_end_history(samples: np.ndarray, target: ControlTarget) -> np.ndarray:
     z *= twiddle
     np.fft.ifft(z, norm="forward", out=z)
     b = z[index] * phi1(1j * lam * grid.dt)
-    return close_history(samples[-1], samples[0] + b, lam, grid.n_steps * grid.dt)
+    return (samples[-1] - samples[0] - b) / (1j * lam)
 
 
 def moment_residual(samples, target: ControlTarget) -> float:

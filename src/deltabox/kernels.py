@@ -26,15 +26,16 @@ every node.  `history_at_end` and the charge march close S(T) with
 `close_history`.  Every kernel shares one set of phases on the uniform grid,
 `block_phases`: e^{-i*lam*(b*B + r)*dt} is an exact anchor per block b times a
 table of block-relative phases, so no node-by-mode exp is evaluated.  The
-table is memoized per grid (lam, dt, n_steps) and read-only: the march, the
-origin series, the block-start sums and the moment fold of one run compute
-each grid's phases once.
+table is memoized per time grid (lam, dt, n_steps) and read-only: the march,
+the origin series and the block-start sums of one run compute each grid's
+phases once (simulate builds 1 table, the steering experiment 2).
 
 On a horizon T = 8*pi*N the phases are exact lattice points, lam_k*t_j =
 2*pi*((k^2*N*j) mod n)/n: `lattice_angles` reduces the integer product in int64
 and scales it once, so a phase is within pi*eps of the exact one at any k and j
 (the float product lam_k*t_j is off by about eps*lam_k*t_j).  The moment
-solver's direct sine sum and the control's carrier read it.
+solver's direct sine sum and its fold's roots and twiddles, and the control's
+carrier, read it.
 
 The march's one triangular solve per block is `lower_solve`: OpenBLAS's
 cblas_ztrsv from the library numpy itself links, called through ctypes, so no
@@ -69,9 +70,9 @@ MODE_BLOCK = 64
 # block of the charge march, and the length of the phase table every kernel shares
 TIME_BLOCK = 128
 
-# grids whose phase tables `block_phases` keeps: a run marches, rebuilds and
-# folds on a few grids, each visited several times
-PHASE_TABLES = 4
+# time grids whose phase tables `block_phases` keeps: a run marches and rebuilds on
+# a few grids, each visited several times (simulate needs 1 table, steer 2)
+PHASE_TABLES = 3
 
 _PHI_SERIES_CUTOFF = 0.25
 _PHI_SERIES_TERMS = 18

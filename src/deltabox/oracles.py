@@ -135,8 +135,9 @@ def fd_spectrum(alpha: float, n_eigen: int = 6) -> np.ndarray:
     return np.sort(energies)[:n_eigen]
 
 
-def galerkin_evolution(a0: np.ndarray, alpha_value, t_end: float, k_max: int) -> np.ndarray:
-    """Final coefficients by direct ODE integration of the truncated mode system.
+def galerkin_evolution(a0: np.ndarray, alpha_value, t_end: float) -> np.ndarray:
+    """Final coefficients by direct ODE integration of the mode system truncated at a0's
+    length k_max.
 
     The charge formulation with the tail-corrected U is equivalent (in exact
     time) to the coupled mode equations
@@ -163,6 +164,7 @@ def galerkin_evolution(a0: np.ndarray, alpha_value, t_end: float, k_max: int) ->
     nodes, four scalar stages, and one update b += (dt/6) [k1, 2(k2+k3), k4] @ p.
     """
     a0 = np.asarray(a0, dtype=complex)
+    k_max = a0.size
     lam = odd_eigenvalues(k_max)
     n_steps = math.ceil(t_end * lam[-1] / GALERKIN_PHASE_STEP)
     dt = t_end / n_steps

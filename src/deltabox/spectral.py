@@ -74,14 +74,6 @@ def mode_table(modes: range, x) -> np.ndarray:
     return out.reshape((-1,) + half_x.shape)[:len(modes)]
 
 
-def eigenmode_value(k: int, x) -> np.ndarray | float:
-    """Value of psi_k at x (scalar or array), |x| <= pi."""
-    if k < 1 or int(k) != k:
-        raise InputError(f"mode index must be a positive integer, got {k!r}")
-    out = INV_SQRT_PI * mode_table(range(int(k), int(k) + 1), _check_in_box(x))[0]
-    return out if np.ndim(x) else float(out)
-
-
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform grid t_n = n*dt on [0, t_end] with n_steps steps."""

@@ -35,10 +35,11 @@ def slope_moment_history(q, dt, lam):
     return np.array(rows)
 
 
-def galerkin_reference(a0, alpha_value, t_end, k_max):
+def galerkin_reference(a0, alpha_value, t_end):
     """oracles.galerkin_evolution with every RK4 stage a full mode vector, the rate
     c(t) e^{i*lam*t} (e^{-i*lam*t} @ b) formed densely: the reference for the rank-one step."""
     a0 = np.asarray(a0, dtype=complex)
+    k_max = a0.size
     lam = odd_eigenvalues(k_max)
     n_steps = math.ceil(t_end * lam[-1] / GALERKIN_PHASE_STEP)
     dt = t_end / n_steps

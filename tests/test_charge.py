@@ -36,7 +36,7 @@ from deltabox.kernels import (
     tail_deficit,
 )
 from deltabox.oracles import picard_charge
-from deltabox.propagator import DomainState
+from deltabox.propagator import DomainState, evolve
 from deltabox.spectral import (
     SpectralCoefficients,
     TimeGrid,
@@ -455,6 +455,31 @@ class TestPhaseTable:
             fresh = kernels._phase_table.__wrapped__(args[0].tobytes(), *args[1:])
             assert all(np.array_equal(g, h) for g, h in zip(got, fresh))
             assert not all(np.array_equal(g, h) for g, h in zip(fresh, base))
+
+    def test_steering_run_builds_two_tables(self):
+        # the control command on one grid: the anchor's one-mode origin series and the
+        # march's odd modes are the only keys, so a cache of fewer than 2 grids would rebuild
+        from deltabox.control import (ControlTarget, apply_linearized,
+                                      controllability_experiment, synthesize_control)
+
+        grid = TimeGrid(8.0 * np.pi, 4000)
+        a = np.zeros(51, dtype=complex)
+        a[[2, 4]] = 0.6, 0.8j
+        target = ControlTarget(SpectralCoefficients(51, a), grid.t_end)
+        kernels._phase_table.cache_clear()
+        alpha = synthesize_control(target, 1, grid)
+        reach = apply_linearized(CouplingProfile.zero(grid.t_end), alpha.samples,
+                                 SpectralCoefficients.unit(1, 51), grid)
+        controllability_experiment(1, [1e-2, 1e-3], target, alpha, reach)
+        assert kernels._phase_table.cache_info().misses == 2
+
+    def test_dense_evolve_builds_one_table(self):
+        # simulate's path: the origin series and the march of a dense state share one key
+        k = np.arange(1, 52)
+        psi0 = SpectralCoefficients(51, k**-3.0 * np.exp(1j * k))
+        kernels._phase_table.cache_clear()
+        evolve(psi0, CouplingProfile.sine_bump(0.3, 2.0), TimeGrid(2.0, 1000))
+        assert kernels._phase_table.cache_info().misses == 1
 
 
 class TestLatticeAngles:

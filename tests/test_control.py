@@ -54,11 +54,28 @@ def resolved_target(rng, k_max, grid):
     return a
 
 
+# 2*pi in long double (64-bit mantissa where the platform has one)
+TWO_PI_LONG = 8 * np.arctan(np.longdouble(1))
+
+
+def exact_turns(harmonics, n_steps, count):
+    """(h*j) mod n_steps in int64 for each harmonic h (rows) and node j < count (columns)."""
+    return np.outer(np.asarray(harmonics, dtype=np.int64) % n_steps,
+                    np.arange(count, dtype=np.int64)) % n_steps
+
+
 def direct_moment_solution(a, grid):
-    """-(sqrt(pi)/(4*pi)) * sum_k c_k sin(lam_k t), mode by mode, on grid's nodes t <= 8*pi."""
-    kk = np.arange(1, a.size + 1, 2)
-    times = grid.times[grid.times <= T8PI * (1 + 1e-12)]
-    return -np.sin(np.outer(times, kk**2 / 4.0)) @ a[0::2] / (4.0 * np.sqrt(np.pi))
+    """-(sqrt(pi)/(4*pi)) * sum_k c_k sin(lam_k t_j), mode by mode, on grid's nodes t_j <= 8*pi.
+
+    Each phase lam_k*t_j = 2*pi*((k^2*N*j) mod n)/n is reduced in int64 and the sines and
+    the sum are taken in long double, so the reference is exact to within long-double rounding."""
+    n_periods = round(grid.t_end / T8PI)
+    k = np.arange(1, a.size + 1, 2, dtype=np.int64)
+    active = np.flatnonzero(a[0::2])
+    turns = exact_turns(k[active] ** 2 * n_periods, grid.n_steps, grid.n_steps // n_periods + 1)
+    sines = np.sin(turns.astype(np.longdouble) * (TWO_PI_LONG / grid.n_steps))
+    rho = a[0::2][active].astype(np.clongdouble) @ sines / (-4 * np.sqrt(TWO_PI_LONG / 2))
+    return rho.astype(complex)
 
 
 class TestControlTarget:
@@ -254,18 +271,33 @@ class TestSolveMoment:
     @pytest.mark.parametrize("n", [1 << 15, 1 << 19])
     def test_fold_twiddles_match_direct_exp(self, n):
         # N = r periods on n steps put the bins in class r of f = gcd(n, 8) = 8.  The
-        # twiddles come from block_phases (anchor x table), the reference is one exp
-        # per point; at r = 0 the twiddle is exactly 1
+        # twiddles are anchor x table on the lattice; the reference is e^{2*pi*i*(r*m mod n)/n}
+        # in long double, one per point.  At r = 0 every twiddle is exactly 1
         from deltabox.control import _fold
 
+        eps = np.finfo(float).eps
         for r in range(8):
             n_periods = r or 8
             roots, twiddle, index = _fold(target_on(1, k_max=9, t_end=n_periods * T8PI), n)
             np.testing.assert_allclose(roots, np.exp(2j * np.pi * (r * np.arange(8) % 8) / 8),
                                        rtol=0, atol=1e-15)
-            direct = np.exp(2j * np.pi * r / n * np.arange(n // 8))
-            assert np.max(np.abs(twiddle - direct)) <= 1e-15, r
+            angles = exact_turns([r], n, n // 8)[0].astype(np.longdouble) * (TWO_PI_LONG / n)
+            error = np.hypot((twiddle.real - np.cos(angles)).astype(float),
+                             (twiddle.imag - np.sin(angles)).astype(float))
+            assert np.max(error) <= 4 * eps, r
+            assert r or np.all(twiddle == 1)
             assert np.array_equal(8 * index + r, np.array([1, 9, 25, 49, 81]) * n_periods % n)
+
+    @pytest.mark.parametrize("modes", [14, 15])  # either side of the direct/FFT rule at n = 25133
+    def test_flat_targets_match_the_exact_sum(self, modes):
+        # every odd mode k <= 27 (or 29) at unit size: the float product lam_k*t_j alone puts
+        # a sine sum about 2e-13*max|rho| away; the lattice phases keep both paths within 1e-14
+        grid = TimeGrid(T8PI, 25133)
+        a = np.zeros(401, dtype=complex)
+        a[0:2 * modes:2] = 1.0
+        rho = solve_moment(ControlTarget(SpectralCoefficients(401, a), T8PI), grid)
+        ref = direct_moment_solution(a, grid)
+        assert np.max(np.abs(rho - ref)) <= 1e-14 * np.max(np.abs(rho))
 
 
 class TestMomentResidual:
@@ -307,6 +339,18 @@ class TestMomentResidual:
         finally:
             tracemalloc.stop()
         assert peak < 4e6
+
+    def test_fold_reads_no_phase_table(self, rng):
+        # the fold's roots and twiddles are lattice phases: a dense solve (the FFT path) and its
+        # residual in the class r = 3 (N = 3 on 24000 steps) leave the phase cache untouched
+        from deltabox import kernels
+
+        grid = TimeGrid(3 * T8PI, 24000)
+        target = ControlTarget(SpectralCoefficients(101, resolved_target(rng, 101, grid)),
+                               grid.t_end)
+        before = kernels._phase_table.cache_info()
+        assert moment_residual(solve_moment(target, grid), target) < 1e-5
+        assert kernels._phase_table.cache_info() == before
 
     def test_fft_matches_direct_segment_sum(self, rng):
         # the FFT bin evaluation is the same per-segment exact quadrature:

@@ -312,7 +312,7 @@ class TestIndependentDynamicOracle:
             sol = solve_ivp(rhs, (0.0, t_end), np.concatenate((psi0.a.real, psi0.a.imag)),
                             rtol=1e-11, atol=1e-12, method="DOP853")
             ref = sol.y[:k_use, -1] + 1j * sol.y[k_use:, -1]
-            mine = galerkin_evolution(psi0.a, alpha.value, t_end, k_use)
+            mine = galerkin_evolution(psi0.a, alpha.value, t_end)
             assert np.max(np.abs(mine - ref)) <= 1e-9
 
     @pytest.mark.parametrize("psi0", [SpectralCoefficients.unit(1, 25),
@@ -324,8 +324,8 @@ class TestIndependentDynamicOracle:
         from deltabox.oracles import galerkin_evolution
 
         alpha = CouplingProfile.sine_bump(0.5, 2.0)
-        ref = galerkin_reference(psi0.a, alpha.value, 2.0, 25)
-        assert np.max(np.abs(galerkin_evolution(psi0.a, alpha.value, 2.0, 25) - ref)) <= 1e-13
+        ref = galerkin_reference(psi0.a, alpha.value, 2.0)
+        assert np.max(np.abs(galerkin_evolution(psi0.a, alpha.value, 2.0) - ref)) <= 1e-13
 
     def test_order_against_ode_oracle(self):
         # halving dt quarters the deviation from the reference trajectory
@@ -335,7 +335,7 @@ class TestIndependentDynamicOracle:
         k_use = 25
         psi0 = SpectralCoefficients.unit(1, k_use)
         alpha = CouplingProfile.sine_bump(0.5, 2.0)
-        ref = galerkin_evolution(psi0.a, lambda t: alpha.value(t), 2.0, k_use)
+        ref = galerkin_evolution(psi0.a, lambda t: alpha.value(t), 2.0)
         dts, errs = [4e-3, 2e-3, 1e-3], []
         for dt in dts:
             grid = TimeGrid(2.0, int(round(2.0 / dt)))

@@ -7,7 +7,6 @@ from deltabox.spectral import (
     SpectralCoefficients,
     TimeGrid,
     box_trapezoid,
-    eigenmode_value,
     eigenvalue,
     evaluate_state,
     eigenvalues,
@@ -25,16 +24,21 @@ from conftest import assert_check
 INV_SQRT_PI = 1.0 / np.sqrt(np.pi)
 
 
+def eigenmode(k, x):
+    """psi_k at x, the state e_k evaluated pointwise."""
+    return evaluate_state(SpectralCoefficients.unit(k, k), x)
+
+
 class TestEigenmodes:
     def test_cosine_mode_at_origin(self):
-        assert eigenmode_value(1, 0.0) == pytest.approx(INV_SQRT_PI, abs=1e-15)
+        assert eigenmode(1, 0.0) == pytest.approx(INV_SQRT_PI, abs=1e-15)
 
     def test_sine_mode_at_origin(self):
-        assert eigenmode_value(2, 0.0) == 0.0
+        assert eigenmode(2, 0.0) == 0.0
 
     def test_dirichlet_wall(self):
         # cos(3*pi/2) = 0
-        assert abs(eigenmode_value(3, np.pi)) < 1e-15
+        assert abs(eigenmode(3, np.pi)) < 1e-15
 
     def test_eigenvalue(self):
         assert eigenvalue(3) == 2.25
@@ -42,7 +46,7 @@ class TestEigenmodes:
 
     def test_domain_error(self):
         with pytest.raises(DomainError):
-            eigenmode_value(1, 3.5)
+            eigenmode(1, 3.5)
 
     def test_bad_mode_index(self):
         with pytest.raises(InputError):
@@ -166,7 +170,7 @@ class TestEvaluateState:
 
 class TestProjectFunction:
     def test_projects_eigenmode(self):
-        got = project_function(lambda x: eigenmode_value(3, x), k_max=32)
+        got = project_function(lambda x: eigenmode(3, x), k_max=32)
         expected = np.zeros(32)
         expected[2] = 1.0
         assert np.max(np.abs(got.a - expected)) < 1e-10
