@@ -263,7 +263,7 @@ def _march(f_nodes: np.ndarray, phi_nodes: np.ndarray, v0, grid: TimeGrid,
     enters through the modal accumulator acc_k = v0 + B_k(t_{s-1}): the
     right-hand side's history terms and the update of acc are each one product
     with the block-relative phases e^{-i*lam_k*r*dt}, r <= TIME_BLOCK,
-    re-anchored by one exact e^{-i*lam_k*t_{s-1}} per block (both from
+    re-anchored by one e^{-i*lam_k*t_{s-1}} per block (both from
     kernels.block_phases, as in kernels.block_starts).  Every d_n is
     checked before the march; the first one below STEP_SINGULARITY_MARGIN
     raises StepSingularityError.  At the end acc gives the end_history.

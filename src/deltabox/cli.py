@@ -1,9 +1,10 @@
 """Command-line front end: simulate, spectrum, green, control, verify, sweep.
 
-Exit codes: 0 success, 1 configuration/validation problem, 2 solver failure,
-3 file I/O failure.  simulate, spectrum, control and sweep compute first, then
-write once through `_write_run`: their artifacts in the output directory
-(DELTABOX_OUTDIR overrides it), then manifest.txt, last.  Every
+Exit codes: 0 success, 1 configuration/validation problem, 2 solver failure
+(an allocation numpy refuses included), 3 file I/O failure.  simulate,
+spectrum, control and sweep compute first, then write once through
+`_write_run`: their artifacts in the output directory (DELTABOX_OUTDIR
+overrides it), then manifest.txt, last.  Every
 numeric field of user input goes through iofiles.parse_number, so a malformed
 value is a configuration error, never a traceback: numeric flags are read as
 text and converted in `main` (each subcommand lists its own in `numbers`);
@@ -387,7 +388,7 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (SolverError, ArithmeticError) as exc:
+    except (SolverError, ArithmeticError, MemoryError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except OSError as exc:

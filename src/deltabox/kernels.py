@@ -24,11 +24,11 @@ by the block's own increments only, so a per-node sum over modes is a lag sum
 (`lag_sums`, on the lag matrices of `lag_matrix`) and h_k is never formed on
 every node.  `history_at_end` and the charge march close S(T) with
 `close_history`.  Every kernel shares one set of phases on the uniform grid,
-`block_phases`: e^{-i*lam*(b*B + r)*dt} is an exact anchor per block b times a
+`block_phases`: e^{-i*lam*(b*B + r)*dt} is an anchor per block b times a
 table of block-relative phases, so no node-by-mode exp is evaluated.  The
-table is memoized per time grid (lam, dt, n_steps) and read-only: the march,
-the origin series and the block-start sums of one run compute each grid's
-phases once (simulate builds 1 table, the steering experiment 2).
+table and the anchors are each built the same way again, over about
+sqrt(rows) blocks, so a grid's phases cost a few dozen exps per mode: each
+caller builds its own and drops it when done.
 
 On a horizon T = 8*pi*N the phases are exact lattice points, lam_k*t_j =
 2*pi*((k^2*N*j) mod n)/n: `lattice_angles` reduces the integer product in int64
@@ -69,10 +69,6 @@ MODE_BLOCK = 64
 # nodes per block on the uniform time grid: one triangular solve of this size per
 # block of the charge march, and the length of the phase table every kernel shares
 TIME_BLOCK = 128
-
-# time grids whose phase tables `block_phases` keeps: a run marches and rebuilds on
-# a few grids, each visited several times (simulate needs 1 table, steer 2)
-PHASE_TABLES = 3
 
 _PHI_SERIES_CUTOFF = 0.25
 _PHI_SERIES_TERMS = 18
@@ -140,25 +136,22 @@ def block_phases(lam: np.ndarray, dt: float, n_steps: int) -> tuple[np.ndarray, 
     """Phases e^{-i*lam*t_n} on the grid t_n = n*dt, n <= n_steps, as anchor x table.
 
     With B = min(TIME_BLOCK, n_steps) (at least 1) and n = b*B + r, 0 <= r <= B:
-    table[r] = e^{-i*lam*r*dt} (shape (B+1, K)) and anchors[b] =
-    exp(-1j*lam*(b*B*dt)), one exact exp per block, for b = 0..n_steps//B.
-    The pair is memoized on (lam, dt, n_steps) for the PHASE_TABLES grids used
-    last, so the march and the kernels that rebuild its history share one table;
-    both arrays are read-only.
+    table[r] = e^{-i*lam*r*dt} (shape (B+1, K)) and anchors[b] = e^{-i*lam*b*B*dt}
+    for b = 0..n_steps//B.  Each of the two is itself anchor x table over
+    ceil(sqrt(rows)) blocks, about 2*sqrt(rows) exps per mode, and every entry is
+    within a few eps*max(1, lam*t_n) of the exact phase at t_n = n*dt.
     """
-    lam = np.ascontiguousarray(lam, dtype=float)
-    return _phase_table(lam.tobytes(), float(dt), int(n_steps))
-
-
-@functools.lru_cache(maxsize=PHASE_TABLES)
-def _phase_table(lam_bytes: bytes, dt: float, n_steps: int) -> tuple[np.ndarray, np.ndarray]:
-    lam = np.frombuffer(lam_bytes)
+    angles = -1j * np.asarray(lam, dtype=float)
     block = max(1, min(TIME_BLOCK, n_steps))
-    table = np.exp(-1j * dt * np.outer(np.arange(block + 1), lam))
-    anchors = np.exp(-1j * np.outer(dt * (block * np.arange(n_steps // block + 1)), lam))
-    table.flags.writeable = False
-    anchors.flags.writeable = False
-    return table, anchors
+    phases = []
+    for stride, rows in ((1, block + 1), (block, n_steps // block + 1)):  # table, anchors
+        root = math.isqrt(rows - 1) + 1  # ceil(sqrt(rows))
+        count = -(-rows // root)
+        # one exp call: rows j*stride for j < root, then the block starts j = a*root, a < count
+        steps = stride * np.concatenate((np.arange(root), root * np.arange(count)))
+        exps = np.exp(np.outer(dt * steps, angles))
+        phases.append((exps[root:, None] * exps[:root]).reshape(count * root, angles.size)[:rows])
+    return tuple(phases)
 
 
 def lattice_angles(harmonic: int, n_steps: int, count: int) -> np.ndarray:

@@ -86,6 +86,9 @@ class TimeGrid:
             raise InputError(f"t_end must be nonnegative and finite, got {self.t_end!r}")
         if self.n_steps < 1 or int(self.n_steps) != self.n_steps:
             raise InputError(f"n_steps must be a positive integer, got {self.n_steps!r}")
+        if self.n_steps >= np.iinfo(np.intp).max // np.dtype(complex).itemsize:
+            raise InputError(f"n_steps {self.n_steps!r} needs more complex nodes than an array "
+                             f"can index")
 
     @property
     def dt(self) -> float:

@@ -36,7 +36,7 @@ from deltabox.kernels import (
     tail_deficit,
 )
 from deltabox.oracles import picard_charge
-from deltabox.propagator import DomainState, evolve
+from deltabox.propagator import DomainState
 from deltabox.spectral import (
     SpectralCoefficients,
     TimeGrid,
@@ -430,56 +430,27 @@ class TestPhi:
 
 
 class TestPhaseTable:
-    def test_cached_table_is_the_fresh_one_and_read_only(self):
-        lam = odd_eigenvalues(51)
-        kernels._phase_table.cache_clear()
-        fresh = kernels._phase_table.__wrapped__(lam.tobytes(), 0.01, 300)
-        first = block_phases(lam, 0.01, 300)
-        again = block_phases(lam.copy(), 0.01, 300)
-        assert kernels._phase_table.cache_info().hits == 1
-        for cached, new, computed in zip(first, again, fresh):
-            assert cached is new
-            assert np.array_equal(cached, computed)
-            with pytest.raises(ValueError):
-                cached[0, 0] = 0.0
-
-    def test_keys_do_not_collide(self):
-        # each variant's table differs from the base one, so a shared cache entry
-        # would show; each equals its own fresh computation
-        lam = odd_eigenvalues(51)
-        other = lam.copy()
-        other[7] += 1.0
-        base = block_phases(lam, 0.01, 300)
-        for args in ((lam, 0.02, 300), (lam, 0.01, 400), (other, 0.01, 300)):
-            got = block_phases(*args)
-            fresh = kernels._phase_table.__wrapped__(args[0].tobytes(), *args[1:])
-            assert all(np.array_equal(g, h) for g, h in zip(got, fresh))
-            assert not all(np.array_equal(g, h) for g, h in zip(fresh, base))
-
-    def test_steering_run_builds_two_tables(self):
-        # the control command on one grid: the anchor's one-mode origin series and the
-        # march's odd modes are the only keys, so a cache of fewer than 2 grids would rebuild
-        from deltabox.control import (ControlTarget, apply_linearized,
-                                      controllability_experiment, synthesize_control)
-
-        grid = TimeGrid(8.0 * np.pi, 4000)
-        a = np.zeros(51, dtype=complex)
-        a[[2, 4]] = 0.6, 0.8j
-        target = ControlTarget(SpectralCoefficients(51, a), grid.t_end)
-        kernels._phase_table.cache_clear()
-        alpha = synthesize_control(target, 1, grid)
-        reach = apply_linearized(CouplingProfile.zero(grid.t_end), alpha.samples,
-                                 SpectralCoefficients.unit(1, 51), grid)
-        controllability_experiment(1, [1e-2, 1e-3], target, alpha, reach)
-        assert kernels._phase_table.cache_info().misses == 2
-
-    def test_dense_evolve_builds_one_table(self):
-        # simulate's path: the origin series and the march of a dense state share one key
-        k = np.arange(1, 52)
-        psi0 = SpectralCoefficients(51, k**-3.0 * np.exp(1j * k))
-        kernels._phase_table.cache_clear()
-        evolve(psi0, CouplingProfile.sine_bump(0.3, 2.0), TimeGrid(2.0, 1000))
-        assert kernels._phase_table.cache_info().misses == 1
+    @pytest.mark.parametrize("k_max, t_end, n_steps", [
+        (401, 8.0 * np.pi, 25133),  # simulate's and steer's grid at the bench's k_max
+        (401, 2.0, 2000),
+        (51, 1.0, 100),  # fewer steps than TIME_BLOCK: one block, two anchors
+        (51, 1.0, 1),
+        (0, 1.0, 300),  # no modes: an all-zero state's origin series
+    ])
+    def test_every_entry_matches_the_exact_phase(self, k_max, t_end, n_steps):
+        # table rows r and anchors b against exp(-i*lam*t) in long double at t = n*dt on
+        # the same float dt (n = r, b*B), within 2*eps*max(1, lam*t)
+        lam = odd_eigenvalues(k_max)
+        dt = t_end / n_steps
+        table, anchors = block_phases(lam, dt, n_steps)
+        block = min(TIME_BLOCK, n_steps)
+        assert table.shape == (block + 1, lam.size)
+        assert anchors.shape == (n_steps // block + 1, lam.size)
+        for phases, stride in ((table, 1), (anchors, block)):
+            nodes = stride * np.arange(phases.shape[0])
+            exact = np.exp(-1j * np.outer(np.longdouble(dt) * nodes, lam.astype(np.longdouble)))
+            bound = 2 * np.finfo(float).eps * np.maximum(1.0, np.outer(dt * nodes, lam))
+            assert np.all(np.abs(phases - exact) <= bound)
 
 
 class TestLatticeAngles:

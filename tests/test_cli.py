@@ -67,12 +67,13 @@ def assert_runtime_section(path):
     assert runtime["malloc_thresholds"] in (SET_THRESHOLDS, "unavailable")
 
 
-def run_python(args, **variables):
-    """A fresh interpreter with this deltabox on its path and the given environment variables."""
+def run_python(args, preexec_fn=None, **variables):
+    """A fresh interpreter with this deltabox on its path and the given environment variables,
+    which runs preexec_fn (if given) before it starts."""
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(deltabox.__file__)),
                **variables)
     return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
-                          timeout=120)
+                          timeout=120, preexec_fn=preexec_fn)
 
 
 class TestSimulate:
@@ -397,6 +398,33 @@ class TestInputContracts:
         assert proc.returncode == 1
         assert proc.stderr.splitlines() == [
             f"configuration error: {path}: expected CSV rows t,alpha"]
+
+    @pytest.mark.parametrize("args, code", [
+        (["simulate", "--n-steps", str(2**62)], 1),  # (n+1)*16 bytes past what numpy indexes
+        (["simulate", "--n-steps", str(10**15)], 2),
+        (["control", "--target", "{target}", "--n-steps", str(10**15)], 2),
+        (["simulate", "--k-max", str(10**12)], 2),
+        (["green", "--k-max", str(10**12)], 2),
+    ])
+    def test_impossible_size_prints_one_line(self, args, code, tmp_path):
+        # numpy refuses each of these sizes at once; the address-space cap keeps a machine
+        # that overcommits memory from granting one
+        resource = pytest.importorskip("resource")
+        cap = 2 << 30
+
+        def capped():
+            resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+        target = tmp_path / "target.csv"
+        target.write_text("k,re_c,im_c\n3,1.0,0.0\n")
+        args = [a.format(target=target) for a in args]
+        if args[0] != "green":
+            args += ["--outdir", str(tmp_path / "out")]
+        proc = run_python(["-m", "deltabox.cli", *args], capped, OPENBLAS_NUM_THREADS="1")
+        assert proc.returncode == code
+        [line] = proc.stderr.splitlines()
+        assert line.startswith(("configuration error:", "solver error:")[code - 1])
+        assert not (tmp_path / "out").exists()
 
     def test_shift_on_pole_is_configuration_error(self, tmp_path, capsys):
         # -0.25 is -lam_1: the resolvent G^lam has a pole there

@@ -340,17 +340,21 @@ class TestMomentResidual:
             tracemalloc.stop()
         assert peak < 4e6
 
-    def test_fold_reads_no_phase_table(self, rng):
+    def test_fold_reads_no_phase_table(self, rng, monkeypatch):
         # the fold's roots and twiddles are lattice phases: a dense solve (the FFT path) and its
-        # residual in the class r = 3 (N = 3 on 24000 steps) leave the phase cache untouched
-        from deltabox import kernels
+        # residual in the class r = 3 (N = 3 on 24000 steps) run with block_phases refused
+        # wherever it is imported, and in control should it be imported there again
+        from deltabox import charge, control, kernels, spectral
 
+        def refused(*args):
+            raise AssertionError("block_phases called")
+
+        for module in (kernels, charge, spectral, control):
+            monkeypatch.setattr(module, "block_phases", refused, raising=module is not control)
         grid = TimeGrid(3 * T8PI, 24000)
         target = ControlTarget(SpectralCoefficients(101, resolved_target(rng, 101, grid)),
                                grid.t_end)
-        before = kernels._phase_table.cache_info()
         assert moment_residual(solve_moment(target, grid), target) < 1e-5
-        assert kernels._phase_table.cache_info() == before
 
     def test_fft_matches_direct_segment_sum(self, rng):
         # the FFT bin evaluation is the same per-segment exact quadrature:

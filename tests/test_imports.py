@@ -1,9 +1,11 @@
 """Every name a module under src/ or tests/ imports is used in that module, every
-function the benchmark tracer wraps exists, every check the benchmark gate
-requires is registered, and the oracles import nothing of the production numerics."""
+function the benchmark tracer wraps exists and has the parameters its counter reads,
+every check the benchmark gate requires is registered, and the oracles import
+nothing of the production numerics."""
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -54,16 +56,20 @@ def test_guard_finds_an_unused_import():
     assert unused_imports(tree) == ["os (line 1)", "pi (line 2)"]
 
 
-def traced_names(tree: ast.Module) -> list[str]:
-    """'layer.name' for every entry of the module-level TARGETS dict literal,
-    read without importing the module that holds it."""
+def targets_table(tree: ast.Module) -> ast.Dict:
+    """The module-level TARGETS dict literal, read without importing the module that holds it."""
     for node in tree.body:
         if (isinstance(node, ast.Assign)
                 and any(isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets)):
-            return [f"{layer.value}.{name.value}"
-                    for layer, names in zip(node.value.keys, node.value.values)
-                    for name in names.keys]
+            return node.value
     raise LookupError("no TARGETS table")
+
+
+def traced_names(tree: ast.Module) -> list[str]:
+    """'layer.name' for every entry of the TARGETS table."""
+    table = targets_table(tree)
+    return [f"{layer.value}.{name.value}"
+            for layer, names in zip(table.keys, table.values) for name in names.keys]
 
 
 def missing_names(names: list[str]) -> list[str]:
@@ -90,6 +96,52 @@ def test_guard_finds_a_missing_traced_function():
     names = traced_names(tree)
     assert names == ["kernels.phi1", "kernels.gone", "charge.apply_U"]
     assert missing_names(names) == ["kernels.gone"]
+
+
+def counter_keys(tree: ast.Module) -> dict[str, set[str]]:
+    """'layer.name' -> the keys its counter reads, a["key"] on the counter's one
+    argument, for every TARGETS entry whose counter is a function of the module."""
+    reads = {}
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.args.args:
+            arg = node.args.args[0].arg
+            reads[node.name] = {sub.slice.value for sub in ast.walk(node)
+                                if isinstance(sub, ast.Subscript)
+                                and isinstance(sub.value, ast.Name) and sub.value.id == arg
+                                and isinstance(sub.slice, ast.Constant)}
+    table = targets_table(tree)
+    return {f"{layer.value}.{name.value}": reads[counter.id]
+            for layer, names in zip(table.keys, table.values)
+            for name, counter in zip(names.keys, names.values) if isinstance(counter, ast.Name)}
+
+
+def unbound_keys(keys: dict[str, set[str]]) -> list[str]:
+    """'layer.name: key' for every counter key that is no parameter of the function it counts."""
+    unbound = []
+    for entry, names in keys.items():
+        layer, name = entry.split(".")
+        params = inspect.signature(getattr(importlib.import_module(f"deltabox.{layer}"),
+                                           name)).parameters
+        unbound += [f"{entry}: {key}" for key in sorted(names) if key not in params]
+    return unbound
+
+
+def test_counters_read_parameters():
+    # a counter reads the call's bound arguments by name, so a renamed parameter
+    # would crash each traced benchmark iteration
+    keys = counter_keys(ast.parse(TRACER.read_text(), str(TRACER)))
+    assert keys and all(keys.values())
+    assert unbound_keys(keys) == []
+
+
+def test_guard_finds_an_unbound_counter_key():
+    tree = ast.parse("def _steps(a):\n    return {'n': a['grid'].n_steps * len(a['modes'])}\n"
+                     "def _size(args):\n    return {'bytes': len(args['text'])}\n"
+                     "TARGETS = {\n    'charge': {'_march': _steps, 'apply_U': None},\n"
+                     "    'iofiles': {'atomic_write_text': _size},\n}\n")
+    keys = counter_keys(tree)
+    assert keys == {"charge._march": {"grid", "modes"}, "iofiles.atomic_write_text": {"text"}}
+    assert unbound_keys(keys) == ["charge._march: modes"]
 
 
 def gated_checks(tree: ast.Module) -> list[str]:
