@@ -389,7 +389,7 @@ def main(argv=None) -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (SolverError, ArithmeticError, MemoryError) as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
+        print(f"solver error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_SOLVER
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)

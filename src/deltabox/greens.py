@@ -15,6 +15,7 @@ so it does not overflow for large Re sqrt(z).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -183,23 +184,23 @@ def find_root(f, lo: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _even_sector_poles(lo: float, hi: float) -> np.ndarray:
-    """Odd-sector eigenvalues (poles of the even-sector condition) inside (lo, hi]."""
-    if hi <= 0.25:
-        return np.array([])
-    j_max = int(np.floor(2.0 * np.sqrt(hi))) + 1
-    poles = 0.25 * np.arange(1, j_max + 1, 2, dtype=float) ** 2
-    return poles[(poles > lo) & (poles < hi)]
+def _levels(lo: float, hi: float) -> np.ndarray:
+    """The modes k >= 1 with k^2/4 in (lo, hi]; k^2 > 4*lo iff k^2 > floor(4*lo), exactly."""
+    first = math.isqrt(math.floor(4.0 * lo)) + 1 if lo >= 0 else 1
+    last = math.isqrt(math.floor(4.0 * hi)) if hi >= 0 else 0
+    return np.arange(first, last + 1)
 
 
 def static_eigenvalues(alpha: float, window: tuple[float, float]) -> list[tuple[float, str]]:
-    """Eigenvalues of H_alpha inside the window, as sorted (E, sector) pairs.
+    """Eigenvalues of H_alpha in the window (lo, hi], as sorted (E, sector) pairs.
 
     The odd sector (sine modes, zero at the origin) is untouched by the point
-    interaction: E = lam_k for even k.  Even-sector eigenvalues solve
-    1 + alpha*G^{-E}(0,0) = 0.  Between consecutive odd-sector poles the
-    condition function is strictly monotone (Herglotz), so each bracket holds
-    exactly one root, found by `find_root` to ROOT_XTOL.
+    interaction: E = lam_k for even k (`_levels`).  Even-sector eigenvalues solve
+    1 + alpha*G^{-E}(0,0) = 0, with poles at lam_j for odd j.  Between poles the
+    condition is strictly monotone (Herglotz), so a bracket POLE_MARGIN off its
+    poles holds at most one root, found by `find_root` to ROOT_XTOL.  For
+    |alpha| < 2*pi*POLE_MARGIN each root, lam_j + alpha/pi + O(alpha^2), is
+    inside the margin, so that value is returned.
     """
     if not np.isfinite(alpha):
         raise InputError(f"alpha must be finite, got {alpha!r}")
@@ -207,41 +208,26 @@ def static_eigenvalues(alpha: float, window: tuple[float, float]) -> list[tuple[
     if not (np.isfinite(lo) and np.isfinite(hi)) or hi <= lo:
         return []
 
-    out: list[tuple[float, str]] = []
-
-    # odd sector: lam_k = k^2/4 for even k -> integers^2
-    m = 1
-    while m * m <= hi:
-        if m * m > lo:
-            out.append((float(m * m), "odd"))
-        m += 1
-
-    if alpha == 0.0:
-        # unperturbed even sector
-        j = 1
-        while 0.25 * j * j <= hi:
-            if 0.25 * j * j > lo:
-                out.append((0.25 * j * j, "even"))
-            j += 2
-        return sorted(out)
+    k = _levels(lo, hi)
+    out = [(e, "odd") for e in np.square(0.5 * k[k % 2 == 0]).tolist()]
+    if abs(alpha) < 2.0 * np.pi * POLE_MARGIN:
+        shift = alpha / np.pi
+        j = _levels(lo - shift, hi - shift)
+        roots = np.square(0.5 * j[j % 2 == 1]) + shift
+        return sorted(out + [(e, "even") for e in roots[(roots > lo) & (roots <= hi)].tolist()])
 
     def condition(E: float) -> float:
         return 1.0 + alpha * green_origin_real(E)
 
-    poles = _even_sector_poles(min(lo, 0.0), hi + 3.0)
-    edges = [lo] + [p for p in poles if lo < p < hi] + [hi]
-    for a, b in zip(edges[:-1], edges[1:]):
-        left = a + POLE_MARGIN if np.any(np.isclose(a, poles)) else a
-        right = b - POLE_MARGIN if np.any(np.isclose(b, poles)) else b
-        if right <= left:
-            continue
-        fa, fb = condition(left), condition(right)
-        if np.sign(fa) == np.sign(fb):
+    # the poles in [lo, hi]: a window end on a pole steps off it too
+    j = _levels(np.nextafter(lo, -np.inf), hi)
+    poles = np.square(0.5 * j[j % 2 == 1])
+    for left, right in zip(np.append(lo, poles + POLE_MARGIN), np.append(poles - POLE_MARGIN, hi)):
+        if right <= left or np.sign(condition(left)) == np.sign(condition(right)):
             continue
         root = find_root(condition, left, right)
         if lo < root < hi:
             out.append((float(root), "even"))
-
     return sorted(out)
 
 

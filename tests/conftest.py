@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from deltabox.errors import SolverError
+from deltabox.greens import POLE_MARGIN, find_root, green_origin_real
 from deltabox.kernels import odd_eigenvalues, slope_moments, tail_deficit
 from deltabox.oracles import GALERKIN_PHASE_STEP, PICARD_MAX_ITER, PICARD_TOL
 from deltabox.spectral import DEFAULT_K_MAX, eigenvalues
@@ -103,3 +104,50 @@ def picard_reference(f_nodes, phi_nodes, v0, g_coeff, shift, grid, k_max, kernel
         if delta < PICARD_TOL:
             return v
     raise SolverError("Picard reference did not converge")
+
+
+def reference_poles(lo, hi):
+    """The odd-sector eigenvalues (the even-sector poles) inside (lo, hi), as the static
+    spectrum listed them before its one level generator."""
+    if hi <= 0.25:
+        return np.array([])
+    j_max = int(np.floor(2.0 * np.sqrt(hi))) + 1
+    poles = 0.25 * np.arange(1, j_max + 1, 2, dtype=float) ** 2
+    return poles[(poles > lo) & (poles < hi)]
+
+
+def reference_static_eigenvalues(alpha, window):
+    """greens.static_eigenvalues as it was before its one level generator: a Python loop
+    over the odd sector, another over the even sector at alpha = 0, and brackets whose
+    ends step off any pole that np.isclose finds near them; the reference for the generator."""
+    lo, hi = float(window[0]), float(window[1])
+    if hi <= lo:
+        return []
+    out = []
+    m = 1
+    while m * m <= hi:
+        if m * m > lo:
+            out.append((float(m * m), "odd"))
+        m += 1
+    if alpha == 0.0:
+        j = 1
+        while 0.25 * j * j <= hi:
+            if 0.25 * j * j > lo:
+                out.append((0.25 * j * j, "even"))
+            j += 2
+        return sorted(out)
+
+    def condition(E):
+        return 1.0 + alpha * green_origin_real(E)
+
+    poles = reference_poles(min(lo, 0.0), hi + 3.0)
+    edges = [lo] + [p for p in poles if lo < p < hi] + [hi]
+    for a, b in zip(edges[:-1], edges[1:]):
+        left = a + POLE_MARGIN if np.any(np.isclose(a, poles)) else a
+        right = b - POLE_MARGIN if np.any(np.isclose(b, poles)) else b
+        if right <= left or np.sign(condition(left)) == np.sign(condition(right)):
+            continue
+        root = find_root(condition, left, right)
+        if lo < root < hi:
+            out.append((float(root), "even"))
+    return sorted(out)

@@ -405,10 +405,13 @@ class TestInputContracts:
         (["control", "--target", "{target}", "--n-steps", str(10**15)], 2),
         (["simulate", "--k-max", str(10**12)], 2),
         (["green", "--k-max", str(10**12)], 2),
+        # 5e11 levels: one arange of the level generator, not a list grown until memory runs out
+        (["spectrum", "--alpha", "1", "--k-max", str(10**12)], 2),
+        (["spectrum", "--alpha", "0", "--k-max", str(10**12)], 2),
     ])
     def test_impossible_size_prints_one_line(self, args, code, tmp_path):
         # numpy refuses each of these sizes at once; the address-space cap keeps a machine
-        # that overcommits memory from granting one
+        # that overcommits memory from granting one.  Never run them without the cap
         resource = pytest.importorskip("resource")
         cap = 2 << 30
 
@@ -420,11 +423,23 @@ class TestInputContracts:
         args = [a.format(target=target) for a in args]
         if args[0] != "green":
             args += ["--outdir", str(tmp_path / "out")]
+        start = time.monotonic()
         proc = run_python(["-m", "deltabox.cli", *args], capped, OPENBLAS_NUM_THREADS="1")
+        assert time.monotonic() - start < 5.0
         assert proc.returncode == code
         [line] = proc.stderr.splitlines()
-        assert line.startswith(("configuration error:", "solver error:")[code - 1])
+        prefix = ("configuration error: ", "solver error: ")[code - 1]
+        assert line.startswith(prefix) and line[len(prefix):].strip()
         assert not (tmp_path / "out").exists()
+
+    def test_bare_exception_prints_its_class(self, monkeypatch, capsys):
+        # a MemoryError() from an allocator that gives no message still says what failed
+        def refuse(args):
+            raise MemoryError()
+
+        monkeypatch.setattr("deltabox.cli.cmd_green", refuse)
+        assert run_cli(["green", "--z-re", "1"]) == EXIT_SOLVER
+        assert capsys.readouterr().err == "solver error: MemoryError\n"
 
     def test_shift_on_pole_is_configuration_error(self, tmp_path, capsys):
         # -0.25 is -lam_1: the resolvent G^lam has a pole there

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deltabox import greens
 from deltabox.errors import InputError, SingularityError
 from deltabox.greens import (
+    POLE_MARGIN,
     ROOT_XTOL,
     SpectralShift,
     find_root,
@@ -12,13 +15,14 @@ from deltabox.greens import (
     green_origin,
     green_origin_real,
     green_series,
+    default_window,
     static_eigenvalues,
 )
 from deltabox.oracles import FD_POINTS, fd_spectrum
 from deltabox.spectral import BOX_HALF_WIDTH, origin_trace
 from deltabox import verify
 
-from conftest import assert_check
+from conftest import assert_check, reference_poles, reference_static_eigenvalues
 
 TANH_PI_OVER_2 = 0.49813603811037493  # tanh(pi)/2, cross-checked below by series
 
@@ -220,6 +224,68 @@ class TestStaticEigenvalues:
     def test_fd_rejects_more_eigenvalues_than_the_grid_has(self):
         with pytest.raises(InputError):
             fd_spectrum(1.0, n_eigen=FD_POINTS // 2)
+
+
+# a float end, or a level k^2/4 itself, so that windows start and end on levels
+WINDOW_ENDS = st.one_of(st.floats(-20.0, 400.0), st.integers(0, 45).map(lambda k: 0.25 * k * k))
+
+
+@st.composite
+def windows(draw):
+    """(lo, hi): any two ends, lo = hi, or a window shorter than the gap between levels."""
+    lo = draw(WINDOW_ENDS)
+    hi = draw(st.one_of(WINDOW_ENDS, st.just(lo), st.floats(0.0, 0.2).map(lambda d: lo + d)))
+    return lo, hi
+
+
+# couplings and windows on which the level generator must give the loops' lists exactly:
+# the default windows, windows that start or end on a level, and empty ones
+FIXED_ALPHAS = [0.0, 0.5, -0.5, 1.5, -1.5, 2.0, -2.0, 0.7, -1.3, 1.0, 1e4, -1e3, 1e-8]
+FIXED_WINDOWS = [default_window(k) for k in (1, 3, 51, 401)] + [
+    (0.0, 5.0), (0.5, 5.0), (0.0, 10.0), (-50.0, 0.0), (-10.0, 10.0), (0.3, 20.0),
+    (0.26, 2.25), (0.25, 6.25), (1.0, 4.0), (2.25, 12.25), (-1.0, 0.2), (3.0, 3.0),
+    (5.0, 2.0), (0.24, 0.26), (6.25, 6.26)]
+
+
+class TestLevels:
+    @settings(max_examples=300, deadline=None)
+    @given(window=windows())
+    def test_generator_matches_the_loops(self, window):
+        lo, hi = window
+        k = greens._levels(lo, hi)
+        levels = np.square(0.5 * k)
+        reference = reference_static_eigenvalues(0.0, window)
+        assert levels[k % 2 == 0].tolist() == [e for e, s in reference if s == "odd"]
+        assert np.array_equal(levels[(k % 2 == 1) & (levels < hi)], reference_poles(lo, hi))
+        assert static_eigenvalues(0.0, window) == reference
+
+    @pytest.mark.parametrize("alpha", FIXED_ALPHAS)
+    def test_spectrum_matches_the_loops(self, alpha):
+        for window in FIXED_WINDOWS:
+            assert static_eigenvalues(alpha, window) == reference_static_eigenvalues(alpha, window)
+
+    @pytest.mark.parametrize("alpha", [1e-12, -1e-12, 1e-14, 1e-16, 1e-9, -3e-9])
+    def test_tiny_coupling_finds_every_even_level(self, alpha):
+        # each root sits alpha/pi from its pole, inside POLE_MARGIN: none may go missing, and
+        # each matches the root of 2r*cos(pi*r) + alpha*sin(pi*r) near r = j/2 at 40 digits
+        mpmath = pytest.importorskip("mpmath")
+        assert abs(alpha) < 2 * np.pi * POLE_MARGIN
+        even = [e for e, s in static_eigenvalues(alpha, default_window(401)) if s == "even"]
+        assert len(even) == 100  # lam_j for odd j = 1 ... 199
+        with mpmath.workdps(40):
+            a = mpmath.mpf(alpha)
+            for j, got in zip(range(1, 200, 2), even):
+                r = mpmath.findroot(lambda r: 2 * r * mpmath.cos(mpmath.pi * r)
+                                    + a * mpmath.sin(mpmath.pi * r), mpmath.mpf(j) / 2)
+                exact = float(r * r)
+                assert abs(got - exact) <= max(ROOT_XTOL, np.spacing(exact)), j
+
+    @pytest.mark.parametrize("alpha", [1e-12, -1e-12])
+    def test_tiny_coupling_keeps_the_window(self, alpha):
+        # (0.25, 6.25]: a root just above 0.25 is in, one just above 6.25 is out, and the
+        # other way round for alpha < 0
+        even = [e for e, s in static_eigenvalues(alpha, (0.25, 6.25)) if s == "even"]
+        assert even == [0.25 * j * j + alpha / np.pi for j in ((1, 3) if alpha > 0 else (3, 5))]
 
 
 class TestFindRoot:

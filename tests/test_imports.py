@@ -1,4 +1,5 @@
 """Every name a module under src/ or tests/ imports is used in that module, every
+top-level function or class of the package is named somewhere in it, every
 function the benchmark tracer wraps exists and has the parameters its counter reads,
 every check the benchmark gate requires is registered, and the oracles import
 nothing of the production numerics."""
@@ -16,7 +17,10 @@ ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py"))
 TRACER = ROOT / "perfbench" / "tracer.py"
 GATE = ROOT / "perfbench" / "gate.py"
-ORACLES = ROOT / "src" / "deltabox" / "oracles.py"
+PACKAGE = ROOT / "src" / "deltabox"
+ORACLES = PACKAGE / "oracles.py"
+# named by the tests and the benchmark tracer only, until the tracer traces what runs
+UNREFERENCED_ALLOWED = ["kernels.slope_moments", "spectral.project_function"]
 
 # what the independent oracles may take from the package: constants, the
 # eigenvalues, the analytic tail, the grid, the errors, and the shift and root
@@ -54,6 +58,46 @@ def test_guard_finds_an_unused_import():
     tree = ast.parse("import os\nfrom math import pi, tau\nimport numpy.linalg\n"
                      "__all__ = ['tau']\nprint(numpy.linalg.norm)\n")
     assert unused_imports(tree) == ["os (line 1)", "pi (line 2)"]
+
+
+def unreferenced_definitions(modules: dict[str, ast.Module]) -> list[str]:
+    """'module.name' of every top-level function or class that no module but `__init__`
+    names (as a name or an attribute) outside the definition itself.  A function under
+    `@check(...)` is named by its registration in verify.CHECKS."""
+    defined, named = [], set()
+    for module, tree in modules.items():
+        if module == "__init__":
+            continue
+        for top in tree.body:
+            own = None
+            if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                own = top.name
+                if not any(isinstance(d, ast.Call) and getattr(d.func, "id", None) == "check"
+                           for d in top.decorator_list):
+                    defined.append(f"{module}.{own}")
+            named |= {sub.id if isinstance(sub, ast.Name) else sub.attr for sub in ast.walk(top)
+                      if isinstance(sub, (ast.Name, ast.Attribute))} - {own}
+    return sorted(entry for entry in defined if entry.split(".")[1] not in named)
+
+
+def test_every_definition_is_named():
+    # unused code goes: a function only the tests (or nothing) call is moved or deleted
+    modules = {path.stem: ast.parse(path.read_text(), str(path))
+               for path in sorted(PACKAGE.glob("*.py"))}
+    assert unreferenced_definitions(modules) == UNREFERENCED_ALLOWED
+
+
+def test_guard_finds_an_unnamed_definition():
+    modules = {
+        "greens": ast.parse("def _levels(lo, hi):\n    return lo\n"
+                            "def _even_sector_poles(lo, hi):\n    return _even_sector_poles(lo, hi)\n"
+                            "@check('greens')\ndef check_poles():\n    pass\n"
+                            "@dataclass\nclass Shift:\n    lam: float\n"),
+        "cli": ast.parse("from .greens import _levels\nx = _levels(0, 1), greens.Shift\n"),
+        "__init__": ast.parse("from .greens import _even_sector_poles\n"
+                              "__all__ = ['_even_sector_poles']\n"),
+    }
+    assert unreferenced_definitions(modules) == ["greens._even_sector_poles"]
 
 
 def targets_table(tree: ast.Module) -> ast.Dict:
