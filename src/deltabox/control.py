@@ -70,6 +70,8 @@ class ControlTarget:
         if self.periods < 1 or abs(self.t_end / BASE_HORIZON - self.periods) > 1e-9:
             raise UnsupportedHorizonError(
                 f"horizon {self.t_end} is not a positive integer multiple of 8*pi")
+        if self.k_max**2 * self.periods > np.iinfo(np.int64).max:
+            raise InputError(f"horizon {self.t_end}: k^2*N for k <= {self.k_max} leaves int64")
 
     @property
     def k_max(self) -> int:
@@ -150,9 +152,9 @@ def _fold(target: ControlTarget, n: int):
 def check_resolved(target: ControlTarget, n_steps: int) -> None:
     """Refuse a nonzero target mode at or above the Nyquist bin of n_steps on T = 8*pi*N:
     its harmonic k^2*N folds onto another frequency of the grid."""
-    aliased = np.flatnonzero((2 * target.harmonics >= n_steps) & (target.c.a[0::2] != 0))
+    aliased = np.flatnonzero((target.harmonics >= (n_steps + 1) // 2) & (target.c.a[0::2] != 0))
     if aliased.size:
-        k, h = 2 * aliased[-1] + 1, target.harmonics[aliased[-1]]
+        k, h = 2 * aliased[-1] + 1, int(target.harmonics[aliased[-1]])
         raise InputError(f"target mode k={k} (k^2*N = {h}) is aliased on {n_steps} steps; "
                          f"it needs at least {2 * h + 1}")
 

@@ -114,11 +114,12 @@ def green_series(x: float, x_prime: float, z: complex, k_max: int = DEFAULT_K_MA
     terms = mode_table(range(1, k_max + 1), x)
     terms *= mode_table(range(1, k_max + 1), x_prime)
     # 1/(lam_k + z) = (d_k - i*Im z)/(d_k^2 + Im z^2), d_k = lam_k + Re z: the sum is
-    # two real reductions of the weights terms/(d_k^2 + Im z^2)
+    # two real reductions of the weights terms/(d_k^2 + Im z^2), 0 where that overflows
     d = eigenvalues(k_max)
     d += z.real
-    denom = d * d
-    denom += z.imag**2
+    with np.errstate(over="ignore"):
+        denom = d * d
+    denom += z.imag * z.imag
     terms /= denom
     im = -z.imag * np.sum(terms)
     terms *= d
@@ -184,23 +185,23 @@ def find_root(f, lo: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _levels(lo: float, hi: float) -> np.ndarray:
+def _levels(lo: float, hi: float) -> range:
     """The modes k >= 1 with k^2/4 in (lo, hi]; k^2 > 4*lo iff k^2 > floor(4*lo), exactly."""
     first = math.isqrt(math.floor(4.0 * lo)) + 1 if lo >= 0 else 1
     last = math.isqrt(math.floor(4.0 * hi)) if hi >= 0 else 0
-    return np.arange(first, last + 1)
+    return range(first, last + 1)
 
 
 def static_eigenvalues(alpha: float, window: tuple[float, float]) -> list[tuple[float, str]]:
     """Eigenvalues of H_alpha in the window (lo, hi], as sorted (E, sector) pairs.
 
     The odd sector (sine modes, zero at the origin) is untouched by the point
-    interaction: E = lam_k for even k (`_levels`).  Even-sector eigenvalues solve
-    1 + alpha*G^{-E}(0,0) = 0, with poles at lam_j for odd j.  Between poles the
-    condition is strictly monotone (Herglotz), so a bracket POLE_MARGIN off its
-    poles holds at most one root, found by `find_root` to ROOT_XTOL.  For
-    |alpha| < 2*pi*POLE_MARGIN each root, lam_j + alpha/pi + O(alpha^2), is
-    inside the margin, so that value is returned.
+    interaction: E = lam_k for even k (`_levels`).  An even-sector level solves
+    1 + alpha*G^{-E}(0,0) = 0, one in each gap around a pole lam_j (j odd): with
+    sqrt(E) = j/2 + delta, |delta| < 1/2, pi*delta - atan(alpha/(j + 2*delta)) = 0, which is
+    increasing in delta but for j = 1 with alpha < 0.  Newton steps solve those gaps at once
+    (lam_j exactly at alpha = 0), and `find_root` bisects the lowest level for alpha < 0;
+    each is within max(ROOT_XTOL, spacing(E)) of the exact root.
     """
     if not np.isfinite(alpha):
         raise InputError(f"alpha must be finite, got {alpha!r}")
@@ -208,27 +209,24 @@ def static_eigenvalues(alpha: float, window: tuple[float, float]) -> list[tuple[
     if not (np.isfinite(lo) and np.isfinite(hi)) or hi <= lo:
         return []
 
-    k = _levels(lo, hi)
+    levels = _levels(lo, hi)
+    k = np.arange(levels.start, levels.stop)
     out = [(e, "odd") for e in np.square(0.5 * k[k % 2 == 0]).tolist()]
-    if abs(alpha) < 2.0 * np.pi * POLE_MARGIN:
-        shift = alpha / np.pi
-        j = _levels(lo - shift, hi - shift)
-        roots = np.square(0.5 * j[j % 2 == 1]) + shift
-        return sorted(out + [(e, "even") for e in roots[(roots > lo) & (roots <= hi)].tolist()])
 
     def condition(E: float) -> float:
         return 1.0 + alpha * green_origin_real(E)
 
-    # the poles in [lo, hi]: a window end on a pole steps off it too
-    j = _levels(np.nextafter(lo, -np.inf), hi)
-    poles = np.square(0.5 * j[j % 2 == 1])
-    for left, right in zip(np.append(lo, poles + POLE_MARGIN), np.append(poles - POLE_MARGIN, hi)):
-        if right <= left or np.sign(condition(left)) == np.sign(condition(right)):
-            continue
-        root = find_root(condition, left, right)
-        if lo < root < hi:
-            out.append((float(root), "even"))
-    return sorted(out)
+    # for alpha < 0 the lowest level: the condition is 1 at E -> -inf and -inf at lam_1
+    roots = [find_root(condition, lo, 0.25)] if lo < 0.25 and alpha < 0 < condition(lo) else []
+    # the other gaps that meet the window (j >= 3 for alpha < 0): 6 Newton steps, 4 reach 2 ulp
+    j = np.arange(max(levels.start - 1, 3 if alpha < 0 else 1) | 1, levels.stop + 1, 2)
+    delta = np.arctan2(alpha, j) / np.pi
+    for _ in range(6):
+        u = j + 2.0 * delta
+        theta = np.arctan2(alpha, u)  # d/d(delta) of atan(alpha/u) is -sin(2*theta)/u
+        delta -= (np.pi * delta - theta) / (np.pi + np.sin(2.0 * theta) / u)
+    roots = np.append(roots, np.square(0.5 * j) + (j + delta) * delta)
+    return sorted(out + [(e, "even") for e in roots[(roots > lo) & (roots <= hi)].tolist()])
 
 
 def default_window(k_max: int = DEFAULT_K_MAX) -> tuple[float, float]:

@@ -8,11 +8,10 @@ dynamic oracle integrates the truncated mode equations with classical
 Runge-Kutta.  They need nothing beyond numpy, and take from the package only
 constants, eigenvalues, the analytic tail, the grid and the errors, never the
 march's kernels (tests/test_imports.py holds them to that list).  One piece is
-shared: the spectrum oracle finds its secular roots with greens.find_root, the
-bisection static_eigenvalues also uses, so a find_root fault could move both
-sides of that check alike.  The tests guard against it by checking fd_spectrum
-against scipy's eigh_tridiagonal and find_root (through static_eigenvalues)
-against brentq, and the RK4 oracle against DOP853.
+shared: the spectrum oracle's secular roots and static_eigenvalues' lowest level
+for alpha < 0 both come from greens.find_root, so a find_root fault could move
+that level on both sides alike.  The tests check fd_spectrum against scipy's
+eigh_tridiagonal, that level against brentq, and the RK4 oracle against DOP853.
 """
 
 from __future__ import annotations

@@ -408,6 +408,9 @@ class TestInputContracts:
         # 5e11 levels: one arange of the level generator, not a list grown until memory runs out
         (["spectrum", "--alpha", "1", "--k-max", str(10**12)], 2),
         (["spectrum", "--alpha", "0", "--k-max", str(10**12)], 2),
+        # k^2*N leaves int64: it wrapped to a negative harmonic, or failed to convert
+        (["control", "--target", "{target}", "--T", "1e19"], 1),
+        (["control", "--target", "{target}", "--T", "1e300"], 1),
     ])
     def test_impossible_size_prints_one_line(self, args, code, tmp_path):
         # numpy refuses each of these sizes at once; the address-space cap keeps a machine
@@ -440,6 +443,14 @@ class TestInputContracts:
         monkeypatch.setattr("deltabox.cli.cmd_green", refuse)
         assert run_cli(["green", "--z-re", "1"]) == EXIT_SOLVER
         assert capsys.readouterr().err == "solver error: MemoryError\n"
+
+    @pytest.mark.parametrize("z", [["--z-re", "1e308"], ["--z-im", "1e200"]])
+    def test_far_green_is_quiet(self, z):
+        # every series weight is 1/(d_k^2 + Im z^2) with an infinite denominator: its limit 0,
+        # with no overflow warning or error on the way
+        proc = run_python(["-m", "deltabox.cli", "green", *z])
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert "series  0.0 -0.0" in proc.stdout
 
     def test_shift_on_pole_is_configuration_error(self, tmp_path, capsys):
         # -0.25 is -lam_1: the resolvent G^lam has a pole there

@@ -197,15 +197,38 @@ class TestStaticEigenvalues:
         (-3.0, (0.5, 5.0)), (7.0, (0.5, 5.0)), (1.0, (0.26, 2.25)),
     ])
     def test_roots_match_brentq(self, alpha, window, monkeypatch):
-        # the bisection against scipy's Brent method on the same brackets
+        # the one bisection, the lowest level for alpha < 0 when lo < lam_1, against scipy's
+        # Brent method on the same bracket; every other level is the same float
         from scipy.optimize import brentq
 
         mine = static_eigenvalues(alpha, window)
-        monkeypatch.setattr(greens, "find_root",
-                            lambda f, lo, hi: brentq(f, lo, hi, xtol=ROOT_XTOL))
+        brackets = []
+
+        def brent(f, lo, hi):
+            brackets.append((lo, hi))
+            return brentq(f, lo, hi, xtol=ROOT_XTOL)
+
+        monkeypatch.setattr(greens, "find_root", brent)
         ref = static_eigenvalues(alpha, window)
+        assert brackets == ([(window[0], 0.25)] if alpha < 0 and window[0] < 0.25 else [])
         assert [s for _, s in mine] == [s for _, s in ref]
-        assert np.max(np.abs(np.array([e for e, _ in mine]) - [e for e, _ in ref])) <= 1e-11
+        diff = np.abs(np.array([e for e, _ in mine]) - [e for e, _ in ref])
+        assert np.max(diff) <= 1e-11 and np.count_nonzero(diff) <= len(brackets)
+
+    @pytest.mark.parametrize("alpha, calls", [(1.0, 0), (0.0, 0), (-2.0, 1)])
+    def test_one_solve_for_every_gap(self, alpha, calls, monkeypatch):
+        # the even levels come from one array solve, not a root search per gap: only the
+        # lowest level for alpha < 0 (here the bound state) takes find_root
+        seen = []
+
+        def counted(f, lo, hi):
+            seen.append((lo, hi))
+            return find_root(f, lo, hi)
+
+        monkeypatch.setattr(greens, "find_root", counted)
+        even = [e for e, s in static_eigenvalues(alpha, default_window(401)) if s == "even"]
+        assert len(even) == 100 and len(seen) == calls
+        assert (even[0] < 0) == (alpha < 0)
 
     @pytest.mark.parametrize("alpha", [-2.0, -0.5, 0.0, 0.5, 2.0])
     def test_fd_secular_roots_match_eigensolver(self, alpha):
@@ -245,6 +268,40 @@ FIXED_WINDOWS = [default_window(k) for k in (1, 3, 51, 401)] + [
     (0.0, 5.0), (0.5, 5.0), (0.0, 10.0), (-50.0, 0.0), (-10.0, 10.0), (0.3, 20.0),
     (0.26, 2.25), (0.25, 6.25), (1.0, 4.0), (2.25, 12.25), (-1.0, 0.2), (3.0, 3.0),
     (5.0, 2.0), (0.24, 0.26), (6.25, 6.26)]
+# the two pairs of that set with an even root exactly on hi: r = 3/4 at alpha = 1.5, 1/4 at -0.5
+ROOTS_ON_HI = {(1.5, default_window(3)), (-0.5, default_window(1))}
+
+
+def exact_even_levels(alpha, window):
+    """The even-sector levels in (lo, hi] at 40 digits, as mpmath numbers.
+
+    Around each odd pole j it is the root of 2r*cos(pi*r) + alpha*sin(pi*r) with r = sqrt(E)
+    in the gap ((j-1)/2, (j+1)/2).  For alpha < 0 the gap of j = 1 is replaced by the lowest
+    level, bisected on 1 + alpha*G^{-E}(0,0) between -alpha^2/4 - 1 (where it is positive)
+    and lam_1 (where it is -inf).
+    """
+    mpmath = pytest.importorskip("mpmath")
+    lo, hi = window
+    levels = []
+    with mpmath.workdps(40):
+        a = mpmath.mpf(alpha)
+        if alpha < 0:
+            def condition(E):
+                w = mpmath.sqrt(-E)  # G^{-E}(0,0) = tanh(pi*w)/(2w), real for either sign of E
+                return 1 + a * (mpmath.re(mpmath.tanh(mpmath.pi * w) / (2 * w)) if E
+                                else mpmath.pi / 2)
+
+            left, right = -a * a / 4 - 1, mpmath.mpf(0.25)
+            for _ in range(200):
+                mid = (left + right) / 2
+                left, right = (mid, right) if condition(mid) > 0 else (left, mid)
+            levels.append(left)
+        for j in range(1 if alpha >= 0 else 3, int(2 * np.sqrt(max(hi, 0.0))) + 3, 2):
+            r = mpmath.findroot(lambda r: 2 * r * mpmath.cospi(r) + a * mpmath.sinpi(r),
+                                mpmath.mpf(j) / 2 + mpmath.atan(a / j) / mpmath.pi)
+            assert abs(2 * r - j) < 1, j
+            levels.append(r * r)
+    return [e for e in levels if lo < e <= hi]
 
 
 class TestLevels:
@@ -252,7 +309,8 @@ class TestLevels:
     @given(window=windows())
     def test_generator_matches_the_loops(self, window):
         lo, hi = window
-        k = greens._levels(lo, hi)
+        modes = greens._levels(lo, hi)
+        k = np.arange(modes.start, modes.stop)
         levels = np.square(0.5 * k)
         reference = reference_static_eigenvalues(0.0, window)
         assert levels[k % 2 == 0].tolist() == [e for e, s in reference if s == "odd"]
@@ -261,31 +319,49 @@ class TestLevels:
 
     @pytest.mark.parametrize("alpha", FIXED_ALPHAS)
     def test_spectrum_matches_the_loops(self, alpha):
+        # the loops' sectors and odd levels exactly, and their even levels to within the
+        # loops' own error: their bisection misses the root by up to 2.8 times the bound
+        # at large E, this solve by at most the bound (test_even_levels_match_mpmath)
         for window in FIXED_WINDOWS:
-            assert static_eigenvalues(alpha, window) == reference_static_eigenvalues(alpha, window)
+            mine = static_eigenvalues(alpha, window)
+            ref = reference_static_eigenvalues(alpha, window)
+            if (alpha, window) in ROOTS_ON_HI:  # (lo, hi] holds a root on hi; the loops did not
+                assert mine[-1][1] == "even" and abs(mine[-1][0] - window[1]) <= ROOT_XTOL
+                mine = mine[:-1]
+            assert [s for _, s in mine] == [s for _, s in ref]
+            assert [e for e, s in mine if s == "odd"] == [e for e, s in ref if s == "odd"]
+            even = np.array([e for e, s in mine if s == "even"])
+            ref_even = np.array([e for e, s in ref if s == "even"])
+            assert np.all(np.abs(even - ref_even) <= 4 * np.maximum(ROOT_XTOL, np.spacing(even)))
+
+    @pytest.mark.parametrize("alpha", [1e-12, -1e-12, 0.5, -0.5, 1.0, 2.0, -2.0, 1e3, -1e3, 1e4])
+    @pytest.mark.parametrize("k_max", [51, 401, 1001])
+    def test_even_levels_match_mpmath(self, k_max, alpha):
+        window = default_window(k_max)
+        even = [e for e, s in static_eigenvalues(alpha, window) if s == "even"]
+        exact = exact_even_levels(alpha, window)
+        assert len(even) == len(exact)
+        for got, root in zip(even, exact):
+            assert float(abs(got - root)) <= max(ROOT_XTOL, np.spacing(got)), got
 
     @pytest.mark.parametrize("alpha", [1e-12, -1e-12, 1e-14, 1e-16, 1e-9, -3e-9])
     def test_tiny_coupling_finds_every_even_level(self, alpha):
-        # each root sits alpha/pi from its pole, inside POLE_MARGIN: none may go missing, and
-        # each matches the root of 2r*cos(pi*r) + alpha*sin(pi*r) near r = j/2 at 40 digits
-        mpmath = pytest.importorskip("mpmath")
+        # each root sits alpha/pi from its pole, closer than POLE_MARGIN: none may go missing
         assert abs(alpha) < 2 * np.pi * POLE_MARGIN
         even = [e for e, s in static_eigenvalues(alpha, default_window(401)) if s == "even"]
-        assert len(even) == 100  # lam_j for odd j = 1 ... 199
-        with mpmath.workdps(40):
-            a = mpmath.mpf(alpha)
-            for j, got in zip(range(1, 200, 2), even):
-                r = mpmath.findroot(lambda r: 2 * r * mpmath.cos(mpmath.pi * r)
-                                    + a * mpmath.sin(mpmath.pi * r), mpmath.mpf(j) / 2)
-                exact = float(r * r)
-                assert abs(got - exact) <= max(ROOT_XTOL, np.spacing(exact)), j
+        exact = exact_even_levels(alpha, default_window(401))
+        assert len(even) == len(exact) == 100  # lam_j for odd j = 1 ... 199
+        for got, root in zip(even, exact):
+            assert float(abs(got - root)) <= max(ROOT_XTOL, np.spacing(got)), got
 
     @pytest.mark.parametrize("alpha", [1e-12, -1e-12])
     def test_tiny_coupling_keeps_the_window(self, alpha):
         # (0.25, 6.25]: a root just above 0.25 is in, one just above 6.25 is out, and the
-        # other way round for alpha < 0
+        # other way round for alpha < 0; each is lam_j + alpha/pi to O(alpha^2)
         even = [e for e, s in static_eigenvalues(alpha, (0.25, 6.25)) if s == "even"]
-        assert even == [0.25 * j * j + alpha / np.pi for j in ((1, 3) if alpha > 0 else (3, 5))]
+        near = [0.25 * j * j + alpha / np.pi for j in ((1, 3) if alpha > 0 else (3, 5))]
+        assert len(even) == 2
+        assert np.all(np.abs(np.subtract(even, near)) <= np.maximum(ROOT_XTOL, np.spacing(near)))
 
 
 class TestFindRoot:
