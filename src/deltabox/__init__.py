@@ -50,7 +50,6 @@ from .spectral import (
     DEFAULT_K_MAX,
     SpectralCoefficients,
     TimeGrid,
-    eigenvalue,
     evaluate_state,
     free_evolve,
     origin_trace,
@@ -74,7 +73,6 @@ __all__ = [
     "controllability_experiment",
     "decompose",
     "diagnostics",
-    "eigenvalue",
     "evaluate_state",
     "evolve",
     "free_evolve",

@@ -39,6 +39,7 @@ from .errors import (
     DomainCompatibilityError,
     InputError,
     SingularityError,
+    SolverError,
     StepSingularityError,
 )
 from .greens import SpectralShift, green_coefficients, green_origin
@@ -132,13 +133,7 @@ class CouplingProfile:
         return TimeGrid(self.t_end, self.samples.size - 1)
 
     def _check_time(self, t: np.ndarray):
-        lo, hi = -1e-12, self.t_end * (1 + 1e-12) + 1e-12
-        if t.ndim == 0:  # compared as a float: np.any on a 0-d array costs ~7 us
-            t = t.item()
-            outside = t < lo or t > hi
-        else:
-            outside = np.any(t < lo) or np.any(t > hi)
-        if outside:
+        if np.any(t < -1e-12) or np.any(t > self.t_end * (1 + 1e-12) + 1e-12):
             raise InputError("profile evaluated outside [0, t_end]")
 
     def value(self, t) -> np.ndarray | float:
@@ -266,7 +261,8 @@ def _march(f_nodes: np.ndarray, phi_nodes: np.ndarray, v0, grid: TimeGrid,
     re-anchored by one e^{-i*lam_k*t_{s-1}} per block (both from
     kernels.block_phases, as in kernels.block_starts).  Every d_n is
     checked before the march; the first one below STEP_SINGULARITY_MARGIN
-    raises StepSingularityError.  At the end acc gives the end_history.
+    raises StepSingularityError.  A charge that is not finite on every node raises
+    SolverError at its first non-finite node.  At the end acc gives the end_history.
     """
     n_steps = grid.n_steps
     dt = grid.dt
@@ -313,6 +309,9 @@ def _march(f_nodes: np.ndarray, phi_nodes: np.ndarray, v0, grid: TimeGrid,
         increments = q[s:s + m] - q[s - 1:s + m - 1]
         acc += p1 * np.conj(anchor * (np.conj(increments).T @ phases[:m]))
 
+    if not np.all(np.isfinite(q)):  # an overflow, or phases lost at huge lam*t
+        n = int(np.argmin(np.all(np.isfinite(q), axis=1)))
+        raise SolverError(f"first non-finite charge at node n={n}, t={n * dt!r}")
     end = close_history(q[-1, :, None], acc, lam, n_steps * dt)
     trajs = [ChargeTrajectory(grid, q[:, j], k_max, end[j]) for j in range(q.shape[1])]
     return trajs if f.ndim == 2 else trajs[0]

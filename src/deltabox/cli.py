@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import os
+import re
 import sys
 import textwrap
 import warnings
@@ -55,7 +56,7 @@ from .spectral import DEFAULT_K_MAX, SpectralCoefficients, TimeGrid
 # verify (and through it oracles) is imported eagerly although only `verify`
 # runs it: perfbench/tracer.py looks both up in sys.modules right after this
 # module is imported.  Both need numpy alone, so they are cheap.
-from .verify import CHECKS, DEFAULT_SEED, run_checks
+from .verify import CHECKS, DEFAULT_SEED, K_MAX_RESOLVED, MOMENT_STEPS, run_checks
 
 EXIT_OK, EXIT_CONFIG, EXIT_SOLVER, EXIT_IO = 0, 1, 2, 3
 # `control` fails (exit 2, after writing its artifacts) when the written control's
@@ -353,9 +354,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the invariant battery",
                        formatter_class=argparse.RawTextHelpFormatter)
     p.add_argument("--filter", help="restrict to one module")
-    reach = {name: textwrap.fill("read only by " + ", ".join(
+    k_range = (f"1 to {K_MAX_RESOLVED}, as moment-exactness resolves k^2 < {MOMENT_STEPS // 2} "
+               "only; below 15, up to three propagator checks fail by design; ")
+    reach = {name: textwrap.fill(intro + "read only by " + ", ".join(
         f"{fn.module}.{fn.name}" for fn in CHECKS if name in fn.inputs), 54,
-        break_on_hyphens=False) for name in ("k_max", "seed")}
+        break_on_hyphens=False) for name, intro in (("k_max", k_range), ("seed", ""))}
     p.add_argument("--k-max", default=DEFAULT_K_MAX, dest="k_max", help=reach["k_max"])
     p.add_argument("--seed", default=DEFAULT_SEED, help=reach["seed"])
     p.add_argument("--out", help="write the report to this path")
@@ -367,6 +370,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-slope", dest="min_slope")
     p.add_argument("--outdir", default="out")
     p.set_defaults(func=cmd_sweep, numbers={})
+    for p in sub.choices.values():  # a negative number in any form is a value, not an option:
+        # Python 3.11's own pattern, -digits[.digits], reads -1e6, -inf or -1:30 as a flag
+        p._negative_number_matcher = re.compile(r"-\.?\d|-inf|-nan", re.IGNORECASE)
     return parser
 
 

@@ -34,6 +34,7 @@ from .spectral import (
 
 POLE_MARGIN = 1e-9
 ROOT_XTOL = 1e-12
+Z_RE_BOUND = 2.0**51  # Re z below -Z_RE_BOUND is refused; up to it each pole k^2/4 is exact
 
 
 @dataclass(frozen=True)
@@ -58,18 +59,20 @@ class SpectralShift:
 def _pole_index(z: complex, odd_only: bool) -> int:
     """The k with z within POLE_MARGIN of -lam_k (odd k only if requested), else 0.
 
-    A non-finite z has no pole distance and raises InputError.
+    A non-finite z raises InputError, and so does Re z < -Z_RE_BOUND: there float64
+    rounding loses the phase pi*sqrt(-Re z) of every form of G^z.
     """
     z = complex(z)
     if not (np.isfinite(z.real) and np.isfinite(z.imag)):
         raise InputError(f"z={z} must be finite")
+    if z.real < -Z_RE_BOUND:
+        raise InputError(f"Re z={z.real!r} is below {-Z_RE_BOUND:g} (-2^51), where float64 "
+                         f"cannot resolve the Green's function")
     if abs(z.imag) > POLE_MARGIN:
         return 0
     if z.real > -0.25 + POLE_MARGIN:
         return 0
-    k_near = round(2.0 * np.sqrt(-z.real))
-    if k_near < 1:
-        return 0
+    k_near = round(2.0 * np.sqrt(-z.real))  # at least 1 here: 2*sqrt(1/4 - POLE_MARGIN)
     if odd_only and k_near % 2 == 0:
         return 0
     return k_near if abs(z.real + 0.25 * k_near**2) <= POLE_MARGIN else 0
@@ -135,9 +138,8 @@ def green_origin(z: complex) -> complex:
     z = complex(z)
     if _pole_index(z, odd_only=True):
         raise SingularityError(f"z={z} is at (or within {POLE_MARGIN} of) an odd-sector pole")
-    if abs(z) < 1e-7:
-        # tanh(pi w)/(2w) = pi/2 - pi^3 z/6 + pi^5 z^2/15 + O(z^3)
-        return complex(np.pi / 2 - np.pi**3 * z / 6 + np.pi**5 * z**2 / 15)
+    if z == 0:  # near 0 the quotient keeps full precision as it is, tanh(x) ~ x
+        return complex(np.pi / 2)
     w = np.sqrt(z)
     return complex(np.tanh(np.pi * w) / (2.0 * w))
 

@@ -94,9 +94,17 @@ def phi2(u: np.ndarray | complex) -> np.ndarray:
     return np.where(small, acc, direct)
 
 
+def eigenvalues(k_max: int) -> np.ndarray:
+    """Eigenvalues lam_k = k^2/4 of modes 1..k_max, each exact for k^2 < 2^53."""
+    lam = np.arange(1, k_max + 1, dtype=float)
+    lam *= lam  # in place: green_series builds this at k_max = 10^5 in verify
+    lam *= 0.25
+    return lam
+
+
 def odd_eigenvalues(k_max: int) -> np.ndarray:
-    """Eigenvalues k^2/4 on the odd (cosine) modes k = 1, 3, 5, ... <= k_max."""
-    return 0.25 * np.arange(1, k_max + 1, 2).astype(float) ** 2
+    """Eigenvalues on the odd (cosine) modes k = 1, 3, 5, ... <= k_max."""
+    return eigenvalues(k_max)[0::2]
 
 
 def tail_deficit(k_max: int) -> float:

@@ -20,26 +20,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AliasingError, DomainError, InputError
-from .kernels import MODE_BLOCK, block_phases
+from .kernels import MODE_BLOCK, block_phases, eigenvalues
 
 BOX_HALF_WIDTH = np.pi
 DEFAULT_K_MAX = 401
 INV_SQRT_PI = 1.0 / np.sqrt(np.pi)
-
-
-def eigenvalue(k: int) -> float:
-    """Eigenvalue lam_k = k^2/4 of mode k."""
-    if k < 1 or int(k) != k:
-        raise InputError(f"mode index must be a positive integer, got {k!r}")
-    return 0.25 * float(k) ** 2
-
-
-def eigenvalues(k_max: int) -> np.ndarray:
-    """Eigenvalues of modes 1..k_max."""
-    lam = np.arange(1, k_max + 1, dtype=float)
-    lam *= lam
-    lam *= 0.25
-    return lam
 
 
 def _check_in_box(x: np.ndarray) -> np.ndarray:
@@ -114,10 +99,6 @@ class SpectralCoefficients:
             raise InputError("coefficients must be finite")
         arr.flags.writeable = False
         object.__setattr__(self, "a", arr)
-
-    @classmethod
-    def zeros(cls, k_max: int = DEFAULT_K_MAX) -> "SpectralCoefficients":
-        return cls(k_max, np.zeros(k_max, dtype=complex))
 
     @classmethod
     def unit(cls, k: int, k_max: int = DEFAULT_K_MAX) -> "SpectralCoefficients":

@@ -45,6 +45,8 @@ def _result(measured, threshold, comparator="<=", detail=""):
 
 DEFAULT_SEED = 20260809
 CHECKS = []  # every check, in report order
+MOMENT_STEPS = 1 << 19  # moment-exactness's steps on T = 8*pi; they resolve k^2 < MOMENT_STEPS/2
+K_MAX_RESOLVED = int(np.sqrt(MOMENT_STEPS // 2))
 
 
 def check(module):
@@ -93,7 +95,7 @@ def check_free_evolve_group(k_max, seed):
     rng = np.random.default_rng(seed + 1)
     c = SpectralCoefficients(k_max, rng.standard_normal(k_max) + 1j * rng.standard_normal(k_max))
     eps = np.finfo(float).eps
-    lam_max = spectral.eigenvalue(k_max)
+    lam_max = spectral.eigenvalues(k_max)[-1]
     worst = 0.0
     for _ in range(10):
         t, s = rng.uniform(0, 10, size=2)
@@ -537,7 +539,7 @@ def check_even_sector_closure():
 def check_moment_exactness(k_max, seed):
     rng = np.random.default_rng(seed + 10)
     t_end = 8.0 * np.pi
-    fine = TimeGrid(t_end, 1 << 19)
+    fine = TimeGrid(t_end, MOMENT_STEPS)
     worst = 0.0
     kk = np.arange(1, k_max + 1, 2)
     for _ in range(10):
@@ -615,6 +617,9 @@ def run_checks(module_filter: str | None = None, k_max: int = spectral.DEFAULT_K
                          f"choose from {sorted(modules)}")
     if seed < 0:
         raise InputError(f"--seed must be a non-negative integer, got {seed}")
+    if k_max > K_MAX_RESOLVED:
+        raise InputError(f"--k-max {k_max} exceeds {K_MAX_RESOLVED}, the largest that "
+                         f"moment-exactness's {MOMENT_STEPS}-step grid resolves")
     results = []
     for fn in CHECKS:
         if module_filter and fn.module != module_filter:

@@ -463,6 +463,100 @@ class TestInputContracts:
         assert err.startswith("configuration error:") and "pole -lam_1 = -0.25" in err
 
 
+# The edge-value register: each case runs in a fresh interpreter capped at 2 GiB and must
+# exit with its code, print at most one stderr line (the documented prefix and the words
+# given, none on exit 0, never a Traceback or a Warning) and finish within 5 s.
+EDGE_VALUES = ("nan", "inf", "0", "1e308", "-1e308")
+EDGE_CODES = {  # each numeric flag of green and spectrum: its exit codes at EDGE_VALUES
+    ("green", "--x"): (1, 1, 0, 1, 1),
+    ("green", "--xp"): (1, 1, 0, 1, 1),
+    ("green", "--z-re"): (1, 1, 0, 0, 1),
+    ("green", "--z-im"): (1, 1, 0, 0, 0),
+    ("green", "--k-max"): (1, 1, 1, 1, 1),
+    ("spectrum", "--alpha"): (1, 1, 0, 0, 0),
+    ("spectrum", "--window"): (1, 1, 1, 1, 1),
+    ("spectrum", "--k-max"): (1, 1, 1, 1, 1),
+}
+EDGE_CASES = {
+    f"{command}{flag}={value}": ([command, *(["--alpha", "1"] if command == "spectrum" else []),
+                                  flag, value], code, "")
+    for (command, flag), codes in EDGE_CODES.items() for value, code in zip(EDGE_VALUES, codes)
+}
+EDGE_CASES.update({
+    # past Re z = -2^51 float64 loses the phase pi*sqrt(-Re z): refused, not a wrong number
+    "green-z-re=-1e308": (["green", "--z-re", "-1e308"], 1, "below -2.2518e+15"),
+    "green-z-re=-3e300": (["green", "--z-re", "-3e300"], 1, "below -2.2518e+15"),
+    "green-z-re=-1.1e30": (["green", "--z-re", "-1.1e30"], 1, "below -2.2518e+15"),
+    # negative values in every numeric form, with no '='
+    "spectrum-alpha=-1e6": (["spectrum", "--alpha", "-1e6"], 0, ""),
+    "spectrum-window=-1:30": (["spectrum", "--alpha", "1", "--window", "-1:30"], 0, ""),
+    "spectrum-window=-1e308:0": (["spectrum", "--alpha", "1", "--window", "-1e308:0"], 0, ""),
+    "spectrum-window=0:1e308": (["spectrum", "--alpha", "1", "--window", "0:1e308"], 1, "HI"),
+    "green-x=-1e-3": (["green", "--x", "-1e-3"], 0, ""),
+    "green-z-re=-1e3": (["green", "--z-re", "-1e3"], 0, ""),
+    "green-z-re=-inf": (["green", "--z-re", "-inf"], 1, "--z-re"),
+    # a charge that overflows, or whose phases are lost, is named by its first node
+    "simulate-T=1e308": (["simulate", "--T", "1e308"], 2,
+                         "first non-finite charge at node n=1, t=1e+305"),
+    "simulate-alpha=const:1e308": (["simulate", "--alpha", "const:1e308", "--T", "0.5",
+                                    "--n-steps", "100", "--k-max", "31"], 2,
+                                   "first non-finite charge at node n=1, t=0.005"),
+    "verify-k-max=513": (["verify", "--k-max", "513"], 1, "exceeds 512"),
+    "verify-k-max=512": (["verify", "--k-max", "512", "--filter", "spectral"], 0, ""),
+})
+
+
+@pytest.fixture(scope="module")
+def edge_runs(tmp_path_factory):
+    """case -> (process, seconds) for every EDGE_CASES entry, two interpreters at a time."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    resource = pytest.importorskip("resource")
+    cap = 2 << 30
+
+    def capped():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    def run(case):
+        args = EDGE_CASES[case][0]
+        if args[0] in ("simulate", "spectrum"):
+            args = [*args, "--outdir", str(tmp_path_factory.mktemp("edge") / "out")]
+        start = time.monotonic()
+        proc = run_python(["-m", "deltabox.cli", *args], capped, OPENBLAS_NUM_THREADS="1")
+        return proc, time.monotonic() - start
+
+    with ThreadPoolExecutor(2) as pool:
+        return dict(zip(EDGE_CASES, pool.map(run, EDGE_CASES)))
+
+
+class TestEdgeRegister:
+    @pytest.mark.parametrize("case", list(EDGE_CASES))
+    def test_edge_value(self, case, edge_runs):
+        _, code, words = EDGE_CASES[case]
+        proc, seconds = edge_runs[case]
+        assert seconds < 5.0
+        assert proc.returncode == code, proc.stderr
+        lines = proc.stderr.splitlines()
+        if code == 0:
+            assert lines == []
+        else:
+            [line] = lines
+            prefix = ("configuration error: ", "solver error: ")[code - 1]
+            assert line.startswith(prefix) and words in line
+            assert "Traceback" not in line and "Warning" not in line
+
+    @pytest.mark.parametrize("args", [
+        ["spectrum", "--alpha", "-1e6"], ["spectrum", "--alpha", "1", "--window", "-1:30"],
+        ["green", "--x", "-1e-3"], ["green", "--z-re", "-1e3"]])
+    def test_negative_value_reads_as_its_equals_form(self, args, tmp_path, capsys):
+        if args[0] == "spectrum":
+            args = [args[0], "--outdir", str(tmp_path / "out"), *args[1:]]
+        assert run_cli(args) == 0
+        spaced = capsys.readouterr().out
+        assert run_cli([*args[:-2], f"{args[-2]}={args[-1]}"]) == 0
+        assert capsys.readouterr().out == spaced
+
+
 class TestStateFiles:
     def test_round_trip(self, tmp_path, rng):
         a = rng.standard_normal(17) + 1j * rng.standard_normal(17)

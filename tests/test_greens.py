@@ -107,6 +107,16 @@ class TestGreenOrigin:
         with pytest.raises(SingularityError):
             green_origin(-0.25)
 
+    @pytest.mark.parametrize("z", [5e-324, 1e-300, -1e-300, 1e-8, -3e-8, 9.9e-8, 3e-8 + 4e-8j,
+                                   -2e-9 + 1e-10j, -5e-8j, -5e-8 - 5e-8j], ids=str)
+    def test_near_zero_is_the_quotient_itself(self, z):
+        # tanh(pi*w)/(2*w) keeps full precision as z -> 0: no series branch is needed
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            w = mpmath.sqrt(mpmath.mpc(z))
+            exact = mpmath.tanh(mpmath.pi * w) / (2 * w)
+            assert abs(mpmath.mpc(green_origin(z)) - exact) <= 2 * np.finfo(float).eps * abs(exact)
+
     @pytest.mark.parametrize("z", [complex("nan"), complex("-inf"), complex(float("nan"), 1.0),
                                    complex(1.0, float("inf"))], ids=str)
     def test_non_finite_z_rejected(self, z):
@@ -380,6 +390,23 @@ class TestSpectralShift:
 
     def test_default(self):
         assert SpectralShift().lam == 1.0
+
+
+class TestFarNegativeZ:
+    # past Re z = -2^51 the phase pi*sqrt(-Re z) is lost: -1.1e30 gave the wrong sign,
+    # -3e300 a wrong magnitude, and -1e308 an int-to-float overflow
+    @pytest.mark.parametrize("z", [-1e308, -3e300, -1.1e30, -1.1e30 + 1j,
+                                   -greens.Z_RE_BOUND * (1 + 2**-52)], ids=str)
+    @pytest.mark.parametrize("form", [
+        lambda z: green_closed(0.0, 0.0, z), lambda z: green_series(0.3, -1.0, z, 11),
+        green_origin, SpectralShift], ids=["closed", "series", "origin", "shift"])
+    def test_refused(self, form, z):
+        with pytest.raises(InputError, match="below"):
+            form(z)
+
+    def test_bound_itself_accepted(self):
+        z = -greens.Z_RE_BOUND
+        assert np.isfinite(green_origin(z)) and np.isfinite(green_closed(0.0, 0.0, z))
 
 
 class TestErrorPaths:

@@ -7,7 +7,6 @@ from deltabox.spectral import (
     SpectralCoefficients,
     TimeGrid,
     box_trapezoid,
-    eigenvalue,
     evaluate_state,
     eigenvalues,
     free_evolve,
@@ -16,7 +15,7 @@ from deltabox.spectral import (
     origin_trace,
     project_function,
 )
-from deltabox.kernels import TIME_BLOCK
+from deltabox.kernels import TIME_BLOCK, odd_eigenvalues
 from deltabox import verify
 
 from conftest import assert_check
@@ -41,16 +40,17 @@ class TestEigenmodes:
         assert abs(eigenmode(3, np.pi)) < 1e-15
 
     def test_eigenvalue(self):
-        assert eigenvalue(3) == 2.25
-        assert eigenvalue(1) == 0.25
+        # one builder: lam_k = k^2/4, exact up to large k, and the odd sector is its odd slice
+        k_max = 100_001
+        lam = eigenvalues(k_max)
+        assert lam[0] == 0.25 and lam[2] == 2.25
+        k = np.arange(1, k_max + 1)
+        assert np.array_equal(4 * lam, (k * k).astype(float))
+        assert np.array_equal(odd_eigenvalues(k_max), lam[0::2])
 
     def test_domain_error(self):
         with pytest.raises(DomainError):
             eigenmode(1, 3.5)
-
-    def test_bad_mode_index(self):
-        with pytest.raises(InputError):
-            eigenvalue(0)
 
 
 class TestModeTable:
@@ -116,7 +116,7 @@ class TestFreeOriginSeries:
         times = TimeGrid(1.0, 300).times
         out = free_origin_series(SpectralCoefficients.unit(3, 51), times)
         assert np.max(np.abs(out - INV_SQRT_PI * np.exp(-2.25j * times))) < 1e-14
-        assert np.all(free_origin_series(SpectralCoefficients.zeros(51), times) == 0)
+        assert np.all(free_origin_series(SpectralCoefficients(51, np.zeros(51)), times) == 0)
 
     def test_scalar_time(self, rng):
         c = SpectralCoefficients(51, rng.standard_normal(51) + 1j * rng.standard_normal(51))
