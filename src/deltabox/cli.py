@@ -223,7 +223,8 @@ def cmd_green(args) -> int:
     print(f"series  {series.real!r} {series.imag!r}  (k_max={args.k_max})")
     print(f"|diff|  {abs(closed - series)!r}")
     if args.x == 0 and args.xp == 0:
-        print(f"origin  {green_origin(z).real!r} {green_origin(z).imag!r}")
+        origin = green_origin(z)
+        print(f"origin  {origin.real!r} {origin.imag!r}")
     return EXIT_OK
 
 

@@ -5,6 +5,7 @@ import itertools
 import math
 import os
 import re
+import struct
 import subprocess
 import sys
 import tempfile
@@ -24,8 +25,12 @@ from deltabox.charge import CouplingProfile
 from deltabox.cli import EXIT_SOLVER, _SIMULATE_KEYS, _parse_alpha, _parse_psi0, main
 from deltabox.control import ControlTarget, apply_linearized, synthesize_control
 from deltabox.kernels import THREAD_VARIABLES, _bundled_trsv, runtime_record
+from deltabox.greens import green_origin
 from deltabox.iofiles import (
-    atomic_write_text,
+    _BLOCK_ROWS,
+    _HIGHEST,
+    _LOWEST,
+    atomic_write_blocks,
     config_hash,
     load_state,
     load_target_csv,
@@ -464,10 +469,12 @@ class TestInputContracts:
 
 
 # The edge-value register: each case runs in a fresh interpreter capped at 2 GiB and must
-# exit with its code, print at most one stderr line (the documented prefix and the words
-# given, none on exit 0, never a Traceback or a Warning) and finish within 5 s.
+# exit with its code, print at most one stderr line (a documented prefix for its code and
+# the words given, none on exit 0, never a Traceback or a Warning) and finish within 5 s.
 EDGE_VALUES = ("nan", "inf", "0", "1e308", "-1e308")
-EDGE_CODES = {  # each numeric flag of green and spectrum: its exit codes at EDGE_VALUES
+EDGE_PREFIXES = {1: ("configuration error: ",),
+                 2: ("solver error: ", "diagnostic tolerance exceeded: ")}
+EDGE_CODES = {  # each numeric flag of green, spectrum and simulate: its exit codes at EDGE_VALUES
     ("green", "--x"): (1, 1, 0, 1, 1),
     ("green", "--xp"): (1, 1, 0, 1, 1),
     ("green", "--z-re"): (1, 1, 0, 0, 1),
@@ -476,6 +483,12 @@ EDGE_CODES = {  # each numeric flag of green and spectrum: its exit codes at EDG
     ("spectrum", "--alpha"): (1, 1, 0, 0, 0),
     ("spectrum", "--window"): (1, 1, 1, 1, 1),
     ("spectrum", "--k-max"): (1, 1, 1, 1, 1),
+    # simulate's exit-0 runs write trajectory.csv; a negative tolerance fails its diagnostic
+    ("simulate", "--T"): (1, 1, 1, 2, 1),
+    ("simulate", "--n-steps"): (1, 1, 1, 1, 1),
+    ("simulate", "--k-max"): (1, 1, 1, 1, 1),
+    ("simulate", "--tol-norm-drift"): (1, 1, 0, 0, 2),
+    ("simulate", "--tol-boundary"): (1, 1, 0, 0, 2),
 }
 EDGE_CASES = {
     f"{command}{flag}={value}": ([command, *(["--alpha", "1"] if command == "spectrum" else []),
@@ -501,6 +514,11 @@ EDGE_CASES.update({
     "simulate-alpha=const:1e308": (["simulate", "--alpha", "const:1e308", "--T", "0.5",
                                     "--n-steps", "100", "--k-max", "31"], 2,
                                    "first non-finite charge at node n=1, t=0.005"),
+    # a tolerance below every value fails it, with the documented line
+    "simulate--tol-norm-drift=-1e308": (["simulate", "--tol-norm-drift", "-1e308"], 2,
+                                        "norm_drift 0.000000e+00 > tolerance -1.000000e+308"),
+    "simulate--tol-boundary=-1e308": (["simulate", "--tol-boundary", "-1e308"], 2,
+                                      "boundary_residual_max 0.000000e+00 > tolerance -1.0"),
     "verify-k-max=513": (["verify", "--k-max", "513"], 1, "exceeds 512"),
     "verify-k-max=512": (["verify", "--k-max", "512", "--filter", "spectral"], 0, ""),
 })
@@ -541,8 +559,7 @@ class TestEdgeRegister:
             assert lines == []
         else:
             [line] = lines
-            prefix = ("configuration error: ", "solver error: ")[code - 1]
-            assert line.startswith(prefix) and words in line
+            assert line.startswith(EDGE_PREFIXES[code]) and words in line
             assert "Traceback" not in line and "Warning" not in line
 
     @pytest.mark.parametrize("args", [
@@ -702,6 +719,31 @@ class TestInputProperties:
             assert _same_bits(load_target_csv(path, k_max).a, a)
 
 
+def _nudged(anchor: float, steps: int, negative: bool) -> float:
+    """anchor moved `steps` floats up (down for steps < 0), then negated if asked."""
+    for _ in range(abs(steps)):
+        anchor = math.nextafter(anchor, math.copysign(math.inf, steps))
+    return -anchor if negative else anchor
+
+
+def _repr_rows(rows) -> bytes:
+    return "".join(",".join(map(repr, row)) + "\n" for row in rows).encode()
+
+
+# the series writer's fast path and each point where it hands an element to repr()
+SERIES_ANCHORS = st.one_of(
+    st.integers(-323, 308).map(lambda k: float(f"1e{k}")),  # powers of ten
+    st.integers(-1074, 1023).map(lambda k: math.ldexp(1.0, k)),  # powers of two
+    st.sampled_from([1e16, 1e-4, 1e-5, _LOWEST, _HIGHEST]),  # form switches, range ends
+)
+SERIES_FLOATS = st.one_of(
+    st.integers(0, 2**64 - 1).map(lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0]),
+    st.integers(1, 2**52 - 1).map(lambda m: m * 5e-324),  # subnormals
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]),
+    st.builds(_nudged, SERIES_ANCHORS, st.integers(-2, 2), st.booleans()),
+)
+
+
 class TestSeriesCsv:
     @pytest.mark.parametrize("writer, columns", [(save_trajectory_csv, "t,re_q,im_q")])
     def test_bytes_match_per_row_format(self, tmp_path, writer, columns):
@@ -716,16 +758,60 @@ class TestSeriesCsv:
         assert path.read_bytes() == expected.encode()
         assert "-0.0,-0.0" in expected and "5e-324" in expected
 
-    @pytest.mark.parametrize("n_rows", [0, 1, 1024, 2500])
+    @pytest.mark.parametrize("n_rows", [0, 1, 1024, _BLOCK_ROWS - 1, _BLOCK_ROWS,
+                                        _BLOCK_ROWS + 1, 2500])
     def test_chunked_rows_match_one_line_per_row(self, tmp_path, rng, n_rows):
-        # rows are joined a chunk of 1024 at a time; the file is the same as one
-        # line per row, with one final newline, at and across the chunk edges
+        # rows are formatted and written a block of _BLOCK_ROWS at a time; the file is the
+        # same as one line per row, with one final newline, at and across the block edges
         times = np.linspace(0.0, 3.0, n_rows)
         values = rng.standard_normal(n_rows) + 1j * rng.standard_normal(n_rows)
         path = tmp_path / "series.csv"
         save_trajectory_csv(str(path), times, values, {"k_max": 5})
         rows = [f"{t!r},{v.real!r},{v.imag!r}" for t, v in zip(times.tolist(), values.tolist())]
         assert path.read_text() == "\n".join(["# k_max=5", "t,re_q,im_q", *rows]) + "\n"
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.lists(st.tuples(SERIES_FLOATS, SERIES_FLOATS, SERIES_FLOATS), max_size=40))
+    def test_bytes_are_repr(self, rows):
+        # every value as repr() writes it, whichever way the formatter took
+        table = np.array(rows, dtype=float).reshape(-1, 3)
+        q = np.empty(len(rows), dtype=complex)
+        q.real, q.imag = table[:, 1], table[:, 2]
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, "series.csv")
+            save_trajectory_csv(path, table[:, 0], q, {})
+            with open(path, "rb") as fh:
+                assert fh.read() == b"t,re_q,im_q\n" + _repr_rows(rows)
+
+    def test_random_bit_patterns_are_repr(self, tmp_path, rng):
+        # 30000 doubles of every exponent, sign and mantissa, across several blocks
+        table = rng.integers(0, 2**64, size=(10000, 3), dtype=np.uint64).view(np.float64)
+        path = tmp_path / "series.csv"
+        save_trajectory_csv(str(path), table[:, 0], table[:, 1] + 0j, {})
+        rows = [(t, v, 0.0) for t, v in zip(table[:, 0].tolist(), table[:, 1].tolist())]
+        assert path.read_bytes() == b"t,re_q,im_q\n" + _repr_rows(rows)
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_error_between_blocks_leaves_no_file(self, tmp_path, monkeypatch, existing):
+        # the second block fails: no temp file is left, and the target is as it was
+        path = tmp_path / "out" / "trajectory.csv"
+        if existing:
+            path.parent.mkdir()
+            path.write_bytes(b"old\n")
+        blocks, format_floats = [], deltabox.iofiles._format_floats
+
+        def second_fails(*args):
+            if blocks:
+                raise RuntimeError("stopped")
+            blocks.append(format_floats(*args))
+            return blocks[-1]
+
+        monkeypatch.setattr(deltabox.iofiles, "_format_floats", second_fails)
+        n = _BLOCK_ROWS + 1
+        with pytest.raises(RuntimeError, match="stopped"):
+            save_trajectory_csv(str(path), np.linspace(0.0, 1.0, n), np.ones(n, complex), {})
+        assert os.listdir(path.parent) == (["trajectory.csv"] if existing else [])
+        assert not existing or path.read_bytes() == b"old\n"
 
     def test_control_csv_is_a_pl_file(self, tmp_path):
         # save_control_csv writes a coupling in the format that --alpha pl: reads
@@ -750,6 +836,21 @@ class TestSpectrumCommand:
         assert any(abs(float(e) - 1.0) < 1e-12 and s == "odd" for e, s in rows)
         sectors = {s for _, s in rows}
         assert sectors <= {"even", "odd"}
+
+
+class TestGreenCommand:
+    def test_origin_evaluated_once(self, monkeypatch, capsys):
+        calls = []
+
+        def counting(z):
+            calls.append(z)
+            return green_origin(z)
+
+        monkeypatch.setattr(deltabox.cli, "green_origin", counting)
+        assert run_cli(["green", "--z-re", "1.5"]) == 0
+        value = green_origin(1.5 + 0j)
+        assert calls == [1.5 + 0j]
+        assert f"\norigin  {value.real!r} {value.imag!r}\n" in capsys.readouterr().out
 
 
 class TestVerifyCommand:
@@ -998,13 +1099,12 @@ class TestWritePath:
         args = [a.format(target=target) for a in args]
         written = []
 
-        def recording(path, text):
+        def recording(path, blocks):
             written.append(os.path.basename(path))
-            atomic_write_text(path, text)
+            atomic_write_blocks(path, blocks)
 
-        # every writer ends in atomic_write_text; the report is written through cli's name
-        monkeypatch.setattr(deltabox.iofiles, "atomic_write_text", recording)
-        monkeypatch.setattr(deltabox.cli, "atomic_write_text", recording)
+        # every writer, the text ones and the series one, ends in atomic_write_blocks
+        monkeypatch.setattr(deltabox.iofiles, "atomic_write_blocks", recording)
         assert run_cli([*args, "--outdir", str(tmp_path / "out")]) == 0
         assert written == [*artifacts, "manifest.txt"]  # the manifest last
         monkeypatch.setenv("DELTABOX_OUTDIR", str(tmp_path / "env"))
