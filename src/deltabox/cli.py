@@ -160,6 +160,9 @@ def cmd_simulate(args) -> int:
         for key, kind in zip(names, (float, int, int, float, float)))
     if k_max < 1:
         raise InputError(f"{names['k_max']} must be at least 1, got {k_max}")
+    for key, tol in (("tol_norm_drift", tol_norm), ("tol_boundary", tol_boundary)):
+        if tol < 0:  # no diagnostic can meet it: refused before any work
+            raise InputError(f"{names[key]} must be nonnegative, got {tol!r}")
     if not (t_end > 0 and np.isfinite(t_end)):
         raise InputError("T must be positive and finite")
     grid = TimeGrid(t_end, n_steps)
@@ -281,15 +284,15 @@ def cmd_verify(args) -> int:
 
 def cmd_sweep(args) -> int:
     if args.what == "charge-dt":
-        sweep, header, min_slope = charge_dt_sweep, "dt,sup_error", 1.9
+        sweep, header, min_slope, kind = charge_dt_sweep, "dt,sup_error", 1.9, float
     elif args.what == "green-kmax":
-        sweep, header, min_slope = green_kmax_sweep, "k_max,abs_error", 0.9
+        sweep, header, min_slope, kind = green_kmax_sweep, "k_max,abs_error", 0.9, int
     else:
         raise InputError(f"unknown sweep {args.what!r} (charge-dt | green-kmax)")
     if args.min_slope is not None:
         min_slope = parse_number(args.min_slope, float, "--min-slope")
     if args.levels:
-        rows, slope = sweep([parse_number(x, float, "levels") for x in args.levels.split(",")])
+        rows, slope = sweep([parse_number(x, kind, "levels") for x in args.levels.split(",")])
     else:
         rows, slope = sweep()
     lines = [f"# slope={slope!r}", header]
@@ -301,7 +304,11 @@ def cmd_sweep(args) -> int:
     _write_run(args.outdir,
                {f"sweep_{args.what}.csv": (atomic_write_text, "\n".join(lines) + "\n")},
                {"inputs": {**inputs, "config_hash": config_hash(inputs)}})
-    return EXIT_OK if slope >= min_slope else EXIT_SOLVER
+    if not slope >= min_slope:  # a NaN slope fails too
+        print(f"diagnostic tolerance exceeded: slope {slope!r} < minimum {min_slope!r}",
+              file=sys.stderr)
+        return EXIT_SOLVER
+    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -54,7 +54,7 @@ def charge_dt_sweep(dts=CHARGE_DT_LEVELS) -> tuple[list[tuple[float, float]], fl
 
 def green_kmax_sweep(ks=GREEN_KMAX_LEVELS) -> tuple[list[tuple[int, float]], float]:
     """Truncation error of the origin Green series against the closed form."""
-    ks = _check_levels([int(k) for k in ks])
+    ks = _check_levels(list(ks))
     exact = green_origin(GREEN_STUDY_Z)
     rows = []
     for k in ks:

@@ -4,14 +4,16 @@ All writes are atomic: `atomic_write_blocks` writes byte blocks to a temp file
 and renames it over the target.  Floats are written as the bytes of repr(),
 the shortest round-trip form, so identical runs produce bit-identical
 artifacts.  The CSV series (`trajectory.csv`, `control.csv`) get those bytes
-from a vectorized formatter: shortest digits as in Ryu (Adams 2018), from
-error-free float64 products (Dekker 1971), with repr() itself as the fallback
-for every element that the fast path cannot decide.  CSV artifacts carry '#'
-header comments embedding the producing configuration hash.
+from a vectorized formatter for the values that repr() writes in fixed form,
+1e-4 <= |x| < 1e15: shortest digits as in Ryu (Adams 2018), from Dekker's exact
+products (Dekker 1971) with exact powers of ten.  Every other value, and every
+one that the fast path cannot decide, takes repr()'s own bytes.  CSV artifacts
+carry '#' header comments embedding the producing configuration hash.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import os
@@ -114,12 +116,16 @@ def _header_comments(fields: dict) -> list[str]:
 # The series writer formats and writes this many rows at a time.
 _BLOCK_ROWS = 2048
 # y = |x|*10**(16-e) lies in [1e16, 1e17) for the decimal exponent e of x, so its
-# integers are the 17-digit candidates.  The double-double steps below get y, the
-# half-width of x's rounding interval and the tie tests within 1.2e-14 of those
-# units; any decision closer than _MARGIN to a boundary or a tie goes to repr().
+# integers are the 17-digit candidates.  y and the half-width h of x's rounding
+# interval are exact in those units; the interval ends and the tie tests err by
+# < 1e-14 there, and any decision closer than _MARGIN to a boundary or a tie goes
+# to repr().
 _MARGIN = 1e-9
-# Inside this range of |x| no Dekker product or power 10**(16-e) overflows or underflows.
-_LOWEST, _HIGHEST = 1e-250, 1e250
+# The fast path's range of |x|: repr() writes it in fixed form, which holds to 1e16,
+# with a decade to spare for a rounding carry.  Every scale 10**(16-e) it needs,
+# 10**1 to 10**21, is an exact double: row k of _SCALES is 10**k.
+_LOWEST, _HIGHEST = 1e-4, 1e15
+_SCALES = np.array([float(10 ** k) for k in range(22)])
 
 
 def _split(a):
@@ -129,38 +135,27 @@ def _split(a):
     return hi, a - hi
 
 
-def _powers_of_ten(lo: int, hi: int, known: dict):
-    """10**k for k = lo..hi as double-doubles (head, tail): head is 10**k rounded,
-    tail the rest rounded, both from exact integers (kept in `known`)."""
-    for k in range(lo, hi + 1):
-        if k not in known:
-            num, den = (10 ** k, 1) if k >= 0 else (1, 10 ** -k)
-            head = num / den
-            a, b = head.as_integer_ratio()
-            known[k] = (head, (num * b - a * den) / (den * b))
-    pairs = np.array([known[k] for k in range(lo, hi + 1)])
-    return pairs[:, 0], pairs[:, 1]
-
-
-def _scaled(a, head, tail):
-    """a*(head + tail) as its nearest integer (int64) and the rest, in [-0.5, 0.5]:
-    a*head exact by Dekker's product, a*tail rounded."""
-    p = a * head
+def _scaled(a, power):
+    """a*power as its nearest integer (int64) and the rest, in [-0.5, 0.5]: the
+    rounded product and its error, exact by Dekker's product."""
+    p = a * power
     a1, a2 = _split(a)
-    h1, h2 = _split(head)
-    err = ((a1 * h1 - p) + a1 * h2 + a2 * h1) + a2 * h2
+    p1, p2 = _split(power)
+    err = ((a1 * p1 - p) + a1 * p2 + a2 * p1) + a2 * p2
     whole = np.rint(p)
-    rest = (p - whole) + (err + a * tail)
+    rest = (p - whole) + err
     carry = np.rint(rest)
     return whole.astype(np.int64) + carry.astype(np.int64), rest - carry
 
 
+@functools.cache
 def _quad_digits():
     """The ASCII bytes of '0000'..'9999' as uint64, the first digit in the low byte."""
     n = np.arange(10000, dtype=np.uint64)
     return sum(((n // 10 ** (3 - i)) % 10 + 48) << np.uint64(8 * i) for i in range(4))
 
 
+@functools.cache
 def _field_words():
     """(9, 21*19*2) uint64 by (point, length, sign): the digit masks and the constant
     bytes of an element's first 24 bytes, three words each.
@@ -184,43 +179,18 @@ def _field_words():
     return np.ascontiguousarray(table.reshape(9, 8, -1).transpose(0, 2, 1)).view("<u8")[..., 0]
 
 
-def _exponent_words(n_columns: int):
-    """(661, n_columns) uint64 by (e + 330, column): 'e+NN' or 'e-NNN' and the
-    column's separator, or the separator alone where repr writes e in fixed form."""
-    e = np.arange(-330, 331)[:, None]
-    size = np.abs(e)
-    seps = np.where(np.arange(n_columns) == n_columns - 1, ord("\n"), ord(","))
-    big = size >= 100
-    words = np.zeros((e.size, n_columns, 8), np.uint8)
-    words[..., 0] = ord("e")
-    words[..., 1] = np.where(e < 0, ord("-"), ord("+"))
-    words[..., 2] = np.where(big, size // 100, size // 10 % 10) + 48
-    words[..., 3] = np.where(big, size // 10 % 10, size % 10) + 48
-    words[..., 4] = np.where(big, size % 10 + 48, seps)
-    words[..., 5] = np.where(big, seps, 0)
-    fixed = (-4 <= e[:, 0]) & (e[:, 0] <= 15)
-    words[fixed] = 0
-    words[fixed, :, 0] = seps
-    return words.view("<u8")[..., 0]
-
-
-def _decimal_scaled(a, powers: dict):
+def _decimal_scaled(a):
     """Step 1: the decimal exponent e of each a > 0, and y = a*10**(16 - e) in
     [1e16, 1e17) as its nearest integer `whole` plus `rest`, with the half-width h
     of a's rounding interval in the same units.  An element whose `whole` is still
     outside [1e16, 1e17) after one correction of e has no decision to offer."""
     e = np.floor(np.log10(a)).astype(np.int64)
-    k_lo = 15 - int(e.max())
-    head, tail = _powers_of_ten(k_lo, 17 - int(e.min()), powers)
-    k = 16 - e - k_lo  # the row of 10**(16 - e)
-    whole, rest = _scaled(a, head[k], tail[k])
+    whole, rest = _scaled(a, _SCALES[16 - e])
     for step, off in ((1, whole >= 10 ** 17), (-1, whole < 10 ** 16)):  # log10 missed by one
         if off.any():
             e[off] += step
-            k[off] -= step
-            whole[off], rest[off] = _scaled(a[off], head[k[off]], tail[k[off]])
-    half = np.ldexp(np.spacing(a), -1)
-    return e, whole, rest, half * head[k] + half * tail[k]
+            whole[off], rest[off] = _scaled(a[off], _SCALES[16 - e[off]])
+    return e, whole, rest, np.ldexp(np.spacing(a), -1) * _SCALES[16 - e]
 
 
 def _shortest(whole, rest, h):
@@ -262,10 +232,10 @@ def _shortest(whole, rest, h):
     return digits, drop, clear & ~tie
 
 
-def _layout(negative, e, digits, drop, column, tables):
+def _layout(negative, e, digits, drop, separators):
     """Step 3: (n, 4) little-endian words of each element's bytes, unused bytes 0:
-    sign and '0.' prefix, the digits with the point, the exponent and separator."""
-    quads, fields, exponents = tables
+    sign and '0.' prefix, the digits with the point, and the separator."""
+    quads, fields = _quad_digits(), _field_words()
     u = np.uint64
     ten = 10 ** np.arange(18)
     carry = digits == ten[17 - drop]  # as 9.6 to one digit: 1 a decade up
@@ -278,50 +248,49 @@ def _layout(negative, e, digits, drop, column, tables):
     w0 = (lead.astype(u) + u(48)) << u(56)
     w1 = quads[high // 10 ** 4] | (quads[high % 10 ** 4] << u(32))
     w2 = quads[low // 10 ** 4] | (quads[low % 10 ** 4] << u(32))
-    scientific = (e < -4) | (e > 15)
-    small = (e < 0) & ~scientific
-    point = np.where(scientific, 1, np.where(small, 16 - e, e + 1))
-    length = np.where(scientific, n_digits + (n_digits > 1),
-                      np.where(small, n_digits, np.maximum(n_digits, e + 2) + 1))
+    small = e < 0
+    point = np.where(small, 16 - e, e + 1)
+    length = np.where(small, n_digits, np.maximum(n_digits, e + 2) + 1)
     m = np.take(fields, (point * 19 + length) * 2 + negative, axis=1)
     out = np.empty((e.size, 4), "<u8")
     out[:, 0] = (((w0 >> u(8)) | (w1 << u(56))) & m[0]) | (w0 & m[3]) | m[6]
     out[:, 1] = (((w1 >> u(8)) | (w2 << u(56))) & m[1]) | (w1 & m[4]) | m[7]
     out[:, 2] = ((w2 >> u(8)) & m[2]) | (w2 & m[5]) | m[8]
-    out[:, 3] = exponents[e + 330, column]
+    out[:, 3] = separators
     return out
 
 
-def _format_floats(x, column, tables, powers: dict) -> bytes:
-    """The bytes of repr(x_i) and its column's separator for each element, joined.
+def _format_floats(x, separators) -> bytes:
+    """The bytes of repr(x_i) and its separator word (',' or a newline) for each
+    element, joined.
 
     Each element gets 32 bytes of fixed-width words with its unused bytes 0, and one
-    pass drops the 0s.  0, inf, nan, powers of two (their rounding interval is
-    lopsided), |x| outside [_LOWEST, _HIGHEST] and every element whose decision
-    falls within _MARGIN take their bytes from repr().
+    pass drops the 0s.  Only the values in [_LOWEST, _HIGHEST) that are not powers
+    of two (their rounding interval is lopsided) take the fast path; every other
+    element, and every one whose decision falls within _MARGIN, takes its bytes
+    from repr().
     """
     ax = np.abs(x)
     mantissa = x.view(np.uint64) << np.uint64(12)  # 0 for a power of two
-    fast = (ax >= _LOWEST) & (ax <= _HIGHEST) & (mantissa != 0)
-    e, whole, rest, h = _decimal_scaled(np.where(fast, ax, 1.5), powers)
+    fast = (ax >= _LOWEST) & (ax < _HIGHEST) & (mantissa != 0)
+    e, whole, rest, h = _decimal_scaled(np.where(fast, ax, 1.5))
     digits, drop, clear = _shortest(whole, rest, h)
-    out = _layout(x < 0, e, digits, drop, column, tables)
+    out = _layout(x < 0, e, digits, drop, separators)
     slow = np.flatnonzero(~(fast & clear))
     if slow.size:
         text = np.array([repr(v) for v in x[slow].tolist()], dtype="S24")
         out[slow, :3] = text.view("<u8").reshape(-1, 3)
-        out[slow, 3] = tables[2][330, column[slow]]  # e = 0: the separator alone
     return out.tobytes().translate(None, b"\0")
 
 
 def _series_rows(table):
     """The CSV rows of table's float columns as bytes, _BLOCK_ROWS rows a block."""
-    tables = _quad_digits(), _field_words(), _exponent_words(len(table))
-    powers: dict = {}
-    column = np.tile(np.arange(len(table)), _BLOCK_ROWS)
+    row = np.full(len(table), ord(","), np.uint64)
+    row[-1] = ord("\n")
+    separators = np.tile(row, _BLOCK_ROWS)
     for start in range(0, table[0].size, _BLOCK_ROWS):
         x = np.stack([c[start:start + _BLOCK_ROWS] for c in table], axis=1).ravel()
-        yield _format_floats(x, column[:x.size], tables, powers)
+        yield _format_floats(x, separators[:x.size])
 
 
 def _save_series_csv(path: str, columns: str, table, fields: dict) -> None:

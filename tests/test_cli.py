@@ -1,3 +1,4 @@
+import collections
 import ctypes
 import functools
 import inspect
@@ -253,6 +254,9 @@ BAD_INPUTS = {
     "sweep-negative-level": ["sweep", "--what", "green-kmax", "--levels=-5,10,100"],
     "sweep-zero-dt": ["sweep", "--levels", "0,1e-3,2e-3"],
     "sweep-repeated-level": ["sweep", "--levels=1e-3,1e-3,1e-3"],
+    # green-kmax levels are integers: none is truncated, so none repeats
+    "sweep-fractional-kmax": ["sweep", "--what", "green-kmax", "--levels", "10.7,100.2,1000.9"],
+    "sweep-truncated-repeat": ["sweep", "--what", "green-kmax", "--levels", "10,10.5,100,1000"],
     "sweep-nan-min-slope": ["sweep", "--what", "green-kmax", "--min-slope", "nan"],
     "sweep-inf-min-slope": ["sweep", "--what", "green-kmax", "--min-slope", "inf"],
     "sweep-unknown-what": ["sweep", "--what", "bogus"],
@@ -327,6 +331,9 @@ class TestInputContracts:
         ("T=abc", [], "sim.cfg: T: expected a finite number, got 'abc'"),
         ("tol_boundary=x", [], "sim.cfg: tol_boundary: expected a finite number, got 'x'"),
         (None, ["--tol-boundary", "x"], "--tol-boundary: expected a finite number, got 'x'"),
+        # a negative tolerance no diagnostic can meet: refused before the march
+        ("tol_norm_drift=-1e-3", [], "sim.cfg: tol_norm_drift must be nonnegative, got -0.001"),
+        (None, ["--tol-boundary", "-1e308"], "--tol-boundary must be nonnegative, got -1e+308"),
     ])
     def test_simulate_numbers_named_after_their_source(self, config, flags, message, tmp_path,
                                                        capsys):
@@ -474,7 +481,7 @@ class TestInputContracts:
 EDGE_VALUES = ("nan", "inf", "0", "1e308", "-1e308")
 EDGE_PREFIXES = {1: ("configuration error: ",),
                  2: ("solver error: ", "diagnostic tolerance exceeded: ")}
-EDGE_CODES = {  # each numeric flag of green, spectrum and simulate: its exit codes at EDGE_VALUES
+EDGE_CODES = {  # each numeric flag of every command: its exit codes at EDGE_VALUES
     ("green", "--x"): (1, 1, 0, 1, 1),
     ("green", "--xp"): (1, 1, 0, 1, 1),
     ("green", "--z-re"): (1, 1, 0, 0, 1),
@@ -483,17 +490,36 @@ EDGE_CODES = {  # each numeric flag of green, spectrum and simulate: its exit co
     ("spectrum", "--alpha"): (1, 1, 0, 0, 0),
     ("spectrum", "--window"): (1, 1, 1, 1, 1),
     ("spectrum", "--k-max"): (1, 1, 1, 1, 1),
-    # simulate's exit-0 runs write trajectory.csv; a negative tolerance fails its diagnostic
+    # simulate's exit-0 runs write trajectory.csv; a negative tolerance is refused up front
     ("simulate", "--T"): (1, 1, 1, 2, 1),
     ("simulate", "--n-steps"): (1, 1, 1, 1, 1),
     ("simulate", "--k-max"): (1, 1, 1, 1, 1),
-    ("simulate", "--tol-norm-drift"): (1, 1, 0, 0, 2),
-    ("simulate", "--tol-boundary"): (1, 1, 0, 0, 2),
+    ("simulate", "--tol-norm-drift"): (1, 1, 0, 0, 1),
+    ("simulate", "--tol-boundary"): (1, 1, 0, 0, 1),
+    ("control", "--k-bar"): (1, 1, 1, 1, 1),
+    ("control", "--T"): (1, 1, 1, 1, 1),
+    ("control", "--k-max"): (1, 1, 1, 1, 1),
+    ("control", "--n-steps"): (1, 1, 1, 1, 1),
+    ("verify", "--k-max"): (1, 1, 1, 1, 1),
+    ("verify", "--seed"): (1, 1, 0, 1, 1),
+    # a slope below the minimum is exit 2, with its line on stderr
+    ("sweep", "--min-slope"): (1, 1, 0, 2, 0),
+    # the value as the first of three levels; green-kmax levels are integers
+    ("sweep", "--levels"): (1, 1, 1, 1, 1),
+    ("sweep-green-kmax", "--levels"): (1, 1, 1, 1, 1),
 }
+# a row's command line before its flag, where it is more than the command
+EDGE_COMMANDS = {
+    "spectrum": ["spectrum", "--alpha", "1"],
+    "control": ["control", "--target", "{target}"],
+    "verify": ["verify", "--filter", "spectral"],
+    "sweep-green-kmax": ["sweep", "--what", "green-kmax"],
+}
+EDGE_LEVELS = {"sweep": ",2e-3,1e-3", "sweep-green-kmax": ",10,100"}  # the two levels after it
 EDGE_CASES = {
-    f"{command}{flag}={value}": ([command, *(["--alpha", "1"] if command == "spectrum" else []),
-                                  flag, value], code, "")
-    for (command, flag), codes in EDGE_CODES.items() for value, code in zip(EDGE_VALUES, codes)
+    f"{name}{flag}={value}": ([*EDGE_COMMANDS.get(name, [name]), flag,
+                              value + (EDGE_LEVELS[name] if flag == "--levels" else "")], code, "")
+    for (name, flag), codes in EDGE_CODES.items() for value, code in zip(EDGE_VALUES, codes)
 }
 EDGE_CASES.update({
     # past Re z = -2^51 float64 loses the phase pi*sqrt(-Re z): refused, not a wrong number
@@ -514,11 +540,15 @@ EDGE_CASES.update({
     "simulate-alpha=const:1e308": (["simulate", "--alpha", "const:1e308", "--T", "0.5",
                                     "--n-steps", "100", "--k-max", "31"], 2,
                                    "first non-finite charge at node n=1, t=0.005"),
-    # a tolerance below every value fails it, with the documented line
-    "simulate--tol-norm-drift=-1e308": (["simulate", "--tol-norm-drift", "-1e308"], 2,
-                                        "norm_drift 0.000000e+00 > tolerance -1.000000e+308"),
-    "simulate--tol-boundary=-1e308": (["simulate", "--tol-boundary", "-1e308"], 2,
-                                      "boundary_residual_max 0.000000e+00 > tolerance -1.0"),
+    # a tolerance below every value is refused before the march, named by its flag
+    "simulate--tol-norm-drift=-1e308": (["simulate", "--tol-norm-drift", "-1e308"], 1,
+                                        "--tol-norm-drift must be nonnegative, got -1e+308"),
+    "simulate--tol-boundary=-1e308": (["simulate", "--tol-boundary", "-1e308"], 1,
+                                      "--tol-boundary must be nonnegative, got -1e+308"),
+    "sweep--min-slope=1e308": (["sweep", "--min-slope", "1e308"], 2,
+                               "diagnostic tolerance exceeded: slope 2.00"),
+    "sweep-green-kmax--levels=1e308": (["sweep", "--what", "green-kmax", "--levels",
+                                        "1e308,10,100"], 1, "expected an integer, got '1e308'"),
     "verify-k-max=513": (["verify", "--k-max", "513"], 1, "exceeds 512"),
     "verify-k-max=512": (["verify", "--k-max", "512", "--filter", "spectral"], 0, ""),
 })
@@ -535,9 +565,12 @@ def edge_runs(tmp_path_factory):
     def capped():
         resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 
+    target = tmp_path_factory.mktemp("edge") / "target.csv"
+    target.write_text("k,re_c,im_c\n1,0.0,1e-3\n3,1e-3,0.0\n")
+
     def run(case):
-        args = EDGE_CASES[case][0]
-        if args[0] in ("simulate", "spectrum"):
+        args = [a.format(target=target) for a in EDGE_CASES[case][0]]
+        if args[0] not in ("green", "verify"):  # these write no files and have no --outdir
             args = [*args, "--outdir", str(tmp_path_factory.mktemp("edge") / "out")]
         start = time.monotonic()
         proc = run_python(["-m", "deltabox.cli", *args], capped, OPENBLAS_NUM_THREADS="1")
@@ -813,6 +846,32 @@ class TestSeriesCsv:
         assert os.listdir(path.parent) == (["trajectory.csv"] if existing else [])
         assert not existing or path.read_bytes() == b"old\n"
 
+    def test_fast_path_takes_every_in_range_value(self, tmp_path, rng, monkeypatch):
+        # a bench-shaped trajectory: t on [0, 8*pi], q about 0.05*N(0, 1).  repr() gets the
+        # values outside the fast path's range, powers of two and zeros, and at most a
+        # handful of margin cases; a formatter that fell back everywhere would fail here
+        n = 25134
+        times = np.linspace(0.0, 8 * np.pi, n)
+        q = 0.05 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        sent = []
+
+        def counting(value):
+            sent.append(value)
+            return repr(value)
+
+        monkeypatch.setattr(deltabox.iofiles, "repr", counting, raising=False)
+        path = tmp_path / "trajectory.csv"
+        save_trajectory_csv(str(path), times, q, {})
+        values = np.concatenate([times, q.real, q.imag])
+        size = np.abs(values)
+        inside = (size >= _LOWEST) & (size < _HIGHEST) & (np.abs(np.frexp(values)[0]) != 0.5)
+        outside = collections.Counter(values[~inside].tolist())
+        assert outside[0.0] >= 1 and sum(outside.values()) > 10  # t = 0 and the small q
+        assert not outside - collections.Counter(sent)
+        assert len(sent) - sum(outside.values()) <= 5
+        rows = zip(times.tolist(), q.real.tolist(), q.imag.tolist())
+        assert path.read_bytes() == b"t,re_q,im_q\n" + _repr_rows(rows)
+
     def test_control_csv_is_a_pl_file(self, tmp_path):
         # save_control_csv writes a coupling in the format that --alpha pl: reads
         grid = TimeGrid(2.5, 4)
@@ -964,6 +1023,17 @@ class TestSweepCommand:
                         "--outdir", str(tmp_path / "sw")])
         assert code == 0
         assert "(minimum 0.0);" in capsys.readouterr().out
+
+    def test_missed_slope_is_named_on_stderr(self, tmp_path, capsys):
+        # exit 2 says why on stderr; stdout and the artifacts are as for a passing sweep
+        out = tmp_path / "sw"
+        code = run_cli(["sweep", "--what", "green-kmax", "--min-slope", "1e308",
+                        "--outdir", str(out)])
+        captured = capsys.readouterr()
+        slope = (out / "sweep_green-kmax.csv").read_text().splitlines()[0].split("=")[1]
+        assert code == EXIT_SOLVER
+        assert captured.err == f"diagnostic tolerance exceeded: slope {slope} < minimum 1e+308\n"
+        assert f"slope {slope} (minimum 1e+308); artifacts in {out}" in captured.out
 
     def test_single_level_rejected(self, tmp_path):
         code = run_cli(["sweep", "--what", "charge-dt", "--levels", "1e-3",
