@@ -44,7 +44,6 @@ from .propagator import (
     decompose,
     diagnostics,
     evolve,
-    regular_part,
 )
 from .spectral import (
     DEFAULT_K_MAX,
@@ -86,7 +85,6 @@ __all__ = [
     "moment_residual",
     "origin_trace",
     "project_function",
-    "regular_part",
     "solve_charge",
     "solve_charge_general",
     "solve_moment",

@@ -318,25 +318,22 @@ def _march(f_nodes: np.ndarray, phi_nodes: np.ndarray, v0, grid: TimeGrid,
 
 
 def solve_charge_general(f: np.ndarray, phi: np.ndarray, shift: SpectralShift,
-                         grid: TimeGrid, k_max: int = DEFAULT_K_MAX,
-                         v0: complex | None = None) -> ChargeTrajectory:
+                         grid: TimeGrid, k_max: int = DEFAULT_K_MAX) -> ChargeTrajectory:
     """Grid solution of v = f - phi*(v(0)*g(t) + (i/pi) U v), g the Green origin series.
 
     g(t) = (1/pi) sum_k e^{-i*lam_k*t}/(lam_k + lam) is the origin series of the
     freely evolved Green state G^lam(., 0); the Green-source term is folded
     into the source, so the march solves v = f - phi*v0*g - phi*(i/pi) U v.
     f and phi are node samples (n+1,); phi may be complex, as the scheme is not
-    tied to a self-adjoint coupling.  When v0 is not supplied it comes from
-    initial_charge with the closed-form Green value.
+    tied to a self-adjoint coupling.  v0 = v(0) comes from initial_charge with the
+    closed-form Green value.
     """
     times = grid.times
     f_nodes = np.asarray(f, dtype=complex)
     phi_nodes = np.asarray(phi)
     if f_nodes.shape != times.shape or phi_nodes.shape != times.shape:
         raise InputError("f and phi samples must match the grid nodes")
-    if v0 is None:
-        v0 = initial_charge(f_nodes[0], phi_nodes[0], shift)
-    v0 = complex(v0)
+    v0 = initial_charge(f_nodes[0], phi_nodes[0], shift)
     green = free_origin_series(green_coefficients(shift, k_max), times)
     return _march(f_nodes - phi_nodes * v0 * green, phi_nodes, v0, grid, k_max)
 
@@ -345,7 +342,7 @@ def solve_charge(alpha: CouplingProfile, psi0, grid: TimeGrid) -> ChargeTrajecto
     """Solve q = -alpha*(e^{it*Lap}psi0(0) + (i/pi) U q) on the grid.
 
     psi0 is a SpectralCoefficients vector or a DomainState-like object with
-    .charge and .full_coefficients(); its truncation is the solver's.  The
+    .charge and .full_coefficients; its truncation is the solver's.  The
     initial charge is q(0) = -alpha(0)*psi0(0), or the DomainState's own
     charge; the march then takes f = -alpha * e^{it*Lap}psi0(0) on the full
     state, whose Green part needs no separate source term, so the resolvent
@@ -359,7 +356,7 @@ def solve_charge(alpha: CouplingProfile, psi0, grid: TimeGrid) -> ChargeTrajecto
         q0 = -complex(alpha_nodes[0]) * origin_trace(psi0)
     else:
         q0 = complex(psi0.charge)
-        full = psi0.full_coefficients()
+        full = psi0.full_coefficients
         resid = abs(q0 + alpha_nodes[0] * origin_trace(full))
         if resid > BOUNDARY_COMPAT_TOL:
             raise DomainCompatibilityError(

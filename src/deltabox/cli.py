@@ -33,10 +33,10 @@ from .control import (
     real_moments,
     synthesize_control,
 )
-from .convergence import charge_dt_sweep, green_kmax_sweep
+from .convergence import GREEN_KMAX_MAX_LEVEL, charge_dt_sweep, green_kmax_sweep
 from .errors import InputError, SingularityError, SolverError
-from .greens import (SpectralShift, default_window, green_closed, green_origin, green_series,
-                     static_eigenvalues)
+from .greens import (SpectralShift, _levels, default_window, green_closed, green_origin,
+                     green_series, static_eigenvalues)
 from .iofiles import (
     atomic_write_text,
     config_hash,
@@ -62,6 +62,10 @@ EXIT_OK, EXIT_CONFIG, EXIT_SOLVER, EXIT_IO = 0, 1, 2, 3
 # `control` fails (exit 2, after writing its artifacts) when the written control's
 # first-order residual exceeds this fraction of the target's largest |c_k|
 CONTROL_RESIDUAL_REL = 1e-2
+# `spectrum` refuses a window that holds more levels k^2/4 than this, before any root
+# is solved (at the bound a run takes about 6 s and writes 20 MB; the default window of
+# --k-max K holds K/2 of them)
+SPECTRUM_MAX_LEVELS = 10**6
 
 _SIMULATE_KEYS = {"psi0", "alpha", "T", "n_steps", "k_max", "outdir",
                   "tol_norm_drift", "tol_boundary"}
@@ -208,6 +212,11 @@ def cmd_spectrum(args) -> int:
             raise InputError(f"--window HI {hi!r} exceeds {window[1]!r}, the top of the "
                              f"range that --k-max {args.k_max} resolves; raise --k-max")
         window = (lo, hi)
+    count = len(_levels(*window))
+    if count > SPECTRUM_MAX_LEVELS:
+        raise InputError(f"the window {window[0]!r}:{window[1]!r} holds {count} levels, more "
+                         f"than the {SPECTRUM_MAX_LEVELS} spectrum lists; narrow --window or "
+                         "lower --k-max")
     eigs = static_eigenvalues(args.alpha, window)
     for energy, sector in eigs:
         print(f"{energy!r},{sector}")
@@ -244,8 +253,7 @@ def cmd_control(args) -> int:
     report_lines = [f"horizon {t_end!r}", f"moment_residual {residual!r}",
                     f"unreachable {float(np.max(unreachable))!r}"]
     if args.experiment:
-        rep = controllability_experiment(args.k_bar, [1e-1, 3e-2, 1e-2], target, alpha,
-                                         reach)
+        rep = controllability_experiment(args.k_bar, target, alpha, reach)
         report_lines.append(rep.to_text())
     report = "\n".join(report_lines) + "\n"
     print(report, end="")
@@ -292,7 +300,11 @@ def cmd_sweep(args) -> int:
     if args.min_slope is not None:
         min_slope = parse_number(args.min_slope, float, "--min-slope")
     if args.levels:
-        rows, slope = sweep([parse_number(x, kind, "levels") for x in args.levels.split(",")])
+        levels = [parse_number(x, kind, "levels") for x in args.levels.split(",")]
+        if sweep is green_kmax_sweep and max(levels) > GREEN_KMAX_MAX_LEVEL:
+            raise InputError(f"--levels {max(levels)} exceeds {GREEN_KMAX_MAX_LEVEL}, the "
+                             "largest green-kmax level")
+        rows, slope = sweep(levels)
     else:
         rows, slope = sweep()
     lines = [f"# slope={slope!r}", header]
@@ -333,7 +345,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectrum", help="static eigenvalues of the coupled box")
     p.add_argument("--alpha", required=True)
     p.add_argument("--window", help="LO:HI energy window")
-    p.add_argument("--k-max", default=DEFAULT_K_MAX, dest="k_max")
+    p.add_argument("--k-max", default=DEFAULT_K_MAX, dest="k_max",
+                   help=f"the window may hold at most {SPECTRUM_MAX_LEVELS} levels k^2/4, "
+                        "so --k-max up to about 2*10^6 on the default window")
     p.add_argument("--outdir", default="out")
     p.set_defaults(func=cmd_spectrum, numbers={"alpha": float, "k_max": int})
 
@@ -374,7 +388,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="convergence-order studies")
     p.add_argument("--what", default="charge-dt", help="charge-dt | green-kmax")
-    p.add_argument("--levels", help="comma-separated refinement levels (>=3)")
+    p.add_argument("--levels", help="comma-separated refinement levels (>=3); green-kmax "
+                                    f"levels are integers up to {GREEN_KMAX_MAX_LEVEL}")
     p.add_argument("--min-slope", dest="min_slope")
     p.add_argument("--outdir", default="out")
     p.set_defaults(func=cmd_sweep, numbers={})

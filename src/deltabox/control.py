@@ -51,6 +51,8 @@ from .spectral import (
 )
 
 BASE_HORIZON = 8.0 * np.pi
+# step sizes of the steering experiment, in units of the target's norm
+STEERING_EPSILONS = (1e-1, 3e-2, 1e-2)
 
 
 @dataclass(frozen=True)
@@ -326,7 +328,6 @@ class SteeringReport:
     """Remainder scaling of first-order steering around an eigenstate."""
 
     k_bar: int
-    epsilons: tuple
     remainders: tuple
     displacement_errors: tuple  # |Gamma(a) - free - dGamma(a)| / |dGamma(a)|
     remainder_slope: float
@@ -335,7 +336,7 @@ class SteeringReport:
     def to_text(self) -> str:
         lines = [f"steering anchor k_bar={self.k_bar}",
                  f"remainder slope (log-log): {self.remainder_slope:.4f}"]
-        for eps, r, d in zip(self.epsilons, self.remainders, self.displacement_errors):
+        for eps, r, d in zip(STEERING_EPSILONS, self.remainders, self.displacement_errors):
             lines.append(f"  eps={eps:<8g} remainder={r:.6e} displacement_rel_err={d:.6e}")
         lines.append(self.collision_note)
         return "\n".join(lines)
@@ -356,15 +357,14 @@ def _frequency_collisions(k_bar: int, k_max: int) -> list[tuple[int, int]]:
     return pairs
 
 
-def controllability_experiment(k_bar: int, epsilons, target: ControlTarget,
-                               control: CouplingProfile,
+def controllability_experiment(k_bar: int, target: ControlTarget, control: CouplingProfile,
                                reach: SpectralCoefficients) -> SteeringReport:
     """Nonlinear steering test around psi_kbar, at the truncation of the target, with
     the real control synthesized for it (synthesize_control).
 
-    For each eps the control scaled by eps/|target| drives the full evolution, so
-    eps is the size of the step in the target's direction, and the remainder
-    against the first-order prediction e^{-i*lam_kbar*T}psi_kbar + dGamma_0(alpha)
+    For each eps in STEERING_EPSILONS the control scaled by eps/|target| drives the
+    full evolution, so eps is the size of the step in the target's direction, and the
+    remainder against the first-order prediction e^{-i*lam_kbar*T}psi_kbar + dGamma_0(alpha)
     is recorded; the log-log remainder slope estimates the quadratic order of the
     rest term.  reach is dGamma_0(control), the linearization at alpha = 0
     (apply_linearized) that the `control` command reports; it is linear in the
@@ -381,19 +381,19 @@ def controllability_experiment(k_bar: int, epsilons, target: ControlTarget,
     linear_unit = reach.scaled(1.0 / norm)
     remainders = []
     disp_errors = []
-    for eps in epsilons:
+    for eps in STEERING_EPSILONS:
         final = gamma(CouplingProfile.piecewise_linear(grid, eps * unit), psi0, grid)
         linear = linear_unit.scaled(eps)
         remainders.append(final.sub(free_final).sub(linear).norm())
         lin_norm = linear.norm()
         disp_errors.append(remainders[-1] / lin_norm if lin_norm > 0 else np.inf)
 
-    slope = fit_loglog_slope(list(epsilons), remainders)
+    slope = fit_loglog_slope(STEERING_EPSILONS, remainders)
     pairs = _frequency_collisions(k_bar, target.k_max)
     note = ("frequency collisions (j^2+k^2=2*k_bar^2): none" if not pairs
             else f"frequency collisions (j^2+k^2=2*k_bar^2): {pairs} "
                  "(a real control reaches their projection; the rest is unreachable)")
     return SteeringReport(
-        k_bar=k_bar, epsilons=tuple(epsilons), remainders=tuple(remainders),
+        k_bar=k_bar, remainders=tuple(remainders),
         displacement_errors=tuple(disp_errors), remainder_slope=slope,
         collision_note=note)

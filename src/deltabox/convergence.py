@@ -16,6 +16,9 @@ from .spectral import SpectralCoefficients, TimeGrid
 
 CHARGE_DT_LEVELS = (4e-3, 2e-3, 1e-3)
 GREEN_KMAX_LEVELS = (1000, 10000, 100000)
+# the largest green-kmax level: the Green series' mode table grows as the level, and a
+# level of 10^7 sums in about half a second
+GREEN_KMAX_MAX_LEVEL = 10**7
 # charge-dt: a sine bump on psi_1 over [0, T], against a run REFINE times finer
 DT_STUDY_T_END, DT_STUDY_AMPLITUDE, DT_STUDY_K_MAX, DT_STUDY_REFINE = 2.0, 0.5, 25, 8
 GREEN_STUDY_Z = 1.0  # green-kmax: G^z(0, 0) at this z

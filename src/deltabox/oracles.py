@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from .errors import InputError, SolverError
+from .errors import SolverError
 from .greens import SpectralShift, find_root
 from .kernels import odd_eigenvalues, tail_deficit
 from .spectral import BOX_HALF_WIDTH, TimeGrid, eigenvalues
@@ -34,6 +34,8 @@ PICARD_MAX_ITER = 500
 
 # grid points across the box of the spectrum oracle (even, so a node sits on x = 0)
 FD_POINTS = 4096
+# lowest eigenvalues the spectrum oracle returns
+FD_EIGEN = 3
 
 
 def picard_charge(f_nodes: np.ndarray, phi_nodes: np.ndarray, v0: complex, g_coeff: complex,
@@ -91,8 +93,8 @@ def picard_charge(f_nodes: np.ndarray, phi_nodes: np.ndarray, v0: complex, g_coe
     raise SolverError(f"Picard iteration did not reach {PICARD_TOL} in {PICARD_MAX_ITER} sweeps")
 
 
-def fd_spectrum(alpha: float, n_eigen: int = 6) -> np.ndarray:
-    """Lowest eigenvalues of -d^2/dx^2 + alpha*delta on a position grid.
+def fd_spectrum(alpha: float) -> np.ndarray:
+    """The FD_EIGEN lowest eigenvalues of -d^2/dx^2 + alpha*delta on a position grid.
 
     Second-order central differences with Dirichlet walls; the delta is the
     standard 1/h spike at the grid node sitting exactly on the origin.
@@ -111,9 +113,6 @@ def fd_spectrum(alpha: float, n_eigen: int = 6) -> np.ndarray:
         2 sinh(h*sigma)/tanh(pi*sigma) + alpha*h = 0 for
         0 < sigma <= asinh(|alpha|*h/2)/h.
     """
-    if FD_POINTS <= 2 * n_eigen + 2:
-        raise InputError(f"n_eigen must be below {(FD_POINTS - 2) // 2} on the "
-                         f"{FD_POINTS}-point grid, got {n_eigen!r}")
     h = 2.0 * BOX_HALF_WIDTH / FD_POINTS
 
     def even(kappa):
@@ -125,13 +124,13 @@ def fd_spectrum(alpha: float, n_eigen: int = 6) -> np.ndarray:
         return 2.0 * ratio + alpha * h
 
     bound_state = 2.0 + alpha * math.pi < 0.0  # else the lowest even root is in [0, 1)
-    kappas = list(range(1, n_eigen + 1))
-    kappas += [find_root(even, m, m + 1.0) for m in range(int(bound_state), n_eigen + 1)]
+    kappas = list(range(1, FD_EIGEN + 1))
+    kappas += [find_root(even, m, m + 1.0) for m in range(int(bound_state), FD_EIGEN + 1)]
     energies = [4.0 * math.sin(0.5 * h * kappa) ** 2 / h**2 for kappa in kappas]
     if bound_state:
         sigma = find_root(bound, 0.0, math.asinh(-0.5 * alpha * h) / h)
         energies.append(-4.0 * math.sinh(0.5 * h * sigma) ** 2 / h**2)
-    return np.sort(energies)[:n_eigen]
+    return np.sort(energies)[:FD_EIGEN]
 
 
 def galerkin_evolution(a0: np.ndarray, alpha_value, t_end: float) -> np.ndarray:

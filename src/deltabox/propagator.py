@@ -14,8 +14,8 @@ last node it is the end-time map Gamma (`end_state`, also control.gamma's)
 from the march's end history, elsewhere (`state_at`) from
 kernels.history_at_end.  States are stored as full spectral
 coefficient vectors; the decomposition into regular part + charge * Green
-state is computed on demand for a chosen shift (the split depends on the
-shift, the operator does not).
+state is computed on demand (`decompose`, at the shift lam = 1; a DomainState
+may carry any shift: the split depends on it, the operator does not).
 
 evolve's per-node series evaluate the origin value of psi(t) with the
 tail-corrected mode sum sum_odd a_k/sqrt(pi) + tail*q/pi (the same convention
@@ -48,16 +48,13 @@ class DomainState:
     charge: complex
     shift: SpectralShift = SpectralShift()
 
+    @cached_property
     def full_coefficients(self) -> SpectralCoefficients:
         """psi = regular + charge * G^lam(., 0) as one coefficient vector.
 
         Built on first use and kept, so the charge solve and the state
         assembly of one evolution share it.
         """
-        return self._full
-
-    @cached_property
-    def _full(self) -> SpectralCoefficients:
         green = green_coefficients(self.shift, self.regular.k_max)
         return self.regular.add(green.scaled(self.charge))
 
@@ -68,15 +65,10 @@ class DomainState:
         return float(np.sum((lam[mask] * np.abs(self.regular.a[mask])) ** 2))
 
 
-def regular_part(state: SpectralCoefficients, q: complex,
-                 shift: SpectralShift = SpectralShift()) -> SpectralCoefficients:
-    """Subtract the singular Green component: phi = psi - q * G^lam(., 0)."""
-    return state.sub(green_coefficients(shift, state.k_max).scaled(q))
-
-
-def decompose(state: SpectralCoefficients, q: complex,
-              shift: SpectralShift = SpectralShift()) -> DomainState:
-    return DomainState(regular_part(state, q, shift), complex(q), shift)
+def decompose(state: SpectralCoefficients, q: complex) -> DomainState:
+    """psi = phi + q * G^lam(., 0) at the shift lam = 1, with phi = psi - q * G^lam(., 0)."""
+    green = green_coefficients(SpectralShift(), state.k_max)
+    return DomainState(state.sub(green.scaled(q)), complex(q))
 
 
 def apply_hamiltonian(state: DomainState) -> SpectralCoefficients:
@@ -106,7 +98,7 @@ def assemble_F(traj: ChargeTrajectory) -> SpectralCoefficients:
 
 def initial_coefficients(psi0) -> SpectralCoefficients:
     """psi0 as one coefficient vector: a DomainState adds its charge times the Green state."""
-    return psi0 if isinstance(psi0, SpectralCoefficients) else psi0.full_coefficients()
+    return psi0 if isinstance(psi0, SpectralCoefficients) else psi0.full_coefficients
 
 
 def _mild_state(full: SpectralCoefficients, t: float, history: np.ndarray) -> SpectralCoefficients:

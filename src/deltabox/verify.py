@@ -176,8 +176,8 @@ def check_pole_bracketing():
 def check_fd_oracle():
     worst = 0.0
     for alpha in (-2.0, -0.5, 0.5, 2.0):
-        mine = [e for e, _ in greens.static_eigenvalues(alpha, (-10.0, 10.0))][:3]
-        ref = oracles.fd_spectrum(alpha, n_eigen=3)
+        mine = [e for e, _ in greens.static_eigenvalues(alpha, (-10.0, 10.0))][:oracles.FD_EIGEN]
+        ref = oracles.fd_spectrum(alpha)
         worst = max(worst, float(np.max(np.abs(np.array(mine) - ref))))
     return _result(worst, 1e-3)
 
@@ -192,7 +192,7 @@ def _bump_run(k_max_run, n_steps, t_end=2.0):
 @check("charge")
 def check_dt_self_convergence():
     # k_max = 25: all retained mode periods resolved on the coarsest grid
-    rows, slope = convergence.charge_dt_sweep((4e-3, 2e-3, 1e-3))
+    rows, slope = convergence.charge_dt_sweep()
     return _result(slope, 1.9, ">=", detail=f"errors {[err for _, err in rows]}")
 
 

@@ -10,6 +10,7 @@ import numpy as np
 
 from deltabox.charge import CouplingProfile, solve_charge
 from deltabox.control import (
+    STEERING_EPSILONS,
     ControlTarget,
     apply_linearized,
     controllability_experiment,
@@ -21,7 +22,7 @@ from deltabox.control import (
 from deltabox.convergence import charge_dt_sweep, green_kmax_sweep
 from deltabox.greens import green_series, static_eigenvalues
 from deltabox.kernels import discrete_h1_norm, fit_loglog_slope
-from deltabox.oracles import fd_spectrum, picard_charge
+from deltabox.oracles import FD_EIGEN, fd_spectrum, picard_charge
 from deltabox.propagator import diagnostics, evolve
 from deltabox.greens import SpectralShift
 from deltabox.spectral import (
@@ -113,8 +114,8 @@ def test_criterion_5_charge_solver_order():
 def test_criterion_6_static_spectrum():
     worst_fd = 0.0
     for alpha in (-2.0, 2.0):
-        mine = [e for e, _ in static_eigenvalues(alpha, (-10.0, 10.0))][:3]
-        ref = fd_spectrum(alpha, n_eigen=3)
+        mine = [e for e, _ in static_eigenvalues(alpha, (-10.0, 10.0))][:FD_EIGEN]
+        ref = fd_spectrum(alpha)
         worst_fd = max(worst_fd, float(np.max(np.abs(np.array(mine) - ref))))
     e1_present = all(
         any(abs(e - 1.0) < 1e-12 for e, _ in static_eigenvalues(a, (0.5, 1.5)))
@@ -193,13 +194,12 @@ def test_criterion_9_local_steering():
     a = np.zeros(k_max, dtype=complex)
     a[2] = 1.0
     direction = ControlTarget(SpectralCoefficients(k_max, a), t_end)
-    eps = (1e-1, 3e-2, 1e-2)
     alpha = synthesize_control(direction, 1, grid)
     reach = apply_linearized(CouplingProfile.zero(t_end), alpha.samples,
                              SpectralCoefficients.unit(1, k_max), grid)
-    rep = controllability_experiment(1, eps, direction, alpha, reach)
+    rep = controllability_experiment(1, direction, alpha, reach)
     elapsed = time.perf_counter() - t0
-    disp_ok = all(d <= 10 * e for d, e in zip(rep.displacement_errors, eps))
+    disp_ok = all(d <= 10 * e for d, e in zip(rep.displacement_errors, STEERING_EPSILONS))
     ok = rep.remainder_slope >= 1.9 and disp_ok and elapsed < 600.0
     record(9, "first-order steering around the ground cosine mode",
            ok, f"remainder slope={rep.remainder_slope:.4f}>=1.9, "

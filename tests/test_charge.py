@@ -228,10 +228,12 @@ def reference_march(f_nodes, phi_nodes, v0, g_coeff, shift, grid, k_max):
 
 
 def _assert_matches_reference(f, phi, v0, green_source, shift, grid, k_max, tol=1e-13):
-    """`_march` against the step reference; with green_source the general
-    scheme, whose Green-source term v0*g(t) is folded into the march's source."""
+    """`_march` from v(0) = v0 against the step reference; with green_source the general
+    scheme, which takes v(0) from initial_charge and folds its Green-source term v(0)*g(t)
+    into the march's source."""
     if green_source:
-        traj = solve_charge_general(f, phi, shift, grid, k_max, v0=v0)
+        v0 = initial_charge(f[0], phi[0], shift)
+        traj = solve_charge_general(f, phi, shift, grid, k_max)
     else:
         traj = _march(f, phi, v0, grid, k_max)
     q, end_history = reference_march(f, phi, v0, v0 if green_source else 0.0, shift, grid,

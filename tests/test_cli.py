@@ -417,9 +417,9 @@ class TestInputContracts:
         (["control", "--target", "{target}", "--n-steps", str(10**15)], 2),
         (["simulate", "--k-max", str(10**12)], 2),
         (["green", "--k-max", str(10**12)], 2),
-        # 5e11 levels: one arange of the level generator, not a list grown until memory runs out
-        (["spectrum", "--alpha", "1", "--k-max", str(10**12)], 2),
-        (["spectrum", "--alpha", "0", "--k-max", str(10**12)], 2),
+        # 5e11 levels: refused from their count, before the level generator runs
+        (["spectrum", "--alpha", "1", "--k-max", str(10**12)], 1),
+        (["spectrum", "--alpha", "0", "--k-max", str(10**12)], 1),
         # k^2*N leaves int64: it wrapped to a negative harmonic, or failed to convert
         (["control", "--target", "{target}", "--T", "1e19"], 1),
         (["control", "--target", "{target}", "--T", "1e300"], 1),
@@ -549,6 +549,17 @@ EDGE_CASES.update({
                                "diagnostic tolerance exceeded: slope 2.00"),
     "sweep-green-kmax--levels=1e308": (["sweep", "--what", "green-kmax", "--levels",
                                         "1e308,10,100"], 1, "expected an integer, got '1e308'"),
+    # past a level of 10^7 the Green series' mode table outgrows memory: refused at once
+    "sweep-green-kmax--levels=1e22": (["sweep", "--what", "green-kmax", "--levels",
+                                       "10000000000000000000000,10,100"], 1,
+                                      "--levels 10000000000000000000000 exceeds 10000000"),
+    "sweep-green-kmax--levels=1e9": (["sweep", "--what", "green-kmax", "--levels",
+                                      "1000000000,10,100"], 1,
+                                     "--levels 1000000000 exceeds 10000000"),
+    # a window of more than 10^6 levels is refused before any root is solved
+    "spectrum-k-max=1e8": (["spectrum", "--alpha", "1", "--k-max", "100000000"], 1,
+                           "holds 50000000 levels, more than the 1000000 spectrum lists; "
+                           "narrow --window or lower --k-max"),
     "verify-k-max=513": (["verify", "--k-max", "513"], 1, "exceeds 512"),
     "verify-k-max=512": (["verify", "--k-max", "512", "--filter", "spectral"], 0, ""),
 })

@@ -3,6 +3,7 @@ import pytest
 
 from deltabox.charge import CouplingProfile, _march, lipschitz_probe, solve_charge
 from deltabox.control import (
+    STEERING_EPSILONS,
     ControlTarget,
     _frequency_collisions,
     apply_linearized,
@@ -37,12 +38,12 @@ def target_on(k, k_max=401, value=1.0, t_end=T8PI):
     return ControlTarget(SpectralCoefficients(k_max, a), t_end)
 
 
-def steer(target, grid, epsilons, k_bar=1):
+def steer(target, grid, k_bar=1):
     """controllability_experiment with the control and the reach the control command passes."""
     alpha = synthesize_control(target, k_bar, grid)
     reach = apply_linearized(CouplingProfile.zero(grid.t_end), alpha.samples,
                              SpectralCoefficients.unit(k_bar, target.k_max), grid)
-    return controllability_experiment(k_bar, epsilons, target, alpha, reach)
+    return controllability_experiment(k_bar, target, alpha, reach)
 
 
 def resolved_target(rng, k_max, grid):
@@ -638,7 +639,7 @@ class TestControllabilityExperiment:
         grid = TimeGrid(T8PI, 4096)
         t = target_on(3, value=0.0)
         with pytest.raises(InputError):
-            steer(t, grid, [1e-2])
+            steer(t, grid)
 
     def test_aliased_mode_rejected(self):
         # k = 9 on 8*pi needs n > 2*81 steps; 162 steps fold it onto its negative
@@ -648,7 +649,7 @@ class TestControllabilityExperiment:
     def test_small_experiment(self):
         grid = TimeGrid(T8PI, 6283)
         t = target_on(3, k_max=51)
-        rep = steer(t, grid, [3e-2, 1e-2])
+        rep = steer(t, grid)
         assert rep.remainder_slope > 1.8
         assert all(np.isfinite(rep.remainders))
         assert "none" in rep.collision_note
@@ -659,10 +660,9 @@ class TestControllabilityExperiment:
         grid = TimeGrid(T8PI, 2000)
         a = np.zeros(25, dtype=complex)
         a[2], a[4] = 0.7, 0.3j
-        eps = [3e-2, 1e-2]
-        rep = steer(ControlTarget(SpectralCoefficients(25, a), T8PI), grid, eps)
+        rep = steer(ControlTarget(SpectralCoefficients(25, a), T8PI), grid)
         assert rep.remainder_slope > 1.9
-        assert all(d <= 10 * e for d, e in zip(rep.displacement_errors, eps))
+        assert all(d <= 10 * e for d, e in zip(rep.displacement_errors, STEERING_EPSILONS))
 
     def test_zero_amplitude_limit(self):
         # with no control the final state is exactly the free phase rotation

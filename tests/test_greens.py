@@ -18,7 +18,7 @@ from deltabox.greens import (
     default_window,
     static_eigenvalues,
 )
-from deltabox.oracles import FD_POINTS, fd_spectrum
+from deltabox.oracles import FD_EIGEN, FD_POINTS, fd_spectrum
 from deltabox.spectral import BOX_HALF_WIDTH, origin_trace
 from deltabox import verify
 
@@ -196,8 +196,8 @@ class TestStaticEigenvalues:
 
     def test_fd_oracle_direct_values(self):
         # grid oracle pins the three lowest merged eigenvalues for alpha = 2
-        mine = [e for e, _ in static_eigenvalues(2.0, (-10.0, 10.0))][:3]
-        ref = fd_spectrum(2.0, n_eigen=3)
+        mine = [e for e, _ in static_eigenvalues(2.0, (-10.0, 10.0))][:FD_EIGEN]
+        ref = fd_spectrum(2.0)
         assert np.max(np.abs(np.array(mine) - ref)) < 1e-3
 
 
@@ -245,18 +245,13 @@ class TestStaticEigenvalues:
         # the secular equations against scipy's eigensolver on the same matrix
         from scipy.linalg import eigh_tridiagonal
 
-        n_eigen = 6
         h = 2.0 * BOX_HALF_WIDTH / FD_POINTS
         diag = np.full(FD_POINTS - 1, 2.0 / h**2)
         diag[FD_POINTS // 2 - 1] += alpha / h  # the node on x = 0
         off = np.full(FD_POINTS - 2, -1.0 / h**2)
-        ref = eigh_tridiagonal(diag, off, select="i", select_range=(0, n_eigen - 1),
+        ref = eigh_tridiagonal(diag, off, select="i", select_range=(0, FD_EIGEN - 1),
                                eigvals_only=True)
-        assert np.max(np.abs(fd_spectrum(alpha, n_eigen) - ref)) <= 1e-9
-
-    def test_fd_rejects_more_eigenvalues_than_the_grid_has(self):
-        with pytest.raises(InputError):
-            fd_spectrum(1.0, n_eigen=FD_POINTS // 2)
+        assert np.max(np.abs(fd_spectrum(alpha) - ref)) <= 1e-9
 
 
 # a float end, or a level k^2/4 itself, so that windows start and end on levels

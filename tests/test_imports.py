@@ -1,5 +1,6 @@
 """Every name a module under src/ or tests/ imports is used in that module, every
-top-level function or class of the package is named somewhere in it, every
+top-level function or class of the package is named somewhere in it, every parameter
+default of the package is overridden by some call, every
 function the benchmark tracer wraps exists and has the parameters its counter reads,
 every check the benchmark gate requires is registered, and the oracles import
 nothing of the production numerics."""
@@ -26,7 +27,7 @@ UNREFERENCED_ALLOWED = ["kernels.slope_moments", "spectral.project_function"]
 # eigenvalues, the analytic tail, the grid, the errors, and the shift and root
 # finder of the spectrum oracle; never the march's kernels (block_phases, lag_sums, _march)
 ORACLE_IMPORTS = {"SpectralShift", "find_root", "odd_eigenvalues", "tail_deficit",
-                  "BOX_HALF_WIDTH", "TimeGrid", "eigenvalues", "InputError", "SolverError"}
+                  "BOX_HALF_WIDTH", "TimeGrid", "eigenvalues", "SolverError"}
 
 
 def unused_imports(tree: ast.Module) -> list[str]:
@@ -98,6 +99,89 @@ def test_guard_finds_an_unnamed_definition():
                               "__all__ = ['_even_sector_poles']\n"),
     }
     assert unreferenced_definitions(modules) == ["greens._even_sector_poles"]
+
+
+def defaulted_parameters(module: str, tree: ast.Module) -> list[tuple[str, str, str, int | None]]:
+    """('module.function(parameter)', callee, parameter, position) for every parameter
+    with a default of every function or method defined in the module.  The callee is
+    the name a call uses (the class for `__init__`); the position counts the call's
+    positional arguments, so a method's self or cls takes none, and a keyword-only
+    parameter has none."""
+    found = []
+
+    def visit(body, prefix, owner):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                visit(node.body, f"{prefix}{node.name}.", node.name)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                positional = args.posonlyargs + args.args
+                bound = owner is not None and not any(
+                    getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
+                callee = owner if node.name == "__init__" else node.name
+                first = len(positional) - len(args.defaults)
+                for i, arg in enumerate(positional[first:], start=first):
+                    found.append((f"{module}.{prefix}{node.name}({arg.arg})", callee, arg.arg,
+                                  i - bound))
+                found.extend((f"{module}.{prefix}{node.name}({arg.arg})", callee, arg.arg, None)
+                             for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                             if default is not None)
+                visit(node.body, f"{prefix}{node.name}.", None)
+
+    visit(tree.body, "", None)
+    return found
+
+
+def never_passed(package: dict[str, ast.Module], callers: list[ast.Module]) -> list[str]:
+    """The defaulted parameters that no call in callers passes, by keyword, by position
+    or through * or **.  Calls match by the callee's name alone, so a name that two
+    functions share only makes the scan more lenient."""
+    passes = {}
+    for tree in callers:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            star = next((i for i, a in enumerate(node.args) if isinstance(a, ast.Starred)),
+                        None)
+            passes.setdefault(name, []).append(
+                (len(node.args) if star is None else star, star is not None,
+                 {k.arg for k in node.keywords}))
+
+    def passed(callee, parameter, position):
+        return any(parameter in keywords or None in keywords
+                   or position is not None and (position < n_positional or starred)
+                   for n_positional, starred, keywords in passes.get(callee, []))
+
+    return sorted(entry for module, tree in package.items()
+                  for entry, callee, parameter, position in defaulted_parameters(module, tree)
+                  if not passed(callee, parameter, position))
+
+
+def test_every_default_is_overridden():
+    # a setting that every call leaves at its default is a constant: with one value in
+    # use it goes, as a module constant or folded into its one caller
+    package = {path.stem: ast.parse(path.read_text(), str(path))
+               for path in sorted(PACKAGE.glob("*.py"))}
+    callers = [ast.parse(path.read_text(), str(path)) for path in SOURCES]
+    assert never_passed(package, callers) == []
+
+
+def test_guard_finds_a_never_passed_default():
+    package = {"propagator": ast.parse(
+        "def decompose(state, q, shift=1.0):\n    return state\n"
+        "def evolve(psi0, alpha, grid=None, *, tail=True):\n    return psi0\n"
+        "class Report:\n    def __init__(self, k, note=''):\n        pass\n"
+        "    def text(self, width=8, pad=' '):\n        return pad\n"
+        "    @staticmethod\n    def zero(t_end=1.0):\n        return t_end\n")}
+    callers = [ast.parse("decompose(s, 0.5)\nevolve(p, a, g)\nevolve(p, a, **opts)\n"
+                         "Report(3, 'x').text(*sizes)\nReport.zero(2.0)\n")]
+    assert never_passed(package, callers) == ["propagator.decompose(shift)"]
+    callers.append(ast.parse("decompose(s, q, shift=2.0)\nr.text(pad='-')\n"))
+    assert never_passed(package, callers) == []
+    assert never_passed(package, callers[1:]) == [
+        "propagator.Report.__init__(note)", "propagator.Report.text(width)",
+        "propagator.Report.zero(t_end)", "propagator.evolve(grid)", "propagator.evolve(tail)"]
 
 
 def targets_table(tree: ast.Module) -> ast.Dict:

@@ -15,7 +15,6 @@ from deltabox.propagator import (
     decompose,
     diagnostics,
     evolve,
-    regular_part,
 )
 from deltabox.spectral import (
     INV_SQRT_PI,
@@ -204,7 +203,7 @@ class TestDomainStateCoefficients:
             return green_coefficients(*args)
 
         prebuilt = self.compatible_state(alpha0, k_max)
-        prebuilt.full_coefficients()
+        prebuilt.full_coefficients
         monkeypatch.setattr(propagator, "green_coefficients", counted)
         first = final(self.compatible_state(alpha0, k_max))
         assert len(calls) == 1
@@ -215,12 +214,12 @@ class TestDomainStateCoefficients:
 class TestRegularPart:
     def test_zero_charge_identity(self):
         state = SpectralCoefficients.unit(1, 21)
-        out = regular_part(state, 0.0)
+        out = decompose(state, 0.0).regular
         assert np.all(out.a == state.a)
 
     def test_green_state_annihilated(self):
         green = green_coefficients(SpectralShift(), 31)
-        out = regular_part(green, 1.0)
+        out = decompose(green, 1.0).regular
         assert np.max(np.abs(out.a)) < 1e-16
 
     def test_evolved_tail_is_h2(self):
@@ -274,7 +273,7 @@ class TestDiagnostics:
     def test_decompose_round_trip(self):
         state = SpectralCoefficients.unit(1, 41)
         ds = decompose(state, 0.37 - 0.11j)
-        back = ds.full_coefficients()
+        back = ds.full_coefficients
         assert np.max(np.abs(back.a - state.a)) < 1e-15
 
 

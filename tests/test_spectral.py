@@ -15,8 +15,8 @@ from deltabox.spectral import (
     origin_trace,
     project_function,
 )
-from deltabox.kernels import TIME_BLOCK, odd_eigenvalues
-from deltabox import verify
+from deltabox.kernels import TIME_BLOCK, lattice_angles, odd_eigenvalues
+from deltabox import spectral, verify
 
 from conftest import assert_check
 
@@ -111,6 +111,32 @@ class TestFreeOriginSeries:
         lam, a_odd = eigenvalues(k_max)[0::2], np.abs(c.a[0::2])
         bound = eps * (8 * np.outer(times, lam) + 8 + lam.size) @ a_odd / np.sqrt(np.pi)
         assert np.all(np.abs(grid_path - per_time) <= bound)
+
+    def test_grid_matches_a_lattice_reference(self, rng, monkeypatch):
+        # independent of the production phases: on T = 8*pi every lam_k*t_j is the
+        # lattice point 2*pi*((k^2*j) mod n)/n, summed in long double on every 97th node
+        # and the last; the bound is test_grid_matches_per_time_exp's.  A relative error
+        # of 1e-12 in the eigenvalues must exceed it
+        k_max, grid = 401, TimeGrid(8 * np.pi, 25133)
+        c = SpectralCoefficients(k_max, rng.standard_normal(k_max)
+                                 + 1j * rng.standard_normal(k_max))
+        nodes = np.append(np.arange(0, grid.n_steps, 97), grid.n_steps)
+        k = np.arange(1, k_max + 1, 2)
+        angles = np.stack([lattice_angles(h, grid.n_steps, grid.n_steps + 1)[nodes]
+                           for h in k * k]).astype(np.longdouble)
+        reference = (np.exp(-1j * angles).T @ c.a[0::2].astype(np.clongdouble)
+                     / np.sqrt(np.longdouble(np.pi)))
+        times, lam, a_odd = grid.times[nodes], 0.25 * k * k, np.abs(c.a[0::2])
+        bound = np.finfo(float).eps * (8 * np.outer(times, lam) + 8 + lam.size) @ a_odd
+        bound /= np.sqrt(np.pi)
+
+        def deviation():
+            return np.abs(free_origin_series(c, grid.times)[nodes] - reference)
+
+        assert np.all(deviation() <= bound)
+        monkeypatch.setattr(spectral, "eigenvalues", lambda k_max: eigenvalues(k_max)
+                            * (1 + 1e-12))
+        assert not np.all(deviation() <= bound)
 
     def test_grid_skips_zero_modes(self):
         times = TimeGrid(1.0, 300).times
